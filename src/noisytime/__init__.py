@@ -3,7 +3,7 @@
 The same physical model is exposed through an exact elementwise propagator,
 a family of master-equation generators, and Monte Carlo sampling of random
 unitaries driven by correlated Brownian phases.  The three routes agree
-within quadrature, integration, and statistical error, and the ``verify``
+within roundoff, integration, and statistical error, and the ``verify``
 entry point checks that they do.
 """
 
@@ -17,7 +17,6 @@ from .errors import (
     NoisytimeError,
     NotHermitian,
     NotPositive,
-    QuadratureFailure,
     StepTooLarge,
     TraceNotOne,
     WeightsNotNormalized,
@@ -98,7 +97,6 @@ __all__ = [
     "DimensionMismatch",
     "KernelNotPSD",
     "KernelAsymmetric",
-    "QuadratureFailure",
     "WeightsNotNormalized",
     "StepTooLarge",
     "GridMismatch",

@@ -56,10 +56,6 @@ class KernelAsymmetric(NoisytimeError):
     """Damping-rate table is not symmetric."""
 
 
-class QuadratureFailure(NoisytimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class WeightsNotNormalized(NoisytimeError):
     """Time-average weights do not integrate to one within tolerance."""
 

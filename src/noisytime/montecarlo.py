@@ -129,7 +129,6 @@ def run_ensemble(
         )
 
     levels = np.asarray(decomposition.levels, dtype=float)
-    dt = np.diff(grid_arr)
     factor = psd_sqrt(correlation_matrix(model, levels))
     rho0_e = to_energy_basis(rho.matrix, decomposition)
     vectors = decomposition.eigenvectors
@@ -138,7 +137,7 @@ def run_ensemble(
     num_points, dim = grid_arr.size, decomposition.dim
 
     def chunk_stats(start: int, count: int):
-        chi = _chi_chunk(model, levels, grid_arr, dt, factor, seed, start, count)
+        chi = _chi_chunk(model, levels, grid_arr, factor, seed, start, count)
         cols = np.exp(-1j * chi)[:, :, idx]
         states_e = (cols[:, :, :, None] * cols.conj()[:, :, None, :]) * rho0_e[None, None]
         states = vectors[None, None] @ states_e @ vectors_h[None, None]

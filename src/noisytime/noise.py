@@ -13,8 +13,9 @@ also samples the correlated Brownian field and the chi paths themselves, and
 checks the even/odd moment identities of the phase difference empirically.
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
-serializable and every lambda is either closed-form or a one-dimensional
-quadrature.
+serializable and every lambda has a closed form.  Because the amplitude
+factorizes, eta(t; a, b) = sigma_time(t)^2 E(a, b) and lambda(t; a, b) =
+S(t) E(a, b), with S(t) the integral of sigma_time^2 over [0, t].
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigError,
@@ -32,7 +32,6 @@ from .errors import (
     GridMismatch,
     KernelAsymmetric,
     KernelNotPSD,
-    QuadratureFailure,
 )
 
 __all__ = [
@@ -63,8 +62,6 @@ __all__ = [
 # than noisy-PSD; between this and zero, eigenvalues are clipped.
 PSD_EIG_FLOOR = -1e-8
 PSD_CLIP = -1e-12
-
-QUAD_REL_TOL = 1e-10
 
 
 def _as_float_tuple(values, path: str) -> tuple[float, ...]:
@@ -255,6 +252,20 @@ class SigmaTimePreset:
             return np.full_like(t, self.value)
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
         return np.asarray(self.values, dtype=float)[idx]
+
+    def integrated_square(self, t):
+        """S(t), the integral of sigma_time(s)^2 over [0, t], elementwise in t.
+
+        value^2 t for a constant profile; for a piecewise one, the sum of
+        values[i]^2 times the length of [breakpoints[i-1], breakpoints[i])
+        inside [0, t].
+        """
+        t = np.asarray(t, dtype=float)
+        if self.kind == "constant":
+            return self.value**2 * t
+        edges = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
+        overlap = np.minimum(t[..., None], edges[1:]) - np.maximum(0.0, edges[:-1])
+        return np.clip(overlap, 0.0, None) @ np.square(self.values)
 
     def to_config(self) -> dict:
         if self.kind == "constant":
@@ -549,98 +560,70 @@ def eta(model: NoiseModel, t: float, theta: float, theta_prime: float) -> float:
     Nonnegative for |g| <= 1; clamped at zero against roundoff.  For a direct
     damping table this returns the tabulated rate instead.
     """
-    if model.direct_lambda is not None:
-        return model.direct_lambda.rate_at(theta, theta_prime)
-    s_a = float(model.sigma(t, theta))
-    s_b = float(model.sigma(t, theta_prime))
-    g = model.correlation_g
-    value = (
-        s_a * s_a * float(g(theta, theta))
-        + s_b * s_b * float(g(theta_prime, theta_prime))
-        - 2.0 * s_a * s_b * float(g(theta, theta_prime))
-    )
-    return max(value, 0.0)
+    return float(LambdaKernel(model, [theta, theta_prime]).eta_matrix(t)[0, 1])
 
 
 def lambda_pair(model: NoiseModel, t: float, theta: float, theta_prime: float) -> float:
-    """Accumulated variance: integral of eta over [0, t].
-
-    Closed form t * eta(0) when sigma_time is constant; otherwise adaptive
-    quadrature to relative tolerance 1e-10 with the sigma_time breakpoints
-    passed as known discontinuities.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if model.direct_lambda is not None:
-        return model.direct_lambda.lambda_at(t, theta, theta_prime)
-    if t == 0.0:
-        return 0.0
-    if model.sigma_time.is_constant:
-        return t * eta(model, 0.0, theta, theta_prime)
-    points = [b for b in model.sigma_time.breakpoints if 0.0 < b < t]
-    out = quad(
-        lambda s: eta(model, s, theta, theta_prime),
-        0.0,
-        t,
-        epsabs=1e-14,
-        epsrel=QUAD_REL_TOL,
-        limit=200,
-        points=points or None,
-        full_output=True,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureFailure(f"quadrature did not converge: {out[3]}")
-    if abserr > max(QUAD_REL_TOL * abs(value), 1e-12):
-        raise QuadratureFailure(
-            f"quadrature error {abserr:.3e} above tolerance for value {value:.6e}"
-        )
-    return float(value)
+    """Accumulated variance: integral of eta over [0, t], in closed form."""
+    return float(LambdaKernel(model, [theta, theta_prime]).lambda_matrix(t)[0, 1])
 
 
 @dataclass(frozen=True)
 class LambdaKernel:
     """Damping and variance-rate kernels bound to a set of distinct levels.
 
-    ``lambda_matrix(t)`` and ``eta_matrix(t)`` return symmetric (m, m) arrays;
-    the diagonal vanishes for any Brownian-constructed model and equals the
-    tabulated population-decay rates for a direct damping table.
+    The kernels separate as eta(t) = sigma_time(t)^2 E and lambda(t) = S(t) E
+    with the time-independent (m, m) matrix
+    E(a, b) = max(0, s(a)^2 g(a,a) + s(b)^2 g(b,b) - 2 s(a) s(b) g(a,b)),
+    s = sigma_theta.  A direct damping table is the case S(t) = t, E = table,
+    looked up by level value.  ``lambda_matrix(t)`` and ``eta_matrix(t)``
+    accept a scalar or an array of times and return arrays of shape
+    t.shape + (m, m); the diagonal vanishes for any Brownian-constructed model
+    and equals the tabulated population-decay rates for a direct table.
     """
 
     model: NoiseModel
     levels: np.ndarray
+    form: np.ndarray
 
     def __init__(self, model: NoiseModel, levels):
         lv = np.asarray(levels, dtype=float).reshape(-1)
         lv.setflags(write=False)
+        if model.direct_lambda is not None:
+            idx = [model.direct_lambda._index_of(v) for v in lv]
+            form = model.direct_lambda.table[np.ix_(idx, idx)]
+        else:
+            s = np.asarray(model.sigma_theta(lv), dtype=float)
+            g = correlation_matrix(model, lv)
+            diag = s * s * np.diag(g)
+            cross = 2.0 * s[:, None] * s[None, :] * g
+            form = np.maximum(diag[:, None] + diag[None, :] - cross, 0.0)
+        form.setflags(write=False)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "form", form)
 
     @property
     def num_levels(self) -> int:
         return self.levels.shape[0]
 
-    def eta_at(self, t: float, i: int, j: int) -> float:
-        return eta(self.model, t, float(self.levels[i]), float(self.levels[j]))
+    def eta_matrix(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if self.model.direct_lambda is not None:
+            rate = np.ones_like(t)
+        else:
+            rate = np.square(self.model.sigma_time(t))
+        return rate[..., None, None] * self.form
 
-    def lambda_at(self, t: float, i: int, j: int) -> float:
-        return lambda_pair(self.model, t, float(self.levels[i]), float(self.levels[j]))
-
-    def _pair_matrix(self, evaluate) -> np.ndarray:
-        m = self.num_levels
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                value = evaluate(i, j)
-                out[i, j] = value
-                out[j, i] = value
-        return out
-
-    def eta_matrix(self, t: float) -> np.ndarray:
-        return self._pair_matrix(lambda i, j: self.eta_at(t, i, j))
-
-    def lambda_matrix(self, t: float) -> np.ndarray:
-        return self._pair_matrix(lambda i, j: self.lambda_at(t, i, j))
+    def lambda_matrix(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("t must be >= 0")
+        if self.model.direct_lambda is not None:
+            accumulated = t
+        else:
+            accumulated = self.model.sigma_time.integrated_square(t)
+        return accumulated[..., None, None] * self.form
 
 
 def correlation_matrix(model: NoiseModel, levels) -> np.ndarray:
@@ -749,18 +732,23 @@ def _chi_chunk(
     model: NoiseModel,
     lv: np.ndarray,
     grid_arr: np.ndarray,
-    dt: np.ndarray,
     factor: np.ndarray,
     seed: int,
     start: int,
     count: int,
     include_drift: bool = True,
 ) -> np.ndarray:
-    """Chi paths for trajectories [start, start+count), shape (count, T, m)."""
+    """Chi paths for trajectories [start, start+count), shape (count, T, m).
+
+    Steps run on the grid refined by the sigma_time breakpoints inside it, so
+    sigma evaluated at the left endpoint of each step is exact; the paths are
+    then read out at the requested grid points.
+    """
+    inside = [b for b in model.sigma_time.breakpoints if grid_arr[0] < b < grid_arr[-1]]
+    fine = np.union1d(grid_arr, inside)
+    dt = np.diff(fine)
     sqrt_dt = np.sqrt(dt)
-    # sigma evaluated at the left endpoint of each step; exact for constant
-    # sigma_time and for piecewise-constant grids aligned with breakpoints.
-    time_part = np.asarray(model.sigma_time(grid_arr[:-1]), dtype=float)
+    time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
     level_part = np.asarray(model.sigma_theta(lv), dtype=float)
     amp = time_part[:, None] * level_part[None, :]
     drift = (
@@ -772,9 +760,9 @@ def _chi_chunk(
     for k in range(count):
         db = _increments_for(factor, sqrt_dt, seed, start + k)
         steps[k] = drift + amp * db
-    paths = np.zeros((count, grid_arr.shape[0], lv.shape[0]))
+    paths = np.zeros((count, fine.shape[0], lv.shape[0]))
     np.cumsum(steps, axis=1, out=paths[:, 1:, :])
-    return paths
+    return paths[:, np.searchsorted(fine, grid_arr), :]
 
 
 def sample_chi_paths(
@@ -783,28 +771,19 @@ def sample_chi_paths(
     """Euler-Maruyama paths of the phase SDE, exact in distribution here.
 
     The presets make drift and diffusion independent of chi, so each step adds
-    an exactly Gaussian increment; there is no discretization bias for
-    constant sigma_time, and none for piecewise sigma_time when the grid
-    contains the breakpoints.
+    an exactly Gaussian increment; stepping through the sigma_time breakpoints
+    leaves no discretization bias on any grid.
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
     lv = np.asarray(levels, dtype=float).reshape(-1)
-    grid_arr, dt = _check_grid(grid)
+    grid_arr, _ = _check_grid(grid)
     factor = psd_sqrt(correlation_matrix(model, lv))
-    paths = _chi_chunk(model, lv, grid_arr, dt, factor, seed, 0, n_traj)
+    paths = _chi_chunk(model, lv, grid_arr, factor, seed, 0, n_traj)
     grid_arr.setflags(write=False)
     lv.setflags(write=False)
     paths.setflags(write=False)
     return ChiPaths(seed=seed, grid=grid_arr, levels=lv, paths=paths)
-
-
-def _moment_grid(model: NoiseModel, t: float, n_steps: int) -> np.ndarray:
-    base = np.linspace(0.0, t, n_steps + 1)
-    if model.sigma_time.is_constant:
-        return base
-    inside = [b for b in model.sigma_time.breakpoints if 0.0 < b < t]
-    return np.union1d(base, np.asarray(inside, dtype=float))
 
 
 def sample_phase_differences(
@@ -829,16 +808,13 @@ def sample_phase_differences(
         # One level twice: the shared Brownian motion cancels identically.
         return np.zeros(n_traj)
     lv = np.array([theta, theta_prime], dtype=float)
-    grid_arr = _moment_grid(model, t, n_steps)
-    dt = np.diff(grid_arr)
+    grid_arr = np.linspace(0.0, t, n_steps + 1)
     factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
     chunk = 4096
     for start in range(0, n_traj, chunk):
         count = min(chunk, n_traj - start)
-        paths = _chi_chunk(
-            model, lv, grid_arr, dt, factor, seed, start, count, include_drift=False
-        )
+        paths = _chi_chunk(model, lv, grid_arr, factor, seed, start, count, include_drift=False)
         out[start : start + count] = paths[:, -1, 0] - paths[:, -1, 1]
     return out
 

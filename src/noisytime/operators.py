@@ -273,11 +273,12 @@ def to_energy_basis(rho: np.ndarray, decomposition: SpectralDecomposition) -> np
 
 
 def from_energy_basis(rho_energy: np.ndarray, decomposition: SpectralDecomposition) -> np.ndarray:
-    """Inverse of :func:`to_energy_basis`."""
-    arr = _as_square_array(rho_energy)
-    if arr.shape[0] != decomposition.dim:
+    """Inverse of :func:`to_energy_basis`; also maps a stack of shape (..., d, d)."""
+    arr = np.asarray(rho_energy, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2:] != (decomposition.dim, decomposition.dim):
         raise DimensionMismatch(
-            f"state dimension {arr.shape[0]} != decomposition dimension {decomposition.dim}"
+            f"state shape {arr.shape} does not end in the decomposition dimension "
+            f"({decomposition.dim}, {decomposition.dim})"
         )
     v = decomposition.eigenvectors
     return v @ arr @ v.conj().T

@@ -12,16 +12,9 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import (
-    DimensionMismatch,
-    DissipativeTraceLoss,
-    GridMismatch,
-    QuadratureFailure,
-    WeightsNotNormalized,
-)
-from .noise import QUAD_REL_TOL, LambdaKernel, NoiseModel, SigmaTimePreset
+from .errors import DimensionMismatch, DissipativeTraceLoss, GridMismatch, WeightsNotNormalized
+from .noise import LambdaKernel, NoiseModel, SigmaTimePreset
 from .operators import DensityMatrix, SpectralDecomposition, from_energy_basis, to_energy_basis
 from .results import EvolutionResult
 
@@ -43,24 +36,37 @@ def _state_matrix(state) -> np.ndarray:
     return arr
 
 
-def _element_factors(
-    decomposition: SpectralDecomposition, model: NoiseModel, t: float
-) -> np.ndarray:
-    """Per-entry factor exp(-it dh) * exp(-lambda/2) expanded to matrix indices."""
+def _element_factors(decomposition: SpectralDecomposition, model: NoiseModel, t) -> np.ndarray:
+    """Per-entry factor exp(-it dh) * exp(-lambda/2) expanded to matrix indices.
+
+    ``t`` is a time or an array of times; the result has shape t.shape + (d, d).
+    """
     levels = decomposition.levels
-    kernel = LambdaKernel(model, levels)
-    lam = kernel.lambda_matrix(t)
+    t = np.asarray(t, dtype=float)
+    lam = LambdaKernel(model, levels).lambda_matrix(t)
     h = np.asarray(model.drift_h(levels), dtype=float)
-    phases = np.exp(-1j * t * (h[:, None] - h[None, :]))
+    phases = np.exp(-1j * t[..., None, None] * (h[:, None] - h[None, :]))
     factors = phases * np.exp(-0.5 * lam)
     idx = decomposition.level_index
-    return factors[np.ix_(idx, idx)]
+    return factors[..., idx[:, None], idx[None, :]]
 
 
-def _wrap_output(matrix: np.ndarray, dissipative: bool) -> DensityMatrix:
-    if dissipative:
-        return DensityMatrix.unchecked(matrix)
-    return DensityMatrix(matrix)
+def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) -> np.ndarray:
+    """V (F(t) o rho_E) V^dagger at a time or at each of an array of times."""
+    rho = _state_matrix(rho0)
+    if rho.shape[0] != decomposition.dim:
+        raise DimensionMismatch(
+            f"state dimension {rho.shape[0]} != decomposition dimension {decomposition.dim}"
+        )
+    if model.is_dissipative:
+        warnings.warn(
+            "damping table has a nonzero diagonal: populations decay and the "
+            "trace of the averaged state falls below one",
+            DissipativeTraceLoss,
+            stacklevel=3,
+        )
+    rho_e = to_energy_basis(rho, decomposition)
+    return from_energy_basis(_element_factors(decomposition, model, t) * rho_e, decomposition)
 
 
 def averaged_state(
@@ -76,22 +82,10 @@ def averaged_state(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    rho = _state_matrix(rho0)
-    if rho.shape[0] != decomposition.dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != decomposition dimension {decomposition.dim}"
-        )
-    dissipative = model.is_dissipative
-    if dissipative:
-        warnings.warn(
-            "damping table has a nonzero diagonal: populations decay and the "
-            "trace of the averaged state falls below one",
-            DissipativeTraceLoss,
-            stacklevel=2,
-        )
-    rho_e = to_energy_basis(rho, decomposition)
-    out = from_energy_basis(_element_factors(decomposition, model, t) * rho_e, decomposition)
-    return _wrap_output(out, dissipative)
+    out = _evolve(decomposition, model, rho0, t)
+    if model.is_dissipative:
+        return DensityMatrix.unchecked(out)
+    return DensityMatrix(out)
 
 
 def averaged_trajectory(
@@ -101,46 +95,7 @@ def averaged_trajectory(
     grid_arr = np.asarray(grid, dtype=float).reshape(-1)
     if grid_arr.size == 0 or np.any(grid_arr < 0) or np.any(np.diff(grid_arr) <= 0):
         raise GridMismatch("grid must be nonempty, nonnegative, strictly increasing")
-    rho = _state_matrix(rho0)
-    if rho.shape[0] != decomposition.dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != decomposition dimension {decomposition.dim}"
-        )
-    if model.is_dissipative:
-        warnings.warn(
-            "damping table has a nonzero diagonal: populations decay and the "
-            "trace of the averaged state falls below one",
-            DissipativeTraceLoss,
-            stacklevel=2,
-        )
-    rho_e = to_energy_basis(rho, decomposition)
-    states = np.empty((grid_arr.size, decomposition.dim, decomposition.dim), dtype=complex)
-    for k, t in enumerate(grid_arr):
-        factors = _element_factors(decomposition, model, float(t))
-        states[k] = from_energy_basis(factors * rho_e, decomposition)
-    return EvolutionResult(grid_arr, states, "analytic")
-
-
-def _integrated_square(profile: SigmaTimePreset, t: float) -> float:
-    """Integral of profile(s)^2 over [0, t]."""
-    if t == 0.0:
-        return 0.0
-    if profile.is_constant:
-        return profile.value**2 * t
-    points = [b for b in profile.breakpoints if 0.0 < b < t]
-    out = quad(
-        lambda s: float(profile(s)) ** 2,
-        0.0,
-        t,
-        epsabs=1e-14,
-        epsrel=QUAD_REL_TOL,
-        limit=200,
-        points=points or None,
-        full_output=True,
-    )
-    if len(out) > 3:
-        raise QuadratureFailure(f"quadrature did not converge: {out[3]}")
-    return float(out[0])
+    return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr), "analytic")
 
 
 def averaged_state_global(
@@ -158,7 +113,7 @@ def averaged_state_global(
     if t < 0:
         raise ValueError("t must be >= 0")
     if isinstance(sigma_profile, SigmaTimePreset):
-        accumulated = _integrated_square(sigma_profile, t)
+        accumulated = float(sigma_profile.integrated_square(t))
     else:
         gamma = float(sigma_profile)
         if gamma < 0:

@@ -27,7 +27,6 @@ from .generator import (
     build_correlated,
     build_general,
     build_phase_destroying,
-    choi_matrix,
     cp_report,
     integrate,
 )
@@ -177,20 +176,20 @@ def _check_kernel_properties() -> tuple[bool, str]:
                         worst_diag = max(worst_diag, abs(lam))
                     monotone &= lam >= previous - 1e-12
                     previous = lam
-    # Piecewise quadrature against the exact piecewise sum.
+    # Piecewise closed form against the exact piecewise sum.
     pw = models["piecewise"]
     t = 1.7
     exact = (0.4**2 * 1.0 + 1.6**2 * 0.7) * (1.0 - (-1.0)) ** 2
-    quad_err = abs(lambda_pair(pw, t, 1.0, -1.0) - exact)
+    closed_err = abs(lambda_pair(pw, t, 1.0, -1.0) - exact)
     ok = (
         nonnegative
         and monotone
         and worst_asym < 1e-12
         and worst_diag == 0.0
-        and quad_err < 1e-9
+        and closed_err < 1e-9
     )
     return ok, (
-        f"asym {worst_asym:.2e}, diag {worst_diag:.2e}, piecewise quadrature {quad_err:.2e}"
+        f"asym {worst_asym:.2e}, diag {worst_diag:.2e}, piecewise closed form {closed_err:.2e}"
     )
 
 
@@ -357,7 +356,7 @@ def _check_cp_certification() -> tuple[bool, str]:
             worst = min(worst, report.min_choi_eigenvalue)
     _, qubit_dec, _ = _qubit()
     violator = build_general(qubit_dec, [[0.0, -1.0], [-1.0, 0.0]])
-    violation = float(np.linalg.eigvalsh(choi_matrix(violator, 1.0))[0])
+    violation = cp_report(violator, [1.0]).min_choi_eigenvalue
     ok = worst >= -1e-10 and violation < -1e-6
     return ok, f"min eigenvalue {worst:.2e}; violator flagged at {violation:.2e}"
 

@@ -136,6 +136,17 @@ class TestSample:
         assert bytes_a != (b / "mc_mean.csv").read_bytes()
         assert bytes_a == (c / "mc_mean.csv").read_bytes()
 
+    def test_grid_misaligned_with_breakpoint(self, scenario_yaml, tmp_path):
+        # the sigma_time step at t = 1 falls inside the grid step (6/7, 8/7)
+        config = scenario_yaml(
+            "nonmarkovian_piecewise", **{"grid.n_steps": 7, "montecarlo.n_traj": 20000}
+        )
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["pass"] is True
+        assert len(report["per_time"]) == 8
+
     def test_dissipative_rejected(self, scenario_yaml, tmp_path):
         config = scenario_yaml("dissipative_direct")
         assert main(["sample", "--config", str(config), "--out", str(tmp_path)]) == 2

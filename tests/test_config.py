@@ -4,10 +4,13 @@ import yaml
 
 from noisytime import (
     ConfigError,
+    HermitianOperator,
     config_to_dict,
     load_config,
     parse_config,
 )
+from noisytime import config as config_module
+from noisytime.cli import main
 from noisytime.config import matrix_from_config, matrix_to_config
 
 
@@ -148,3 +151,40 @@ class TestLoad:
         path.write_text("a: [unclosed")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_bad_yaml_exits_2(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("name: x\nhamiltonian: [[[0.0, 0.0]\n  - ]: {")
+        with pytest.raises(ConfigError, match="could not parse"):
+            load_config(path)
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestYamlLoader:
+    @staticmethod
+    def _large_config_text():
+        rng = np.random.default_rng(32)
+        raw = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        hamiltonian = HermitianOperator(0.5 * (raw + raw.conj().T)).matrix
+        return yaml.safe_dump(minimal_config(hamiltonian=matrix_to_config(hamiltonian)))
+
+    def test_uses_libyaml_when_available(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert config_module._YAML_LOADER is expected
+
+    def test_loaders_agree(self):
+        text = self._large_config_text()
+        fast = yaml.load(text, Loader=config_module._YAML_LOADER)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_pure_python_fallback(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(self._large_config_text())
+        expected = load_config(path)
+        monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+        fallback = load_config(path)
+        assert np.array_equal(fallback.hamiltonian.matrix, expected.hamiltonian.matrix)
+        broken = tmp_path / "broken.yaml"
+        broken.write_text("a: [unclosed")
+        with pytest.raises(ConfigError):
+            load_config(broken)

@@ -21,6 +21,7 @@ from noisytime import (
     eigendecompose,
     integrate,
 )
+from noisytime.generator import CHOI_PSD_TOL
 
 
 class TestSuperoperator:
@@ -176,6 +177,63 @@ class TestChoi:
         assert report.min_choi_eigenvalue < -1e-6
         # known value: 1 - exp(c t / 2) for table amplitude c
         assert report.min_choi_eigenvalue == pytest.approx(1 - np.exp(0.5), abs=1e-12)
+
+
+class TestReducedCertificate:
+    """cp_report certifies from the d x d factor matrix; the dense Choi is the oracle."""
+
+    SPECTRUM = [0.0, 0.37, 1.1, 2.03, 2.5, 3.01, 3.9, 4.42]
+
+    @staticmethod
+    def _assert_matches_oracle(generator, times):
+        report = cp_report(generator, times)
+        for checkpoint in report.checkpoints:
+            oracle = float(np.linalg.eigvalsh(choi_matrix(generator, checkpoint.t))[0])
+            assert checkpoint.min_choi_eigenvalue == pytest.approx(oracle, abs=1e-12)
+        return report
+
+    def test_builtin_generators(self):
+        rng = np.random.default_rng(5)
+        for dim in range(1, 9):
+            dec = eigendecompose(HermitianOperator(np.diag(self.SPECTRUM[:dim])))
+            table = rng.uniform(0.0, 1.0, size=(dim, dim))
+            for generator in (
+                build_phase_destroying(dec, 0.7),
+                build_correlated(dec, 0.7, 1.2, h=DriftPreset.affine(1.5, 0.2)),
+                build_general(dec, table @ table.T),
+            ):
+                report = self._assert_matches_oracle(generator, [0.1, 1.0, 10.0])
+                if generator.name != "general":
+                    assert report.cp_ok
+
+    def test_single_level_reports_the_factor(self):
+        dec = eigendecompose(HermitianOperator(np.diag([2.0])))
+        report = self._assert_matches_oracle(build_general(dec, [[0.6]]), [0.5, 2.0])
+        assert report.checkpoints[0].min_choi_eigenvalue == pytest.approx(np.exp(-0.15))
+        assert report.cp_ok
+
+    def test_indefinite_table_fails_both(self):
+        # the negative (0, 3) rate amplifies a coherence that its populations damp
+        dec = eigendecompose(HermitianOperator(np.diag(self.SPECTRUM[:4])))
+        table = np.full((4, 4), 0.2)
+        np.fill_diagonal(table, 2.0)
+        table[0, 3] = table[3, 0] = -1.5
+        generator = build_general(dec, table)
+        report = self._assert_matches_oracle(generator, [0.5, 1.0, 3.0])
+        assert not report.cp_ok
+        oracle_ok = all(
+            np.linalg.eigvalsh(choi_matrix(generator, t))[0] >= CHOI_PSD_TOL
+            for t in (0.5, 1.0, 3.0)
+        )
+        assert not oracle_ok
+
+    def test_trace_and_unitality_defects_coincide(self, four_level):
+        _, dec, _ = four_level
+        generator = build_general(dec, np.diag([0.3, 0.0, 0.1, 0.2]) + 0.4)
+        identity = np.eye(dec.dim)
+        for checkpoint in cp_report(generator, [0.2, 1.5]).checkpoints:
+            direct = np.max(np.abs(generator.apply(identity, checkpoint.t) - identity))
+            assert checkpoint.trace_defect == checkpoint.unitality_defect == direct
 
 
 class TestCPReport:

@@ -6,6 +6,7 @@ import pytest
 from noisytime import (
     ConfigError,
     CorrelationPreset,
+    DimensionMismatch,
     DirectDampingPreset,
     DriftPreset,
     GridMismatch,
@@ -199,7 +200,87 @@ class TestEtaLambda:
         assert eta(model, 5.0, 2.0, 2.0) == pytest.approx(0.8)
 
 
+def _trapezoid_square(preset, t, n=200_001):
+    s = np.linspace(0.0, t, n)
+    y = preset(s) ** 2
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(s)))
+
+
+class TestIntegratedSquare:
+    def test_matches_fine_trapezoid_on_random_presets(self):
+        rng = np.random.default_rng(4242)
+        n = 200_001
+        for _ in range(8):
+            k = int(rng.integers(1, 5))
+            # the first breakpoint is negative, so its piece lies outside [0, t]
+            breakpoints = -0.4 + np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.0, k))))
+            values = rng.uniform(0.0, 2.0, size=k + 2)
+            preset = SigmaTimePreset.piecewise_constant(breakpoints, values)
+            # exactly on each positive breakpoint, past the last one, and in between
+            times = [float(b) for b in breakpoints if b > 0] + [breakpoints[-1] + 0.7, 0.3]
+            for t in times:
+                # each jump inside (0, t) costs the trapezoid at most h * max v^2
+                bound = (k + 1) * (t / (n - 1)) * float(np.max(values) ** 2) + 1e-12
+                got = float(preset.integrated_square(t))
+                assert abs(got - _trapezoid_square(preset, t, n)) <= bound
+
+    def test_array_valued(self):
+        preset = SigmaTimePreset.piecewise_constant([-1.0, 1.0, 2.0], [5.0, 0.4, 1.6, 0.5])
+        times = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        expected = [0.0, 0.16 * 0.5, 0.16, 0.16 + 2.56, 0.16 + 2.56 + 0.25]
+        assert np.allclose(preset.integrated_square(times), expected, rtol=1e-15, atol=0)
+        assert preset.integrated_square(times).shape == (5,)
+
+    def test_constant(self):
+        preset = SigmaTimePreset.constant(1.5)
+        assert preset.integrated_square(2.0) == pytest.approx(4.5, rel=1e-15)
+        assert np.array_equal(preset.integrated_square(np.zeros(3)), np.zeros(3))
+
+
 class TestKernelMatrices:
+    def test_lambda_pair_is_kernel_entry(self):
+        model = NoiseModel(
+            sigma_theta=SigmaThetaPreset.polynomial([0.2, 0.9, -0.1]),
+            sigma_time=SigmaTimePreset.piecewise_constant([0.5, 1.5], [1.0, 0.3, 2.0]),
+            correlation_g=CorrelationPreset.exponential(0.7),
+        )
+        levels = [-0.8, 0.0, 0.37, 1.1, 2.03]
+        kernel = LambdaKernel(model, levels)
+        for t in (0.0, 0.5, 1.2, 3.0):
+            lam = kernel.lambda_matrix(t)
+            rate = kernel.eta_matrix(t)
+            for i, a in enumerate(levels):
+                for j, b in enumerate(levels):
+                    assert lambda_pair(model, t, a, b) == lam[i, j]
+                    assert eta(model, t, a, b) == rate[i, j]
+
+    def test_array_of_times(self):
+        model = NoiseModel(
+            sigma_theta=SigmaThetaPreset.linear(1.0),
+            sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
+            correlation_g=CorrelationPreset.gaussian(0.8),
+        )
+        kernel = LambdaKernel(model, [0.0, 0.5, 1.7])
+        times = np.array([0.0, 0.4, 1.0, 2.5])
+        lam = kernel.lambda_matrix(times)
+        rate = kernel.eta_matrix(times)
+        assert lam.shape == rate.shape == (4, 3, 3)
+        for k, t in enumerate(times):
+            assert np.array_equal(lam[k], kernel.lambda_matrix(float(t)))
+            assert np.array_equal(rate[k], kernel.eta_matrix(float(t)))
+        with pytest.raises(ValueError):
+            kernel.lambda_matrix(np.array([0.0, -1e-3]))
+
+    def test_direct_table_level_order_lookup(self):
+        table = [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]]
+        model = direct_damping_model([1.0, 2.0, 3.0], table)
+        kernel = LambdaKernel(model, [3.0, 1.0, 2.0])
+        expected = [[0.6, 0.3, 0.5], [0.3, 0.1, 0.2], [0.5, 0.2, 0.4]]
+        assert np.array_equal(kernel.eta_matrix(0.7), expected)
+        assert np.allclose(kernel.lambda_matrix(2.0), 2.0 * np.asarray(expected), rtol=1e-15)
+        with pytest.raises(DimensionMismatch):
+            LambdaKernel(model, [1.0, 1.5])
+
     def test_lambda_matrix_symmetric_zero_diag(self):
         kernel = LambdaKernel(correlated_model(0.8, 1.0), [0.0, 0.37, 1.1])
         lam = kernel.lambda_matrix(1.3)
@@ -289,6 +370,19 @@ class TestSampling:
             dephasing_model(1.0), [0.0, 1.0], np.linspace(0, 1, 5), seed=3, n_traj=2
         )
         assert np.all(paths.paths[:, 0, :] == 0.0)
+
+    def test_chi_paths_step_through_breakpoints(self):
+        # a grid missing the breakpoint is sampled on the grid that contains it
+        model = NoiseModel(
+            sigma_theta=SigmaThetaPreset.linear(1.0),
+            sigma_time=SigmaTimePreset.piecewise_constant([1.0, 5.0], [0.4, 1.6, 0.1]),
+        )
+        levels = [0.0, 1.0]
+        coarse = sample_chi_paths(model, levels, [0.0, 0.5, 1.5, 2.0], seed=3, n_traj=50)
+        aligned = sample_chi_paths(model, levels, [0.0, 0.5, 1.0, 1.5, 2.0], seed=3, n_traj=50)
+        assert np.array_equal(coarse.grid, [0.0, 0.5, 1.5, 2.0])
+        assert coarse.paths.shape == (50, 4, 2)
+        assert np.array_equal(coarse.paths, aligned.paths[:, [0, 1, 3, 4], :])
 
     def test_phase_differences_degenerate_pair(self):
         model = dephasing_model(1.0)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from noisytime import (
+    CorrelationPreset,
     DensityMatrix,
+    DriftPreset,
     DissipativeTraceLoss,
     GridMismatch,
     HermitianOperator,
@@ -102,6 +104,27 @@ class TestTrajectory:
         result = averaged_trajectory(dec, dephasing_model(1.0), rho0, [0.0, 1.0])
         single = averaged_state(dec, dephasing_model(1.0), rho0, 1.0).matrix
         assert np.allclose(result.state_at(1), single, atol=1e-15)
+
+
+    def test_broadcast_equals_per_time_states(self):
+        # non-diagonal H with a degenerate level, polynomial drift, stepped sigma_time
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        hamiltonian = HermitianOperator(q @ np.diag([0.0, 0.37, 0.37, 1.1, 2.03]) @ q.conj().T)
+        dec = eigendecompose(hamiltonian)
+        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        rho0 = DensityMatrix(raw @ raw.conj().T / np.trace(raw @ raw.conj().T).real)
+        model = NoiseModel(
+            drift_h=DriftPreset.polynomial([0.1, 1.0, 0.3]),
+            sigma_theta=SigmaThetaPreset.linear(0.8),
+            sigma_time=SigmaTimePreset.piecewise_constant([0.7, 1.9], [0.4, 1.6, 0.9]),
+            correlation_g=CorrelationPreset.gaussian(1.3),
+        )
+        grid = np.concatenate(([0.0, 0.7], np.linspace(0.8, 3.0, 12)))
+        result = averaged_trajectory(dec, model, rho0, grid)
+        for k, t in enumerate(grid):
+            single = averaged_state(dec, model, rho0, float(t)).matrix
+            assert np.max(np.abs(result.states[k] - single)) <= 1e-14
 
 
 class TestGlobalPropagator:
