@@ -78,37 +78,32 @@ def _entry_columns(dim: int) -> list[str]:
     return columns
 
 
-def _trajectory_csv(result: EvolutionResult, metrics: Optional[dict] = None) -> str:
-    dim = result.dim
-    columns = ["t"] + _entry_columns(dim)
-    if metrics is not None:
-        columns += ["purity", "coherence_l1", "energy", "trace"]
+METRIC_COLUMNS = ("purity", "coherence_l1", "energy", "trace")
+
+
+def _csv_text(columns: list[str], table: np.ndarray) -> str:
+    """Header line plus one line per table row, every value in FLOAT_FORMAT."""
+    row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns))
     lines = [",".join(columns)]
-    for i, t in enumerate(result.grid):
-        state = result.states[i]
-        row = [_fmt(t)]
-        for k in range(dim):
-            for l in range(dim):
-                row.append(_fmt(state[k, l].real))
-                row.append(_fmt(state[k, l].imag))
-        if metrics is not None:
-            for key in ("purity", "coherence_l1", "energy", "trace"):
-                row.append(_fmt(metrics[key][i]))
-        lines.append(",".join(row))
+    lines.extend(row_format % tuple(row) for row in table.tolist())
     return "\n".join(lines) + "\n"
+
+
+def _trajectory_csv(result: EvolutionResult, metrics: Optional[dict] = None) -> str:
+    columns = ["t"] + _entry_columns(result.dim)
+    # The float view of a complex row interleaves re and im per entry (k, l).
+    entries = np.ascontiguousarray(result.states).view(float).reshape(result.num_points, -1)
+    blocks = [result.grid[:, None], entries]
+    if metrics is not None:
+        columns += METRIC_COLUMNS
+        blocks.append(np.column_stack([metrics[key] for key in METRIC_COLUMNS]))
+    return _csv_text(columns, np.hstack(blocks))
 
 
 def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> str:
-    dim = stderr_re.shape[1]
-    lines = [",".join(["t"] + _entry_columns(dim))]
-    for i, t in enumerate(grid):
-        row = [_fmt(t)]
-        for k in range(dim):
-            for l in range(dim):
-                row.append(_fmt(stderr_re[i, k, l]))
-                row.append(_fmt(stderr_im[i, k, l]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = ["t"] + _entry_columns(stderr_re.shape[1])
+    entries = np.stack([stderr_re, stderr_im], axis=-1).reshape(grid.shape[0], -1)
+    return _csv_text(columns, np.hstack([grid[:, None], entries]))
 
 
 def _json_text(data: dict) -> str:

@@ -61,7 +61,8 @@ class WeightsNotNormalized(NoisytimeError):
 
 
 class StepTooLarge(NoisytimeError):
-    """ODE step produced a local error estimate above the allowed bound."""
+    """ODE step produced a local error estimate above the allowed bound, or the
+    grid would need more substeps than the integrator allows."""
 
 
 class GridMismatch(NoisytimeError):

@@ -42,6 +42,10 @@ __all__ = [
 CHOI_PSD_TOL = -1e-10
 
 LOCAL_ERROR_LIMIT = 1e-6
+# integrate refuses grids that would need more RK4 substeps than this
+# instead of running for hours; the bundled scenarios need at most a few
+# thousand.
+MAX_SUBSTEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,8 @@ def integrate(
     generators that are not elementwise.  Each grid interval is subdivided to
     steps of at most 0.01 / max|rates| (or ``max_step`` if given); every
     substep is compared against two half steps and the halved result is kept.
+    A grid that would need more than ``MAX_SUBSTEPS`` substeps in total raises
+    StepTooLarge before the first step.
 
     ``decomposition`` rotates in and out of the energy basis; pass None when
     rho0 is already expressed there.
@@ -207,6 +213,15 @@ def integrate(
     if max_step is None:
         max_step = 0.01 / max_rate if max_rate > 0 else np.inf
 
+    spans = np.diff(grid_arr)
+    n_subs = np.maximum(1, np.ceil(spans / max_step))
+    total = float(np.sum(n_subs))
+    if total > MAX_SUBSTEPS:
+        raise StepTooLarge(
+            f"grid needs {total:.6g} RK4 substeps (limit {MAX_SUBSTEPS:g}) at largest "
+            f"rate {max_rate:.6g}; shorten t_end or reduce the rates"
+        )
+
     y = to_energy_basis(rho, decomposition) if decomposition is not None else rho.copy()
     states = np.empty((grid_arr.size, generator.dim, generator.dim), dtype=complex)
 
@@ -217,9 +232,8 @@ def integrate(
 
     emit(0, y)
     for k in range(1, grid_arr.size):
-        span = grid_arr[k] - grid_arr[k - 1]
-        n_sub = max(1, int(np.ceil(span / max_step))) if np.isfinite(max_step) else 1
-        h = span / n_sub
+        n_sub = int(n_subs[k - 1])
+        h = spans[k - 1] / n_sub
         for _ in range(n_sub):
             full = _rk4_step(rates, y, h)
             mid = _rk4_step(rates, y, 0.5 * h)

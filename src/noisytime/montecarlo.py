@@ -1,11 +1,15 @@
 """Random-unitary ensemble sampling and statistical comparison.
 
-Each trajectory draws correlated phase paths chi_t(theta), forms the random
-unitary sum_k exp(-i chi_t(theta_k)) P_k, and conjugates the initial state.
-The ensemble mean and per-entry variance are accumulated chunk by chunk with
-a numerically stable pairwise merge; chunk boundaries depend only on array
-shapes, so the result is byte-identical whether chunks are processed by one
-worker or many.
+Each trajectory draws correlated phase paths chi_t(theta); its sample state
+at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
+initial state is factored once, rho = V G G^dagger V^dagger in the energy
+basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
+with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
+rotations.  Each chunk of trajectories is processed in time slabs sized to
+stay in cache; the per-entry mean and two-pass variance of a slab are taken
+in place.  Chunks are merged with a numerically stable pairwise update.
+Chunk and slab boundaries depend only on array shapes, so the result is
+byte-identical whether chunks are processed by one worker or many.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ __all__ = [
 # accumulation order (and therefore float output) is reproducible.
 CHUNK_ELEMENT_BUDGET = 4_000_000
 MAX_CHUNK = 256
+# Complex state entries (count * slab * dim * dim) formed at once within a
+# chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.
+SLAB_ELEMENT_BUDGET = 1 << 16
 
 Z_MAX = 4.0
 Z_TAIL = 3.0
@@ -45,6 +52,31 @@ ZERO_STDERR_SLACK = 1e-12
 def _chunk_size(num_points: int, dim: int) -> int:
     per_traj = max(1, num_points * dim * dim)
     return max(1, min(MAX_CHUNK, CHUNK_ELEMENT_BUDGET // per_traj))
+
+
+def _slab_size(count: int, dim: int) -> int:
+    return max(1, SLAB_ELEMENT_BUDGET // (count * dim * dim))
+
+
+def _state_factor(rho_e: np.ndarray) -> np.ndarray:
+    """Factor G, shape (d, r), with G G^dagger = rho_e.
+
+    Keeps the eigenvalues above d * eps * lambda_max, so a pure state gives
+    r = 1 and a full-rank state r = d.
+    """
+    eigvals, eigvecs = np.linalg.eigh(rho_e)
+    keep = eigvals > eigvals.shape[0] * np.finfo(float).eps * eigvals[-1]
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+
+
+def _sample_states(vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
+
+    This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
+    rho_e = G G^dagger, computed from the d x r factor instead.
+    """
+    b = vectors @ (phases[..., :, None] * factor)
+    return b @ np.swapaxes(b, -1, -2).conj()
 
 
 @dataclass(frozen=True)
@@ -106,9 +138,16 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Sample the random-unitary ensemble and accumulate mean and variance.
 
+    The energy-basis state is factored once as G G^dagger (G is d x r, r the
+    numerical rank), and every sample state U rho U^dagger is formed as
+    B B^dagger with B = V (exp(-i chi) o G).  Trajectories are processed in
+    chunks (``_chunk_size``), each chunk in time slabs of about
+    ``SLAB_ELEMENT_BUDGET`` state entries; a slab's mean and sum of squared
+    deviations are taken in place, and chunks are merged by a left fold.
+
     Deterministic for fixed (seed, n_traj, grid): every trajectory has its own
-    counter-based substream and the chunked accumulation order is fixed, so
-    ``n_workers`` changes the wall time but not a single output bit.
+    counter-based substream and chunk and slab boundaries depend on shapes
+    only, so ``n_workers`` changes the wall time but not a single output bit.
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
@@ -130,22 +169,26 @@ def run_ensemble(
 
     levels = np.asarray(decomposition.levels, dtype=float)
     factor = psd_sqrt(correlation_matrix(model, levels))
-    rho0_e = to_energy_basis(rho.matrix, decomposition)
+    state_factor = _state_factor(to_energy_basis(rho.matrix, decomposition))
     vectors = decomposition.eigenvectors
-    vectors_h = vectors.conj().T
     idx = decomposition.level_index
     num_points, dim = grid_arr.size, decomposition.dim
 
     def chunk_stats(start: int, count: int):
         chi = _chi_chunk(model, levels, grid_arr, factor, seed, start, count)
-        cols = np.exp(-1j * chi)[:, :, idx]
-        states_e = (cols[:, :, :, None] * cols.conj()[:, :, None, :]) * rho0_e[None, None]
-        states = vectors[None, None] @ states_e @ vectors_h[None, None]
-        mean = states.mean(axis=0)
-        dev = states - mean[None]
-        m2_re = np.sum(dev.real**2, axis=0)
-        m2_im = np.sum(dev.imag**2, axis=0)
-        return count, mean, m2_re, m2_im
+        phases = np.exp(-1j * chi)[:, :, idx]
+        mean = np.empty((num_points, dim, dim), dtype=complex)
+        # Squared deviations with real and imaginary parts interleaved.
+        m2 = np.empty((num_points, dim, 2 * dim))
+        slab = _slab_size(count, dim)
+        for lo in range(0, num_points, slab):
+            hi = min(lo + slab, num_points)
+            states = _sample_states(vectors, state_factor, phases[:, lo:hi])
+            states -= np.mean(states, axis=0, out=mean[lo:hi])
+            flat = states.view(float)
+            np.square(flat, out=flat)
+            np.sum(flat, axis=0, out=m2[lo:hi])
+        return count, mean, m2[..., 0::2], m2[..., 1::2]
 
     chunk = _chunk_size(num_points, dim)
     bounds = [(s, min(chunk, n_traj - s)) for s in range(0, n_traj, chunk)]

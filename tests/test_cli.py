@@ -5,12 +5,73 @@ import math
 import numpy as np
 import pytest
 
-from noisytime.cli import main
+from noisytime import EvolutionResult
+from noisytime.cli import _stderr_csv, _trajectory_csv, main
 
 
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+METRIC_KEYS = ("purity", "coherence_l1", "energy", "trace")
+
+
+def _reference_csv(grid, re, im, metrics=None) -> str:
+    """Per-element format(x, ".17g"), row by row, as the writers once did."""
+    dim = re.shape[1]
+    header = ["t"]
+    for k in range(dim):
+        for l in range(dim):
+            header += [f"rho_re_{k}_{l}", f"rho_im_{k}_{l}"]
+    if metrics is not None:
+        header += METRIC_KEYS
+    lines = [",".join(header)]
+    for i, t in enumerate(grid):
+        row = [format(float(t), ".17g")]
+        for k in range(dim):
+            for l in range(dim):
+                row.append(format(float(re[i, k, l]), ".17g"))
+                row.append(format(float(im[i, k, l]), ".17g"))
+        if metrics is not None:
+            row += [format(float(metrics[key][i]), ".17g") for key in METRIC_KEYS]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _awkward_values(rng, shape):
+    """Random doubles of many magnitudes, led by -0.0, 0.0, a subnormal, a huge value and 0.1."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    special = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1]
+    flat = values.reshape(-1)
+    n = min(flat.size, len(special))
+    flat[:n] = special[:n]
+    return values
+
+
+class TestCsvWriters:
+    """The table writers against a per-element format(x, ".17g") loop."""
+
+    def test_trajectory_matches_per_element_format(self):
+        rng = np.random.default_rng(3)
+        grid = np.array([0.0, 0.1, 1.0 / 3.0, 2.5])
+        states = _awkward_values(rng, (4, 3, 3)) + 1j * _awkward_values(rng, (4, 3, 3))
+        metrics = {key: _awkward_values(rng, (4,)) for key in METRIC_KEYS}
+        result = EvolutionResult(grid, states, "analytic")
+        expected = _reference_csv(grid, states.real, states.imag, metrics)
+        assert "-0," in expected
+        assert _trajectory_csv(result, metrics).encode() == expected.encode()
+        plain = _reference_csv(grid, states.real, states.imag)
+        assert _trajectory_csv(result).encode() == plain.encode()
+
+    def test_stderr_matches_per_element_format(self):
+        rng = np.random.default_rng(4)
+        grid = np.linspace(0.0, 1.0, 5)
+        stderr_re = _awkward_values(rng, (5, 2, 2))
+        stderr_im = _awkward_values(rng, (5, 2, 2))
+        expected = _reference_csv(grid, stderr_re, stderr_im)
+        assert "-0," in expected
+        assert _stderr_csv(grid, stderr_re, stderr_im).encode() == expected.encode()
 
 
 class TestEvolve:
@@ -71,6 +132,14 @@ class TestIntegrate:
         report = json.loads((out / "cp_report.json").read_text())
         assert report["cp_ok"] is True
         assert report["generator"] == "phase"
+
+    def test_huge_rate_exits_2(self, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"noise.gamma": 1e9})
+        out = tmp_path / "run"
+        args = ["integrate", "--config", str(config), "--out", str(out), "--generator", "phase"]
+        assert main(args) == 2
+        assert "RK4 substeps" in capsys.readouterr().err
+        assert not (out / "me.csv").exists()
 
     def test_correlated_generator(self, scenario_yaml, tmp_path):
         config = scenario_yaml("correlated_tau", **{"grid.n_steps": 15})

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ class TestIntegrate:
         gen = build_phase_destroying(dec, 50.0)
         with pytest.raises(StepTooLarge):
             integrate(gen, rho0, [0.0, 4.0], decomposition=dec, max_step=4.0)
+
+    def test_substep_count_guard(self, qubit):
+        # 0.01 / max|rate| steps over t = 4 at rate 5e8 would be 2e11 substeps
+        _, dec, rho0 = qubit
+        gen = build_phase_destroying(dec, 1e9)
+        start = time.perf_counter()
+        with pytest.raises(StepTooLarge) as info:
+            integrate(gen, rho0, [0.0, 4.0], decomposition=dec)
+        assert time.perf_counter() - start < 5.0
+        assert "2e+11 RK4 substeps" in str(info.value)
+        assert "largest rate 5e+08" in str(info.value)
 
     def test_energy_basis_input(self, qubit):
         # decomposition=None means rho0 is already elementwise-diagonalized

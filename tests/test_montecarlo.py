@@ -13,8 +13,31 @@ from noisytime import (
     averaged_trajectory,
     eigendecompose,
     run_ensemble,
+    load_config,
+    sample_chi_paths,
+    to_energy_basis,
     unitary_from_phases,
 )
+from noisytime.montecarlo import _chunk_size, _sample_states, _slab_size, _state_factor
+
+
+def _random_case(rng, dim, rank, degenerate):
+    """Random Hamiltonian (optionally with repeated levels) and a rank-r state."""
+    if degenerate:
+        levels = 0.5 * (np.arange(dim) // 2)  # levels in equal pairs
+    else:
+        levels = np.sort(rng.normal(size=dim)) + np.arange(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    dec = eigendecompose(HermitianOperator(q @ np.diag(levels) @ q.conj().T))
+    w = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = w @ w.conj().T
+    return dec, DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+
+
+def _dense_sample(dec, rho_e, phases):
+    """The dense form V ((c c^dagger) o rho_e) V^dagger of one sample state."""
+    vectors = dec.eigenvectors
+    return vectors @ (np.outer(phases, phases.conj()) * rho_e) @ vectors.conj().T
 
 
 class TestUnitaryFromPhases:
@@ -37,6 +60,44 @@ class TestUnitaryFromPhases:
             unitary_from_phases(dec, [0.1, 0.2, 0.3])
 
 
+class TestStateFactor:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_factor_form_matches_dense_oracle(self, dim, degenerate):
+        rng = np.random.default_rng(100 * dim + degenerate)
+        for rank in sorted({1, min(2, dim), dim}):
+            dec, rho = _random_case(rng, dim, rank, degenerate)
+            assert dec.num_levels == ((dim + 1) // 2 if degenerate else dim)
+            rho_e = to_energy_basis(rho.matrix, dec)
+            factor = _state_factor(rho_e)
+            assert factor.shape == (dim, rank)
+            assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
+            chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
+            phases = np.exp(-1j * chi)[:, dec.level_index]
+            states = _sample_states(dec.eigenvectors, factor, phases)
+            for c, state, levels_chi in zip(phases, states, chi):
+                assert np.max(np.abs(state - _dense_sample(dec, rho_e, c))) < 1e-13
+                u = unitary_from_phases(dec, levels_chi)
+                assert np.max(np.abs(state - u @ rho.matrix @ u.conj().T)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "name", ["correlated_tau", "global_dephasing", "nonmarkovian_piecewise"]
+    )
+    def test_pure_preset_has_rank_one(self, scenario_yaml, name):
+        config = load_config(scenario_yaml(name))
+        rho_e = to_energy_basis(config.initial_state.matrix, config.decomposition())
+        factor = _state_factor(rho_e)
+        assert factor.shape[1] == 1
+        assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
+
+    def test_mixed_presets_keep_their_rank(self):
+        dec = eigendecompose(HermitianOperator(np.diag([0.0, 0.0, 1.0, 2.0])))
+        ground = DensityMatrix(dec.projectors[0] / 2)
+        assert _state_factor(to_energy_basis(ground.matrix, dec)).shape == (4, 2)
+        mixed = DensityMatrix.maximally_mixed(4)
+        assert _state_factor(to_energy_basis(mixed.matrix, dec)).shape == (4, 4)
+
+
 class TestRunEnsemble:
     def test_reproducible(self, qubit):
         _, dec, rho0 = qubit
@@ -49,14 +110,37 @@ class TestRunEnsemble:
         c = run_ensemble(dec, model, rho0, grid, n_traj=300, seed=18)
         assert not np.array_equal(a.mean, c.mean)
 
-    def test_worker_count_invariant(self, qubit):
-        _, dec, rho0 = qubit
-        grid = np.linspace(0, 1, 5)
-        model = dephasing_model(0.5)
-        serial = run_ensemble(dec, model, rho0, grid, n_traj=600, seed=9, n_workers=1)
-        threaded = run_ensemble(dec, model, rho0, grid, n_traj=600, seed=9, n_workers=3)
+    def test_worker_count_invariant(self):
+        dec, rho0 = _random_case(np.random.default_rng(8), 8, 3, degenerate=False)
+        grid = np.linspace(0, 1, 41)
+        n_traj = 600
+        # several chunks, and several time slabs per chunk
+        assert _chunk_size(grid.size, 8) < n_traj
+        assert _slab_size(_chunk_size(grid.size, 8), 8) < grid.size
+        model = correlated_model(0.5, 1.0)
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=1)
+        threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=3)
         assert serial.mean.tobytes() == threaded.mean.tobytes()
+        assert serial.stderr_re.tobytes() == threaded.stderr_re.tobytes()
         assert serial.stderr_im.tobytes() == threaded.stderr_im.tobytes()
+
+    def test_matches_per_sample_reference(self):
+        # mean and standard errors against U rho U^dagger formed sample by sample
+        dec, rho0 = _random_case(np.random.default_rng(12), 3, 2, degenerate=False)
+        grid = np.linspace(0, 1.5, 7)
+        model = correlated_model(0.7, 0.8)
+        n_traj = 300
+        out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=21, n_workers=2)
+        paths = sample_chi_paths(model, dec.levels, grid, seed=21, n_traj=n_traj).paths
+        states = np.empty((n_traj, grid.size, 3, 3), dtype=complex)
+        for j in range(n_traj):
+            for k in range(grid.size):
+                u = unitary_from_phases(dec, paths[j, k])
+                states[j, k] = u @ rho0.matrix @ u.conj().T
+        assert np.max(np.abs(out.mean - states.mean(axis=0))) < 1e-14
+        for stderr, part in ((out.stderr_re, states.real), (out.stderr_im, states.imag)):
+            expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
+            assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
     def test_initial_point_exact(self, qubit):
         _, dec, rho0 = qubit
