@@ -31,7 +31,6 @@ from .operators import (
     validate_density,
 )
 from .noise import (
-    BrownianFieldSample,
     ChiPaths,
     CorrelationPreset,
     DirectDampingPreset,
@@ -50,7 +49,6 @@ from .noise import (
     moment_report,
     predicted_moment,
     psd_sqrt,
-    sample_brownian_field,
     sample_chi_paths,
     sample_phase_differences,
 )
@@ -118,7 +116,6 @@ __all__ = [
     "CorrelationPreset",
     "DirectDampingPreset",
     "LambdaKernel",
-    "BrownianFieldSample",
     "ChiPaths",
     "MomentRow",
     "dephasing_model",
@@ -128,7 +125,6 @@ __all__ = [
     "lambda_pair",
     "correlation_matrix",
     "psd_sqrt",
-    "sample_brownian_field",
     "sample_chi_paths",
     "sample_phase_differences",
     "moment_report",

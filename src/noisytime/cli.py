@@ -179,6 +179,8 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
 
 def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path]]:
     """Monte Carlo ensemble, cross-checked against the analytic route."""
+    if threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {threads}")
     if config.noise.direct_lambda is not None:
         raise ConfigError(
             "noise.direct_lambda",
@@ -223,6 +225,13 @@ def cmd_moments(
             "noise.direct_lambda",
             "moments need a Brownian model; a direct damping table has no "
             "stochastic realization",
+        )
+    if max_order < 2:
+        raise ConfigError("--max-order", f"must be >= 2, got {max_order}")
+    if config.n_traj < 2:
+        raise ConfigError(
+            "montecarlo.n_traj",
+            f"moments need >= 2 trajectories for standard errors, got {config.n_traj}",
         )
     rows = moment_report(
         config.noise,
@@ -273,7 +282,7 @@ def _parent_parser() -> argparse.ArgumentParser:
     parent.add_argument("--out", metavar="DIR", help="override the scenario output directory")
     parent.add_argument("--seed", type=int, help="override the scenario seed")
     parent.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sampling (default 1)"
+        "--threads", type=int, default=1, help="worker threads for sampling, >= 1 (default 1)"
     )
     return parent
 
@@ -304,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", parents=[parent], help="phase-difference moment table")
     p.add_argument("--theta", type=float, required=True, help="first level")
     p.add_argument("--theta-prime", type=float, required=True, help="second level")
-    p.add_argument("--max-order", type=int, default=4, help="highest moment order (default 4)")
+    p.add_argument(
+        "--max-order", type=int, default=4, help="highest moment order, >= 2 (default 4)"
+    )
     p.set_defaults(handler=_run_moments)
 
     p = sub.add_parser("verify", parents=[parent], help="built-in invariant suite")

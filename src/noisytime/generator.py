@@ -86,13 +86,9 @@ class Superoperator:
         return self.propagator_factors(t) * np.asarray(rho_energy, dtype=complex)
 
 
-def _drift_values(decomposition: SpectralDecomposition, h) -> np.ndarray:
+def _drift_values(decomposition: SpectralDecomposition, h: DriftPreset | None) -> np.ndarray:
     theta = decomposition.column_levels()
-    if h is None:
-        return theta
-    if isinstance(h, DriftPreset):
-        return np.asarray(h(theta), dtype=float)
-    return np.asarray([float(h(v)) for v in theta], dtype=float)
+    return theta if h is None else np.asarray(h(theta), dtype=float)
 
 
 def _rates_from_table(drift: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -124,13 +120,13 @@ def correlated_rate_table(levels: np.ndarray, gamma: float, tau: float) -> np.nd
 
 
 def build_correlated(
-    decomposition: SpectralDecomposition, gamma: float, tau: float, h=None
+    decomposition: SpectralDecomposition, gamma: float, tau: float, h: DriftPreset | None = None
 ) -> Superoperator:
     """Generator of the gaussian-correlated noise model.
 
     r_{kl} = -i(h_k - h_l) - (gamma/2)(theta_k^2 + theta_l^2
              - 2 theta_k theta_l exp(-tau^2 (theta_k - theta_l)^2)).
-    ``h`` is a DriftPreset, a scalar callable, or None for identity.
+    ``h`` is a DriftPreset, or None for identity.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -141,7 +137,9 @@ def build_correlated(
     return Superoperator(_rates_from_table(_drift_values(decomposition, h), table), "correlated")
 
 
-def build_general(decomposition: SpectralDecomposition, table, h=None) -> Superoperator:
+def build_general(
+    decomposition: SpectralDecomposition, table, h: DriftPreset | None = None
+) -> Superoperator:
     """Generator from an explicit damping-rate table over distinct levels.
 
     The table is the accumulated variance per unit time; this builder applies
@@ -185,10 +183,10 @@ def integrate(
     """Runge-Kutta integration of the elementwise master equation.
 
     The equation is exactly solvable entry by entry; RK4 is kept so the
-    integrator can be validated against that exact solution and reused for
-    generators that are not elementwise.  Each grid interval is subdivided to
-    steps of at most 0.01 / max|rates| (or ``max_step`` if given); every
-    substep is compared against two half steps and the halved result is kept.
+    integrator can be validated against that exact solution.  Each grid
+    interval is subdivided to steps of at most 0.01 / max|rates| (or
+    ``max_step`` if given); every substep is compared against two half steps
+    and the halved result is kept.
     A grid that would need more than ``MAX_SUBSTEPS`` substeps in total raises
     StepTooLarge before the first step.
 

@@ -7,7 +7,8 @@ basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
 rotations.  Each chunk of trajectories is processed in time slabs sized to
 stay in cache; the per-entry mean and two-pass variance of a slab are taken
-in place.  Chunks are merged with a numerically stable pairwise update.
+in place.  Chunk statistics are merged by a left fold in chunk order as the
+results arrive, and each chunk's statistics are released once folded in.
 Chunk and slab boundaries depend only on array shapes, so the result is
 byte-identical whether chunks are processed by one worker or many.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -143,7 +145,8 @@ def run_ensemble(
     B B^dagger with B = V (exp(-i chi) o G).  Trajectories are processed in
     chunks (``_chunk_size``), each chunk in time slabs of about
     ``SLAB_ELEMENT_BUDGET`` state entries; a slab's mean and sum of squared
-    deviations are taken in place, and chunks are merged by a left fold.
+    deviations are taken in place, and chunks are merged by a left fold in
+    chunk order.  ``n_workers`` threads (at least 1) compute the chunks.
 
     Deterministic for fixed (seed, n_traj, grid): every trajectory has its own
     counter-based substream and chunk and slab boundaries depend on shapes
@@ -153,6 +156,8 @@ def run_ensemble(
         raise ValueError("a direct damping table has no Brownian realization to sample")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
     grid_arr = np.asarray(grid, dtype=float).reshape(-1)
     if grid_arr.size < 1 or grid_arr[0] != 0.0:
         raise GridMismatch("grid must start at 0")
@@ -191,20 +196,12 @@ def run_ensemble(
         return count, mean, m2[..., 0::2], m2[..., 1::2]
 
     chunk = _chunk_size(num_points, dim)
-    bounds = [(s, min(chunk, n_traj - s)) for s in range(0, n_traj, chunk)]
-    if n_workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(chunk_stats, s, c) for s, c in bounds]
-            partials = [f.result() for f in futures]
-    else:
-        partials = [chunk_stats(s, c) for s, c in bounds]
-
-    # Merge in fixed chunk order; the tree shape of the reduction is part of
-    # the determinism contract, so keep it a plain left fold.
-    total = partials[0]
-    for part in partials[1:]:
-        total = _merge_stats(total, part)
-    n, mean, m2_re, m2_im = total
+    starts = range(0, n_traj, chunk)
+    counts = [min(chunk, n_traj - s) for s in starts]
+    # pool.map yields in chunk order; the tree shape of the reduction is part
+    # of the determinism contract, so keep it a plain left fold.
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        n, mean, m2_re, m2_im = reduce(_merge_stats, pool.map(chunk_stats, starts, counts))
     denom = max(n - 1, 1)
     stderr_re = np.sqrt(m2_re / denom / n)
     stderr_im = np.sqrt(m2_im / denom / n)

@@ -9,7 +9,7 @@ g(theta, theta') of the driving Brownian motions.  From these it derives
     lambda(t; a, b) accumulated variance, integral of eta from 0 to t
 
 which control the damping factor exp(-lambda/2) of each coherence.  The module
-also samples the correlated Brownian field and the chi paths themselves, and
+also samples the chi paths, driven by the correlated Brownian field, and
 checks the even/odd moment identities of the phase difference empirically.
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
@@ -42,7 +42,6 @@ __all__ = [
     "DirectDampingPreset",
     "NoiseModel",
     "LambdaKernel",
-    "BrownianFieldSample",
     "ChiPaths",
     "MomentRow",
     "dephasing_model",
@@ -52,7 +51,6 @@ __all__ = [
     "lambda_pair",
     "correlation_matrix",
     "psd_sqrt",
-    "sample_brownian_field",
     "sample_chi_paths",
     "sample_phase_differences",
     "moment_report",
@@ -61,7 +59,6 @@ __all__ = [
 # Below this, a correlation matrix is treated as genuinely indefinite rather
 # than noisy-PSD; between this and zero, eigenvalues are clipped.
 PSD_EIG_FLOOR = -1e-8
-PSD_CLIP = -1e-12
 
 
 def _as_float_tuple(values, path: str) -> tuple[float, ...]:
@@ -178,10 +175,6 @@ class SigmaThetaPreset:
         if self.kind == "linear":
             return self.params[0] * theta
         return _poly_eval(self.params, theta)
-
-    def scaled(self, factor: float) -> "SigmaThetaPreset":
-        """Same shape with every coefficient multiplied by ``factor``."""
-        return SigmaThetaPreset(self.kind, tuple(factor * p for p in self.params))
 
     def to_config(self) -> dict:
         if self.kind == "polynomial":
@@ -393,12 +386,6 @@ class DirectDampingPreset:
             raise DimensionMismatch(f"level {theta!r} is not tabulated in direct_lambda")
         return int(hit[0])
 
-    def rate_at(self, theta: float, theta_prime: float) -> float:
-        return float(self.table[self._index_of(theta), self._index_of(theta_prime)])
-
-    def lambda_at(self, t: float, theta: float, theta_prime: float) -> float:
-        return t * self.rate_at(theta, theta_prime)
-
     def has_dissipation(self) -> bool:
         return bool(np.any(np.diag(self.table) > 0.0))
 
@@ -452,10 +439,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.gamma < 0:
             raise ConfigError("noise.gamma", "must be >= 0")
-
-    def sigma(self, t, theta):
-        """Diffusion amplitude sigma(t; theta) = sigma_time(t) * sigma_theta(theta)."""
-        return self.sigma_time(t) * self.sigma_theta(theta)
 
     @property
     def is_dissipative(self) -> bool:
@@ -636,7 +619,7 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Factor L with L L^T equal to the given PSD matrix.
 
     Eigendecomposition with clipping, not Cholesky: a uniform correlation is
-    rank one and Cholesky would fail.  Eigenvalues in [-1e-12, 0) are clipped
+    rank one and Cholesky would fail.  Eigenvalues in [-1e-8, 0) are clipped
     to zero; anything below -1e-8 raises KernelNotPSD.  Rows are rescaled so
     the marginal variances match the diagonal exactly after clipping.
     """
@@ -655,20 +638,6 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BrownianFieldSample:
-    """Correlated Brownian increments for one trajectory.
-
-    ``increments[step, level]`` is Gaussian with covariance
-    g(theta_i, theta_j) * dt[step] across levels, independent across steps.
-    """
-
-    seed: int
-    trajectory: int
-    grid: np.ndarray
-    increments: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChiPaths:
     """Accumulated phases chi_t(theta) per trajectory on a grid; chi_0 = 0."""
 
@@ -678,14 +647,13 @@ class ChiPaths:
     paths: np.ndarray  # (n_traj, len(grid), len(levels))
 
 
-def _check_grid(grid) -> tuple[np.ndarray, np.ndarray]:
+def _check_grid(grid) -> np.ndarray:
     arr = np.asarray(grid, dtype=float).reshape(-1)
     if arr.size < 2:
         raise GridMismatch("grid needs at least two points")
-    dt = np.diff(arr)
-    if np.any(dt <= 0):
+    if np.any(np.diff(arr) <= 0):
         raise GridMismatch("grid must be strictly increasing")
-    return arr, dt
+    return arr
 
 
 def _substream(seed: int, trajectory: int) -> np.random.Generator:
@@ -701,31 +669,6 @@ def _increments_for(
     rng = _substream(seed, trajectory)
     z = rng.standard_normal((sqrt_dt.shape[0], factor.shape[1]))
     return (z @ factor.T) * sqrt_dt[:, None]
-
-
-def sample_brownian_field(
-    model: NoiseModel, levels, grid, seed: int, n_traj: int
-) -> list[BrownianFieldSample]:
-    """Draw correlated Brownian increments for each trajectory.
-
-    Each trajectory uses its own counter-based substream keyed by
-    (seed, trajectory index), so results do not depend on execution order.
-    """
-    if model.direct_lambda is not None:
-        raise ValueError("a direct damping table has no Brownian realization to sample")
-    lv = np.asarray(levels, dtype=float).reshape(-1)
-    grid_arr, dt = _check_grid(grid)
-    factor = psd_sqrt(correlation_matrix(model, lv))
-    sqrt_dt = np.sqrt(dt)
-    grid_arr.setflags(write=False)
-    samples = []
-    for j in range(n_traj):
-        inc = _increments_for(factor, sqrt_dt, seed, j)
-        inc.setflags(write=False)
-        samples.append(
-            BrownianFieldSample(seed=seed, trajectory=j, grid=grid_arr, increments=inc)
-        )
-    return samples
 
 
 def _chi_chunk(
@@ -772,12 +715,14 @@ def sample_chi_paths(
 
     The presets make drift and diffusion independent of chi, so each step adds
     an exactly Gaussian increment; stepping through the sigma_time breakpoints
-    leaves no discretization bias on any grid.
+    leaves no discretization bias on any grid.  Each trajectory draws from its
+    own counter-based substream keyed by (seed, trajectory index), so a
+    trajectory does not depend on how many others are drawn.
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
     lv = np.asarray(levels, dtype=float).reshape(-1)
-    grid_arr, _ = _check_grid(grid)
+    grid_arr = _check_grid(grid)
     factor = psd_sqrt(correlation_matrix(model, lv))
     paths = _chi_chunk(model, lv, grid_arr, factor, seed, 0, n_traj)
     grid_arr.setflags(write=False)

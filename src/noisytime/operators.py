@@ -67,17 +67,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def expectation(self, rho) -> float:
-        """Tr(rho A), real part (imaginary part is numerical noise)."""
-        if isinstance(rho, DensityMatrix):
-            rho = rho.matrix
-        rho = _as_square_array(rho)
-        if rho.shape != self.matrix.shape:
-            raise DimensionMismatch(
-                f"state dimension {rho.shape[0]} != operator dimension {self.dim}"
-            )
-        return float(np.trace(rho @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -107,9 +96,6 @@ class SpectralDecomposition:
     @property
     def num_levels(self) -> int:
         return self.levels.shape[0]
-
-    def level_of_column(self, column: int) -> float:
-        return float(self.levels[self.level_index[column]])
 
     def column_levels(self) -> np.ndarray:
         """Eigenvalue of each eigenvector column, shape (d,)."""

@@ -51,9 +51,6 @@ class EvolutionResult:
     def num_points(self) -> int:
         return self.grid.shape[0]
 
-    def state_at(self, index: int) -> np.ndarray:
-        return self.states[index]
-
     def metrics_table(self, decomposition, hamiltonian) -> dict[str, np.ndarray]:
         """Per-time diagnostics: purity, coherence_l1, energy, trace."""
         n = self.num_points

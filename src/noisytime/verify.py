@@ -33,7 +33,8 @@ from .generator import (
 from .metrics import energy_expectation, purity
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import (
-    LambdaKernel,
+    CorrelationPreset,
+    DriftPreset,
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
@@ -43,7 +44,6 @@ from .noise import (
     eta,
     lambda_pair,
     moment_report,
-    sample_brownian_field,
     sample_chi_paths,
     sample_phase_differences,
 )
@@ -209,11 +209,16 @@ def _check_characteristic_function() -> tuple[bool, str]:
 
 
 def _check_brownian_field() -> tuple[bool, str]:
-    model = correlated_model(1.0, 2.0)
+    # Driftless, unit amplitude: chi path increments are the Brownian increments.
+    model = NoiseModel(
+        drift_h=DriftPreset.affine(0.0, 0.0),
+        sigma_theta=SigmaThetaPreset.constant(1.0),
+        correlation_g=CorrelationPreset.gaussian(2.0),
+    )
     levels = [-1.0, 0.0, 1.0]
     grid = np.linspace(0.0, 1.0, 101)
-    samples = sample_brownian_field(model, levels, grid, seed=555, n_traj=200)
-    pooled = np.concatenate([s.increments for s in samples], axis=0)
+    paths = sample_chi_paths(model, levels, grid, seed=555, n_traj=200).paths
+    pooled = np.diff(paths, axis=1).reshape(-1, len(levels))
     dt = grid[1] - grid[0]
     n = pooled.shape[0]
     variances = pooled.var(axis=0, ddof=1) / dt

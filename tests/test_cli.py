@@ -220,6 +220,13 @@ class TestSample:
         config = scenario_yaml("dissipative_direct")
         assert main(["sample", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    def test_zero_threads_exits_2(self, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out), "--threads", "0"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMoments:
     def test_writes_table(self, scenario_yaml, tmp_path):
@@ -244,6 +251,25 @@ class TestMoments:
         lam = 0.5 * 5.0  # gamma t (theta - theta')^2 under uniform correlation
         assert float(rows[0]["predicted"]) == pytest.approx(lam, rel=1e-12)
         assert float(rows[2]["predicted"]) == pytest.approx(3 * lam * lam, rel=1e-12)
+
+    @staticmethod
+    def _moments(config, out, *extra):
+        args = ["moments", "--config", str(config), "--out", str(out)]
+        return main(args + ["--theta", "0.0", "--theta-prime", "1.0", *extra])
+
+    def test_max_order_below_2_exits_2(self, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        out = tmp_path / "run"
+        assert self._moments(config, out, "--max-order", "1") == 2
+        assert "--max-order" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_trajectory_exits_2(self, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 1})
+        out = tmp_path / "run"
+        assert self._moments(config, out) == 2
+        assert "montecarlo.n_traj" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from noisytime import (
-    DensityMatrix,
     DriftPreset,
     GridMismatch,
     HermitianOperator,
@@ -65,13 +64,6 @@ class TestBuilders:
                 assert table[i, j] == pytest.approx(
                     gamma * (a * a + b * b - 2 * a * b * g), rel=1e-13
                 )
-
-    def test_tau_zero_bitwise_reduction(self, four_level):
-        # not just close: the tables coincide exactly at tau = 0
-        _, dec, _ = four_level
-        assert np.array_equal(
-            build_correlated(dec, 0.8, 0.0).rates, build_phase_destroying(dec, 0.8).rates
-        )
 
     def test_general_rejects_asymmetric(self, qubit):
         _, dec, _ = qubit
@@ -172,14 +164,6 @@ class TestChoi:
                 expected = np.zeros((d, d), dtype=complex)
                 expected[i, j] = factors[i, j]
                 assert np.allclose(block, expected, atol=1e-15)
-
-    def test_cp_for_builtin_generators(self):
-        spectra = [0.0, 0.37, 1.1, 2.03, 2.5, 3.01, 3.9, 4.42]
-        for dim in (2, 5, 8):
-            dec = eigendecompose(HermitianOperator(np.diag(spectra[:dim])))
-            for gen in (build_phase_destroying(dec, 0.7), build_correlated(dec, 0.7, 1.2)):
-                for t in (0.1, 1.0, 10.0):
-                    assert np.linalg.eigvalsh(choi_matrix(gen, t))[0] >= -1e-10
 
     def test_violator_flagged(self, qubit):
         # lambda with negative off-diagonal amplifies coherences: not CP

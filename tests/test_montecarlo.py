@@ -161,6 +161,11 @@ class TestRunEnsemble:
         with pytest.raises(GridMismatch):
             run_ensemble(dec, dephasing_model(1.0), rho0, [0.5, 1.0], n_traj=10, seed=1)
 
+    def test_rejects_zero_workers(self, qubit):
+        _, dec, rho0 = qubit
+        with pytest.raises(ValueError, match="n_workers"):
+            run_ensemble(dec, dephasing_model(1.0), rho0, [0.0, 1.0], n_traj=10, seed=1, n_workers=0)
+
     def test_rejects_direct_model(self, qubit):
         _, dec, rho0 = qubit
         model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])

@@ -25,7 +25,6 @@ from noisytime import (
     moment_report,
     predicted_moment,
     psd_sqrt,
-    sample_brownian_field,
     sample_chi_paths,
     sample_phase_differences,
 )
@@ -45,7 +44,6 @@ class TestPresets:
     def test_sigma_theta_kinds(self):
         assert SigmaThetaPreset.constant(0.3)(7.0) == 0.3
         assert SigmaThetaPreset.linear(2.0)(3.0) == 6.0
-        assert SigmaThetaPreset.linear(2.0).scaled(0.5)(3.0) == 3.0
 
     def test_sigma_time_piecewise(self):
         profile = SigmaTimePreset.piecewise_constant([1.0, 2.0], [0.4, 1.6, 0.2])
@@ -103,34 +101,19 @@ class TestDirectDamping:
         with pytest.raises(ConfigError):
             DirectDampingPreset([1.0, 2.0], [[-0.1, 0.0], [0.0, 0.0]])
 
-    def test_rate_lookup(self):
-        preset = DirectDampingPreset([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
-        assert preset.rate_at(2.0, 1.0) == 0.7
-        assert preset.lambda_at(3.0, 1.0, 1.0) == pytest.approx(1.8)
-        assert preset.has_dissipation()
-
     def test_unknown_level_rejected(self):
-        preset = DirectDampingPreset([1.0, 2.0], [[0.0, 0.7], [0.7, 0.0]])
-        from noisytime import DimensionMismatch
-
+        model = direct_damping_model([1.0, 2.0], [[0.0, 0.7], [0.7, 0.0]])
         with pytest.raises(DimensionMismatch):
-            preset.rate_at(1.5, 2.0)
+            LambdaKernel(model, [1.5, 2.0])
 
 
 class TestNoiseModel:
-    def test_sigma_factorizes(self):
-        model = NoiseModel(
-            sigma_theta=SigmaThetaPreset.linear(2.0),
-            sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.5, 3.0]),
-        )
-        assert model.sigma(0.2, 3.0) == pytest.approx(3.0)
-        assert model.sigma(1.7, 3.0) == pytest.approx(18.0)
-
     def test_gamma_is_declared_strength(self):
         # The presets carry the strength numerically; gamma itself never
         # multiplies a kernel.
         model = dephasing_model(0.49)
-        assert model.sigma(0.0, 1.0) == pytest.approx(0.7)
+        assert model.sigma_theta(1.0) == pytest.approx(0.7)
+        assert lambda_pair(model, 1.0, 0.0, 1.0) == pytest.approx(0.49)
 
     def test_from_config_defaults_sigma_to_sqrt_gamma(self):
         model = NoiseModel.from_config({"gamma": 0.25})
@@ -320,27 +303,31 @@ class TestSampling:
     def test_brownian_field_reproducible(self):
         model = correlated_model(1.0, 2.0)
         grid = np.linspace(0.0, 1.0, 11)
-        a = sample_brownian_field(model, [-1.0, 0.0, 1.0], grid, seed=5, n_traj=3)
-        b = sample_brownian_field(model, [-1.0, 0.0, 1.0], grid, seed=5, n_traj=3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.increments, y.increments)
-        c = sample_brownian_field(model, [-1.0, 0.0, 1.0], grid, seed=6, n_traj=3)
-        assert not np.array_equal(a[0].increments, c[0].increments)
+        a = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=5, n_traj=3)
+        b = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=5, n_traj=3)
+        assert np.array_equal(a.paths, b.paths)
+        c = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=6, n_traj=3)
+        assert not np.array_equal(a.paths[0], c.paths[0])
 
     def test_brownian_field_trajectory_keyed_by_index(self):
         # substreams depend on (seed, trajectory), not on how many are drawn
         model = dephasing_model(1.0)
         grid = np.linspace(0.0, 1.0, 6)
-        many = sample_brownian_field(model, [0.0, 1.0], grid, seed=9, n_traj=5)
-        few = sample_brownian_field(model, [0.0, 1.0], grid, seed=9, n_traj=2)
-        assert np.array_equal(many[1].increments, few[1].increments)
+        many = sample_chi_paths(model, [0.0, 1.0], grid, seed=9, n_traj=5)
+        few = sample_chi_paths(model, [0.0, 1.0], grid, seed=9, n_traj=2)
+        assert np.array_equal(many.paths[1], few.paths[1])
 
     def test_brownian_field_covariance(self):
-        model = correlated_model(1.0, 1.0)
+        # driftless, unit amplitude: chi path increments are the Brownian increments
+        model = NoiseModel(
+            drift_h=DriftPreset.affine(0.0, 0.0),
+            sigma_theta=SigmaThetaPreset.constant(1.0),
+            correlation_g=CorrelationPreset.gaussian(1.0),
+        )
         levels = [0.0, 1.0]
         grid = np.linspace(0.0, 1.0, 201)
-        samples = sample_brownian_field(model, levels, grid, seed=21, n_traj=50)
-        pooled = np.concatenate([s.increments for s in samples], axis=0)
+        paths = sample_chi_paths(model, levels, grid, seed=21, n_traj=50).paths
+        pooled = np.diff(paths, axis=1).reshape(-1, len(levels))
         dt = grid[1] - grid[0]
         cov = pooled.T @ pooled / pooled.shape[0] / dt
         expected = correlation_matrix(model, levels)
@@ -349,14 +336,14 @@ class TestSampling:
     def test_brownian_field_rejects_direct_model(self):
         model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])
         with pytest.raises(ValueError):
-            sample_brownian_field(model, [0.0, 1.0], np.linspace(0, 1, 5), seed=1, n_traj=1)
+            sample_chi_paths(model, [0.0, 1.0], np.linspace(0, 1, 5), seed=1, n_traj=1)
 
     def test_grid_validation(self):
         model = dephasing_model(1.0)
         with pytest.raises(GridMismatch):
-            sample_brownian_field(model, [0.0, 1.0], [0.0], seed=1, n_traj=1)
+            sample_chi_paths(model, [0.0, 1.0], [0.0], seed=1, n_traj=1)
         with pytest.raises(GridMismatch):
-            sample_brownian_field(model, [0.0, 1.0], [0.0, 1.0, 0.5], seed=1, n_traj=1)
+            sample_chi_paths(model, [0.0, 1.0], [0.0, 1.0, 0.5], seed=1, n_traj=1)
 
     def test_chi_paths_zero_noise_is_drift(self):
         model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)

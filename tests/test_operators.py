@@ -32,11 +32,6 @@ class TestHermitianOperator:
         op = HermitianOperator(almost)
         assert np.array_equal(op.matrix, op.matrix.conj().T)
 
-    def test_expectation(self):
-        op = HermitianOperator(np.diag([1.0, 3.0]))
-        rho = DensityMatrix.maximally_mixed(2)
-        assert op.expectation(rho) == pytest.approx(2.0, abs=1e-14)
-
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
@@ -73,7 +68,6 @@ class TestEigendecompose:
     def test_column_levels_and_index(self):
         dec = eigendecompose(HermitianOperator(np.diag([2.0, 2.0, 5.0])))
         assert np.allclose(dec.column_levels(), [2.0, 2.0, 5.0])
-        assert dec.level_of_column(2) == 5.0
         assert list(dec.level_index) == [0, 0, 1]
 
     def test_eigenvector_phase_fixed(self):

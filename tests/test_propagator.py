@@ -99,13 +99,6 @@ class TestTrajectory:
         assert result.states.shape == (9, 2, 2)
         assert np.array_equal(result.grid, grid)
 
-    def test_state_at(self, qubit):
-        _, dec, rho0 = qubit
-        result = averaged_trajectory(dec, dephasing_model(1.0), rho0, [0.0, 1.0])
-        single = averaged_state(dec, dephasing_model(1.0), rho0, 1.0).matrix
-        assert np.allclose(result.state_at(1), single, atol=1e-15)
-
-
     def test_broadcast_equals_per_time_states(self):
         # non-diagonal H with a degenerate level, polynomial drift, stepped sigma_time
         rng = np.random.default_rng(11)
@@ -180,16 +173,6 @@ class TestSemigroupDefect:
     def test_time_independent_kernel_is_markovian(self, qubit):
         _, dec, rho0 = qubit
         assert semigroup_defect(dec, dephasing_model(0.5), rho0, 0.7, 1.1) < 1e-12
-
-    def test_piecewise_profile_breaks_semigroup(self, qubit):
-        _, dec, rho0 = qubit
-        model = NoiseModel(
-            sigma_theta=SigmaThetaPreset.linear(1.0),
-            sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
-        )
-        # t + s = 1.6 straddles the step at 1.0; each half alone stays in the
-        # weak-noise piece.
-        assert semigroup_defect(dec, model, rho0, 0.8, 0.8) > 1e-3
 
     def test_defect_zero_for_unitary(self, qubit):
         _, dec, rho0 = qubit
