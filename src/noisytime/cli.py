@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .generator import (
     integrate,
 )
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import LambdaKernel, moment_report
+from .noise import LambdaKernel, NoiseModel, SigmaTimePreset, moment_report
 from .propagator import averaged_trajectory
 from .results import EvolutionResult
 from .verify import run_suite, check_names
@@ -54,6 +55,11 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = ".17g"
+
+# sigma_theta = linear(c) matches a family of strength gamma when c^2 equals
+# gamma to this relative tolerance; sqrt(gamma) written out in decimal
+# squares back to gamma only up to rounding.
+FAMILY_GAMMA_RTOL = 1e-12
 
 
 def _fmt(value: float) -> str:
@@ -131,17 +137,40 @@ def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     return 0, written
 
 
+def _check_family(noise: NoiseModel, kind: str) -> None:
+    """Refuse a model that the phase or correlated generator does not represent."""
+    correlation = "uniform" if kind == "phase" else "gaussian"
+    sigma_theta = noise.sigma_theta
+    coefficient = sigma_theta.params[0] if sigma_theta.kind == "linear" else math.nan
+    if noise.direct_lambda is not None:
+        field = "direct_lambda"
+    elif noise.correlation_g.kind != correlation:
+        field = "correlation_g"
+    elif kind == "phase" and noise.drift_h.kind != "identity":
+        field = "drift_h"
+    elif noise.sigma_time != SigmaTimePreset.constant(1.0):
+        field = "sigma_time"
+    elif not math.isclose(coefficient**2, noise.gamma, rel_tol=FAMILY_GAMMA_RTOL):
+        field = "sigma_theta"
+    else:
+        return
+    drift = ", the identity drift" if kind == "phase" else ""
+    raise ConfigError(
+        f"noise.{field}",
+        f"the {kind} generator represents only sigma_time constant 1, sigma_theta "
+        f"linear(sqrt(gamma)), a {correlation} correlation{drift} and no direct_lambda; "
+        "--generator general takes any time-independent model",
+    )
+
+
 def _generator_from_config(config: ScenarioConfig, kind: str) -> Superoperator:
     decomposition = config.decomposition()
     noise = config.noise
+    if kind in ("phase", "correlated"):
+        _check_family(noise, kind)
     if kind == "phase":
         return build_phase_destroying(decomposition, noise.gamma)
     if kind == "correlated":
-        if noise.correlation_g.kind != "gaussian":
-            raise ConfigError(
-                "noise.correlation_g",
-                "the correlated generator needs a gaussian correlation with a tau scale",
-            )
         return build_correlated(
             decomposition, noise.gamma, noise.correlation_g.tau, h=noise.drift_h
         )
@@ -177,16 +206,24 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
     return (0 if report.cp_ok else 1), written
 
 
-def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path]]:
-    """Monte Carlo ensemble, cross-checked against the analytic route."""
-    if threads < 1:
-        raise ConfigError("--threads", f"must be >= 1, got {threads}")
+def _check_ensemble(config: ScenarioConfig, command: str) -> None:
+    """Sampling needs a Brownian model and two trajectories for standard errors."""
     if config.noise.direct_lambda is not None:
         raise ConfigError(
             "noise.direct_lambda",
-            "sampling needs a Brownian model; a direct damping table has no "
+            f"{command} needs a Brownian model; a direct damping table has no "
             "stochastic realization",
         )
+    if config.n_traj < 2:
+        raise ConfigError(
+            "montecarlo.n_traj",
+            f"{command} needs >= 2 trajectories for standard errors, got {config.n_traj}",
+        )
+
+
+def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path]]:
+    """Monte Carlo ensemble, cross-checked against the analytic route."""
+    _check_ensemble(config, "sample")
     decomposition = config.decomposition()
     grid = config.times()
     ensemble = run_ensemble(
@@ -213,26 +250,16 @@ def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path
     payload["scenario"] = config.name
     if "json" in config.formats:
         written.append(_atomic_write(_out_dir(config) / "comparison.json", _json_text(payload)))
-    return (1 if report.passed is False else 0), written
+    return (0 if report.passed else 1), written
 
 
 def cmd_moments(
     config: ScenarioConfig, theta: float, theta_prime: float, max_order: int = 4
 ) -> tuple[int, list[Path]]:
     """Empirical versus predicted moments of the phase difference."""
-    if config.noise.direct_lambda is not None:
-        raise ConfigError(
-            "noise.direct_lambda",
-            "moments need a Brownian model; a direct damping table has no "
-            "stochastic realization",
-        )
+    _check_ensemble(config, "moments")
     if max_order < 2:
         raise ConfigError("--max-order", f"must be >= 2, got {max_order}")
-    if config.n_traj < 2:
-        raise ConfigError(
-            "montecarlo.n_traj",
-            f"moments need >= 2 trajectories for standard errors, got {config.n_traj}",
-        )
     rows = moment_report(
         config.noise,
         t=config.t_end,
@@ -389,6 +416,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,12 +3,18 @@
 A scenario is one YAML mapping with sections ``hamiltonian``,
 ``initial_state``, ``noise``, ``grid``, ``montecarlo``, ``outputs``.  Complex
 matrices are encoded row by row with each entry a ``[re, im]`` pair (a bare
-number is accepted as a real entry).  Every parse error carries the path of
-the offending field.
+number is accepted as a real entry).
+
+This module is the only reader and writer of the schema.  Every field goes
+through one reader per field type (finite number, integer, list of numbers,
+preset ``kind`` with its closed field set), unknown fields are rejected, and
+every parse error is a ConfigError carrying the full path of the field.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -16,7 +22,14 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, NoisytimeError
-from .noise import NoiseModel
+from .noise import (
+    CorrelationPreset,
+    DirectDampingPreset,
+    DriftPreset,
+    NoiseModel,
+    SigmaThetaPreset,
+    SigmaTimePreset,
+)
 from .operators import DensityMatrix, HermitianOperator, eigendecompose
 
 __all__ = [
@@ -36,6 +49,35 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_N_TRAJ = 10000
 DEFAULT_SEED = 2024
+SEED_LIMIT = 2**64
+
+SECTIONS = ("name", "hamiltonian", "initial_state", "noise", "grid", "montecarlo", "outputs")
+NOISE_FIELDS = ("drift_h", "sigma_theta", "sigma_time", "correlation_g", "gamma", "direct_lambda")
+
+# Each preset section: its class, and per kind the fields in the order the
+# kind's classmethod of the same name takes them.
+PRESETS = {
+    "drift_h": (DriftPreset, {"identity": (), "affine": ("a", "b"), "polynomial": ("coeffs",)}),
+    "sigma_theta": (
+        SigmaThetaPreset,
+        {"constant": ("coefficient",), "linear": ("coefficient",), "polynomial": ("coeffs",)},
+    ),
+    "sigma_time": (
+        SigmaTimePreset,
+        {"constant": ("value",), "piecewise_constant": ("breakpoints", "values")},
+    ),
+    "correlation_g": (
+        CorrelationPreset,
+        {"uniform": (), "gaussian": ("tau",), "exponential": ("length",)},
+    ),
+}
+LIST_FIELDS = frozenset({"coeffs", "breakpoints", "values"})
+# Fields that may be left out; the classmethod's default applies.
+OPTIONAL_FIELDS = frozenset({"value"})
+# The one kind of direct_lambda, which may be left out of the file.
+DIRECT_KIND = "separable_linear"
+
+_REQUIRED = object()
 
 
 def matrix_from_config(data, path: str) -> np.ndarray:
@@ -48,15 +90,13 @@ def matrix_from_config(data, path: str) -> np.ndarray:
             raise ConfigError(f"{path}[{i}]", "matrix must be square")
         parsed = []
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
-                parsed.append(complex(entry))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                try:
-                    parsed.append(complex(float(entry[0]), float(entry[1])))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path}[{i}][{j}]", f"bad entry {entry!r}") from exc
+            where = f"{path}[{i}][{j}]"
+            if isinstance(entry, (list, tuple)):
+                if len(entry) != 2:
+                    raise ConfigError(where, f"expected [re, im], got {entry!r}")
+                parsed.append(complex(_number(entry[0], where), _number(entry[1], where)))
             else:
-                raise ConfigError(f"{path}[{i}][{j}]", f"expected [re, im], got {entry!r}")
+                parsed.append(complex(_number(entry, where)))
         rows.append(parsed)
     return np.asarray(rows, dtype=complex)
 
@@ -105,92 +145,158 @@ class ScenarioConfig:
     ) -> "ScenarioConfig":
         updated = self
         if seed is not None:
-            updated = replace(updated, seed=int(seed))
+            updated = replace(updated, seed=_seed(seed, "--seed"))
         if out_dir is not None:
             updated = replace(updated, out_dir=str(out_dir))
         return updated
 
 
-def _section(data: dict, key: str, required: bool = True) -> Optional[dict]:
+def _number(value, path: str) -> float:
+    """A finite number.  Numeric strings count: YAML 1.1 reads ``1e-3`` as one."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, f"expected a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _integer(value, path: str, low: int = 1, high: Optional[int] = None) -> int:
+    """An integer in [low, high); booleans are not integers here."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and low <= value and (high is None or value < high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ConfigError(path, f"must be an integer {bound}, got {value!r}")
+
+
+def _seed(value, path: str) -> int:
+    return _integer(value, path, 0, SEED_LIMIT)
+
+
+def _table(value, path: str) -> list[tuple[float, ...]]:
+    """A square table of numbers, row by row."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, f"expected a list of rows, got {value!r}")
+    rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ConfigError(f"{path}[{i}]", "table must be square")
+    return rows
+
+
+def _fields(data, path: str, fields) -> dict:
+    """``data`` as a mapping whose keys are all among ``fields``."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected a mapping")
+    for key in data:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown field")
+    return data
+
+
+def _read(data: dict, path: str, key: str, reader=None, default=_REQUIRED):
+    """Field ``key`` of the mapping at ``path``, through ``reader`` if given."""
+    where = f"{path}.{key}" if path else key
     if key not in data:
-        if required:
-            raise ConfigError(key, "missing section")
-        return None
-    value = data[key]
-    if not isinstance(value, dict):
-        raise ConfigError(key, "expected a mapping")
-    return value
+        if default is _REQUIRED:
+            raise ConfigError(where, "missing")
+        return default
+    return data[key] if reader is None else reader(data[key], where)
+
+
+def _kind(data, path: str, kinds: dict, default=_REQUIRED) -> str:
+    """The ``kind`` of a preset mapping; its other keys must be that kind's fields."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected a mapping")
+    kind = _read(data, path, "kind", default=default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; known: {tuple(kinds)}")
+    _fields(data, path, ("kind", *kinds[kind]))
+    return kind
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, its model errors reported as config errors at ``path``."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except NoisytimeError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _noise(data: dict) -> NoiseModel:
+    parts = {}
+    for name, (cls, kinds) in PRESETS.items():
+        if name in data:
+            path = f"noise.{name}"
+            kind = _kind(data[name], path, kinds)
+            args = [
+                _read(data[name], path, field, _numbers if field in LIST_FIELDS else _number)
+                for field in kinds[kind]
+                if field in data[name] or field not in OPTIONAL_FIELDS
+            ]
+            parts[name] = getattr(cls, kind)(*args)
+    if "direct_lambda" in data:
+        path = "noise.direct_lambda"
+        direct = data["direct_lambda"]
+        _kind(direct, path, {DIRECT_KIND: ("levels", "table")}, DIRECT_KIND)
+        levels = _read(direct, path, "levels", _numbers)
+        table = _read(direct, path, "table", _table)
+        parts["direct_lambda"] = _built(f"{path}.table", DirectDampingPreset, levels, table)
+    gamma = _read(data, "noise", "gamma", _number, 1.0)
+    model = NoiseModel(gamma=gamma, **parts)
+    if "sigma_theta" not in data:
+        # Strength shorthand: omitting sigma_theta means linear(sqrt(gamma)).
+        model = replace(model, sigma_theta=SigmaThetaPreset.linear(math.sqrt(gamma)))
+    return model
 
 
 def parse_config(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("", "top level must be a mapping")
-    known = {"name", "hamiltonian", "initial_state", "noise", "grid", "montecarlo", "outputs"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(key, "unknown section")
-
+    _fields(data, "", SECTIONS)
     name = str(data.get("name", "scenario"))
-    if "hamiltonian" not in data:
-        raise ConfigError("hamiltonian", "missing section")
-    try:
-        hamiltonian = HermitianOperator(matrix_from_config(data["hamiltonian"], "hamiltonian"))
-    except NoisytimeError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("hamiltonian", str(exc)) from exc
-
-    if "initial_state" not in data:
-        raise ConfigError("initial_state", "missing section")
-    raw_state = data["initial_state"]
+    hamiltonian = _built(
+        "hamiltonian", HermitianOperator, _read(data, "", "hamiltonian", matrix_from_config)
+    )
+    raw_state = _read(data, "", "initial_state")
     if isinstance(raw_state, str):
         preset = raw_state
         state = _state_from_preset(preset, hamiltonian)
     else:
         preset = None
-        try:
-            state = DensityMatrix(matrix_from_config(raw_state, "initial_state"))
-        except NoisytimeError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("initial_state", str(exc)) from exc
+        matrix = matrix_from_config(raw_state, "initial_state")
+        state = _built("initial_state", DensityMatrix, matrix)
     if state.dim != hamiltonian.dim:
         raise ConfigError(
             "initial_state", f"dimension {state.dim} != hamiltonian dimension {hamiltonian.dim}"
         )
 
-    noise = NoiseModel.from_config(_section(data, "noise") or {}, "noise")
+    noise = _noise(_fields(_read(data, "", "noise"), "noise", NOISE_FIELDS))
 
-    grid = _section(data, "grid")
-    for key in grid:
-        if key not in ("t_end", "n_steps", "t_start"):
-            raise ConfigError(f"grid.{key}", "unknown field")
-    if float(grid.get("t_start", 0.0)) != 0.0:
+    grid = _fields(_read(data, "", "grid"), "grid", ("t_end", "n_steps", "t_start"))
+    if _read(grid, "grid", "t_start", _number, 0.0) != 0.0:
         raise ConfigError("grid.t_start", "must be 0")
-    if "t_end" not in grid:
-        raise ConfigError("grid.t_end", "missing")
-    t_end = float(grid["t_end"])
+    t_end = _read(grid, "grid", "t_end", _number)
     if t_end <= 0:
         raise ConfigError("grid.t_end", "must be > 0")
-    n_steps = grid.get("n_steps", 100)
-    if not isinstance(n_steps, int) or n_steps < 1:
-        raise ConfigError("grid.n_steps", "must be an integer >= 1")
+    n_steps = _read(grid, "grid", "n_steps", _integer, 100)
 
-    mc = _section(data, "montecarlo", required=False) or {}
-    for key in mc:
-        if key not in ("n_traj", "seed"):
-            raise ConfigError(f"montecarlo.{key}", "unknown field")
-    n_traj = mc.get("n_traj", DEFAULT_N_TRAJ)
-    if not isinstance(n_traj, int) or n_traj < 1:
-        raise ConfigError("montecarlo.n_traj", "must be an integer >= 1")
-    seed = mc.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or not (0 <= seed < 2**64):
-        raise ConfigError("montecarlo.seed", "must be an integer in [0, 2^64)")
+    mc = _fields(data.get("montecarlo", {}), "montecarlo", ("n_traj", "seed"))
+    n_traj = _read(mc, "montecarlo", "n_traj", _integer, DEFAULT_N_TRAJ)
+    seed = _read(mc, "montecarlo", "seed", _seed, DEFAULT_SEED)
 
-    outputs = _section(data, "outputs", required=False) or {}
-    for key in outputs:
-        if key not in ("directory", "formats"):
-            raise ConfigError(f"outputs.{key}", "unknown field")
+    outputs = _fields(data.get("outputs", {}), "outputs", ("directory", "formats"))
     out_dir = str(outputs.get("directory", "out"))
     formats = outputs.get("formats", list(OUTPUT_FORMATS))
     if not isinstance(formats, (list, tuple)) or not formats:
@@ -225,6 +331,32 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(data)
 
 
+def _preset_to_dict(name: str, preset) -> dict:
+    fields = PRESETS[name][1][preset.kind]
+    if isinstance(preset, (DriftPreset, SigmaThetaPreset)):
+        # These keep their numbers in ``params``: one per field, or all of
+        # them as the single list field.
+        values = (preset.params,) if fields and fields[0] in LIST_FIELDS else preset.params
+    else:
+        values = tuple(getattr(preset, field) for field in fields)
+    out = {"kind": preset.kind}
+    for field, value in zip(fields, values):
+        out[field] = list(value) if field in LIST_FIELDS else value
+    return out
+
+
+def _noise_to_dict(noise: NoiseModel) -> dict:
+    out = {name: _preset_to_dict(name, getattr(noise, name)) for name in PRESETS}
+    out["gamma"] = noise.gamma
+    if noise.direct_lambda is not None:
+        out["direct_lambda"] = {
+            "kind": DIRECT_KIND,
+            "levels": list(noise.direct_lambda.levels),
+            "table": [[float(v) for v in row] for row in noise.direct_lambda.table],
+        }
+    return out
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Canonical dictionary form; parsing it back yields the same scenario."""
     state = (
@@ -236,7 +368,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "name": config.name,
         "hamiltonian": matrix_to_config(config.hamiltonian.matrix),
         "initial_state": state,
-        "noise": config.noise.to_config(),
+        "noise": _noise_to_dict(config.noise),
         "grid": {"t_end": config.t_end, "n_steps": config.n_steps},
         "montecarlo": {"n_traj": config.n_traj, "seed": config.seed},
         "outputs": {"directory": config.out_dir, "formats": list(config.formats)},

@@ -60,12 +60,9 @@ __all__ = [
 # than noisy-PSD; between this and zero, eigenvalues are clipped.
 PSD_EIG_FLOOR = -1e-8
 
-
-def _as_float_tuple(values, path: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"expected a list of numbers, got {values!r}") from exc
+# Euler steps of the moment sampler over [0, t]; increments are exactly
+# Gaussian, so the count affects only cost and the random stream.
+MOMENT_STEPS = 256
 
 
 def _poly_eval(coeffs: tuple[float, ...], x):
@@ -86,11 +83,11 @@ class DriftPreset:
 
     def __post_init__(self):
         if self.kind not in ("identity", "affine", "polynomial"):
-            raise ConfigError("drift_h.kind", f"unknown kind {self.kind!r}")
+            raise ConfigError("noise.drift_h.kind", f"unknown kind {self.kind!r}")
         if self.kind == "affine" and len(self.params) != 2:
-            raise ConfigError("drift_h", "affine drift needs exactly (a, b)")
+            raise ConfigError("noise.drift_h", "affine drift needs exactly (a, b)")
         if self.kind == "polynomial" and len(self.params) == 0:
-            raise ConfigError("drift_h", "polynomial drift needs coefficients")
+            raise ConfigError("noise.drift_h.coeffs", "polynomial drift needs coefficients")
 
     @classmethod
     def identity(cls) -> "DriftPreset":
@@ -102,7 +99,7 @@ class DriftPreset:
 
     @classmethod
     def polynomial(cls, coeffs) -> "DriftPreset":
-        return cls("polynomial", _as_float_tuple(coeffs, "drift_h.coeffs"))
+        return cls("polynomial", tuple(map(float, coeffs)))
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -112,28 +109,6 @@ class DriftPreset:
             a, b = self.params
             return a * theta + b
         return _poly_eval(self.params, theta)
-
-    def to_config(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "affine":
-            return {"kind": "affine", "a": self.params[0], "b": self.params[1]}
-        return {"kind": "polynomial", "coeffs": list(self.params)}
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise.drift_h") -> "DriftPreset":
-        kind = _config_kind(data, path)
-        if kind == "identity":
-            return DriftPreset.identity()
-        if kind == "affine":
-            return DriftPreset.affine(
-                _config_number(data, "a", path), _config_number(data, "b", path)
-            )
-        if kind == "polynomial":
-            return DriftPreset.polynomial(
-                _as_float_tuple(data.get("coeffs", ()), f"{path}.coeffs")
-            )
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -150,11 +125,13 @@ class SigmaThetaPreset:
 
     def __post_init__(self):
         if self.kind not in ("constant", "linear", "polynomial"):
-            raise ConfigError("sigma_theta.kind", f"unknown kind {self.kind!r}")
+            raise ConfigError("noise.sigma_theta.kind", f"unknown kind {self.kind!r}")
         if self.kind in ("constant", "linear") and len(self.params) != 1:
-            raise ConfigError("sigma_theta", f"{self.kind} needs exactly one coefficient")
+            raise ConfigError(
+                "noise.sigma_theta.coefficient", f"{self.kind} needs exactly one coefficient"
+            )
         if self.kind == "polynomial" and len(self.params) == 0:
-            raise ConfigError("sigma_theta", "polynomial needs coefficients")
+            raise ConfigError("noise.sigma_theta.coeffs", "polynomial needs coefficients")
 
     @classmethod
     def constant(cls, c: float) -> "SigmaThetaPreset":
@@ -166,7 +143,7 @@ class SigmaThetaPreset:
 
     @classmethod
     def polynomial(cls, coeffs) -> "SigmaThetaPreset":
-        return cls("polynomial", _as_float_tuple(coeffs, "sigma_theta.coeffs"))
+        return cls("polynomial", tuple(map(float, coeffs)))
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -175,22 +152,6 @@ class SigmaThetaPreset:
         if self.kind == "linear":
             return self.params[0] * theta
         return _poly_eval(self.params, theta)
-
-    def to_config(self) -> dict:
-        if self.kind == "polynomial":
-            return {"kind": "polynomial", "coeffs": list(self.params)}
-        return {"kind": self.kind, "coefficient": self.params[0]}
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise.sigma_theta") -> "SigmaThetaPreset":
-        kind = _config_kind(data, path)
-        if kind in ("constant", "linear"):
-            return SigmaThetaPreset(kind, (_config_number(data, "coefficient", path),))
-        if kind == "polynomial":
-            return SigmaThetaPreset.polynomial(
-                _as_float_tuple(data.get("coeffs", ()), f"{path}.coeffs")
-            )
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -210,18 +171,19 @@ class SigmaTimePreset:
     def __post_init__(self):
         if self.kind == "constant":
             if self.value < 0:
-                raise ConfigError("sigma_time.value", "must be >= 0")
+                raise ConfigError("noise.sigma_time.value", "must be >= 0")
         elif self.kind == "piecewise_constant":
             if len(self.values) != len(self.breakpoints) + 1:
                 raise ConfigError(
-                    "sigma_time", "piecewise_constant needs len(values) == len(breakpoints) + 1"
+                    "noise.sigma_time.values",
+                    "piecewise_constant needs len(values) == len(breakpoints) + 1",
                 )
             if any(v < 0 for v in self.values):
-                raise ConfigError("sigma_time.values", "must all be >= 0")
+                raise ConfigError("noise.sigma_time.values", "must all be >= 0")
             if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
-                raise ConfigError("sigma_time.breakpoints", "must be strictly increasing")
+                raise ConfigError("noise.sigma_time.breakpoints", "must be strictly increasing")
         else:
-            raise ConfigError("sigma_time.kind", f"unknown kind {self.kind!r}")
+            raise ConfigError("noise.sigma_time.kind", f"unknown kind {self.kind!r}")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "SigmaTimePreset":
@@ -231,8 +193,8 @@ class SigmaTimePreset:
     def piecewise_constant(cls, breakpoints, values) -> "SigmaTimePreset":
         return cls(
             "piecewise_constant",
-            breakpoints=_as_float_tuple(breakpoints, "sigma_time.breakpoints"),
-            values=_as_float_tuple(values, "sigma_time.values"),
+            breakpoints=tuple(map(float, breakpoints)),
+            values=tuple(map(float, values)),
         )
 
     @property
@@ -260,26 +222,6 @@ class SigmaTimePreset:
         overlap = np.minimum(t[..., None], edges[1:]) - np.maximum(0.0, edges[:-1])
         return np.clip(overlap, 0.0, None) @ np.square(self.values)
 
-    def to_config(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {
-            "kind": "piecewise_constant",
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-        }
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise.sigma_time") -> "SigmaTimePreset":
-        kind = _config_kind(data, path)
-        if kind == "constant":
-            return SigmaTimePreset.constant(float(data.get("value", 1.0)))
-        if kind == "piecewise_constant":
-            return SigmaTimePreset.piecewise_constant(
-                data.get("breakpoints", ()), data.get("values", ())
-            )
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class CorrelationPreset:
@@ -297,11 +239,11 @@ class CorrelationPreset:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian", "exponential"):
-            raise ConfigError("correlation_g.kind", f"unknown kind {self.kind!r}")
+            raise ConfigError("noise.correlation_g.kind", f"unknown kind {self.kind!r}")
         if self.kind == "gaussian" and self.tau < 0:
-            raise ConfigError("correlation_g.tau", "must be >= 0")
+            raise ConfigError("noise.correlation_g.tau", "must be >= 0")
         if self.kind == "exponential" and self.length <= 0:
-            raise ConfigError("correlation_g.length", "must be > 0")
+            raise ConfigError("noise.correlation_g.length", "must be > 0")
 
     @classmethod
     def uniform(cls) -> "CorrelationPreset":
@@ -325,24 +267,6 @@ class CorrelationPreset:
             return np.exp(-(self.tau**2) * diff**2)
         return np.exp(-np.abs(diff) / self.length)
 
-    def to_config(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform"}
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "tau": self.tau}
-        return {"kind": "exponential", "length": self.length}
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise.correlation_g") -> "CorrelationPreset":
-        kind = _config_kind(data, path)
-        if kind == "uniform":
-            return CorrelationPreset.uniform()
-        if kind == "gaussian":
-            return CorrelationPreset.gaussian(_config_number(data, "tau", path))
-        if kind == "exponential":
-            return CorrelationPreset.exponential(_config_number(data, "length", path))
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class DirectDampingPreset:
@@ -356,12 +280,9 @@ class DirectDampingPreset:
 
     levels: tuple[float, ...]
     table: np.ndarray
-    kind: str = "separable_linear"
 
-    def __init__(self, levels, table, kind: str = "separable_linear"):
-        if kind != "separable_linear":
-            raise ConfigError("direct_lambda.kind", f"unknown kind {kind!r}")
-        levels = _as_float_tuple(levels, "direct_lambda.levels")
+    def __init__(self, levels, table):
+        levels = tuple(map(float, levels))
         arr = np.asarray(table, dtype=float)
         m = len(levels)
         if arr.shape != (m, m):
@@ -373,11 +294,10 @@ class DirectDampingPreset:
             raise KernelAsymmetric(f"damping table asymmetric by {asym:.3e}")
         arr = 0.5 * (arr + arr.T)
         if m and float(np.min(np.diag(arr))) < 0:
-            raise ConfigError("direct_lambda.table", "diagonal rates must be >= 0")
+            raise ConfigError("noise.direct_lambda.table", "diagonal rates must be >= 0")
         arr.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "table", arr)
-        object.__setattr__(self, "kind", kind)
 
     def _index_of(self, theta: float) -> int:
         lv = np.asarray(self.levels)
@@ -388,35 +308,6 @@ class DirectDampingPreset:
 
     def has_dissipation(self) -> bool:
         return bool(np.any(np.diag(self.table) > 0.0))
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "levels": list(self.levels),
-            "table": [[float(v) for v in row] for row in self.table],
-        }
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise.direct_lambda") -> "DirectDampingPreset":
-        kind = data.get("kind", "separable_linear")
-        if "levels" not in data or "table" not in data:
-            raise ConfigError(path, "needs 'levels' and 'table'")
-        return DirectDampingPreset(data["levels"], data["table"], kind=kind)
-
-
-def _config_kind(data, path: str) -> str:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(path, "expected a mapping with a 'kind' field")
-    return str(data["kind"])
-
-
-def _config_number(data: dict, key: str, path: str) -> float:
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing")
-    try:
-        return float(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {data[key]!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -444,68 +335,6 @@ class NoiseModel:
     def is_dissipative(self) -> bool:
         """True when the direct table damps populations (nonzero diagonal)."""
         return self.direct_lambda is not None and self.direct_lambda.has_dissipation()
-
-    def to_config(self) -> dict:
-        cfg = {
-            "drift_h": self.drift_h.to_config(),
-            "sigma_theta": self.sigma_theta.to_config(),
-            "sigma_time": self.sigma_time.to_config(),
-            "correlation_g": self.correlation_g.to_config(),
-            "gamma": self.gamma,
-        }
-        if self.direct_lambda is not None:
-            cfg["direct_lambda"] = self.direct_lambda.to_config()
-        return cfg
-
-    @staticmethod
-    def from_config(data: dict, path: str = "noise") -> "NoiseModel":
-        if not isinstance(data, dict):
-            raise ConfigError(path, "expected a mapping")
-        known = {
-            "drift_h",
-            "sigma_theta",
-            "sigma_time",
-            "correlation_g",
-            "gamma",
-            "direct_lambda",
-        }
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"{path}.{key}", "unknown field")
-        gamma = float(data.get("gamma", 1.0))
-        if "sigma_theta" in data:
-            sigma_theta = SigmaThetaPreset.from_config(data["sigma_theta"], f"{path}.sigma_theta")
-        else:
-            # Strength shorthand: omitting sigma_theta means linear(sqrt(gamma)).
-            sigma_theta = SigmaThetaPreset.linear(math.sqrt(gamma))
-        drift = (
-            DriftPreset.from_config(data["drift_h"], f"{path}.drift_h")
-            if "drift_h" in data
-            else DriftPreset.identity()
-        )
-        sigma_time = (
-            SigmaTimePreset.from_config(data["sigma_time"], f"{path}.sigma_time")
-            if "sigma_time" in data
-            else SigmaTimePreset.constant()
-        )
-        correlation = (
-            CorrelationPreset.from_config(data["correlation_g"], f"{path}.correlation_g")
-            if "correlation_g" in data
-            else CorrelationPreset.uniform()
-        )
-        direct = (
-            DirectDampingPreset.from_config(data["direct_lambda"], f"{path}.direct_lambda")
-            if "direct_lambda" in data
-            else None
-        )
-        return NoiseModel(
-            drift_h=drift,
-            sigma_theta=sigma_theta,
-            sigma_time=sigma_time,
-            correlation_g=correlation,
-            gamma=gamma,
-            direct_lambda=direct,
-        )
 
 
 def dephasing_model(gamma: float) -> NoiseModel:
@@ -738,7 +567,6 @@ def sample_phase_differences(
     theta_prime: float,
     n_traj: int,
     seed: int,
-    n_steps: int = 256,
 ) -> np.ndarray:
     """Samples of the driftless phase difference X_t between two levels.
 
@@ -753,7 +581,7 @@ def sample_phase_differences(
         # One level twice: the shared Brownian motion cancels identically.
         return np.zeros(n_traj)
     lv = np.array([theta, theta_prime], dtype=float)
-    grid_arr = np.linspace(0.0, t, n_steps + 1)
+    grid_arr = np.linspace(0.0, t, MOMENT_STEPS + 1)
     factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
     chunk = 4096
@@ -793,7 +621,6 @@ def moment_report(
     n_traj: int,
     seed: int,
     max_order: int = 6,
-    n_steps: int = 256,
 ) -> list[MomentRow]:
     """Empirical moments of the phase difference against the Gaussian values.
 
@@ -805,7 +632,7 @@ def moment_report(
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     lam = lambda_pair(model, t, theta, theta_prime)
-    x = sample_phase_differences(model, t, theta, theta_prime, n_traj, seed, n_steps)
+    x = sample_phase_differences(model, t, theta, theta_prime, n_traj, seed)
     rows = []
     for order in range(2, max_order + 1):
         powers = x**order

@@ -134,7 +134,12 @@ class TestIntegrate:
         assert report["generator"] == "phase"
 
     def test_huge_rate_exits_2(self, scenario_yaml, tmp_path, capsys):
-        config = scenario_yaml("global_dephasing", **{"noise.gamma": 1e9})
+        # sigma_theta carries the strength, so it must match gamma for the
+        # phase generator to represent the model
+        config = scenario_yaml(
+            "global_dephasing",
+            **{"noise.gamma": 1e9, "noise.sigma_theta.coefficient": math.sqrt(1e9)},
+        )
         out = tmp_path / "run"
         args = ["integrate", "--config", str(config), "--out", str(out), "--generator", "phase"]
         assert main(args) == 2
@@ -144,11 +149,14 @@ class TestIntegrate:
     def test_correlated_generator(self, scenario_yaml, tmp_path):
         config = scenario_yaml("correlated_tau", **{"grid.n_steps": 15})
         out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
         code = main(
             ["integrate", "--config", str(config), "--out", str(out), "--generator", "correlated"]
         )
         assert code == 0
-        assert (out / "me.csv").exists()
+        for row_a, row_b in zip(read_csv(out / "analytic.csv"), read_csv(out / "me.csv")):
+            for key in row_a:
+                assert float(row_a[key]) == pytest.approx(float(row_b[key]), abs=1e-8)
 
     def test_correlated_needs_gaussian_kernel(self, scenario_yaml, tmp_path):
         config = scenario_yaml("global_dephasing")  # uniform correlation
@@ -156,6 +164,47 @@ class TestIntegrate:
             ["integrate", "--config", str(config), "--out", str(tmp_path), "--generator", "correlated"]
         )
         assert code == 2
+
+    # Models that the phase or correlated family does not represent; built
+    # anyway, the family would integrate a different model, with
+    # max|analytic - me| of order 1.
+    MISMATCHED = [
+        (
+            "correlated_tau",
+            "correlated",
+            {"noise.sigma_time": {"kind": "constant", "value": 2.0}},
+            "noise.sigma_time",
+        ),
+        (
+            "correlated_tau",
+            "correlated",
+            {"noise.sigma_theta.coefficient": 0.3},
+            "noise.sigma_theta",
+        ),
+        (
+            "global_dephasing",
+            "phase",
+            {"noise.correlation_g": {"kind": "gaussian", "tau": 1.0}},
+            "noise.correlation_g",
+        ),
+        (
+            "global_dephasing",
+            "phase",
+            {"noise.drift_h": {"kind": "affine", "a": 2.0, "b": 0.0}},
+            "noise.drift_h",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, generator, patch, field", MISMATCHED)
+    def test_family_refuses_other_models(
+        self, name, generator, patch, field, scenario_yaml, tmp_path, capsys
+    ):
+        config = scenario_yaml(name, **patch)
+        out = tmp_path / "run"
+        args = ["integrate", "--config", str(config), "--out", str(out), "--generator", generator]
+        assert main(args) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_general_generator_on_direct_table(self, scenario_yaml, tmp_path):
         config = scenario_yaml("dissipative_direct", **{"grid.n_steps": 20})
@@ -225,6 +274,42 @@ class TestSample:
         out = tmp_path / "run"
         assert main(["sample", "--config", str(config), "--out", str(out), "--threads", "0"]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_trajectory_exits_2(self, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 1})
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 2
+        assert "montecarlo.n_traj" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_exits_2(self, seed, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out), "--seed", seed]) == 2
+        assert "config error: --seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestThreads:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("evolve", []),
+            ("integrate", ["--generator", "phase"]),
+            ("sample", []),
+            ("moments", ["--theta", "0.0", "--theta-prime", "1.0"]),
+            ("verify", ["--quick"]),
+        ],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_exits_2(self, command, extra, threads, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        out = tmp_path / "run"
+        args = [command, "--config", str(config), "--out", str(out), "--threads", threads]
+        assert main(args + extra) == 2
+        assert "config error: --threads:" in capsys.readouterr().err
         assert not out.exists()
 
 

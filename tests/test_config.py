@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 import yaml
 
+from dataclasses import replace
+
 from noisytime import (
     ConfigError,
+    CorrelationPreset,
+    DriftPreset,
     HermitianOperator,
+    NoiseModel,
+    SigmaThetaPreset,
+    SigmaTimePreset,
     config_to_dict,
+    direct_damping_model,
     load_config,
     parse_config,
 )
@@ -133,6 +141,184 @@ class TestRoundTrip:
         assert changed.seed == 7
         assert changed.out_dir == "elsewhere"
         assert config.seed == 2024  # original untouched
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+    def test_seed_override_is_checked(self, seed):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config()).with_overrides(seed=seed)
+        assert info.value.path == "--seed"
+        assert parse_config(minimal_config()).with_overrides(seed=2**64 - 1).seed == 2**64 - 1
+
+
+DIRECT = {"levels": [1.0, 2.0], "table": [[0.6, 0.7], [0.7, 0.8]]}
+
+# ({dotted field: value patched into minimal_config()}, expected ConfigError
+# path); the value DELETE removes the field instead.
+DELETE = object()
+MALFORMED = [
+    ({"noise.gamma": "abc"}, "noise.gamma"),
+    ({"noise.gamma": -1}, "noise.gamma"),
+    ({"grid.t_end": "abc"}, "grid.t_end"),
+    ({"grid.t_start": "abc"}, "grid.t_start"),
+    ({"noise.sigma_time": {"kind": "constant", "value": "abc"}}, "noise.sigma_time.value"),
+    (
+        {"noise.direct_lambda": {"levels": [1.0, 2.0], "table": [[0.6, 0.7], [0.7]]}},
+        "noise.direct_lambda.table[1]",
+    ),
+    ({"noise.direct_lambda": {"levels": [1.0, 2.0], "table": "abc"}}, "noise.direct_lambda.table"),
+    ({"noise.direct_lambda": [1.0, 2.0]}, "noise.direct_lambda"),
+    ({"grid.t_end": float("inf")}, "grid.t_end"),
+    ({"grid.t_end": float("nan")}, "grid.t_end"),
+    ({"noise.sigma_time": {"kind": "constant", "value": float("nan")}}, "noise.sigma_time.value"),
+    ({"grid.n_steps": True}, "grid.n_steps"),
+    ({"montecarlo": {"n_traj": True}}, "montecarlo.n_traj"),
+    ({"noise.sigma_time": {"kind": "constant", "valu": 2}}, "noise.sigma_time.valu"),
+    # range errors carry the full path
+    ({"noise.sigma_time": {"kind": "constant", "value": -1.0}}, "noise.sigma_time.value"),
+    ({"noise.correlation_g": {"kind": "gaussian", "tau": -1.0}}, "noise.correlation_g.tau"),
+    (
+        {"noise.sigma_time": {"kind": "piecewise_constant", "breakpoints": [1.0], "values": [1]}},
+        "noise.sigma_time.values",
+    ),
+    (
+        {"noise.direct_lambda": {**DIRECT, "table": [[-0.1, 0.0], [0.0, 0.0]]}},
+        "noise.direct_lambda.table",
+    ),
+    # more of the same readers
+    ({"noise.drift_h": {"kind": "identity", "a": 1.0}}, "noise.drift_h.a"),
+    ({"noise.drift_h": {"kind": "affine", "a": 1.0}}, "noise.drift_h.b"),
+    ({"noise.drift_h": {"kind": "polynomial", "coeffs": [1.0, "x"]}}, "noise.drift_h.coeffs[1]"),
+    (
+        {"noise.sigma_theta": {"kind": "linear", "coefficient": True}},
+        "noise.sigma_theta.coefficient",
+    ),
+    ({"noise.sigma_theta": {"coefficient": 1.0}}, "noise.sigma_theta.kind"),
+    ({"noise.correlation_g": {"kind": ["gaussian"]}}, "noise.correlation_g.kind"),
+    ({"noise.direct_lambda": {**DIRECT, "kind": "quadratic"}}, "noise.direct_lambda.kind"),
+    ({"noise.direct_lambda": {**DIRECT, "rates": 1}}, "noise.direct_lambda.rates"),
+    ({"noise.direct_lambda": {"levels": [1.0, 2.0]}}, "noise.direct_lambda.table"),
+    ({"noise.direct_lambda": {**DIRECT, "levels": [1.0]}}, "noise.direct_lambda.table"),
+    (
+        {"noise.direct_lambda": {**DIRECT, "table": [[0.6, 0.1], [0.7, 0.8]]}},
+        "noise.direct_lambda.table",
+    ),
+    ({"hamiltonian": [[0.0, 0.0], [0.0, float("inf")]]}, "hamiltonian[1][1]"),
+    ({"hamiltonian": [[0.0, 0.0], [0.0, [1.0, True]]]}, "hamiltonian[1][1]"),
+    ({"grid.t_end": DELETE}, "grid.t_end"),
+    ({"grid.n_steps": 2.5}, "grid.n_steps"),
+    ({"montecarlo": {"seed": 2**64}}, "montecarlo.seed"),
+    ({"montecarlo": {"seed": 1.0}}, "montecarlo.seed"),
+    ({"noise": DELETE}, "noise"),
+]
+
+
+def patched_config(patch: dict) -> dict:
+    data = minimal_config()
+    for dotted, value in patch.items():
+        node = data
+        *parents, last = dotted.split(".")
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return data
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("patch, path", MALFORMED, ids=[path for _, path in MALFORMED])
+    def test_config_error_names_full_path(self, patch, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(patched_config(patch))
+        assert info.value.path == path
+
+    @pytest.mark.parametrize("index", [0, 8, 13])
+    def test_cli_exits_2(self, index, tmp_path, capsys):
+        patch, path = MALFORMED[index]
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(patched_config(patch)))
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_strings_and_integers_read_as_numbers(self):
+        # YAML 1.1 loads 1e-3 (no decimal point) as a string
+        data = yaml.safe_load("gamma: 1e-3\nsigma_time: {kind: constant, value: 2}")
+        config = parse_config(minimal_config(noise=data))
+        assert config.noise.gamma == 0.001
+        assert config.noise.sigma_time.value == 2.0
+
+
+class TestNoiseSection:
+    PRESETS = {
+        "drift_h": (
+            DriftPreset.identity(),
+            DriftPreset.affine(1.5, -0.5),
+            DriftPreset.polynomial([0.0, 1.0, 0.25]),
+        ),
+        "sigma_theta": (
+            SigmaThetaPreset.constant(0.3),
+            SigmaThetaPreset.linear(0.7),
+            SigmaThetaPreset.polynomial([0.0, 1.0, 0.25]),
+        ),
+        "sigma_time": (
+            SigmaTimePreset.constant(1.5),
+            SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
+        ),
+        "correlation_g": (
+            CorrelationPreset.uniform(),
+            CorrelationPreset.gaussian(1.3),
+            CorrelationPreset.exponential(2.0),
+        ),
+    }
+
+    def test_preset_round_trips(self):
+        base = parse_config(minimal_config())
+        for name, presets in self.PRESETS.items():
+            for preset in presets:
+                config = replace(base, noise=replace(base.noise, **{name: preset}))
+                rebuilt = parse_config(config_to_dict(config)).noise
+                assert getattr(rebuilt, name) == preset
+
+    def test_canonical_preset_form(self):
+        config = parse_config(minimal_config())
+        noise = NoiseModel(
+            drift_h=DriftPreset.affine(2.0, 0.5),
+            sigma_theta=SigmaThetaPreset.polynomial([0.0, 1.0]),
+            sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
+            correlation_g=CorrelationPreset.gaussian(1.3),
+            gamma=0.5,
+        )
+        assert config_to_dict(replace(config, noise=noise))["noise"] == {
+            "drift_h": {"kind": "affine", "a": 2.0, "b": 0.5},
+            "sigma_theta": {"kind": "polynomial", "coeffs": [0.0, 1.0]},
+            "sigma_time": {
+                "kind": "piecewise_constant",
+                "breakpoints": [1.0],
+                "values": [0.4, 1.6],
+            },
+            "correlation_g": {"kind": "gaussian", "tau": 1.3},
+            "gamma": 0.5,
+        }
+
+    def test_gamma_shorthand_sets_sigma_theta(self):
+        noise = parse_config(minimal_config(noise={"gamma": 0.25})).noise
+        assert noise.sigma_theta == SigmaThetaPreset.linear(0.5)
+
+    def test_sigma_time_value_defaults_to_one(self):
+        noise = parse_config(minimal_config(noise={"sigma_time": {"kind": "constant"}})).noise
+        assert noise.sigma_time == SigmaTimePreset.constant(1.0)
+
+    def test_direct_lambda_kind_is_optional(self):
+        model = direct_damping_model(DIRECT["levels"], DIRECT["table"])
+        for direct in (DIRECT, {"kind": "separable_linear", **DIRECT}):
+            noise = parse_config(minimal_config(noise={"direct_lambda": direct})).noise
+            assert noise.direct_lambda.levels == model.direct_lambda.levels
+            assert np.array_equal(noise.direct_lambda.table, model.direct_lambda.table)
+        emitted = config_to_dict(parse_config(minimal_config(noise={"direct_lambda": DIRECT})))
+        assert emitted["noise"]["direct_lambda"] == {"kind": "separable_linear", **DIRECT}
 
 
 class TestLoad:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from noisytime import (
     sample_chi_paths,
     sample_phase_differences,
 )
+from noisytime import noise as noise_module
 
 
 def closed_form_lambda(gamma, t, a, b, g_ab):
@@ -80,17 +82,6 @@ class TestPresets:
         with pytest.raises(ConfigError):
             CorrelationPreset("lorentzian")
 
-    def test_config_round_trips(self):
-        presets = [
-            DriftPreset.affine(1.5, -0.5),
-            SigmaThetaPreset.polynomial([0.0, 1.0, 0.25]),
-            SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
-            CorrelationPreset.exponential(2.0),
-        ]
-        for preset in presets:
-            rebuilt = type(preset).from_config(preset.to_config())
-            assert rebuilt == preset
-
 
 class TestDirectDamping:
     def test_asymmetric_table_rejected(self):
@@ -114,10 +105,6 @@ class TestNoiseModel:
         model = dephasing_model(0.49)
         assert model.sigma_theta(1.0) == pytest.approx(0.7)
         assert lambda_pair(model, 1.0, 0.0, 1.0) == pytest.approx(0.49)
-
-    def test_from_config_defaults_sigma_to_sqrt_gamma(self):
-        model = NoiseModel.from_config({"gamma": 0.25})
-        assert model.sigma_theta == SigmaThetaPreset.linear(0.5)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ConfigError):
@@ -401,6 +388,11 @@ class TestMoments:
         assert rows[0].predicted == pytest.approx(lam, rel=1e-12)
         for row in rows:
             assert abs(row.empirical - row.predicted) <= 4.0 * row.stderr
+
+    def test_sampler_step_count_is_a_module_constant(self):
+        assert noise_module.MOMENT_STEPS == 256
+        for sampler in (sample_phase_differences, moment_report):
+            assert "n_steps" not in inspect.signature(sampler).parameters
 
     def test_report_max_order(self):
         rows = moment_report(
