@@ -260,6 +260,9 @@ def cmd_moments(
     _check_ensemble(config, "moments")
     if max_order < 2:
         raise ConfigError("--max-order", f"must be >= 2, got {max_order}")
+    for flag, level in (("--theta", theta), ("--theta-prime", theta_prime)):
+        if not math.isfinite(level):
+            raise ConfigError(flag, f"expected a finite number, got {level}")
     rows = moment_report(
         config.noise,
         t=config.t_end,

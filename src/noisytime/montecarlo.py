@@ -9,8 +9,12 @@ rotations.  Each chunk of trajectories is processed in time slabs sized to
 stay in cache; the per-entry mean and two-pass variance of a slab are taken
 in place.  Chunk statistics are merged by a left fold in chunk order as the
 results arrive, and each chunk's statistics are released once folded in.
-Chunk and slab boundaries depend only on array shapes, so the result is
-byte-identical whether chunks are processed by one worker or many.
+Chunk and slab boundaries depend only on array shapes, and every chunk is a
+whole number of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one
+Philox stream keyed by (seed, block)), so the result is byte-identical
+whether chunks are processed by one worker or many.  A trajectory's phases
+depend only on the seed and its index; moving from per-trajectory to
+per-block keys changed the output for a fixed seed once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatch
-from .noise import NoiseModel, _chi_chunk, correlation_matrix, psd_sqrt
+from .noise import RNG_BLOCK, NoiseModel, _chi_chunk, correlation_matrix, psd_sqrt
 from .operators import DensityMatrix, SpectralDecomposition, to_energy_basis
 from .results import EvolutionResult
 
@@ -35,9 +39,10 @@ __all__ = [
     "unitary_from_phases",
 ]
 
-# Upper bound on chunk * grid * dim * dim elements held at once; the chunk
-# size must be a function of shapes only, never of worker count, so that
-# accumulation order (and therefore float output) is reproducible.
+# Target for chunk * grid * dim * dim; the chunk size must be a function of
+# shapes only, never of worker count, so that accumulation order (and
+# therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
+# (MAX_CHUNK is one), at least one block even where the budget asks for less.
 CHUNK_ELEMENT_BUDGET = 4_000_000
 MAX_CHUNK = 256
 # Complex state entries (count * slab * dim * dim) formed at once within a
@@ -53,7 +58,8 @@ ZERO_STDERR_SLACK = 1e-12
 
 def _chunk_size(num_points: int, dim: int) -> int:
     per_traj = max(1, num_points * dim * dim)
-    return max(1, min(MAX_CHUNK, CHUNK_ELEMENT_BUDGET // per_traj))
+    chunk = min(MAX_CHUNK, CHUNK_ELEMENT_BUDGET // per_traj)
+    return max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
 
 
 def _slab_size(count: int, dim: int) -> int:
@@ -148,9 +154,14 @@ def run_ensemble(
     deviations are taken in place, and chunks are merged by a left fold in
     chunk order.  ``n_workers`` threads (at least 1) compute the chunks.
 
-    Deterministic for fixed (seed, n_traj, grid): every trajectory has its own
-    counter-based substream and chunk and slab boundaries depend on shapes
-    only, so ``n_workers`` changes the wall time but not a single output bit.
+    Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
+    trajectories draws from one counter-based Philox stream keyed by
+    (seed, b), a partial last block takes a prefix of its block's draw, and
+    chunks (whole blocks) and slabs depend on shapes only, so ``n_workers``
+    changes the wall time but not a single output bit.  The chi paths are
+    those of ``sample_chi_paths`` with the same seed.  (Per-block keys
+    replaced per-trajectory keys; that changed the output for a fixed seed
+    once.)
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")

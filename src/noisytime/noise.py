@@ -64,6 +64,11 @@ PSD_EIG_FLOOR = -1e-8
 # Gaussian, so the count affects only cost and the random stream.
 MOMENT_STEPS = 256
 
+# Trajectories per Philox stream: block b of a seed holds trajectories
+# [RNG_BLOCK * b, RNG_BLOCK * (b + 1)).  Every chunk of trajectories starts on
+# a block boundary.
+RNG_BLOCK = 64
+
 
 def _poly_eval(coeffs: tuple[float, ...], x):
     # Ascending-order coefficients: coeffs[k] multiplies x**k.
@@ -485,21 +490,6 @@ def _check_grid(grid) -> np.ndarray:
     return arr
 
 
-def _substream(seed: int, trajectory: int) -> np.random.Generator:
-    # Counter-based substream: (master seed, trajectory index) is the whole
-    # key, so parallel and serial runs draw identical numbers.
-    key = np.array([seed, trajectory], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _increments_for(
-    factor: np.ndarray, sqrt_dt: np.ndarray, seed: int, trajectory: int
-) -> np.ndarray:
-    rng = _substream(seed, trajectory)
-    z = rng.standard_normal((sqrt_dt.shape[0], factor.shape[1]))
-    return (z @ factor.T) * sqrt_dt[:, None]
-
-
 def _chi_chunk(
     model: NoiseModel,
     lv: np.ndarray,
@@ -512,29 +502,37 @@ def _chi_chunk(
 ) -> np.ndarray:
     """Chi paths for trajectories [start, start+count), shape (count, T, m).
 
+    Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order, from
+    one Philox generator keyed by (seed, b), so ``start`` must be a multiple
+    of ``RNG_BLOCK``; a partial block takes a prefix of its block's draw.
     Steps run on the grid refined by the sigma_time breakpoints inside it, so
     sigma evaluated at the left endpoint of each step is exact; the paths are
     then read out at the requested grid points.
     """
+    if start % RNG_BLOCK:
+        raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
     inside = [b for b in model.sigma_time.breakpoints if grid_arr[0] < b < grid_arr[-1]]
     fine = np.union1d(grid_arr, inside)
     dt = np.diff(fine)
-    sqrt_dt = np.sqrt(dt)
     time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
     level_part = np.asarray(model.sigma_theta(lv), dtype=float)
-    amp = time_part[:, None] * level_part[None, :]
-    drift = (
-        np.asarray(model.drift_h(lv), dtype=float)[None, :] * dt[:, None]
-        if include_drift
-        else 0.0
-    )
-    steps = np.empty((count, dt.shape[0], lv.shape[0]))
-    for k in range(count):
-        db = _increments_for(factor, sqrt_dt, seed, start + k)
-        steps[k] = drift + amp * db
-    paths = np.zeros((count, fine.shape[0], lv.shape[0]))
-    np.cumsum(steps, axis=1, out=paths[:, 1:, :])
-    return paths[:, np.searchsorted(fine, grid_arr), :]
+    scale = (time_part * np.sqrt(dt))[:, None] * level_part[None, :]
+    paths = np.empty((count, fine.shape[0], lv.shape[0]))
+    paths[:, 0, :] = 0.0
+    steps = paths[:, 1:, :]
+    for lo in range(0, count, RNG_BLOCK):
+        hi = min(lo + RNG_BLOCK, count)
+        key = np.array([seed, (start + lo) // RNG_BLOCK], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        z = rng.standard_normal((hi - lo, dt.shape[0], factor.shape[1]))
+        np.matmul(z, factor.T, out=steps[lo:hi])
+    steps *= scale
+    if include_drift:
+        steps += np.asarray(model.drift_h(lv), dtype=float)[None, :] * dt[:, None]
+    np.cumsum(steps, axis=1, out=steps)
+    if inside:
+        return paths[:, np.searchsorted(fine, grid_arr), :]
+    return paths
 
 
 def sample_chi_paths(
@@ -544,9 +542,13 @@ def sample_chi_paths(
 
     The presets make drift and diffusion independent of chi, so each step adds
     an exactly Gaussian increment; stepping through the sigma_time breakpoints
-    leaves no discretization bias on any grid.  Each trajectory draws from its
-    own counter-based substream keyed by (seed, trajectory index), so a
-    trajectory does not depend on how many others are drawn.
+    leaves no discretization bias on any grid.  Trajectories are drawn in
+    blocks of ``RNG_BLOCK``: block b reads one counter-based Philox stream
+    keyed by (seed, b), and fewer than ``RNG_BLOCK`` trajectories of a block
+    take a prefix of its draw.  So a trajectory depends only on the seed, its
+    index and the step/level shape, never on how many others are drawn.  (Keys
+    were per trajectory before; the switch changed float output for a fixed
+    seed once.)
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
@@ -584,7 +586,7 @@ def sample_phase_differences(
     grid_arr = np.linspace(0.0, t, MOMENT_STEPS + 1)
     factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
-    chunk = 4096
+    chunk = 16 * RNG_BLOCK
     for start in range(0, n_traj, chunk):
         count = min(chunk, n_traj - start)
         paths = _chi_chunk(model, lv, grid_arr, factor, seed, start, count, include_drift=False)

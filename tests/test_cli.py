@@ -356,6 +356,18 @@ class TestMoments:
         assert "montecarlo.n_traj" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--theta", "--theta-prime"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_level_exits_2(self, flag, value, scenario_yaml, tmp_path, capsys):
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        out = tmp_path / "run"
+        # --flag=value form: argparse reads a bare "-inf" as an option name
+        levels = {"--theta": "0.0", "--theta-prime": "1.0", flag: value}
+        args = ["moments", "--config", str(config), "--out", str(out)]
+        assert main(args + [f"{name}={level}" for name, level in levels.items()]) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_list(self, capsys):

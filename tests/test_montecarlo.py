@@ -19,6 +19,7 @@ from noisytime import (
     unitary_from_phases,
 )
 from noisytime.montecarlo import _chunk_size, _sample_states, _slab_size, _state_factor
+from noisytime.noise import RNG_BLOCK
 
 
 def _random_case(rng, dim, rank, degenerate):
@@ -130,6 +131,8 @@ class TestRunEnsemble:
         grid = np.linspace(0, 1.5, 7)
         model = correlated_model(0.7, 0.8)
         n_traj = 300
+        # two chunks, the last one ending inside an RNG block
+        assert _chunk_size(grid.size, 3) < n_traj and n_traj % RNG_BLOCK
         out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=21, n_workers=2)
         paths = sample_chi_paths(model, dec.levels, grid, seed=21, n_traj=n_traj).paths
         states = np.empty((n_traj, grid.size, 3, 3), dtype=complex)

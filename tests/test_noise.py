@@ -297,12 +297,30 @@ class TestSampling:
         assert not np.array_equal(a.paths[0], c.paths[0])
 
     def test_brownian_field_trajectory_keyed_by_index(self):
-        # substreams depend on (seed, trajectory), not on how many are drawn
+        # a trajectory depends on (seed, index), not on how many are drawn
         model = dephasing_model(1.0)
         grid = np.linspace(0.0, 1.0, 6)
         many = sample_chi_paths(model, [0.0, 1.0], grid, seed=9, n_traj=5)
         few = sample_chi_paths(model, [0.0, 1.0], grid, seed=9, n_traj=2)
         assert np.array_equal(many.paths[1], few.paths[1])
+
+    def test_brownian_field_prefix_crosses_a_block(self):
+        # 65 and 130 trajectories end inside the second and the third RNG block
+        model = correlated_model(1.0, 2.0)
+        grid = np.linspace(0.0, 1.0, 6)
+        many = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=9, n_traj=130)
+        few = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=9, n_traj=65)
+        assert np.array_equal(many.paths[:65], few.paths)
+
+    def test_chunk_must_start_on_a_block(self):
+        model = dephasing_model(1.0)
+        lv, grid = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 6)
+        factor = psd_sqrt(correlation_matrix(model, lv))
+        with pytest.raises(ValueError, match="RNG_BLOCK"):
+            noise_module._chi_chunk(model, lv, grid, factor, 9, 1, 10)
+        whole = noise_module._chi_chunk(model, lv, grid, factor, 9, 0, 130)
+        tail = noise_module._chi_chunk(model, lv, grid, factor, 9, noise_module.RNG_BLOCK, 66)
+        assert np.array_equal(whole[noise_module.RNG_BLOCK:], tail)
 
     def test_brownian_field_covariance(self):
         # driftless, unit amplitude: chi path increments are the Brownian increments
@@ -362,6 +380,13 @@ class TestSampling:
         model = dephasing_model(1.0)
         x = sample_phase_differences(model, 1.0, 0.7, 0.7, 100, seed=1)
         assert np.all(x == 0.0)
+
+    def test_phase_differences_prefix_across_chunks(self):
+        # 3000 samples take three moment-sampler chunks, 1500 take two
+        model = correlated_model(0.8, 1.0)
+        few = sample_phase_differences(model, 1.0, 0.3, 1.7, 1500, seed=4)
+        many = sample_phase_differences(model, 1.0, 0.3, 1.7, 3000, seed=4)
+        assert np.array_equal(many[:1500], few)
 
     def test_phase_differences_variance(self):
         model = dephasing_model(0.5)
