@@ -263,15 +263,24 @@ def cmd_moments(
     for flag, level in (("--theta", theta), ("--theta-prime", theta_prime)):
         if not math.isfinite(level):
             raise ConfigError(flag, f"expected a finite number, got {level}")
-    rows = moment_report(
-        config.noise,
-        t=config.t_end,
-        theta=theta,
-        theta_prime=theta_prime,
-        n_traj=config.n_traj,
-        seed=config.seed,
-        max_order=max_order,
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = moment_report(
+                config.noise,
+                t=config.t_end,
+                theta=theta,
+                theta_prime=theta_prime,
+                n_traj=config.n_traj,
+                seed=config.seed,
+                max_order=max_order,
+            )
+    except OverflowError:  # the predicted moment outgrows a float
+        rows = []
+    values = [v for r in rows for v in (r.empirical, r.predicted, r.stderr)]
+    if not rows or not all(map(math.isfinite, values)):
+        raise ConfigError(
+            "--max-order", f"moments up to order {max_order} overflow a float; lower it"
+        )
     lines = ["order,empirical,predicted,stderr"]
     for row in rows:
         lines.append(
@@ -297,7 +306,7 @@ def cmd_verify(
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}", file=stream)
+        print(f"{status}  {r.name:<{width}}  {r.detail}  ({r.seconds:.2f} s)", file=stream)
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=stream)

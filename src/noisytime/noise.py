@@ -10,7 +10,8 @@ g(theta, theta') of the driving Brownian motions.  From these it derives
 
 which control the damping factor exp(-lambda/2) of each coherence.  The module
 also samples the chi paths, driven by the correlated Brownian field, and
-checks the even/odd moment identities of the phase difference empirically.
+checks the even/odd moment identities of the phase difference empirically,
+from one exact Gaussian step per sigma_time piece of [0, t].
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
 serializable and every lambda has a closed form.  Because the amplitude
@@ -59,10 +60,6 @@ __all__ = [
 # Below this, a correlation matrix is treated as genuinely indefinite rather
 # than noisy-PSD; between this and zero, eigenvalues are clipped.
 PSD_EIG_FLOOR = -1e-8
-
-# Euler steps of the moment sampler over [0, t]; increments are exactly
-# Gaussian, so the count affects only cost and the random stream.
-MOMENT_STEPS = 256
 
 # Trajectories per Philox stream: block b of a seed holds trajectories
 # [RNG_BLOCK * b, RNG_BLOCK * (b + 1)).  Every chunk of trajectories starts on
@@ -507,7 +504,8 @@ def _chi_chunk(
     of ``RNG_BLOCK``; a partial block takes a prefix of its block's draw.
     Steps run on the grid refined by the sigma_time breakpoints inside it, so
     sigma evaluated at the left endpoint of each step is exact; the paths are
-    then read out at the requested grid points.
+    then read out at the requested grid points.  The grid [0, t] thus takes
+    one exact step per sigma_time piece.
     """
     if start % RNG_BLOCK:
         raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
@@ -573,7 +571,9 @@ def sample_phase_differences(
     """Samples of the driftless phase difference X_t between two levels.
 
     X_t is the stochastic integral of sigma dB at theta minus the same at
-    theta_prime; its distribution is exactly N(0, lambda(t)).
+    theta_prime; its distribution is exactly N(0, lambda(t)).  Each sample ends
+    a driftless chi-path pair on the grid [0, t]: one exact Gaussian step per
+    sigma_time piece.
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
@@ -583,7 +583,7 @@ def sample_phase_differences(
         # One level twice: the shared Brownian motion cancels identically.
         return np.zeros(n_traj)
     lv = np.array([theta, theta_prime], dtype=float)
-    grid_arr = np.linspace(0.0, t, MOMENT_STEPS + 1)
+    grid_arr = np.array([0.0, t], dtype=float)
     factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
     chunk = 16 * RNG_BLOCK

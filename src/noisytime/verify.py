@@ -14,6 +14,7 @@ no corruption.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -77,6 +78,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def _qubit():
@@ -510,13 +512,13 @@ def _check_bundled_round_trip() -> tuple[bool, str]:
     return True, f"{len(BUNDLED_SCENARIOS)} bundled scenarios round-trip"
 
 
-def _scenario_checks(scenario: ScenarioConfig, quick: bool) -> list[CheckResult]:
-    results = []
+def _check_scenario_round_trip(scenario: ScenarioConfig) -> tuple[bool, str]:
     first = config_to_dict(scenario)
     second = config_to_dict(parse_config(first))
-    results.append(
-        CheckResult("scenario-round-trip", first == second, f"config {scenario.name!r}")
-    )
+    return first == second, f"config {scenario.name!r}"
+
+
+def _check_scenario_hermitian(scenario: ScenarioConfig) -> tuple[bool, str]:
     decomposition = scenario.decomposition()
     grid = scenario.times()
     subsample = grid[:: max(1, grid.size // 8)]
@@ -529,26 +531,19 @@ def _scenario_checks(scenario: ScenarioConfig, quick: bool) -> list[CheckResult]
     worst_herm = max(
         float(np.max(np.abs(s.matrix - s.matrix.conj().T))) for s in states
     )
-    results.append(
-        CheckResult("scenario-analytic-hermitian", worst_herm < 1e-12, f"defect {worst_herm:.2e}")
+    return worst_herm < 1e-12, f"defect {worst_herm:.2e}"
+
+
+def _check_scenario_ensemble(scenario: ScenarioConfig, quick: bool) -> tuple[bool, str]:
+    decomposition = scenario.decomposition()
+    grid = scenario.times()[:6]
+    n = min(scenario.n_traj, 2000 if quick else 4000)
+    ensemble = run_ensemble(
+        decomposition, scenario.noise, scenario.initial_state, grid, n, scenario.seed
     )
-    if scenario.noise.direct_lambda is None:
-        n = min(scenario.n_traj, 2000 if quick else 4000)
-        ensemble = run_ensemble(
-            decomposition, scenario.noise, scenario.initial_state, grid[:6], n, scenario.seed
-        )
-        analytic = averaged_trajectory(
-            decomposition, scenario.noise, scenario.initial_state, grid[:6]
-        )
-        report = compare_to_analytic(ensemble, analytic)
-        results.append(
-            CheckResult(
-                "scenario-ensemble-z-test",
-                bool(report.passed),
-                f"max z {report.max_z:.2f} at n_traj {n}",
-            )
-        )
-    return results
+    analytic = averaged_trajectory(decomposition, scenario.noise, scenario.initial_state, grid)
+    report = compare_to_analytic(ensemble, analytic)
+    return bool(report.passed), f"max z {report.max_z:.2f} at n_traj {n}"
 
 
 def check_names() -> list[str]:
@@ -593,14 +588,23 @@ def run_suite(
     analytic_gamma_factor: float = 1.0,
 ) -> list[CheckResult]:
     """Run every built-in check, plus scenario checks when a config is given."""
+    checks = list(_CHECKS)
+    if scenario is not None:
+        checks += [
+            ("scenario-round-trip", lambda ctx: _check_scenario_round_trip(scenario)),
+            ("scenario-analytic-hermitian", lambda ctx: _check_scenario_hermitian(scenario)),
+        ]
+        if scenario.noise.direct_lambda is None:
+            checks.append(
+                ("scenario-ensemble-z-test", lambda ctx: _check_scenario_ensemble(scenario, quick))
+            )
     context = {"quick": quick, "gamma_factor": analytic_gamma_factor}
     results = []
-    for name, check in _CHECKS:
+    for name, check in checks:
+        start = time.perf_counter()
         try:
             passed, detail = check(context)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
-    if scenario is not None:
-        results.extend(_scenario_checks(scenario, quick))
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,17 @@ class TestMoments:
         assert "--max-order" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["200", "400"])
+    def test_max_order_overflow_exits_2(self, order, scenario_yaml, tmp_path, capsys):
+        # 200: the sampled powers overflow (inf stderr); 400: the predicted moment does
+        config = scenario_yaml("global_dephasing")
+        out = tmp_path / "run"
+        assert self._moments(config, out, "--max-order", order) == 2
+        err = capsys.readouterr().err
+        assert "config error: --max-order:" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_single_trajectory_exits_2(self, scenario_yaml, tmp_path, capsys):
         config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 1})
         out = tmp_path / "run"
@@ -381,6 +393,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 20
+        lines = out.strip().splitlines()
+        # the perfbench gate matches the last line as it stands
+        assert lines[-1] == f"all {len(lines) - 1} checks passed"
+        for line in lines[:-1]:
+            assert re.fullmatch(r"PASS  \S+ +.*  \(\d+\.\d\d s\)", line), line
+
+    def test_scenario_checks_are_timed(self, scenario_yaml, capsys):
+        config = scenario_yaml("correlated_tau", **{"montecarlo.n_traj": 500})
+        assert main(["verify", "--quick", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        scenario = [line for line in lines if line.startswith("PASS  scenario-")]
+        assert [line.split()[1] for line in scenario] == [
+            "scenario-round-trip",
+            "scenario-analytic-hermitian",
+            "scenario-ensemble-z-test",
+        ]
+        assert all(re.search(r"  \(\d+\.\d\d s\)$", line) for line in scenario)
 
     def test_fault_injection_fails(self, capsys):
         assert main(["verify", "--quick", "--inject-wrong-gamma", "2.0"]) == 1

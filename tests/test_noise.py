@@ -395,6 +395,42 @@ class TestSampling:
         lam = closed_form_lambda(0.5, 2.0, 0.0, 1.0, 1.0)
         assert np.var(x) == pytest.approx(lam, rel=5.0 * math.sqrt(2.0 / n))
 
+    @staticmethod
+    def _piecewise(breakpoint):
+        return NoiseModel(
+            sigma_theta=SigmaThetaPreset.linear(1.0),
+            sigma_time=SigmaTimePreset.piecewise_constant([breakpoint], [0.4, 1.6]),
+            correlation_g=CorrelationPreset.gaussian(1.0),
+        )
+
+    def test_phase_differences_one_step_per_sigma_time_piece(self):
+        # breakpoint 0.6 inside (0, 1.5): one exact step on each side of it
+        model = self._piecewise(0.6)
+        t, a, b, n = 1.5, 0.3, 1.7, 20000
+        x = sample_phase_differences(model, t, a, b, n, seed=9)
+        lv = np.array([a, b])
+        factor = psd_sqrt(correlation_matrix(model, lv))
+        paths = noise_module._chi_chunk(
+            model, lv, np.array([0.0, t]), factor, 9, 0, n, include_drift=False
+        )
+        assert np.array_equal(x, paths[:, -1, 0] - paths[:, -1, 1])
+        s_t = 0.4**2 * 0.6 + 1.6**2 * (t - 0.6)
+        lam = s_t * (a * a + b * b - 2 * a * b * math.exp(-((a - b) ** 2)))
+        assert lam == pytest.approx(lambda_pair(model, t, a, b), rel=1e-12)
+        assert np.var(x) == pytest.approx(lam, rel=5.0 * math.sqrt(2.0 / n))
+
+    @pytest.mark.parametrize("breakpoint", [1.5, 2.0])
+    def test_phase_differences_breakpoint_at_or_after_t_adds_no_step(self, breakpoint):
+        # [0, 1.5] lies in the first piece: the same single draw as a constant 0.4
+        constant = NoiseModel(
+            sigma_theta=SigmaThetaPreset.linear(1.0),
+            sigma_time=SigmaTimePreset.constant(0.4),
+            correlation_g=CorrelationPreset.gaussian(1.0),
+        )
+        x = sample_phase_differences(self._piecewise(breakpoint), 1.5, 0.3, 1.7, 2000, seed=9)
+        y = sample_phase_differences(constant, 1.5, 0.3, 1.7, 2000, seed=9)
+        assert np.array_equal(x, y)
+
 
 class TestMoments:
     def test_predicted_moments(self):
@@ -415,7 +451,8 @@ class TestMoments:
             assert abs(row.empirical - row.predicted) <= 4.0 * row.stderr
 
     def test_sampler_step_count_is_a_module_constant(self):
-        assert noise_module.MOMENT_STEPS == 256
+        # the step count follows from sigma_time alone: no constant, no parameter
+        assert not hasattr(noise_module, "MOMENT_STEPS")
         for sampler in (sample_phase_differences, moment_report):
             assert "n_steps" not in inspect.signature(sampler).parameters
 
