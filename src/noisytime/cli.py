@@ -264,23 +264,19 @@ def cmd_moments(
         if not math.isfinite(level):
             raise ConfigError(flag, f"expected a finite number, got {level}")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = moment_report(
-                config.noise,
-                t=config.t_end,
-                theta=theta,
-                theta_prime=theta_prime,
-                n_traj=config.n_traj,
-                seed=config.seed,
-                max_order=max_order,
-            )
-    except OverflowError:  # the predicted moment outgrows a float
-        rows = []
-    values = [v for r in rows for v in (r.empirical, r.predicted, r.stderr)]
-    if not rows or not all(map(math.isfinite, values)):
+        rows = moment_report(
+            config.noise,
+            t=config.t_end,
+            theta=theta,
+            theta_prime=theta_prime,
+            n_traj=config.n_traj,
+            seed=config.seed,
+            max_order=max_order,
+        )
+    except ValueError:  # the checks above leave only a row that overflows
         raise ConfigError(
             "--max-order", f"moments up to order {max_order} overflow a float; lower it"
-        )
+        ) from None
     lines = ["order,empirical,predicted,stderr"]
     for row in rows:
         lines.append(

@@ -627,7 +627,8 @@ def moment_report(
     """Empirical moments of the phase difference against the Gaussian values.
 
     Returns rows for orders 2..max_order.  Standard errors are the sample
-    standard deviation of X^order over sqrt(n_traj).
+    standard deviation of X^order over sqrt(n_traj).  Raises ValueError
+    naming ``max_order`` when a row would not be finite doubles.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2 for standard errors")
@@ -637,15 +638,19 @@ def moment_report(
     x = sample_phase_differences(model, t, theta, theta_prime, n_traj, seed)
     rows = []
     for order in range(2, max_order + 1):
-        powers = x**order
-        empirical = float(np.mean(powers))
-        variance = float(np.var(powers, ddof=1))
-        rows.append(
-            MomentRow(
-                order=order,
-                empirical=empirical,
-                predicted=predicted_moment(order, lam),
-                stderr=math.sqrt(variance / n_traj),
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = x**order
+            empirical = float(np.mean(powers))
+            variance = float(np.var(powers, ddof=1))
+        try:
+            predicted = predicted_moment(order, lam)
+        except OverflowError:
+            predicted = math.inf
+        stderr = math.sqrt(variance / n_traj)
+        if not all(map(math.isfinite, (empirical, predicted, stderr))):
+            raise ValueError(
+                f"max_order {max_order} is too high: the order-{order} moment "
+                "overflows a float"
             )
-        )
+        rows.append(MomentRow(order=order, empirical=empirical, predicted=predicted, stderr=stderr))
     return rows

@@ -20,9 +20,62 @@ from noisytime import (
     correlated_rate_table,
     cp_report,
     eigendecompose,
+    from_energy_basis,
     integrate,
+    to_energy_basis,
 )
-from noisytime.generator import CHOI_PSD_TOL
+from noisytime.generator import CHOI_PSD_TOL, LOCAL_ERROR_LIMIT
+
+
+def _rk4_step(rates, y, h):
+    k1 = rates * y
+    k2 = rates * (y + 0.5 * h * k1)
+    k3 = rates * (y + 0.5 * h * k2)
+    k4 = rates * (y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate(generator, y0, grid, max_step, check=True):
+    """The per-substep RK4 loop: step doubling, the halved result kept.
+
+    Works in the energy basis and returns the states and every substep's
+    estimate; with ``check`` it raises StepTooLarge at the first estimate
+    above LOCAL_ERROR_LIMIT.
+    """
+    rates = generator.rates
+    y = np.array(y0, dtype=complex)
+    states, estimates = [y], []
+    for span in np.diff(grid):
+        n_sub = max(1, int(np.ceil(span / max_step)))
+        h = span / n_sub
+        for _ in range(n_sub):
+            full = _rk4_step(rates, y, h)
+            y = _rk4_step(rates, _rk4_step(rates, y, 0.5 * h), 0.5 * h)
+            estimates.append(float(np.max(np.abs(full - y))))
+            if check and estimates[-1] > LOCAL_ERROR_LIMIT:
+                raise StepTooLarge(f"local error estimate {estimates[-1]:.3e}")
+        states.append(y)
+    return np.array(states), estimates
+
+
+def _random_case(d, kind, seed):
+    """Random Hermitian H (levels in [-2, 2]), generator of ``kind``, full-rank state."""
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(-2.0, 2.0, d)
+    levels[-1] = levels[0]  # a degenerate pair for d >= 2
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    dec = eigendecompose(HermitianOperator(q @ np.diag(levels) @ q.conj().T))
+    if kind == "phase":
+        gen = build_phase_destroying(dec, 0.7)
+    elif kind == "correlated":
+        gen = build_correlated(dec, 0.7, 0.9)
+    else:
+        m = dec.num_levels
+        table = rng.uniform(0.0, 1.0, (m, m))
+        gen = build_general(dec, table + table.T)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return dec, gen, rho / np.trace(rho)
 
 
 class TestSuperoperator:
@@ -140,6 +193,56 @@ class TestIntegrate:
         assert time.perf_counter() - start < 5.0
         assert "2e+11 RK4 substeps" in str(info.value)
         assert "largest rate 5e+08" in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["phase", "correlated", "general"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_per_substep_loop(self, d, kind):
+        dec, gen, rho = _random_case(d, kind, seed=10 * d + len(kind))
+        max_rate = float(np.max(np.abs(gen.rates)))
+        max_step = 0.03 / max_rate if max_rate > 0 else 0.1
+        spans = max_step * np.random.default_rng(d).uniform(1.2, 6.0, 9)
+        grid = np.concatenate([[0.0], np.cumsum(spans)])  # 2 to 6 substeps each
+        rho_e = to_energy_basis(rho, dec)
+        expected, _ = _reference_integrate(gen, rho_e, grid, max_step)
+        got = integrate(gen, rho_e, grid, max_step=max_step).states
+        assert np.max(np.abs(got - expected)) < 1e-13
+        rotated = integrate(gen, rho, grid, decomposition=dec, max_step=max_step).states
+        assert np.max(np.abs(rotated - from_energy_basis(expected, dec))) < 1e-13
+
+    def test_growing_generator_checks_every_substep(self, qubit):
+        # r_01 = 0.5 + 1j grows |y_01|, so over [0, 10] the last substep's
+        # estimate is about 150 times the first: at 158 substeps only the
+        # last ones exceed the limit, and 159 substeps pass.  The entry
+        # reaches modulus 74, so the states are compared to 1e-13 relative.
+        _, dec, rho0 = qubit
+        gen = build_general(dec, [[0.0, -1.0], [-1.0, 0.0]])
+        grid = [0.0, 10.0]
+        coarse, fine = 10.0 / 157.5, 10.0 / 158.5  # 158 and 159 substeps
+        _, estimates = _reference_integrate(gen, rho0.matrix, grid, coarse, check=False)
+        assert len(estimates) == 158
+        assert estimates[0] < LOCAL_ERROR_LIMIT < estimates[-1]
+        with pytest.raises(StepTooLarge):
+            _reference_integrate(gen, rho0.matrix, grid, coarse)
+        with pytest.raises(StepTooLarge):
+            integrate(gen, rho0.matrix, grid, max_step=coarse)
+        expected, _ = _reference_integrate(gen, rho0.matrix, grid, fine)
+        got = integrate(gen, rho0.matrix, grid, max_step=fine).states
+        assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-13
+
+    @pytest.mark.parametrize("max_step", [-1.0, 0.0, float("nan")])
+    def test_max_step_must_be_positive(self, qubit, max_step):
+        _, dec, rho0 = qubit
+        gen = build_phase_destroying(dec, 0.5)
+        with pytest.raises(ValueError, match="max_step"):
+            integrate(gen, rho0, [0.0, 1.0], decomposition=dec, max_step=max_step)
+
+    def test_infinite_max_step_is_one_substep_per_interval(self, qubit):
+        _, dec, rho0 = qubit
+        gen = build_phase_destroying(dec, 0.5)
+        grid = [0.0, 0.01, 0.03]
+        a = integrate(gen, rho0, grid, decomposition=dec, max_step=np.inf).states
+        b = integrate(gen, rho0, grid, decomposition=dec, max_step=0.02).states
+        assert np.array_equal(a, b)
 
     def test_energy_basis_input(self, qubit):
         # decomposition=None means rho0 is already elementwise-diagonalized

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,3 +463,14 @@ class TestMoments:
             n_traj=500, seed=2, max_order=4,
         )
         assert [r.order for r in rows] == [2, 3, 4]
+
+    @pytest.mark.parametrize("max_order", [200, 400])
+    def test_report_refuses_overflowing_orders(self, max_order):
+        # 200: the sampled powers overflow (inf stderr); 400: the predicted moment does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="max_order"):
+                moment_report(
+                    dephasing_model(0.5), t=5.0, theta=0.0, theta_prime=1.0,
+                    n_traj=10_000, seed=42, max_order=max_order,
+                )
