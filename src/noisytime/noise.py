@@ -65,6 +65,8 @@ PSD_EIG_FLOOR = -1e-8
 # [RNG_BLOCK * b, RNG_BLOCK * (b + 1)).  Every chunk of trajectories starts on
 # a block boundary.
 RNG_BLOCK = 64
+# Most trajectories either sampler draws at once: a whole number of blocks.
+MAX_CHUNK = 16 * RNG_BLOCK
 
 
 def _poly_eval(coeffs: tuple[float, ...], x):
@@ -586,9 +588,8 @@ def sample_phase_differences(
     grid_arr = np.array([0.0, t], dtype=float)
     factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
-    chunk = 16 * RNG_BLOCK
-    for start in range(0, n_traj, chunk):
-        count = min(chunk, n_traj - start)
+    for start in range(0, n_traj, MAX_CHUNK):
+        count = min(MAX_CHUNK, n_traj - start)
         paths = _chi_chunk(model, lv, grid_arr, factor, seed, start, count, include_drift=False)
         out[start : start + count] = paths[:, -1, 0] - paths[:, -1, 1]
     return out

@@ -243,28 +243,28 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
+def _as_state_stack(rho, dim: int) -> np.ndarray:
+    arr = np.asarray(rho, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(
+            f"state shape {arr.shape} does not end in the decomposition dimension ({dim}, {dim})"
+        )
+    return arr
+
+
 def to_energy_basis(rho: np.ndarray, decomposition: SpectralDecomposition) -> np.ndarray:
-    """Rotate a state into the eigenbasis of the decomposed operator.
+    """Rotate a state, or a stack of shape (..., d, d), into the eigenbasis.
 
     Returns V^dagger rho V where V holds the eigenvector columns, so entry
     (a, b) of the result couples eigenvector columns a and b.
     """
-    arr = _as_square_array(rho)
-    if arr.shape[0] != decomposition.dim:
-        raise DimensionMismatch(
-            f"state dimension {arr.shape[0]} != decomposition dimension {decomposition.dim}"
-        )
+    arr = _as_state_stack(rho, decomposition.dim)
     v = decomposition.eigenvectors
     return v.conj().T @ arr @ v
 
 
 def from_energy_basis(rho_energy: np.ndarray, decomposition: SpectralDecomposition) -> np.ndarray:
     """Inverse of :func:`to_energy_basis`; also maps a stack of shape (..., d, d)."""
-    arr = np.asarray(rho_energy, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-2:] != (decomposition.dim, decomposition.dim):
-        raise DimensionMismatch(
-            f"state shape {arr.shape} does not end in the decomposition dimension "
-            f"({decomposition.dim}, {decomposition.dim})"
-        )
+    arr = _as_state_stack(rho_energy, decomposition.dim)
     v = decomposition.eigenvectors
     return v @ arr @ v.conj().T

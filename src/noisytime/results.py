@@ -53,17 +53,9 @@ class EvolutionResult:
 
     def metrics_table(self, decomposition, hamiltonian) -> dict[str, np.ndarray]:
         """Per-time diagnostics: purity, coherence_l1, energy, trace."""
-        n = self.num_points
-        table = {
-            "purity": np.empty(n),
-            "coherence_l1": np.empty(n),
-            "energy": np.empty(n),
-            "trace": np.empty(n),
+        return {
+            "purity": purity(self.states),
+            "coherence_l1": coherence_l1(self.states, decomposition),
+            "energy": energy_expectation(self.states, hamiltonian),
+            "trace": np.trace(self.states, axis1=1, axis2=2).real,
         }
-        for k in range(n):
-            rho = self.states[k]
-            table["purity"][k] = purity(rho)
-            table["coherence_l1"][k] = coherence_l1(rho, decomposition)
-            table["energy"][k] = energy_expectation(rho, hamiltonian)
-            table["trace"][k] = float(np.trace(rho).real)
-        return table

@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from noisytime import EvolutionResult
+from noisytime import (
+    EvolutionResult,
+    averaged_trajectory,
+    build_phase_destroying,
+    integrate,
+    load_config,
+)
 from noisytime.cli import _stderr_csv, _trajectory_csv, main
 
 
@@ -133,6 +139,40 @@ class TestIntegrate:
         report = json.loads((out / "cp_report.json").read_text())
         assert report["cp_ok"] is True
         assert report["generator"] == "phase"
+
+    def test_trajectories_are_in_the_computational_basis(self, scenario_yaml, tmp_path):
+        # a non-diagonal Hamiltonian separates the computational basis from
+        # the energy eigenbasis; both CSVs hold the states of the routes as
+        # EvolutionResult.states, i.e. in the computational basis
+        hamiltonian = [
+            [[0.2, 0.0], [0.5, 0.3], [0.0, -0.4]],
+            [[0.5, -0.3], [1.0, 0.0], [0.25, 0.0]],
+            [[0.0, 0.4], [0.25, 0.0], [1.7, 0.0]],
+        ]
+        config_path = scenario_yaml(
+            "global_dephasing", **{"hamiltonian": hamiltonian, "grid.n_steps": 12}
+        )
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config_path), "--out", str(out)]) == 0
+        args = ["integrate", "--config", str(config_path), "--out", str(out), "--generator", "phase"]
+        assert main(args) == 0
+        config = load_config(config_path)
+        dec, grid = config.decomposition(), config.times()
+        assert np.max(np.abs(dec.eigenvectors - np.diag(np.diag(dec.eigenvectors)))) > 0.1
+        generator = build_phase_destroying(dec, config.noise.gamma)
+        expected = {
+            "analytic.csv": averaged_trajectory(dec, config.noise, config.initial_state, grid),
+            "me.csv": integrate(generator, config.initial_state, grid, decomposition=dec),
+        }
+        for name, result in expected.items():
+            rows = read_csv(out / name)
+            assert len(rows) == grid.size
+            for row, state in zip(rows, result.states):
+                for k in range(3):
+                    for l in range(3):
+                        assert float(row[f"rho_re_{k}_{l}"]) == state[k, l].real
+                        assert float(row[f"rho_im_{k}_{l}"]) == state[k, l].imag
+            assert abs(float(rows[0]["rho_re_0_1"]) - 1.0 / 3.0) < 1e-15  # plus state
 
     def test_huge_rate_exits_2(self, scenario_yaml, tmp_path, capsys):
         # sigma_theta carries the strength, so it must match gamma for the

@@ -58,3 +58,21 @@ def test_trace_distance_mixed():
     a = DensityMatrix.maximally_mixed(2)
     b = DensityMatrix(np.diag([0.75, 0.25]))
     assert trace_distance(a, b) == pytest.approx(0.25)
+
+
+def test_stack_gives_the_per_state_values():
+    # a (T, d, d) stack returns one value per state, bit for bit the same
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    states = raw @ np.conj(np.swapaxes(raw, -1, -2))
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    hamiltonian = HermitianOperator(0.5 * (h + h.conj().T))
+    dec = eigendecompose(hamiltonian)
+    for value, one in (
+        (purity(states), purity),
+        (coherence_l1(states, dec), lambda s: coherence_l1(s, dec)),
+        (energy_expectation(states, hamiltonian), lambda s: energy_expectation(s, hamiltonian)),
+    ):
+        assert value.shape == (5,)
+        assert value.tolist() == [one(s) for s in states]

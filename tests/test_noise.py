@@ -27,9 +27,11 @@ from noisytime import (
     moment_report,
     predicted_moment,
     psd_sqrt,
+    run_ensemble,
     sample_chi_paths,
     sample_phase_differences,
 )
+from noisytime import montecarlo
 from noisytime import noise as noise_module
 
 
@@ -322,6 +324,29 @@ class TestSampling:
         whole = noise_module._chi_chunk(model, lv, grid, factor, 9, 0, 130)
         tail = noise_module._chi_chunk(model, lv, grid, factor, 9, noise_module.RNG_BLOCK, 66)
         assert np.array_equal(whole[noise_module.RNG_BLOCK:], tail)
+
+    def test_samplers_share_one_chunk_constant(self, qubit, monkeypatch):
+        # run_ensemble and sample_phase_differences cut at the same cap, a
+        # whole number of RNG blocks
+        max_chunk = noise_module.MAX_CHUNK
+        assert montecarlo.MAX_CHUNK is max_chunk
+        assert max_chunk % noise_module.RNG_BLOCK == 0 and max_chunk > noise_module.RNG_BLOCK
+        counts = []
+
+        def spy(*args, **kwargs):
+            counts.append(args[6])
+            return chi_chunk(*args, **kwargs)
+
+        chi_chunk = noise_module._chi_chunk
+        monkeypatch.setattr(noise_module, "_chi_chunk", spy)
+        monkeypatch.setattr(montecarlo, "_chi_chunk", spy)
+        model = dephasing_model(0.5)
+        sample_phase_differences(model, 1.0, 0.0, 1.0, 2 * max_chunk + 5, seed=3)
+        assert counts == [max_chunk, max_chunk, 5]
+        counts.clear()
+        _, dec, rho0 = qubit
+        run_ensemble(dec, model, rho0, [0.0, 1.0], n_traj=9 * max_chunk, seed=3)
+        assert counts == [max_chunk] * 9
 
     def test_brownian_field_covariance(self):
         # driftless, unit amplitude: chi path increments are the Brownian increments
