@@ -6,23 +6,23 @@ initial state is factored once, rho = V G G^dagger V^dagger in the energy
 basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
 rotations.  A chunk of trajectories keeps only its chi paths; it is
-processed in time slabs sized to stay in cache, each slab writing its phases
-exp(-i chi) into buffers reused for the whole chunk, and the per-entry mean
-and two-pass variance of a slab are taken in place.  Chunk statistics are
-folded in place into one running accumulator, in chunk order, as the results
-arrive.  Chunk and slab boundaries depend only on array shapes, and every
-chunk is a whole number of RNG blocks (``noise.RNG_BLOCK`` trajectories that
-share one Philox stream keyed by (seed, block)), so the result is
-byte-identical whether chunks are processed by one worker or many.  A
-trajectory's phases depend only on the seed and its index; moving from
+processed in time slabs sized to stay in cache, each slab forming the phases
+exp(-i chi) of its own time points, and the per-entry mean and two-pass
+variance of a slab are taken in place.  Chunk statistics are merged by a
+left fold in chunk order as the results arrive, and each chunk's statistics
+are released once folded in.  Chunk and slab boundaries depend only on array
+shapes, and every chunk is a whole number of RNG blocks (``noise.RNG_BLOCK``
+trajectories that share one Philox stream keyed by (seed, block)), so the
+result is byte-identical whether chunks are processed by one worker or many.
+A trajectory's phases depend only on the seed and its index; moving from
 per-trajectory to per-block keys changed the output for a fixed seed once.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -45,11 +45,9 @@ __all__ = [
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
 CHUNK_ELEMENT_BUDGET = 4_000_000
-# A run with enough trajectories splits into at least this many chunks, so
-# that worker threads have chunks to share.
-MIN_CHUNKS = 8
 # Complex state entries (count * slab * dim * dim) formed at once within a
-# chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.
+# chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.  A
+# chunk is also kept within it at one time point per slab.
 SLAB_ELEMENT_BUDGET = 1 << 16
 
 Z_MAX = 4.0
@@ -59,11 +57,9 @@ TAIL_FRACTION = 0.05
 ZERO_STDERR_SLACK = 1e-12
 
 
-def _chunk_size(num_points: int, dim: int, n_traj: int) -> int:
+def _chunk_size(num_points: int, dim: int) -> int:
     per_traj = max(1, num_points * dim * dim)
-    share = -(-n_traj // MIN_CHUNKS)
-    share += -share % RNG_BLOCK
-    chunk = min(MAX_CHUNK, share, CHUNK_ELEMENT_BUDGET // per_traj)
+    chunk = min(MAX_CHUNK, CHUNK_ELEMENT_BUDGET // per_traj, SLAB_ELEMENT_BUDGET // (dim * dim))
     return max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
 
 
@@ -82,56 +78,28 @@ def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
-class _Scratch:
-    """Named flat buffers, reused for every slab of a chunk.
-
-    ``take`` returns a C-contiguous view of a buffer's first entries, so a
-    short last slab is laid out exactly as a freshly allocated array.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
-
-
-def _slab_phases(chi: np.ndarray, level_index: np.ndarray, scratch: _Scratch) -> np.ndarray:
+def _slab_phases(chi: np.ndarray, level_index: np.ndarray) -> np.ndarray:
     """exp(-i chi) per basis vector for level phases chi of shape (..., m).
 
-    The angles are gathered by ``level_index`` first and then written as
-    cos and -sin into one reused complex buffer of shape (..., d).
+    The angles are gathered by ``level_index`` and written as cos and -sin
+    into one complex array of shape (..., d).
     """
-    shape = chi.shape[:-1] + level_index.shape
-    angles = scratch.take("angles", shape, float)
-    # level_index is in range; "clip" writes to ``angles`` without a buffer.
-    np.take(chi, level_index, axis=-1, out=angles, mode="clip")
-    phases = scratch.take("phases", shape)
+    angles = np.take(chi, level_index, axis=-1)
+    phases = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
     return phases
 
 
-def _sample_states(
-    vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray, scratch: _Scratch
-) -> np.ndarray:
+def _sample_states(vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
-    rho_e = G G^dagger, computed from the d x r factor instead.  The
-    temporaries and the result are views into ``scratch``.
+    rho_e = G G^dagger, computed from the d x r factor instead.
     """
-    shape = phases.shape + factor.shape[1:]
-    scaled = np.multiply(phases[..., :, None], factor, out=scratch.take("scaled", shape))
-    b = np.matmul(vectors, scaled, out=scratch.take("b", shape))
-    b_conj = np.conjugate(b, out=scaled)
-    states = scratch.take("states", phases.shape + phases.shape[-1:])
-    return np.matmul(b, np.swapaxes(b_conj, -1, -2), out=states)
+    b = vectors @ (phases[..., :, None] * factor)
+    return b @ np.swapaxes(b, -1, -2).conj()
 
 
 @dataclass(frozen=True)
@@ -169,26 +137,16 @@ def unitary_from_phases(decomposition: SpectralDecomposition, chi) -> np.ndarray
     return np.einsum("k,kij->ij", phases, decomposition.projectors)
 
 
-def _fold_into(acc, part):
-    """Fold one chunk's (count, mean, m2_re, m2_im) into ``acc`` in place.
-
-    The Chan et al. pairwise update, with the same operations in the same
-    order as forming mean_a + delta * (n_b / n) and
-    m2_a + m2_b + delta**2 * n_a n_b / n in fresh arrays, so the same bits.
-    Returns the updated accumulator; ``part``'s arrays are overwritten.
-    """
-    n_a, mean, m2_re, m2_im = acc
-    n_b, delta, m2re_b, m2im_b = part
+def _merge_stats(a, b):
+    """Combine two (count, mean, m2_re, m2_im) accumulators."""
+    n_a, mean_a, m2re_a, m2im_a = a
+    n_b, mean_b, m2re_b, m2im_b = b
     n = n_a + n_b
-    np.subtract(delta, mean, out=delta)
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (n_b / n)
     scale = n_a * n_b / n
-    for m2, m2_b, dev in ((m2_re, m2re_b, delta.real), (m2_im, m2im_b, delta.imag)):
-        m2 += m2_b
-        np.square(dev, out=m2_b)
-        m2_b *= scale
-        m2 += m2_b
-    delta *= n_b / n
-    mean += delta
+    m2_re = m2re_a + m2re_b + delta.real**2 * scale
+    m2_im = m2im_a + m2im_b + delta.imag**2 * scale
     return n, mean, m2_re, m2_im
 
 
@@ -206,15 +164,14 @@ def run_ensemble(
     The energy-basis state is factored once as G G^dagger (G is d x r, r the
     numerical rank), and every sample state U rho U^dagger is formed as
     B B^dagger with B = V (exp(-i chi) o G).  Trajectories are processed in
-    chunks (``_chunk_size``: at most ``MAX_CHUNK``, at most n_traj /
-    ``MIN_CHUNKS`` rounded up to whole RNG blocks, and within
-    ``CHUNK_ELEMENT_BUDGET``).  A chunk holds only its chi paths and runs in
-    time slabs of about ``SLAB_ELEMENT_BUDGET`` state entries; each slab
-    forms its phases and sample states in buffers reused across the chunk,
-    and takes its mean and sum of squared deviations in place.  Chunk
-    statistics are folded in place into one running accumulator, a left
-    fold in chunk order.  ``n_workers`` threads (at least 1) compute the
-    chunks.
+    chunks (``_chunk_size``: at most ``MAX_CHUNK``, within
+    ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
+    ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
+    only its chi paths and runs in time slabs of about
+    ``SLAB_ELEMENT_BUDGET`` state entries; each slab forms the phases and
+    sample states of its own time points and takes its mean and sum of
+    squared deviations in place.  Chunks are merged by a left fold in chunk
+    order.  ``n_workers`` threads (at least 1) compute the chunks.
 
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
@@ -223,8 +180,7 @@ def run_ensemble(
     changes the wall time but not a single output bit.  The chi paths are
     those of ``sample_chi_paths`` with the same seed.  (Per-block keys
     replaced per-trajectory keys; that changed the output for a fixed seed
-    once.  Growing chunks from 256 to up to 1024 trajectories changed the
-    fold order, so mean and standard errors moved at rounding level once.)
+    once.)
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
@@ -259,28 +215,23 @@ def run_ensemble(
         # Squared deviations with real and imaginary parts interleaved.
         m2 = np.empty((num_points, dim, 2 * dim))
         slab = _slab_size(count, dim)
-        scratch = _Scratch()
         for lo in range(0, num_points, slab):
             hi = min(lo + slab, num_points)
-            phases = _slab_phases(chi[:, lo:hi], idx, scratch)
-            states = _sample_states(vectors, state_factor, phases, scratch)
+            phases = _slab_phases(chi[:, lo:hi], idx)
+            states = _sample_states(vectors, state_factor, phases)
             states -= np.mean(states, axis=0, out=mean[lo:hi])
             flat = states.view(float)
             np.square(flat, out=flat)
             np.sum(flat, axis=0, out=m2[lo:hi])
         return count, mean, m2[..., 0::2], m2[..., 1::2]
 
-    chunk = _chunk_size(num_points, dim, n_traj)
+    chunk = _chunk_size(num_points, dim)
     starts = range(0, n_traj, chunk)
     counts = [min(chunk, n_traj - s) for s in starts]
     # pool.map yields in chunk order; the tree shape of the reduction is part
     # of the determinism contract, so keep it a plain left fold.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        parts = pool.map(chunk_stats, starts, counts)
-        acc = next(parts)
-        for part in parts:
-            acc = _fold_into(acc, part)
-    n, mean, m2_re, m2_im = acc
+        n, mean, m2_re, m2_im = reduce(_merge_stats, pool.map(chunk_stats, starts, counts))
     denom = max(n - 1, 1)
     stderr_re = np.sqrt(m2_re / denom / n)
     stderr_im = np.sqrt(m2_im / denom / n)

@@ -1,5 +1,4 @@
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,11 +20,11 @@ from noisytime import (
     to_energy_basis,
     unitary_from_phases,
 )
+from noisytime import montecarlo
 from noisytime.montecarlo import (
     MAX_CHUNK,
-    _Scratch,
+    SLAB_ELEMENT_BUDGET,
     _chunk_size,
-    _fold_into,
     _sample_states,
     _slab_phases,
     _slab_size,
@@ -45,19 +44,6 @@ def _random_case(rng, dim, rank, degenerate):
     w = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = w @ w.conj().T
     return dec, DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
-
-
-def _merge_stats(a, b):
-    """Reference merge of two (count, mean, m2_re, m2_im) accumulators into fresh arrays."""
-    n_a, mean_a, m2re_a, m2im_a = a
-    n_b, mean_b, m2re_b, m2im_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    scale = n_a * n_b / n
-    m2_re = m2re_a + m2re_b + delta.real**2 * scale
-    m2_im = m2im_a + m2im_b + delta.imag**2 * scale
-    return n, mean, m2_re, m2_im
 
 
 def _per_sample_reference(dec, rho0, paths):
@@ -121,9 +107,9 @@ class TestStateFactor:
             assert factor.shape == (dim, rank)
             assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
-            phases = _slab_phases(chi, dec.level_index, _Scratch())
+            phases = _slab_phases(chi, dec.level_index)
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
-            states = _sample_states(dec.eigenvectors, factor, phases, _Scratch())
+            states = _sample_states(dec.eigenvectors, factor, phases)
             for c, state, levels_chi in zip(phases, states, chi):
                 assert np.max(np.abs(state - _dense_sample(dec, rho_e, c))) < 1e-13
                 u = unitary_from_phases(dec, levels_chi)
@@ -159,13 +145,16 @@ class TestRunEnsemble:
         c = run_ensemble(dec, model, rho0, grid, n_traj=300, seed=18)
         assert not np.array_equal(a.mean, c.mean)
 
-    def test_worker_count_invariant(self):
+    def test_worker_count_invariant(self, monkeypatch):
+        # chunks capped at 4 blocks so that this small case spans several;
+        # test_full_chunks_match_per_sample_reference runs the MAX_CHUNK cap
+        monkeypatch.setattr(montecarlo, "MAX_CHUNK", 4 * RNG_BLOCK)
         dec, rho0 = _random_case(np.random.default_rng(8), 8, 3, degenerate=False)
         grid = np.linspace(0, 1, 41)
         n_traj = 600
         # several chunks, the last ending inside an RNG block, and several
         # time slabs per chunk
-        chunk = _chunk_size(grid.size, 8, n_traj)
+        chunk = _chunk_size(grid.size, 8)
         assert chunk < n_traj and n_traj % chunk and n_traj % RNG_BLOCK
         assert _slab_size(chunk, 8) < grid.size
         model = correlated_model(0.5, 1.0)
@@ -175,14 +164,16 @@ class TestRunEnsemble:
         assert serial.stderr_re.tobytes() == threaded.stderr_re.tobytes()
         assert serial.stderr_im.tobytes() == threaded.stderr_im.tobytes()
 
-    def test_matches_per_sample_reference(self):
-        # mean and standard errors against U rho U^dagger formed sample by sample
+    def test_matches_per_sample_reference(self, monkeypatch):
+        # mean and standard errors against U rho U^dagger formed sample by
+        # sample, with chunks capped at 4 blocks as in the test above
+        monkeypatch.setattr(montecarlo, "MAX_CHUNK", 4 * RNG_BLOCK)
         dec, rho0 = _random_case(np.random.default_rng(12), 3, 2, degenerate=False)
         grid = np.linspace(0, 1.5, 7)
         model = correlated_model(0.7, 0.8)
         n_traj = 300
-        # several chunks, the last one ending inside an RNG block
-        assert _chunk_size(grid.size, 3, n_traj) < n_traj and n_traj % RNG_BLOCK
+        # two chunks, the last one ending inside an RNG block
+        assert _chunk_size(grid.size, 3) < n_traj and n_traj % RNG_BLOCK
         out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=21, n_workers=2)
         paths = sample_chi_paths(model, dec.levels, grid, seed=21, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
@@ -198,10 +189,13 @@ class TestRunEnsemble:
         grid = np.array([0.0, 0.4, 1.1])
         model = correlated_model(0.6, 0.9)
         n_traj = 8257
-        chunk = _chunk_size(grid.size, 2, n_traj)
+        chunk = _chunk_size(grid.size, 2)
         assert chunk == MAX_CHUNK
         assert -(-n_traj // chunk) == 9 and n_traj % RNG_BLOCK
         out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=77, n_workers=2)
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=77, n_workers=1)
+        for got, want in ((out.mean, serial.mean), (out.stderr_re, serial.stderr_re)):
+            assert got.tobytes() == want.tobytes()
         paths = sample_chi_paths(model, dec.levels, grid, seed=77, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
         assert np.max(np.abs(out.mean - _exact_mean(states))) < 1e-14
@@ -210,37 +204,19 @@ class TestRunEnsemble:
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
     def test_chunk_size_rule(self):
-        # at most MAX_CHUNK, at most n_traj / 8 rounded up to whole blocks,
-        # within the element budget, and never below one block
-        assert _chunk_size(101, 2, 10_000) == 1024
-        assert [_chunk_size(101, 2, n) for n in (8000, 4000, 2000)] == [1024, 512, 256]
-        assert _chunk_size(61, 32, 1000) == 64
-        assert _chunk_size(101, 64, 1000) == RNG_BLOCK
-        assert _chunk_size(3, 2, 1) == RNG_BLOCK
-        for n_traj in (1, 63, 65, 600, 8257, 10**5):
-            for dim in (1, 2, 8, 32):
-                chunk = _chunk_size(41, dim, n_traj)
+        # at most MAX_CHUNK, within the element budget, within the slab budget
+        # at one time point, a whole number of blocks and never below one
+        assert _chunk_size(101, 2) == _chunk_size(3, 2) == MAX_CHUNK
+        assert _chunk_size(61, 32) == 64
+        assert _chunk_size(101, 64) == RNG_BLOCK
+        # few time points: the slab budget binds, not the element budget
+        assert _chunk_size(11, 16) == 256
+        assert _chunk_size(3, 12) == 448
+        for num_points in (1, 3, 11, 41, 1001):
+            for dim in range(1, 33):
+                chunk = _chunk_size(num_points, dim)
                 assert chunk % RNG_BLOCK == 0 and RNG_BLOCK <= chunk <= MAX_CHUNK
-
-    def test_in_place_fold_matches_pairwise_merge(self):
-        # the running in-place fold gives the bits of a left fold of fresh merges
-        rng = np.random.default_rng(5)
-        shape = (7, 3, 3)
-
-        def part(count):
-            mean = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            m2 = rng.exponential(size=shape[:-1] + (2 * shape[-1],)) * count
-            return count, mean, m2[..., 0::2], m2[..., 1::2]
-
-        parts = [part(c) for c in (1024, 1024, 512, 64, 1)]
-        copies = [(n, mean.copy(), re.copy(), im.copy()) for n, mean, re, im in parts]
-        expected = reduce(_merge_stats, copies)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = _fold_into(acc, p)
-        assert acc[0] == expected[0]
-        for got, want in zip(acc[1:], expected[1:]):
-            assert got.tobytes() == want.tobytes()
+                assert chunk * dim * dim <= SLAB_ELEMENT_BUDGET
 
     def test_initial_point_exact(self, qubit):
         _, dec, rho0 = qubit
