@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, KernelAsymmetric, StepTooLarge
+from .errors import DimensionMismatch, KernelAsymmetric, StepTooLarge
 from .noise import DriftPreset
-from .operators import DensityMatrix, SpectralDecomposition, from_energy_basis, to_energy_basis
-from .results import EvolutionResult
+from .operators import SpectralDecomposition, from_energy_basis, state_matrix, to_energy_basis
+from .results import EvolutionResult, time_grid
 
 __all__ = [
     "Superoperator",
@@ -197,24 +197,15 @@ def integrate(
     form.  A grid that would need more than ``MAX_SUBSTEPS`` substeps in
     total raises StepTooLarge before the first step.
 
+    The grid must be finite, hold two or more points, start at 0 and increase
+    strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
     ``decomposition`` rotates in and out of the energy basis; pass None when
     rho0 is already expressed there.
     """
-    grid_arr = np.asarray(grid, dtype=float).reshape(-1)
-    if grid_arr.size < 1 or grid_arr[0] != 0.0:
-        raise GridMismatch("grid must start at 0")
-    if np.any(np.diff(grid_arr) <= 0):
-        raise GridMismatch("grid must be strictly increasing")
+    grid_arr = time_grid(grid)
     if max_step is not None and not (isinstance(max_step, numbers.Real) and max_step > 0):
         raise ValueError(f"max_step must be None or a number > 0, got {max_step!r}")
-    if isinstance(rho0, DensityMatrix):
-        rho = rho0.matrix
-    else:
-        rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != (generator.dim, generator.dim):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match generator dimension {generator.dim}"
-        )
+    rho = state_matrix(rho0, generator.dim)
     rates = generator.rates
     max_rate = float(np.max(np.abs(rates)))
     if max_step is None:

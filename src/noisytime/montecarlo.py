@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .noise import MAX_CHUNK, RNG_BLOCK, NoiseModel, _chi_chunk, correlation_matrix, psd_sqrt
-from .operators import DensityMatrix, SpectralDecomposition, to_energy_basis
-from .results import EvolutionResult
+from .operators import SpectralDecomposition, state_matrix, to_energy_basis
+from .results import EvolutionResult, time_grid
 
 __all__ = [
     "EnsembleResult",
@@ -173,6 +173,9 @@ def run_ensemble(
     squared deviations in place.  Chunks are merged by a left fold in chunk
     order.  ``n_workers`` threads (at least 1) compute the chunks.
 
+    The grid must be finite, hold two or more points, start at 0 and increase
+    strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
+
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
     (seed, b), a partial last block takes a prefix of its block's draw, and
@@ -188,23 +191,12 @@ def run_ensemble(
         raise ValueError("n_traj must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    grid_arr = np.asarray(grid, dtype=float).reshape(-1)
-    if grid_arr.size < 1 or grid_arr[0] != 0.0:
-        raise GridMismatch("grid must start at 0")
-    if np.any(np.diff(grid_arr) <= 0):
-        raise GridMismatch("grid must be strictly increasing")
-    if isinstance(rho0, DensityMatrix):
-        rho = rho0
-    else:
-        rho = DensityMatrix(rho0)
-    if rho.dim != decomposition.dim:
-        raise GridMismatch(
-            f"state dimension {rho.dim} != decomposition dimension {decomposition.dim}"
-        )
+    grid_arr = time_grid(grid)
+    rho = state_matrix(rho0, decomposition.dim)
 
     levels = np.asarray(decomposition.levels, dtype=float)
     factor = psd_sqrt(correlation_matrix(model, levels))
-    state_factor = _state_factor(to_energy_basis(rho.matrix, decomposition))
+    state_factor = _state_factor(to_energy_basis(rho, decomposition))
     vectors = decomposition.eigenvectors
     idx = decomposition.level_index
     num_points, dim = grid_arr.size, decomposition.dim
@@ -283,26 +275,8 @@ class ComparisonReport:
         return report
 
 
-def _reference_states(ensemble: EnsembleResult, analytic) -> np.ndarray:
-    if isinstance(analytic, EvolutionResult):
-        if not np.array_equal(analytic.grid, ensemble.grid):
-            raise GridMismatch("analytic reference evaluated on a different grid")
-        return analytic.states
-    if isinstance(analytic, (list, tuple)):
-        stack = np.stack(
-            [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, complex) for s in analytic]
-        )
-    else:
-        stack = np.asarray(analytic, dtype=complex)
-    if stack.shape != ensemble.mean.shape:
-        raise GridMismatch(
-            f"reference shape {stack.shape} does not match ensemble {ensemble.mean.shape}"
-        )
-    return stack
-
-
-def compare_to_analytic(ensemble: EnsembleResult, analytic) -> ComparisonReport:
-    """z-test of the ensemble mean against a reference trajectory.
+def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> ComparisonReport:
+    """z-test of the ensemble mean against a reference trajectory on its grid.
 
     Per entry and per real/imag component, z = |deviation| / stderr.
     Deviations at or below 1e-12 count as z = 0 outright: entries that are
@@ -310,9 +284,12 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic) -> ComparisonReport:
     rounding-level standard errors, and dividing one rounding error by
     another would report huge z for perfect agreement.  A deviation above
     the slack over zero standard error counts as infinite.  PASS means
-    max z <= 4 and at most 5% of components above z = 3.
+    max z <= 4 and at most 5% of components above z = 3.  A reference on
+    another grid raises GridMismatch.
     """
-    reference = _reference_states(ensemble, analytic)
+    if not np.array_equal(analytic.grid, ensemble.grid):
+        raise GridMismatch("analytic reference evaluated on a different grid")
+    reference = analytic.states
     dev_re = np.abs(ensemble.mean.real - reference.real)
     dev_im = np.abs(ensemble.mean.imag - reference.imag)
 

@@ -27,13 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    GridMismatch,
-    KernelAsymmetric,
-    KernelNotPSD,
-)
+from .errors import ConfigError, DimensionMismatch, KernelAsymmetric, KernelNotPSD
+from .results import time_grid
 
 __all__ = [
     "DriftPreset",
@@ -472,21 +467,13 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChiPaths:
-    """Accumulated phases chi_t(theta) per trajectory on a grid; chi_0 = 0."""
+    """Accumulated phases chi_t(theta) per trajectory on a grid that starts at
+    t = 0, where every path is 0."""
 
     seed: int
     grid: np.ndarray
     levels: np.ndarray
     paths: np.ndarray  # (n_traj, len(grid), len(levels))
-
-
-def _check_grid(grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float).reshape(-1)
-    if arr.size < 2:
-        raise GridMismatch("grid needs at least two points")
-    if np.any(np.diff(arr) <= 0):
-        raise GridMismatch("grid must be strictly increasing")
-    return arr
 
 
 def _chi_chunk(
@@ -548,12 +535,13 @@ def sample_chi_paths(
     take a prefix of its draw.  So a trajectory depends only on the seed, its
     index and the step/level shape, never on how many others are drawn.  (Keys
     were per trajectory before; the switch changed float output for a fixed
-    seed once.)
+    seed once.)  The grid must be finite, hold two or more points, start at 0
+    and increase strictly (else GridMismatch).
     """
     if model.direct_lambda is not None:
         raise ValueError("a direct damping table has no Brownian realization to sample")
     lv = np.asarray(levels, dtype=float).reshape(-1)
-    grid_arr = _check_grid(grid)
+    grid_arr = time_grid(grid)
     factor = psd_sqrt(correlation_matrix(model, lv))
     paths = _chi_chunk(model, lv, grid_arr, factor, seed, 0, n_traj)
     grid_arr.setflags(write=False)

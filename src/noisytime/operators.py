@@ -8,7 +8,7 @@ whose columns are eigenvectors grouped by level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "DensityMatrix",
     "eigendecompose",
     "validate_density",
+    "state_matrix",
     "to_energy_basis",
     "from_energy_basis",
 ]
@@ -36,9 +37,10 @@ def _as_square_array(matrix) -> np.ndarray:
     return arr
 
 
-def _check_hermitian(arr: np.ndarray, tol: float) -> None:
-    violation = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if violation > tol:
+def _check_hermitian(arr: np.ndarray) -> None:
+    with np.errstate(invalid="ignore"):  # a NaN or inf entry gives NaN and fails
+        violation = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    if not violation <= HERMITICITY_TOL:
         raise NotHermitian(violation)
 
 
@@ -47,21 +49,19 @@ class HermitianOperator:
     """A validated Hermitian matrix.
 
     Construction raises :class:`~noisytime.errors.NotHermitian` if the matrix
-    deviates from its conjugate transpose by more than ``tol`` in any entry.
-    The stored matrix is symmetrized, so downstream eigensolves see an exactly
-    Hermitian input.
+    deviates from its conjugate transpose by more than ``HERMITICITY_TOL`` in
+    any entry.  The stored matrix is symmetrized, so downstream eigensolves
+    see an exactly Hermitian input.
     """
 
     matrix: np.ndarray
-    tol: float = HERMITICITY_TOL
 
-    def __init__(self, matrix, tol: float = HERMITICITY_TOL):
+    def __init__(self, matrix):
         arr = _as_square_array(matrix)
-        _check_hermitian(arr, tol)
+        _check_hermitian(arr)
         arr = 0.5 * (arr + arr.conj().T)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "tol", tol)
 
     @property
     def dim(self) -> int:
@@ -117,17 +117,16 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def eigendecompose(operator, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def eigendecompose(operator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
 
-    Eigenvalues closer than ``degeneracy_tol`` to their predecessor are merged
+    Eigenvalues within ``DEGENERACY_TOL`` of their predecessor are merged
     into one level (the mean over the group) with a rank-``g`` projector.  The
     merge matters physically: a shared level must be driven by one noise
     process, not several independent ones.
 
     Args:
         operator: HermitianOperator or raw matrix (validated here if raw).
-        degeneracy_tol: gap below which adjacent eigenvalues count as equal.
 
     Returns:
         SpectralDecomposition with levels strictly ascending.
@@ -141,7 +140,7 @@ def eigendecompose(operator, degeneracy_tol: float = DEGENERACY_TOL) -> Spectral
     # Group by gaps: eigh returns ascending eigenvalues.
     groups: list[list[int]] = [[0]]
     for i in range(1, d):
-        if eigvals[i] - eigvals[groups[-1][-1]] <= degeneracy_tol:
+        if eigvals[i] - eigvals[groups[-1][-1]] <= DEGENERACY_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -170,25 +169,21 @@ def eigendecompose(operator, degeneracy_tol: float = DEGENERACY_TOL) -> Spectral
     )
 
 
-def validate_density(
-    rho,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = DENSITY_TOL,
-    positivity_tol: float = DENSITY_TOL,
-) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 
-    Raises NotHermitian, TraceNotOne, or NotPositive on the first violated
-    invariant, in that order.  Returns the symmetrized matrix on success.
+    Raises NotHermitian (beyond ``HERMITICITY_TOL``), TraceNotOne or
+    NotPositive (beyond ``DENSITY_TOL``) on the first violated invariant, in
+    that order.  Returns the symmetrized matrix on success.
     """
     arr = _as_square_array(rho)
-    _check_hermitian(arr, hermiticity_tol)
+    _check_hermitian(arr)
     arr = 0.5 * (arr + arr.conj().T)
     trace_violation = abs(float(np.trace(arr).real) - 1.0)
-    if trace_violation > trace_tol:
+    if trace_violation > DENSITY_TOL:
         raise TraceNotOne(trace_violation)
     min_eig = float(np.linalg.eigvalsh(arr)[0])
-    if min_eig < -positivity_tol:
+    if min_eig < -DENSITY_TOL:
         raise NotPositive(min_eig)
     return arr
 
@@ -197,16 +192,10 @@ def validate_density(
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, positive semidefinite."""
 
-    matrix: np.ndarray = field()
+    matrix: np.ndarray
 
-    def __init__(
-        self,
-        matrix,
-        hermiticity_tol: float = HERMITICITY_TOL,
-        trace_tol: float = DENSITY_TOL,
-        positivity_tol: float = DENSITY_TOL,
-    ):
-        arr = validate_density(matrix, hermiticity_tol, trace_tol, positivity_tol)
+    def __init__(self, matrix):
+        arr = validate_density(matrix)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -241,6 +230,21 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim)
+
+
+def state_matrix(state, dim: int) -> np.ndarray:
+    """The matrix of a route's initial state, checked to be ``dim`` x ``dim``.
+
+    A DensityMatrix is taken as it is, so a state wrapped by
+    DensityMatrix.unchecked (the sub-normalized output of a dissipative
+    evolution) passes; a raw matrix must pass :func:`validate_density`.
+    Raises DimensionMismatch for any other shape.
+    """
+    checked = isinstance(state, DensityMatrix)
+    arr = state.matrix if checked else np.asarray(state, dtype=complex)
+    if arr.shape != (dim, dim):
+        raise DimensionMismatch(f"state shape {arr.shape} does not match dimension {dim}")
+    return arr if checked else validate_density(arr)
 
 
 def _as_state_stack(rho, dim: int) -> np.ndarray:

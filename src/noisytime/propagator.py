@@ -15,8 +15,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, DissipativeTraceLoss, GridMismatch, WeightsNotNormalized
 from .noise import LambdaKernel, NoiseModel, SigmaTimePreset
-from .operators import DensityMatrix, SpectralDecomposition, from_energy_basis, to_energy_basis
-from .results import EvolutionResult
+from .operators import (
+    DensityMatrix,
+    SpectralDecomposition,
+    from_energy_basis,
+    state_matrix,
+    to_energy_basis,
+)
+from .results import EvolutionResult, time_grid
 
 __all__ = [
     "averaged_state",
@@ -25,15 +31,6 @@ __all__ = [
     "time_averaged_state",
     "semigroup_defect",
 ]
-
-
-def _state_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square state matrix, got shape {arr.shape}")
-    return arr
 
 
 def _element_factors(decomposition: SpectralDecomposition, model: NoiseModel, t) -> np.ndarray:
@@ -53,11 +50,7 @@ def _element_factors(decomposition: SpectralDecomposition, model: NoiseModel, t)
 
 def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) -> np.ndarray:
     """V (F(t) o rho_E) V^dagger at a time or at each of an array of times."""
-    rho = _state_matrix(rho0)
-    if rho.shape[0] != decomposition.dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != decomposition dimension {decomposition.dim}"
-        )
+    rho = state_matrix(rho0, decomposition.dim)
     if model.is_dissipative:
         warnings.warn(
             "damping table has a nonzero diagonal: populations decay and the "
@@ -78,7 +71,8 @@ def averaged_state(
     exp(-lambda/2).  The result is Hermitian by symmetry of lambda and keeps
     unit trace whenever lambda vanishes on the diagonal; a direct damping
     table with nonzero diagonal loses trace, which is reported as a
-    DissipativeTraceLoss warning rather than renormalized away.
+    DissipativeTraceLoss warning rather than renormalized away.  A raw
+    ``rho0`` must be a valid state.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -91,10 +85,12 @@ def averaged_state(
 def averaged_trajectory(
     decomposition: SpectralDecomposition, model: NoiseModel, rho0, grid
 ) -> EvolutionResult:
-    """Noise-averaged states on a whole grid, provenance "analytic"."""
-    grid_arr = np.asarray(grid, dtype=float).reshape(-1)
-    if grid_arr.size == 0 or np.any(grid_arr < 0) or np.any(np.diff(grid_arr) <= 0):
-        raise GridMismatch("grid must be nonempty, nonnegative, strictly increasing")
+    """Noise-averaged states on a whole grid, provenance "analytic".
+
+    The grid must be finite, hold two or more points, start at 0 and increase
+    strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
+    """
+    grid_arr = time_grid(grid)
     return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr), "analytic")
 
 
@@ -108,7 +104,8 @@ def averaged_state_global(
     amplitude itself.  Entry (k, l) is damped by
     exp(-accumulated_variance * (theta_k - theta_l)^2 / 2) on top of the gap
     phase; equivalent to :func:`averaged_state` with identity drift, linear
-    level amplitude, and uniform correlation.
+    level amplitude, and uniform correlation.  A raw ``rho0`` must be a valid
+    state.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -119,11 +116,7 @@ def averaged_state_global(
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
         accumulated = gamma * t
-    rho = _state_matrix(rho0)
-    if rho.shape[0] != decomposition.dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != decomposition dimension {decomposition.dim}"
-        )
+    rho = state_matrix(rho0, decomposition.dim)
     theta = decomposition.column_levels()
     gaps = theta[:, None] - theta[None, :]
     factors = np.exp(-1j * t * gaps) * np.exp(-0.5 * accumulated * gaps**2)
@@ -134,17 +127,16 @@ def averaged_state_global(
 def time_averaged_state(grid, states, weights) -> DensityMatrix:
     """Weighted time average of a state trajectory.
 
+    ``states`` is an array of shape (T, d, d) or a sequence of T matrices;
     ``weights`` are probability-density values on the grid; they must be
-    nonnegative and integrate to one (trapezoid rule) within 1e-8.  A single
-    grid point gets quadrature weight one, so a point mass is expressed as the
-    one-point grid with weight 1.
+    nonnegative and integrate to one (trapezoid rule) within 1e-8.  The grid
+    is a quadrature grid, so it may start after 0, and a single grid point
+    gets quadrature weight one: a point mass is the one-point grid with
+    weight 1.
     """
     grid_arr = np.asarray(grid, dtype=float).reshape(-1)
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if isinstance(states, (list, tuple)):
-        stack = np.stack([_state_matrix(s) for s in states])
-    else:
-        stack = np.asarray(states, dtype=complex)
+    stack = np.asarray(states, dtype=complex)
     if stack.ndim != 3 or stack.shape[0] != grid_arr.size or w.size != grid_arr.size:
         raise DimensionMismatch(
             f"grid ({grid_arr.size}), states ({stack.shape}), weights ({w.size}) disagree"

@@ -1,4 +1,5 @@
-"""Trajectory container shared by the analytic, ODE, and Monte Carlo routes."""
+"""Trajectory container and time-grid rule shared by the analytic, ODE, and
+Monte Carlo routes."""
 
 from __future__ import annotations
 
@@ -9,9 +10,24 @@ import numpy as np
 from .errors import GridMismatch
 from .metrics import coherence_l1, energy_expectation, purity
 
-__all__ = ["EvolutionResult"]
+__all__ = ["EvolutionResult", "time_grid"]
 
 PROVENANCES = ("analytic", "ode", "montecarlo")
+
+
+def time_grid(grid) -> np.ndarray:
+    """A route's time grid as a flat float array.
+
+    The grid must be finite, hold two or more points, start at 0 and increase
+    strictly; otherwise GridMismatch.  Every route starts from the initial
+    state at t = 0, so a grid starting later would silently shift the clock.
+    """
+    arr = np.asarray(grid, dtype=float).reshape(-1)
+    if arr.size < 2 or arr[0] != 0.0 or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) <= 0):
+        raise GridMismatch(
+            "grid must be finite, have at least two points, start at 0 and increase strictly"
+        )
+    return arr
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,6 @@ def _check_analytic_invariants() -> tuple[bool, str]:
             monotone &= bool(np.all(rho_e <= previous_abs + 1e-12))
             previous_abs = rho_e
             drift = abs(energy_expectation(state, decomposition.reconstruct()) - energy0)
-            worst_trace = max(worst_trace, 0.0)
             if drift > 1e-10:
                 return False, f"energy drift {drift:.2e}"
     ok = worst_herm < 1e-12 and worst_trace < 1e-12 and worst_eig < 1e-10 and monotone

@@ -308,15 +308,6 @@ class TestCompare:
         with pytest.raises(GridMismatch):
             compare_to_analytic(ensemble, other)
 
-    def test_accepts_state_list(self, qubit):
-        _, dec, rho0 = qubit
-        model = dephasing_model(0.5)
-        grid = [0.0, 1.0]
-        ensemble = run_ensemble(dec, model, rho0, grid, n_traj=500, seed=6)
-        states = averaged_trajectory(dec, model, rho0, grid).states
-        report = compare_to_analytic(ensemble, list(states))
-        assert report.passed is True
-
     def test_to_dict_fields(self, qubit):
         _, dec, rho0 = qubit
         model = dephasing_model(0.5)

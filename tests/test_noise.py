@@ -375,6 +375,9 @@ class TestSampling:
             sample_chi_paths(model, [0.0, 1.0], [0.0], seed=1, n_traj=1)
         with pytest.raises(GridMismatch):
             sample_chi_paths(model, [0.0, 1.0], [0.0, 1.0, 0.5], seed=1, n_traj=1)
+        # chi is 0 at the first grid point, so a later start would pin chi_1 to 0
+        with pytest.raises(GridMismatch):
+            sample_chi_paths(model, [0.0, 1.0], [1.0, 2.0], seed=1, n_traj=1)
 
     def test_chi_paths_zero_noise_is_drift(self):
         model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)

@@ -13,6 +13,7 @@ from noisytime import (
     to_energy_basis,
     validate_density,
 )
+from noisytime.operators import DEGENERACY_TOL
 
 
 def random_hermitian(dim, seed):
@@ -35,6 +36,14 @@ class TestHermitianOperator:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        for matrix in ([[0.5, bad], [bad, 0.5]], [[bad, 0.0], [0.0, 0.5]]):
+            with pytest.raises(NotHermitian):
+                HermitianOperator(matrix)
+            with pytest.raises(NotHermitian):
+                DensityMatrix(matrix)
 
 
 class TestEigendecompose:
@@ -60,10 +69,12 @@ class TestEigendecompose:
         assert tuple(dec.multiplicities) == (2, 1)
         assert np.trace(dec.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
 
-    def test_degeneracy_tol_is_a_knob(self):
-        op = HermitianOperator(np.diag([1.0, 1.5, 4.0]))
-        assert eigendecompose(op).num_levels == 3
-        assert eigendecompose(op, degeneracy_tol=1.0).num_levels == 2
+    def test_degeneracy_tol_merges_close_levels(self):
+        close = HermitianOperator(np.diag([1.0, 1.0 + 0.5 * DEGENERACY_TOL, 4.0]))
+        assert tuple(eigendecompose(close).multiplicities) == (2, 1)
+        apart = HermitianOperator(np.diag([1.0, 1.0 + 2.0 * DEGENERACY_TOL, 4.0]))
+        assert eigendecompose(apart).num_levels == 3
+        assert eigendecompose(HermitianOperator(np.diag([1.0, 1.5, 4.0]))).num_levels == 3
 
     def test_column_levels_and_index(self):
         dec = eigendecompose(HermitianOperator(np.diag([2.0, 2.0, 5.0])))
