@@ -21,7 +21,7 @@ from noisytime import (
     DensityMatrix,
     HermitianOperator,
     averaged_trajectory,
-    build_phase_destroying,
+    build_generator,
     compare_to_analytic,
     dephasing_model,
     eigendecompose,
@@ -39,8 +39,8 @@ model = dephasing_model(GAMMA)
 # Route 1: elementwise closed form in the energy basis.
 analytic = averaged_trajectory(decomposition, model, rho0, grid)
 
-# Route 2: RK4 on the phase-destroying generator.
-ode = integrate(build_phase_destroying(decomposition, GAMMA), rho0, grid,
+# Route 2: RK4 on the master equation built from the same model.
+ode = integrate(build_generator(decomposition, model), rho0, grid,
                 decomposition=decomposition)
 
 # Route 3: 20000 unitaries at randomly drawn evolution times.

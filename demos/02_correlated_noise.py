@@ -17,10 +17,10 @@ import numpy as np
 
 from noisytime import (
     HermitianOperator,
-    build_correlated,
-    build_phase_destroying,
-    correlated_rate_table,
+    build_generator,
+    correlated_model,
     cp_report,
+    dephasing_model,
     eigendecompose,
 )
 
@@ -29,6 +29,11 @@ GAMMA = 0.8
 
 decomposition = eigendecompose(HermitianOperator(np.diag(LEVELS)))
 
+
+def correlated(tau):
+    return build_generator(decomposition, correlated_model(GAMMA, tau))
+
+
 # pairs with both energies nonzero, so the cross term 2 theta theta' g matters;
 # a pair containing theta = 0 is tau-independent by construction
 close = (1, 2)  # gap 0.73
@@ -36,7 +41,7 @@ far = (1, 3)    # gap 1.66
 print("decoherence rate table entries vs correlation range")
 print(f"{'tau':>8} {'pair (0.37, 1.10)':>18} {'pair (0.37, 2.03)':>18}")
 for tau in (0.0, 0.1, 0.3, 1.0, 3.0):
-    table = correlated_rate_table(LEVELS, GAMMA, tau)
+    table = -2.0 * correlated(tau).rates.real  # rates are -i gap - table / 2
     print(f"{tau:8.1f} {table[close]:18.6f} {table[far]:18.6f}")
 
 floor_far = GAMMA * (LEVELS[1] - LEVELS[3]) ** 2
@@ -46,14 +51,13 @@ print(f"far pair limits: gap-only floor {floor_far:.6f}, "
 print()
 
 # tau -> 0 recovers the gap-only table entry by entry
-phase = build_phase_destroying(decomposition, GAMMA)
-tiny = build_correlated(decomposition, GAMMA, 1e-4)
-gap = np.max(np.abs(tiny.rates - phase.rates))
-print(f"max |correlated(tau=1e-4) - phase-destroying| generator entry: {gap:.3e}")
+phase = build_generator(decomposition, dephasing_model(GAMMA))
+gap = np.max(np.abs(correlated(1e-4).rates - phase.rates))
+print(f"max |correlated(tau=1e-4) - dephasing| generator entry: {gap:.3e}")
 print()
 
 # both generators must produce completely positive maps at all times
-for generator in (phase, build_correlated(decomposition, GAMMA, 1.0)):
+for name, generator in (("dephasing", phase), ("correlated tau=1", correlated(1.0))):
     rep = cp_report(generator, (0.1, 1.0, 10.0))
     worst = min(point.min_choi_eigenvalue for point in rep.checkpoints)
-    print(f"{generator.name}: min Choi eigenvalue over t in (0.1, 1, 10) = {worst:.3e}")
+    print(f"{name}: min Choi eigenvalue over t in (0.1, 1, 10) = {worst:.3e}")

@@ -1,8 +1,8 @@
 """Decoherence from randomized evolution time, three ways.
 
 The same physical model is exposed through an exact elementwise propagator,
-a family of master-equation generators, and Monte Carlo sampling of random
-unitaries driven by correlated Brownian phases.  The three routes agree
+a master-equation generator built from the same noise presets, and Monte
+Carlo sampling of random unitaries driven by correlated Brownian phases.  The three routes agree
 within roundoff, integration, and statistical error, and the ``verify``
 entry point checks that they do.
 """
@@ -61,11 +61,7 @@ from .propagator import (
 )
 from .generator import (
     Superoperator,
-    build_correlated,
-    build_general,
-    build_phase_destroying,
-    choi_matrix,
-    correlated_rate_table,
+    build_generator,
     cp_report,
     CPCheckpoint,
     CPReport,
@@ -137,12 +133,8 @@ __all__ = [
     "semigroup_defect",
     # generator
     "Superoperator",
-    "build_phase_destroying",
-    "build_correlated",
-    "build_general",
-    "correlated_rate_table",
+    "build_generator",
     "integrate",
-    "choi_matrix",
     "cp_report",
     "CPCheckpoint",
     "CPReport",

@@ -31,16 +31,9 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
-from .generator import (
-    Superoperator,
-    build_correlated,
-    build_general,
-    build_phase_destroying,
-    cp_report,
-    integrate,
-)
+from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import LambdaKernel, NoiseModel, SigmaTimePreset, moment_report
+from .noise import NoiseModel, SigmaTimePreset, moment_report
 from .propagator import averaged_trajectory
 from .results import EvolutionResult
 from .verify import run_suite, check_names
@@ -163,33 +156,18 @@ def _check_family(noise: NoiseModel, kind: str) -> None:
     )
 
 
-def _generator_from_config(config: ScenarioConfig, kind: str) -> Superoperator:
-    decomposition = config.decomposition()
-    noise = config.noise
-    if kind in ("phase", "correlated"):
-        _check_family(noise, kind)
-    if kind == "phase":
-        return build_phase_destroying(decomposition, noise.gamma)
-    if kind == "correlated":
-        return build_correlated(
-            decomposition, noise.gamma, noise.correlation_g.tau, h=noise.drift_h
-        )
-    if kind == "general":
-        if noise.direct_lambda is None and not noise.sigma_time.is_constant:
-            raise ConfigError(
-                "noise.sigma_time",
-                "the general generator needs a time-independent rate table; "
-                "use evolve for time-dependent profiles",
-            )
-        table = LambdaKernel(noise, decomposition.levels).eta_matrix(0.0)
-        return build_general(decomposition, table, h=noise.drift_h)
-    raise ConfigError("--generator", f"unknown generator kind {kind!r}")
-
-
 def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, list[Path]]:
-    """Integrate the matching master equation and certify the map."""
+    """Integrate the scenario's master equation and certify the map.
+
+    Every family runs the one builder; ``generator_kind`` only guards which
+    models a family accepts.
+    """
+    if generator_kind in ("phase", "correlated"):
+        _check_family(config.noise, generator_kind)
+    elif generator_kind != "general":
+        raise ConfigError("--generator", f"unknown generator kind {generator_kind!r}")
     decomposition = config.decomposition()
-    generator = _generator_from_config(config, generator_kind)
+    generator = build_generator(decomposition, config.noise)
     grid = config.times()
     result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
     written = []
@@ -338,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--generator",
         choices=("phase", "correlated", "general"),
         required=True,
-        help="which generator family to build from the scenario",
+        help="model family the scenario must match; every family runs the same builder",
     )
     p.set_defaults(handler=_run_integrate)
 

@@ -4,8 +4,10 @@ All built-in generators act entry by entry in the energy basis:
 (d rho / dt)_{kl} = r_{kl} rho_{kl}.  Storage is therefore the (d, d) rate
 matrix, not a d^2 x d^2 superoperator matrix.  The Choi matrix of such a map
 is the factor matrix F(t) = exp(r t) placed on the index pairs (ii, jj), so
-complete positivity is certified from F(t) alone; the dense Choi matrix is
-kept only as a reference for tests.
+complete positivity is certified from F(t) alone.
+
+:func:`build_generator` reads the rates from the noise model's presets, as
+the other two routes do; it shares no kernel with the analytic route.
 
 :func:`integrate` runs RK4 through its amplification polynomial P: on such a
 system one step of size h is exactly y <- P(h r) y, so each grid interval is
@@ -15,7 +17,7 @@ independent of the analytic route.
 
 Rate convention: a damping-rate table lam_dot enters as r = -i dh - lam_dot/2,
 so lam_dot is always the accumulated variance per unit time and the factor
-one half lives here, matching the exp(-lambda/2) of the analytic propagator.
+one half lives here, matching the exp(-lambda/2) of the analytic route.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, KernelAsymmetric, StepTooLarge
-from .noise import DriftPreset
+from .errors import ConfigError, DimensionMismatch, StepTooLarge
+from .noise import NoiseModel, correlation_matrix
 from .operators import SpectralDecomposition, from_energy_basis, state_matrix, to_energy_basis
 from .results import EvolutionResult, time_grid
 
@@ -34,12 +36,8 @@ __all__ = [
     "Superoperator",
     "CPCheckpoint",
     "CPReport",
-    "correlated_rate_table",
-    "build_phase_destroying",
-    "build_correlated",
-    "build_general",
+    "build_generator",
     "integrate",
-    "choi_matrix",
     "cp_report",
     "CHOI_PSD_TOL",
 ]
@@ -84,92 +82,41 @@ class Superoperator:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    def propagator_factors(self, t: float) -> np.ndarray:
+    def factors(self, t: float) -> np.ndarray:
         """Entrywise solution factors exp(rates * t)."""
         return np.exp(self.rates * t)
 
-    def apply(self, rho_energy: np.ndarray, t: float) -> np.ndarray:
-        """Evolve an energy-basis matrix for time t under this generator."""
-        return self.propagator_factors(t) * np.asarray(rho_energy, dtype=complex)
 
+def build_generator(decomposition: SpectralDecomposition, noise: NoiseModel) -> Superoperator:
+    """Generator of a time-independent noise model, read from its presets.
 
-def _drift_values(decomposition: SpectralDecomposition, h: DriftPreset | None) -> np.ndarray:
-    theta = decomposition.column_levels()
-    return theta if h is None else np.asarray(h(theta), dtype=float)
-
-
-def _rates_from_table(drift: np.ndarray, table: np.ndarray) -> np.ndarray:
-    gaps = drift[:, None] - drift[None, :]
-    return -1j * gaps - 0.5 * table
-
-
-def build_phase_destroying(decomposition: SpectralDecomposition, gamma: float) -> Superoperator:
-    """Double-commutator dephasing: r_{kl} = -i(theta_k - theta_l) - (gamma/2)(theta_k - theta_l)^2."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    theta = decomposition.column_levels()
-    gaps = theta[:, None] - theta[None, :]
-    table = gamma * gaps**2
-    return Superoperator(_rates_from_table(theta, table), "phase-destroying")
-
-
-def correlated_rate_table(levels: np.ndarray, gamma: float, tau: float) -> np.ndarray:
-    """Damping rates gamma (theta^2 + theta'^2 - 2 theta theta' g) for gaussian g.
-
-    Written as gamma ((theta - theta')^2 + 2 theta theta' (1 - g)) so that
-    tau = 0 reproduces the dephasing table exactly, not just to roundoff.
+    Route 2 writes its damping-rate table in its own gap form over the
+    distinct levels, table_kl = sigma_time^2 ((s_k - s_l)^2
+    + 2 s_k s_l (1 - g_kl)) with s = sigma_theta and g = correlation_g, so a
+    zero gap or g = 1 gives the dephasing table exactly.  A direct damping
+    table is taken as it is, looked up by level.  The drift gaps come from
+    drift_h.  A non-constant sigma_time has no time-independent table and
+    raises ConfigError naming noise.sigma_time.
     """
-    theta = np.asarray(levels, dtype=float)
-    gaps = theta[:, None] - theta[None, :]
-    cross = theta[:, None] * theta[None, :]
-    g = np.exp(-(tau**2) * gaps**2)
-    return gamma * (gaps**2 + 2.0 * cross * (1.0 - g))
-
-
-def build_correlated(
-    decomposition: SpectralDecomposition, gamma: float, tau: float, h: DriftPreset | None = None
-) -> Superoperator:
-    """Generator of the gaussian-correlated noise model.
-
-    r_{kl} = -i(h_k - h_l) - (gamma/2)(theta_k^2 + theta_l^2
-             - 2 theta_k theta_l exp(-tau^2 (theta_k - theta_l)^2)).
-    ``h`` is a DriftPreset, or None for identity.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    theta = decomposition.column_levels()
-    table = correlated_rate_table(theta, gamma, tau)
-    return Superoperator(_rates_from_table(_drift_values(decomposition, h), table), "correlated")
-
-
-def build_general(
-    decomposition: SpectralDecomposition, table, h: DriftPreset | None = None
-) -> Superoperator:
-    """Generator from an explicit damping-rate table over distinct levels.
-
-    The table is the accumulated variance per unit time; this builder applies
-    the one-half convention, r_{kl} = -i(h_k - h_l) - table_{kl} / 2.  The
-    table must be symmetric with nonnegative diagonal; a positive diagonal
-    damps populations (dissipative branch).
-    """
-    arr = np.asarray(table, dtype=float)
-    m = decomposition.num_levels
-    if arr.shape != (m, m):
-        raise DimensionMismatch(
-            f"damping table shape {arr.shape} does not match {m} distinct levels"
+    levels = decomposition.levels
+    if noise.direct_lambda is not None:
+        table = noise.direct_lambda(levels)
+    elif not noise.sigma_time.is_constant:
+        raise ConfigError(
+            "noise.sigma_time",
+            "the master-equation generator needs a time-independent rate table; "
+            "use evolve for time-dependent profiles",
         )
-    asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if asym > 1e-12:
-        raise KernelAsymmetric(f"damping table asymmetric by {asym:.3e}")
-    if m and float(np.min(np.diag(arr))) < 0:
-        raise ValueError("diagonal damping rates must be >= 0")
+    else:
+        s = noise.sigma_theta(levels)
+        g = correlation_matrix(noise, levels)
+        table = noise.sigma_time.value**2 * (
+            (s[:, None] - s[None, :]) ** 2 + 2.0 * s[:, None] * s[None, :] * (1.0 - g)
+        )
+    h = noise.drift_h(levels)
+    rates = -1j * (h[:, None] - h[None, :]) - 0.5 * table
     idx = decomposition.level_index
-    expanded = arr[np.ix_(idx, idx)]
-    return Superoperator(
-        _rates_from_table(_drift_values(decomposition, h), expanded), "general"
-    )
+    return Superoperator(rates[np.ix_(idx, idx)], "noise-model")
 
 
 def _amplification(z: np.ndarray) -> np.ndarray:
@@ -243,26 +190,6 @@ def integrate(
     return EvolutionResult(grid_arr, states, "ode")
 
 
-def choi_matrix(generator: Superoperator, t: float) -> np.ndarray:
-    """Choi matrix of the time-t map: sum_ij |i><j| (x) map[|i><j|].
-
-    The map is the entrywise exponential of the rates; it is applied to every
-    matrix unit and the images are assembled blockwise.  This dense d^2 x d^2
-    form is a reference for checking :func:`cp_report`, which never builds it.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    d = generator.dim
-    factors = generator.propagator_factors(t)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = factors * unit
-    return choi
-
-
 @dataclass(frozen=True)
 class CPCheckpoint:
     """Map diagnostics at one time."""
@@ -320,13 +247,13 @@ def cp_report(generator: Superoperator, times) -> CPReport:
     checkpoints = []
     for t in np.asarray(times, dtype=float).reshape(-1):
         t = float(t)
-        factors = generator.propagator_factors(t)
+        factors = generator.factors(t)
         min_eig = float(np.linalg.eigvalsh(factors)[0])
         if generator.dim > 1:
             min_eig = min(0.0, min_eig)
         defect = float(np.max(np.abs(np.diag(factors) - 1.0)))
         semigroup = float(
-            np.max(np.abs(generator.propagator_factors(2.0 * t) - factors * factors))
+            np.max(np.abs(generator.factors(2.0 * t) - factors * factors))
         )
         checkpoints.append(
             CPCheckpoint(

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DimensionMismatch, GridMismatch
 from .noise import MAX_CHUNK, RNG_BLOCK, NoiseModel, _chi_chunk, correlation_matrix, psd_sqrt
 from .operators import SpectralDecomposition, state_matrix, to_energy_basis
 from .results import EvolutionResult, time_grid
@@ -285,10 +285,15 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
     another would report huge z for perfect agreement.  A deviation above
     the slack over zero standard error counts as infinite.  PASS means
     max z <= 4 and at most 5% of components above z = 3.  A reference on
-    another grid raises GridMismatch.
+    another grid raises GridMismatch, one of another dimension
+    DimensionMismatch.
     """
     if not np.array_equal(analytic.grid, ensemble.grid):
         raise GridMismatch("analytic reference evaluated on a different grid")
+    if analytic.dim != ensemble.dim:
+        raise DimensionMismatch(
+            f"analytic reference has dimension {analytic.dim}, the ensemble {ensemble.dim}"
+        )
     reference = analytic.states
     dev_re = np.abs(ensemble.mean.real - reference.real)
     dev_im = np.abs(ensemble.mean.imag - reference.imag)

@@ -298,12 +298,16 @@ class DirectDampingPreset:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "table", arr)
 
-    def _index_of(self, theta: float) -> int:
-        lv = np.asarray(self.levels)
-        hit = np.nonzero(np.isclose(lv, theta, rtol=0.0, atol=1e-9))[0]
-        if hit.size == 0:
-            raise DimensionMismatch(f"level {theta!r} is not tabulated in direct_lambda")
-        return int(hit[0])
+    def __call__(self, levels) -> np.ndarray:
+        """The table over the given levels, each looked up by value to 1e-9."""
+        tabulated = np.asarray(self.levels)
+        idx = []
+        for theta in np.asarray(levels, dtype=float).reshape(-1):
+            hit = np.nonzero(np.isclose(tabulated, theta, rtol=0.0, atol=1e-9))[0]
+            if hit.size == 0:
+                raise DimensionMismatch(f"level {theta!r} is not tabulated in direct_lambda")
+            idx.append(int(hit[0]))
+        return self.table[np.ix_(idx, idx)]
 
     def has_dissipation(self) -> bool:
         return bool(np.any(np.diag(self.table) > 0.0))
@@ -315,8 +319,8 @@ class NoiseModel:
 
     ``gamma`` records the declared noise strength; the sigma presets carry it
     numerically (a dephasing model of strength gamma uses sigma_theta =
-    linear(sqrt(gamma))).  Kernel evaluation therefore never multiplies by
-    gamma again; generator builders take gamma as an explicit argument.
+    linear(sqrt(gamma))).  Neither the kernel nor the generator builder reads
+    gamma again.
     """
 
     drift_h: DriftPreset = field(default_factory=DriftPreset.identity)
@@ -401,8 +405,7 @@ class LambdaKernel:
         lv = np.asarray(levels, dtype=float).reshape(-1)
         lv.setflags(write=False)
         if model.direct_lambda is not None:
-            idx = [model.direct_lambda._index_of(v) for v in lv]
-            form = model.direct_lambda.table[np.ix_(idx, idx)]
+            form = model.direct_lambda(lv)
         else:
             s = np.asarray(model.sigma_theta(lv), dtype=float)
             g = correlation_matrix(model, lv)

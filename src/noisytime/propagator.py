@@ -22,7 +22,7 @@ from .operators import (
     state_matrix,
     to_energy_basis,
 )
-from .results import EvolutionResult, time_grid
+from .results import EvolutionResult, time_grid, time_point
 
 __all__ = [
     "averaged_state",
@@ -72,11 +72,10 @@ def averaged_state(
     unit trace whenever lambda vanishes on the diagonal; a direct damping
     table with nonzero diagonal loses trace, which is reported as a
     DissipativeTraceLoss warning rather than renormalized away.  A raw
-    ``rho0`` must be a valid state.
+    ``rho0`` must be a valid state; ``t`` must be finite and >= 0 (else
+    ValueError).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    out = _evolve(decomposition, model, rho0, t)
+    out = _evolve(decomposition, model, rho0, time_point(t))
     if model.is_dissipative:
         return DensityMatrix.unchecked(out)
     return DensityMatrix(out)
@@ -105,10 +104,9 @@ def averaged_state_global(
     exp(-accumulated_variance * (theta_k - theta_l)^2 / 2) on top of the gap
     phase; equivalent to :func:`averaged_state` with identity drift, linear
     level amplitude, and uniform correlation.  A raw ``rho0`` must be a valid
-    state.
+    state; ``t`` must be finite and >= 0 (else ValueError).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = time_point(t)
     if isinstance(sigma_profile, SigmaTimePreset):
         accumulated = float(sigma_profile.integrated_square(t))
     else:
@@ -169,10 +167,10 @@ def semigroup_defect(
 
     Zero (to roundoff) exactly when the kernels are time-independent; a
     sigma_time step inside (0, t+s) makes it strictly positive, witnessing
-    non-Markovian evolution.
+    non-Markovian evolution.  Both times must be finite and >= 0 (else
+    ValueError).
     """
-    if t < 0 or s < 0:
-        raise ValueError("t and s must be >= 0")
+    t, s = time_point(t), time_point(s)
     joint = averaged_state(decomposition, model, rho0, t + s).matrix
     inner = averaged_state(decomposition, model, rho0, s)
     composed = averaged_state(decomposition, model, inner, t).matrix

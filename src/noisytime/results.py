@@ -1,8 +1,9 @@
-"""Trajectory container and time-grid rule shared by the analytic, ODE, and
+"""Trajectory container and the time rules shared by the analytic, ODE, and
 Monte Carlo routes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .errors import GridMismatch
 from .metrics import coherence_l1, energy_expectation, purity
 
-__all__ = ["EvolutionResult", "time_grid"]
+__all__ = ["EvolutionResult", "time_grid", "time_point"]
 
 PROVENANCES = ("analytic", "ode", "montecarlo")
 
@@ -28,6 +29,14 @@ def time_grid(grid) -> np.ndarray:
             "grid must be finite, have at least two points, start at 0 and increase strictly"
         )
     return arr
+
+
+def time_point(t) -> float:
+    """A single evaluation time as a float: finite and >= 0, else ValueError."""
+    value = float(t)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"times must be finite and >= 0, got {t!r}")
+    return value
 
 
 @dataclass(frozen=True)

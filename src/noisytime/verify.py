@@ -24,13 +24,7 @@ import numpy as np
 
 from .config import ScenarioConfig, config_to_dict, parse_config
 from .errors import DissipativeTraceLoss
-from .generator import (
-    build_correlated,
-    build_general,
-    build_phase_destroying,
-    cp_report,
-    integrate,
-)
+from .generator import build_generator, cp_report, integrate
 from .metrics import energy_expectation, purity
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import (
@@ -314,7 +308,7 @@ def _check_generator_vs_analytic_dephasing() -> tuple[bool, str]:
     grid = np.linspace(0.0, 5.0, 26)
     worst = 0.0
     for gamma in (0.1, 0.5, 2.0):
-        generator = build_phase_destroying(decomposition, gamma)
+        generator = build_generator(decomposition, dephasing_model(gamma))
         ode = integrate(generator, rho0, grid, decomposition=decomposition)
         for state, t in zip(ode.states, grid):
             exact = averaged_state_global(decomposition, gamma, rho0, float(t)).matrix
@@ -328,7 +322,7 @@ def _check_generator_vs_analytic_correlated() -> tuple[bool, str]:
     worst = 0.0
     for tau in (0.3, 1.0, 3.0):
         model = correlated_model(0.8, tau)
-        generator = build_correlated(decomposition, 0.8, tau)
+        generator = build_generator(decomposition, model)
         ode = integrate(generator, rho0, grid, decomposition=decomposition)
         analytic = averaged_trajectory(decomposition, model, rho0, grid)
         worst = max(worst, float(np.max(np.abs(ode.states - analytic.states))))
@@ -338,9 +332,9 @@ def _check_generator_vs_analytic_correlated() -> tuple[bool, str]:
 def _check_tau_zero_reduction() -> tuple[bool, str]:
     _, decomposition, _ = _four_level()
     gamma = 0.8
-    phase = build_phase_destroying(decomposition, gamma)
-    tiny = build_correlated(decomposition, gamma, 1e-4)
-    exact = build_correlated(decomposition, gamma, 0.0)
+    phase = build_generator(decomposition, dephasing_model(gamma))
+    tiny = build_generator(decomposition, correlated_model(gamma, 1e-4))
+    exact = build_generator(decomposition, correlated_model(gamma, 0.0))
     if not np.array_equal(exact.rates, phase.rates):
         return False, "tau=0 rates differ from the dephasing generator"
     off = ~np.eye(decomposition.dim, dtype=bool)
@@ -355,13 +349,14 @@ def _check_cp_certification() -> tuple[bool, str]:
     for dim in range(2, 9):
         decomposition = eigendecompose(HermitianOperator(np.diag(spectra[:dim])))
         for generator in (
-            build_phase_destroying(decomposition, 0.7),
-            build_correlated(decomposition, 0.7, 1.2),
+            build_generator(decomposition, dephasing_model(0.7)),
+            build_generator(decomposition, correlated_model(0.7, 1.2)),
         ):
             report = cp_report(generator, [0.1, 1.0, 10.0])
             worst = min(worst, report.min_choi_eigenvalue)
     _, qubit_dec, _ = _qubit()
-    violator = build_general(qubit_dec, [[0.0, -1.0], [-1.0, 0.0]])
+    amplifying = direct_damping_model(qubit_dec.levels, [[0, -1], [-1, 0]])
+    violator = build_generator(qubit_dec, amplifying)
     violation = cp_report(violator, [1.0]).min_choi_eigenvalue
     ok = worst >= -1e-10 and violation < -1e-6
     return ok, f"min eigenvalue {worst:.2e}; violator flagged at {violation:.2e}"
@@ -371,8 +366,8 @@ def _check_map_defects() -> tuple[bool, str]:
     _, decomposition, _ = _four_level()
     worst = 0.0
     for generator in (
-        build_phase_destroying(decomposition, 0.5),
-        build_correlated(decomposition, 0.8, 1.0),
+        build_generator(decomposition, dephasing_model(0.5)),
+        build_generator(decomposition, correlated_model(0.8, 1.0)),
     ):
         report = cp_report(generator, [0.1, 1.0, 10.0])
         for checkpoint in report.checkpoints:
@@ -383,7 +378,7 @@ def _check_map_defects() -> tuple[bool, str]:
                 checkpoint.semigroup_defect,
             )
     _, dec2, model, _ = _dissipative_fixture()
-    dissipative = build_general(dec2, model.direct_lambda.table)
+    dissipative = build_generator(dec2, model)
     trace_defect = cp_report(dissipative, [1.0]).checkpoints[0].trace_defect
     ok = worst < 1e-10 and trace_defect > 1e-3
     return ok, f"brownian defects {worst:.2e}; dissipative trace defect {trace_defect:.3f}"
@@ -412,7 +407,7 @@ def _check_energy_modes() -> tuple[bool, str]:
     grid = np.linspace(0.0, 3.0, 13)
     model = correlated_model(0.8, 1.0)
     analytic = averaged_trajectory(decomposition, model, rho0, grid)
-    generator = build_correlated(decomposition, 0.8, 1.0)
+    generator = build_generator(decomposition, model)
     ode = integrate(generator, rho0, grid, decomposition=decomposition)
     ensemble = run_ensemble(decomposition, model, rho0, grid, n_traj=200, seed=31)
     drift = 0.0

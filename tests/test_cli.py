@@ -9,7 +9,7 @@ import pytest
 from noisytime import (
     EvolutionResult,
     averaged_trajectory,
-    build_phase_destroying,
+    build_generator,
     integrate,
     load_config,
 )
@@ -159,7 +159,7 @@ class TestIntegrate:
         config = load_config(config_path)
         dec, grid = config.decomposition(), config.times()
         assert np.max(np.abs(dec.eigenvectors - np.diag(np.diag(dec.eigenvectors)))) > 0.1
-        generator = build_phase_destroying(dec, config.noise.gamma)
+        generator = build_generator(dec, config.noise)
         expected = {
             "analytic.csv": averaged_trajectory(dec, config.noise, config.initial_state, grid),
             "me.csv": integrate(generator, config.initial_state, grid, decomposition=dec),

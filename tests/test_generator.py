@@ -1,30 +1,61 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from noisytime import (
+    ConfigError,
+    CorrelationPreset,
     DriftPreset,
     GridMismatch,
     HermitianOperator,
-    KernelAsymmetric,
+    NoiseModel,
+    SigmaThetaPreset,
+    SigmaTimePreset,
     StepTooLarge,
     Superoperator,
     averaged_state_global,
     averaged_trajectory,
-    build_correlated,
-    build_general,
-    build_phase_destroying,
-    choi_matrix,
+    build_generator,
     correlated_model,
-    correlated_rate_table,
     cp_report,
+    dephasing_model,
+    direct_damping_model,
     eigendecompose,
     from_energy_basis,
     integrate,
+    noise,
     to_energy_basis,
 )
 from noisytime.generator import CHOI_PSD_TOL, LOCAL_ERROR_LIMIT
+
+
+def _choi_matrix(generator, t):
+    """Dense Choi matrix sum_ij |i><j| (x) map(|i><j|), the oracle of cp_report.
+
+    The time-t map multiplies entry (k, l) by exp(r_kl t); it is applied to
+    every matrix unit |i><j| and the images are placed blockwise.
+    """
+    d = generator.dim
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = |i><j|
+    images = _apply(generator, units, t)
+    return images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _apply(generator, rho_energy, t):
+    """The exact time-t map on energy-basis matrices: entrywise exp(r t)."""
+    return generator.factors(t) * np.asarray(rho_energy, dtype=complex)
+
+
+def _damping_table(generator):
+    """The damping-rate table of a generator: rates are -i dh - table / 2."""
+    return -2.0 * generator.rates.real
+
+
+def _amplifying(dec):
+    """Negative off-diagonal rates: coherences grow, the map is not CP."""
+    return build_generator(dec, direct_damping_model(dec.levels, [[0.0, -1.0], [-1.0, 0.0]]))
 
 
 def _rk4_step(rates, y, h):
@@ -66,13 +97,14 @@ def _random_case(d, kind, seed):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     dec = eigendecompose(HermitianOperator(q @ np.diag(levels) @ q.conj().T))
     if kind == "phase":
-        gen = build_phase_destroying(dec, 0.7)
+        model = dephasing_model(0.7)
     elif kind == "correlated":
-        gen = build_correlated(dec, 0.7, 0.9)
+        model = correlated_model(0.7, 0.9)
     else:
         m = dec.num_levels
         table = rng.uniform(0.0, 1.0, (m, m))
-        gen = build_general(dec, table + table.T)
+        model = direct_damping_model(dec.levels, table + table.T)
+    gen = build_generator(dec, model)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return dec, gen, rho / np.trace(rho)
@@ -85,24 +117,25 @@ class TestSuperoperator:
         with pytest.raises(ValueError):
             Superoperator(bad)
 
-    def test_propagator_factors(self):
+    def test_factors(self):
         rates = np.array([[0.0, -1.0 - 2.0j], [-1.0 + 2.0j, 0.0]])
         gen = Superoperator(rates)
-        assert np.allclose(gen.propagator_factors(0.5), np.exp(rates * 0.5))
+        assert np.allclose(gen.factors(0.5), np.exp(rates * 0.5))
 
     def test_apply_is_elementwise(self):
+        # RK4 on the master equation converges to the entrywise map
         rates = np.array([[0.0, -0.5], [-0.5, 0.0]], dtype=complex)
         gen = Superoperator(rates)
         rho_e = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        out = gen.apply(rho_e, 2.0)
-        assert np.allclose(out, np.exp(rates * 2.0) * rho_e)
+        out = integrate(gen, rho_e, [0.0, 2.0]).states[-1]
+        assert np.max(np.abs(out - np.exp(rates * 2.0) * rho_e)) < 1e-8
 
 
 class TestBuilders:
     def test_phase_destroying_rates(self, qubit):
         _, dec, _ = qubit
         gamma = 0.8
-        gen = build_phase_destroying(dec, gamma)
+        gen = build_generator(dec, dephasing_model(gamma))
         gap = 0.0 - 1.0
         assert gen.rates[0, 1] == pytest.approx(-1j * gap - 0.5 * gamma * gap**2)
         assert gen.rates[0, 0] == 0.0
@@ -110,7 +143,8 @@ class TestBuilders:
     def test_correlated_rate_table_formula(self):
         levels = np.array([0.0, 1.0, 2.5])
         gamma, tau = 0.8, 1.3
-        table = correlated_rate_table(levels, gamma, tau)
+        dec = eigendecompose(HermitianOperator(np.diag(levels)))
+        table = _damping_table(build_generator(dec, correlated_model(gamma, tau)))
         for i, a in enumerate(levels):
             for j, b in enumerate(levels):
                 g = np.exp(-(tau**2) * (a - b) ** 2)
@@ -118,19 +152,28 @@ class TestBuilders:
                     gamma * (a * a + b * b - 2 * a * b * g), rel=1e-13
                 )
 
-    def test_general_rejects_asymmetric(self, qubit):
-        _, dec, _ = qubit
-        with pytest.raises(KernelAsymmetric):
-            build_general(dec, [[0.0, 0.3], [0.6, 0.0]])
-
-    def test_general_rejects_negative_diagonal(self, qubit):
-        _, dec, _ = qubit
-        with pytest.raises(ValueError):
-            build_general(dec, [[-0.2, 0.0], [0.0, 0.0]])
+    def test_presets_closed_form(self):
+        # sigma_time^2 (s^2 + s'^2 - 2 s s' g) for an exponential correlation,
+        # a degree-2 sigma_theta and a constant sigma_time of 1.5
+        levels = np.array([-1.0, 0.3, 2.0])
+        dec = eigendecompose(HermitianOperator(np.diag(levels)))
+        model = NoiseModel(
+            sigma_theta=SigmaThetaPreset.polynomial([0.2, -0.5, 0.7]),
+            sigma_time=SigmaTimePreset.constant(1.5),
+            correlation_g=CorrelationPreset.exponential(0.8),
+        )
+        table = _damping_table(build_generator(dec, model))
+        s = 0.2 - 0.5 * levels + 0.7 * levels**2
+        for i, a in enumerate(levels):
+            for j, b in enumerate(levels):
+                g = np.exp(-abs(a - b) / 0.8)
+                expected = 1.5**2 * (s[i] ** 2 + s[j] ** 2 - 2 * s[i] * s[j] * g)
+                assert table[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     def test_general_expands_degenerate_levels(self):
         dec = eigendecompose(HermitianOperator(np.diag([1.0, 1.0, 3.0])))
-        gen = build_general(dec, [[0.0, 0.5], [0.5, 0.2]])
+        # the table is looked up by level, so its levels may come in any order
+        gen = build_generator(dec, direct_damping_model([3.0, 1.0], [[0.2, 0.5], [0.5, 0.0]]))
         # columns 0 and 1 share a level: zero gap, zero damping between them
         assert gen.rates[0, 1] == 0.0
         assert gen.rates[0, 2] == pytest.approx(-1j * (1.0 - 3.0) - 0.25)
@@ -138,8 +181,31 @@ class TestBuilders:
 
     def test_drift_override(self, qubit):
         _, dec, _ = qubit
-        gen = build_general(dec, [[0.0, 0.0], [0.0, 0.0]], h=DriftPreset.affine(2.0, 0.0))
+        model = direct_damping_model(
+            [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], drift=DriftPreset.affine(2.0, 0.0)
+        )
+        gen = build_generator(dec, model)
         assert gen.rates[0, 1] == pytest.approx(-1j * (0.0 - 2.0))
+
+    def test_refuses_time_dependent_profile(self, qubit):
+        _, dec, _ = qubit
+        piecewise = SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6])
+        with pytest.raises(ConfigError) as info:
+            build_generator(dec, NoiseModel(sigma_time=piecewise))
+        assert info.value.path == "noise.sigma_time"
+        # a direct table is a rate per unit time: the profile does not enter
+        direct = direct_damping_model([0.0, 1.0], [[0.0, 0.5], [0.5, 0.0]])
+        gen = build_generator(dec, replace(direct, sigma_time=piecewise))
+        assert gen.rates[0, 1] == pytest.approx(1j - 0.25)
+
+    def test_never_evaluates_the_analytic_kernel(self, four_level, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("route 2 evaluated the analytic kernel")
+
+        monkeypatch.setattr(noise.LambdaKernel, "__init__", refuse)
+        _, dec, rho0 = four_level
+        model = NoiseModel(correlation_g=CorrelationPreset.exponential(0.5))
+        integrate(build_generator(dec, model), rho0, [0.0, 1.0], decomposition=dec)
 
 
 class TestIntegrate:
@@ -147,7 +213,8 @@ class TestIntegrate:
         _, dec, rho0 = qubit
         gamma = 0.5
         grid = np.linspace(0.0, 5.0, 26)
-        result = integrate(build_phase_destroying(dec, gamma), rho0, grid, decomposition=dec)
+        gen = build_generator(dec, dephasing_model(gamma))
+        result = integrate(gen, rho0, grid, decomposition=dec)
         assert result.provenance == "ode"
         for state, t in zip(result.states, grid):
             exact = averaged_state_global(dec, gamma, rho0, float(t)).matrix
@@ -156,13 +223,14 @@ class TestIntegrate:
     def test_matches_correlated_analytic(self, four_level):
         _, dec, rho0 = four_level
         grid = np.linspace(0.0, 3.0, 13)
-        result = integrate(build_correlated(dec, 0.8, 1.0), rho0, grid, decomposition=dec)
-        analytic = averaged_trajectory(dec, correlated_model(0.8, 1.0), rho0, grid)
+        model = correlated_model(0.8, 1.0)
+        result = integrate(build_generator(dec, model), rho0, grid, decomposition=dec)
+        analytic = averaged_trajectory(dec, model, rho0, grid)
         assert np.max(np.abs(result.states - analytic.states)) < 1e-8
 
     def test_rk4_step_halving_improves(self, qubit):
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 2.0)
+        gen = build_generator(dec, dephasing_model(2.0))
         exact = averaged_state_global(dec, 2.0, rho0, 1.0).matrix
 
         def error_at(step):
@@ -175,18 +243,19 @@ class TestIntegrate:
     def test_grid_must_start_at_zero(self, qubit):
         _, dec, rho0 = qubit
         with pytest.raises(GridMismatch):
-            integrate(build_phase_destroying(dec, 1.0), rho0, [0.5, 1.0], decomposition=dec)
+            gen = build_generator(dec, dephasing_model(1.0))
+            integrate(gen, rho0, [0.5, 1.0], decomposition=dec)
 
     def test_step_too_large(self, qubit):
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 50.0)
+        gen = build_generator(dec, dephasing_model(50.0))
         with pytest.raises(StepTooLarge):
             integrate(gen, rho0, [0.0, 4.0], decomposition=dec, max_step=4.0)
 
     def test_substep_count_guard(self, qubit):
         # 0.01 / max|rate| steps over t = 4 at rate 5e8 would be 2e11 substeps
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 1e9)
+        gen = build_generator(dec, dephasing_model(1e9))
         start = time.perf_counter()
         with pytest.raises(StepTooLarge) as info:
             integrate(gen, rho0, [0.0, 4.0], decomposition=dec)
@@ -215,7 +284,7 @@ class TestIntegrate:
         # last ones exceed the limit, and 159 substeps pass.  The entry
         # reaches modulus 74, so the states are compared to 1e-13 relative.
         _, dec, rho0 = qubit
-        gen = build_general(dec, [[0.0, -1.0], [-1.0, 0.0]])
+        gen = _amplifying(dec)
         grid = [0.0, 10.0]
         coarse, fine = 10.0 / 157.5, 10.0 / 158.5  # 158 and 159 substeps
         _, estimates = _reference_integrate(gen, rho0.matrix, grid, coarse, check=False)
@@ -232,13 +301,13 @@ class TestIntegrate:
     @pytest.mark.parametrize("max_step", [-1.0, 0.0, float("nan")])
     def test_max_step_must_be_positive(self, qubit, max_step):
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 0.5)
+        gen = build_generator(dec, dephasing_model(0.5))
         with pytest.raises(ValueError, match="max_step"):
             integrate(gen, rho0, [0.0, 1.0], decomposition=dec, max_step=max_step)
 
     def test_infinite_max_step_is_one_substep_per_interval(self, qubit):
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 0.5)
+        gen = build_generator(dec, dephasing_model(0.5))
         grid = [0.0, 0.01, 0.03]
         a = integrate(gen, rho0, grid, decomposition=dec, max_step=np.inf).states
         b = integrate(gen, rho0, grid, decomposition=dec, max_step=0.02).states
@@ -247,7 +316,7 @@ class TestIntegrate:
     def test_energy_basis_input(self, qubit):
         # decomposition=None means rho0 is already elementwise-diagonalized
         _, dec, rho0 = qubit
-        gen = build_phase_destroying(dec, 0.5)
+        gen = build_generator(dec, dephasing_model(0.5))
         a = integrate(gen, rho0, [0.0, 1.0], decomposition=dec).states[-1]
         b = integrate(gen, rho0.matrix, [0.0, 1.0]).states[-1]
         assert np.allclose(a, b, atol=1e-12)  # diagonal H: same basis
@@ -256,10 +325,10 @@ class TestIntegrate:
 class TestChoi:
     def test_block_structure(self, qubit):
         _, dec, _ = qubit
-        gen = build_phase_destroying(dec, 0.5)
+        gen = build_generator(dec, dephasing_model(0.5))
         t = 0.7
-        choi = choi_matrix(gen, t)
-        factors = gen.propagator_factors(t)
+        choi = _choi_matrix(gen, t)
+        factors = gen.factors(t)
         d = 2
         for i in range(d):
             for j in range(d):
@@ -271,8 +340,7 @@ class TestChoi:
     def test_violator_flagged(self, qubit):
         # lambda with negative off-diagonal amplifies coherences: not CP
         _, dec, _ = qubit
-        violator = build_general(dec, [[0.0, -1.0], [-1.0, 0.0]])
-        report = cp_report(violator, [1.0])
+        report = cp_report(_amplifying(dec), [1.0])
         assert not report.cp_ok
         assert report.min_choi_eigenvalue < -1e-6
         # known value: 1 - exp(c t / 2) for table amplitude c
@@ -288,7 +356,7 @@ class TestReducedCertificate:
     def _assert_matches_oracle(generator, times):
         report = cp_report(generator, times)
         for checkpoint in report.checkpoints:
-            oracle = float(np.linalg.eigvalsh(choi_matrix(generator, checkpoint.t))[0])
+            oracle = float(np.linalg.eigvalsh(_choi_matrix(generator, checkpoint.t))[0])
             assert checkpoint.min_choi_eigenvalue == pytest.approx(oracle, abs=1e-12)
         return report
 
@@ -297,18 +365,18 @@ class TestReducedCertificate:
         for dim in range(1, 9):
             dec = eigendecompose(HermitianOperator(np.diag(self.SPECTRUM[:dim])))
             table = rng.uniform(0.0, 1.0, size=(dim, dim))
-            for generator in (
-                build_phase_destroying(dec, 0.7),
-                build_correlated(dec, 0.7, 1.2, h=DriftPreset.affine(1.5, 0.2)),
-                build_general(dec, table @ table.T),
-            ):
-                report = self._assert_matches_oracle(generator, [0.1, 1.0, 10.0])
-                if generator.name != "general":
-                    assert report.cp_ok
+            drifted = replace(correlated_model(0.7, 1.2), drift_h=DriftPreset.affine(1.5, 0.2))
+            brownian = (dephasing_model(0.7), drifted)
+            for model in brownian:
+                report = self._assert_matches_oracle(build_generator(dec, model), [0.1, 1.0, 10.0])
+                assert report.cp_ok
+            direct = direct_damping_model(dec.levels, table @ table.T)
+            self._assert_matches_oracle(build_generator(dec, direct), [0.1, 1.0, 10.0])
 
     def test_single_level_reports_the_factor(self):
         dec = eigendecompose(HermitianOperator(np.diag([2.0])))
-        report = self._assert_matches_oracle(build_general(dec, [[0.6]]), [0.5, 2.0])
+        generator = build_generator(dec, direct_damping_model([2.0], [[0.6]]))
+        report = self._assert_matches_oracle(generator, [0.5, 2.0])
         assert report.checkpoints[0].min_choi_eigenvalue == pytest.approx(np.exp(-0.15))
         assert report.cp_ok
 
@@ -318,28 +386,29 @@ class TestReducedCertificate:
         table = np.full((4, 4), 0.2)
         np.fill_diagonal(table, 2.0)
         table[0, 3] = table[3, 0] = -1.5
-        generator = build_general(dec, table)
+        generator = build_generator(dec, direct_damping_model(dec.levels, table))
         report = self._assert_matches_oracle(generator, [0.5, 1.0, 3.0])
         assert not report.cp_ok
         oracle_ok = all(
-            np.linalg.eigvalsh(choi_matrix(generator, t))[0] >= CHOI_PSD_TOL
+            np.linalg.eigvalsh(_choi_matrix(generator, t))[0] >= CHOI_PSD_TOL
             for t in (0.5, 1.0, 3.0)
         )
         assert not oracle_ok
 
     def test_trace_and_unitality_defects_coincide(self, four_level):
         _, dec, _ = four_level
-        generator = build_general(dec, np.diag([0.3, 0.0, 0.1, 0.2]) + 0.4)
+        table = np.diag([0.3, 0.0, 0.1, 0.2]) + 0.4
+        generator = build_generator(dec, direct_damping_model(dec.levels, table))
         identity = np.eye(dec.dim)
         for checkpoint in cp_report(generator, [0.2, 1.5]).checkpoints:
-            direct = np.max(np.abs(generator.apply(identity, checkpoint.t) - identity))
+            direct = np.max(np.abs(_apply(generator, identity, checkpoint.t) - identity))
             assert checkpoint.trace_defect == checkpoint.unitality_defect == direct
 
 
 class TestCPReport:
     def test_defects_small_for_brownian(self, four_level):
         _, dec, _ = four_level
-        report = cp_report(build_correlated(dec, 0.8, 1.0), [0.1, 1.0, 10.0])
+        report = cp_report(build_generator(dec, correlated_model(0.8, 1.0)), [0.1, 1.0, 10.0])
         assert report.cp_ok
         for cp in report.checkpoints:
             assert cp.trace_defect < 1e-10
@@ -348,12 +417,13 @@ class TestCPReport:
 
     def test_dissipative_trace_defect_reported(self, qubit):
         _, dec, _ = qubit
-        report = cp_report(build_general(dec, [[0.6, 0.7], [0.7, 0.8]]), [1.0])
+        model = direct_damping_model(dec.levels, [[0.6, 0.7], [0.7, 0.8]])
+        report = cp_report(build_generator(dec, model), [1.0])
         assert report.checkpoints[0].trace_defect > 0.2
 
     def test_to_dict_shape(self, qubit):
         _, dec, _ = qubit
-        payload = cp_report(build_phase_destroying(dec, 1.0), [0.5, 1.0]).to_dict()
+        payload = cp_report(build_generator(dec, dephasing_model(1.0)), [0.5, 1.0]).to_dict()
         assert payload["cp_ok"] is True
         assert len(payload["checkpoints"]) == 2
         assert set(payload["checkpoints"][0]) == {

@@ -5,6 +5,7 @@ import pytest
 
 from noisytime import (
     DensityMatrix,
+    DimensionMismatch,
     GridMismatch,
     HermitianOperator,
     NotPositive,
@@ -306,6 +307,17 @@ class TestCompare:
         ensemble = run_ensemble(dec, model, rho0, [0.0, 1.0], n_traj=10, seed=1)
         other = averaged_trajectory(dec, model, rho0, [0.0, 2.0])
         with pytest.raises(GridMismatch):
+            compare_to_analytic(ensemble, other)
+
+    def test_dimension_mismatch(self, qubit):
+        # a 3-level reference on the qubit ensemble's grid
+        _, dec, rho0 = qubit
+        ensemble = run_ensemble(dec, dephasing_model(0.5), rho0, [0.0, 1.0], n_traj=10, seed=1)
+        dec3 = eigendecompose(HermitianOperator(np.diag([0.0, 1.0, 2.0])))
+        other = averaged_trajectory(
+            dec3, dephasing_model(0.5), DensityMatrix.maximally_mixed(3), [0.0, 1.0]
+        )
+        with pytest.raises(DimensionMismatch):
             compare_to_analytic(ensemble, other)
 
     def test_to_dict_fields(self, qubit):

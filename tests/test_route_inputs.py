@@ -1,4 +1,5 @@
-"""The routes' shared input contract: one time-grid rule and one state check."""
+"""The routes' shared input contract: one time-grid rule, one scalar-time rule
+and one state check."""
 
 import numpy as np
 import pytest
@@ -9,15 +10,22 @@ from noisytime import (
     GridMismatch,
     NotPositive,
     averaged_state,
+    averaged_state_global,
     averaged_trajectory,
-    build_phase_destroying,
+    build_generator,
     dephasing_model,
+    direct_damping_model,
     integrate,
     run_ensemble,
     sample_chi_paths,
+    semigroup_defect,
 )
 
 MODEL = dephasing_model(1.0)
+DISSIPATIVE = direct_damping_model([0.0, 1.0], [[0.6, 0.7], [0.7, 0.8]])
+BAD_TIMES = pytest.mark.parametrize(
+    "t", [np.nan, np.inf, -np.inf, -0.1], ids=["nan", "inf", "-inf", "negative"]
+)
 
 
 def _analytic(dec, rho0, grid):
@@ -25,7 +33,7 @@ def _analytic(dec, rho0, grid):
 
 
 def _ode(dec, rho0, grid):
-    return integrate(build_phase_destroying(dec, 1.0), rho0, grid, decomposition=dec)
+    return integrate(build_generator(dec, MODEL), rho0, grid, decomposition=dec)
 
 
 def _ensemble(dec, rho0, grid):
@@ -54,6 +62,20 @@ def test_bad_grid_raises(qubit, route, grid):
     _, dec, rho0 = qubit
     with pytest.raises(GridMismatch):
         route(dec, rho0, grid)
+
+
+@BAD_TIMES
+@pytest.mark.parametrize("model", [MODEL, DISSIPATIVE], ids=["brownian", "dissipative"])
+def test_bad_time_raises(qubit, model, t):
+    _, dec, rho0 = qubit
+    for call in (
+        lambda: averaged_state(dec, model, rho0, t),
+        lambda: averaged_state_global(dec, 1.0, rho0, t),
+        lambda: semigroup_defect(dec, model, rho0, t, 0.5),
+        lambda: semigroup_defect(dec, model, rho0, 0.5, t),
+    ):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("route", STATE_ROUTES, ids=lambda f: f.__name__)
