@@ -44,7 +44,6 @@ from .noise import (
     correlation_matrix,
     dephasing_model,
     direct_damping_model,
-    eta,
     lambda_pair,
     moment_report,
     predicted_moment,
@@ -54,7 +53,6 @@ from .noise import (
 )
 from .propagator import (
     averaged_state,
-    averaged_state_global,
     averaged_trajectory,
     semigroup_defect,
     time_averaged_state,
@@ -72,7 +70,6 @@ from .montecarlo import (
     EnsembleResult,
     compare_to_analytic,
     run_ensemble,
-    unitary_from_phases,
 )
 from .metrics import coherence_l1, energy_expectation, purity, trace_distance
 from .results import EvolutionResult
@@ -117,7 +114,6 @@ __all__ = [
     "dephasing_model",
     "correlated_model",
     "direct_damping_model",
-    "eta",
     "lambda_pair",
     "correlation_matrix",
     "psd_sqrt",
@@ -127,7 +123,6 @@ __all__ = [
     "predicted_moment",
     # propagator
     "averaged_state",
-    "averaged_state_global",
     "averaged_trajectory",
     "time_averaged_state",
     "semigroup_defect",
@@ -143,7 +138,6 @@ __all__ = [
     "ComparisonReport",
     "run_ensemble",
     "compare_to_analytic",
-    "unitary_from_phases",
     # metrics
     "purity",
     "coherence_l1",

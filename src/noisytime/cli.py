@@ -109,8 +109,10 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _write_trajectory(path: Path, config: ScenarioConfig, result: EvolutionResult) -> Path:
-    metrics = result.metrics_table(config.decomposition(), config.hamiltonian)
+def _write_trajectory(
+    path: Path, config: ScenarioConfig, decomposition, result: EvolutionResult
+) -> Path:
+    metrics = result.metrics_table(decomposition, config.hamiltonian)
     return _atomic_write(path, _trajectory_csv(result, metrics))
 
 
@@ -126,7 +128,8 @@ def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     )
     written = []
     if "csv" in config.formats:
-        written.append(_write_trajectory(_out_dir(config) / "analytic.csv", config, result))
+        path = _out_dir(config) / "analytic.csv"
+        written.append(_write_trajectory(path, config, decomposition, result))
     return 0, written
 
 
@@ -172,7 +175,8 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
     result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
     written = []
     if "csv" in config.formats:
-        written.append(_write_trajectory(_out_dir(config) / "me.csv", config, result))
+        path = _out_dir(config) / "me.csv"
+        written.append(_write_trajectory(path, config, decomposition, result))
     checkpoint_indices = np.unique(np.linspace(0, grid.size - 1, 9).astype(int))
     checkpoint_times = [float(grid[i]) for i in checkpoint_indices if grid[i] > 0.0]
     report = cp_report(generator, checkpoint_times)
@@ -217,7 +221,8 @@ def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path
     report = compare_to_analytic(ensemble, analytic)
     written = []
     if "csv" in config.formats:
-        written.append(_write_trajectory(_out_dir(config) / "mc_mean.csv", config, ensemble.as_result()))
+        path = _out_dir(config) / "mc_mean.csv"
+        written.append(_write_trajectory(path, config, decomposition, ensemble.as_result()))
         written.append(
             _atomic_write(
                 _out_dir(config) / "mc_stderr.csv",

@@ -59,13 +59,12 @@ class Superoperator:
 
     ``rates[k, l]`` multiplies entry (k, l).  The constructor enforces
     rates = conj(rates.T), which makes the generated flow Hermiticity
-    preserving.  ``name`` records the construction.
+    preserving.
     """
 
     rates: np.ndarray
-    name: str
 
-    def __init__(self, rates, name: str = "custom"):
+    def __init__(self, rates):
         arr = np.asarray(rates, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"rates must be square, got shape {arr.shape}")
@@ -76,7 +75,6 @@ class Superoperator:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "rates", arr)
-        object.__setattr__(self, "name", name)
 
     @property
     def dim(self) -> int:
@@ -116,7 +114,7 @@ def build_generator(decomposition: SpectralDecomposition, noise: NoiseModel) -> 
     h = noise.drift_h(levels)
     rates = -1j * (h[:, None] - h[None, :]) - 0.5 * table
     idx = decomposition.level_index
-    return Superoperator(rates[np.ix_(idx, idx)], "noise-model")
+    return Superoperator(rates[np.ix_(idx, idx)])
 
 
 def _amplification(z: np.ndarray) -> np.ndarray:
@@ -214,7 +212,6 @@ class CPCheckpoint:
 class CPReport:
     """Complete-positivity, trace, unitality, and semigroup diagnostics."""
 
-    generator_name: str
     checkpoints: tuple[CPCheckpoint, ...]
 
     @property
@@ -227,7 +224,6 @@ class CPReport:
 
     def to_dict(self) -> dict:
         return {
-            "generator": self.generator_name,
             "cp_ok": self.cp_ok,
             "min_choi_eigenvalue": self.min_choi_eigenvalue,
             "checkpoints": [c.to_dict() for c in self.checkpoints],
@@ -264,4 +260,4 @@ def cp_report(generator: Superoperator, times) -> CPReport:
                 semigroup_defect=semigroup,
             )
         )
-    return CPReport(generator_name=generator.name, checkpoints=tuple(checkpoints))
+    return CPReport(checkpoints=tuple(checkpoints))

@@ -37,7 +37,6 @@ __all__ = [
     "ComparisonReport",
     "run_ensemble",
     "compare_to_analytic",
-    "unitary_from_phases",
 ]
 
 # Target for chunk * grid * dim * dim; the chunk size must be a function of
@@ -124,17 +123,6 @@ class EnsembleResult:
 
     def as_result(self) -> EvolutionResult:
         return EvolutionResult(self.grid, self.mean, "montecarlo")
-
-
-def unitary_from_phases(decomposition: SpectralDecomposition, chi) -> np.ndarray:
-    """Materialize sum_k exp(-i chi[k]) P_k for one set of level phases."""
-    chi_arr = np.asarray(chi, dtype=float).reshape(-1)
-    if chi_arr.shape[0] != decomposition.num_levels:
-        raise GridMismatch(
-            f"need one phase per distinct level ({decomposition.num_levels}), got {chi_arr.shape[0]}"
-        )
-    phases = np.exp(-1j * chi_arr)
-    return np.einsum("k,kij->ij", phases, decomposition.projectors)
 
 
 def _merge_stats(a, b):

@@ -4,19 +4,17 @@ A :class:`NoiseModel` bundles closed preset families for the drift h(theta),
 the level and time parts of the diffusion amplitude sigma(t; theta) =
 sigma_time(t) * sigma_theta(theta), and the level-to-level correlation
 g(theta, theta') of the driving Brownian motions.  From these it derives
-
-    eta(t; a, b)    variance rate of the phase difference chi_t(a) - chi_t(b)
-    lambda(t; a, b) accumulated variance, integral of eta from 0 to t
-
-which control the damping factor exp(-lambda/2) of each coherence.  The module
+lambda(t; a, b), the accumulated variance of the phase difference
+chi_t(a) - chi_t(b), which controls the damping factor exp(-lambda/2) of each
+coherence.  The module
 also samples the chi paths, driven by the correlated Brownian field, and
 checks the even/odd moment identities of the phase difference empirically,
 from one exact Gaussian step per sigma_time piece of [0, t].
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
 serializable and every lambda has a closed form.  Because the amplitude
-factorizes, eta(t; a, b) = sigma_time(t)^2 E(a, b) and lambda(t; a, b) =
-S(t) E(a, b), with S(t) the integral of sigma_time^2 over [0, t].
+factorizes, lambda(t; a, b) = S(t) E(a, b), with S(t) the integral of
+sigma_time^2 over [0, t] and E(a, b) the variance rate at unit sigma_time.
 """
 
 from __future__ import annotations
@@ -43,13 +41,13 @@ __all__ = [
     "dephasing_model",
     "correlated_model",
     "direct_damping_model",
-    "eta",
     "lambda_pair",
     "correlation_matrix",
     "psd_sqrt",
     "sample_chi_paths",
     "sample_phase_differences",
     "moment_report",
+    "predicted_moment",
 ]
 
 # Below this, a correlation matrix is treated as genuinely indefinite rather
@@ -368,33 +366,23 @@ def direct_damping_model(levels, table, drift: Optional[DriftPreset] = None) -> 
     )
 
 
-def eta(model: NoiseModel, t: float, theta: float, theta_prime: float) -> float:
-    """Variance rate of the phase difference between two levels.
-
-    eta = sigma(t;a)^2 g(a,a) + sigma(t;b)^2 g(b,b) - 2 sigma(t;a) sigma(t;b) g(a,b).
-    Nonnegative for |g| <= 1; clamped at zero against roundoff.  For a direct
-    damping table this returns the tabulated rate instead.
-    """
-    return float(LambdaKernel(model, [theta, theta_prime]).eta_matrix(t)[0, 1])
-
-
 def lambda_pair(model: NoiseModel, t: float, theta: float, theta_prime: float) -> float:
-    """Accumulated variance: integral of eta over [0, t], in closed form."""
+    """Accumulated variance of the phase difference over [0, t], in closed form."""
     return float(LambdaKernel(model, [theta, theta_prime]).lambda_matrix(t)[0, 1])
 
 
 @dataclass(frozen=True)
 class LambdaKernel:
-    """Damping and variance-rate kernels bound to a set of distinct levels.
+    """Damping kernel bound to a set of distinct levels.
 
-    The kernels separate as eta(t) = sigma_time(t)^2 E and lambda(t) = S(t) E
-    with the time-independent (m, m) matrix
-    E(a, b) = max(0, s(a)^2 g(a,a) + s(b)^2 g(b,b) - 2 s(a) s(b) g(a,b)),
-    s = sigma_theta.  A direct damping table is the case S(t) = t, E = table,
-    looked up by level value.  ``lambda_matrix(t)`` and ``eta_matrix(t)``
-    accept a scalar or an array of times and return arrays of shape
-    t.shape + (m, m); the diagonal vanishes for any Brownian-constructed model
-    and equals the tabulated population-decay rates for a direct table.
+    The kernel separates as lambda(t) = S(t) E with the time-independent
+    (m, m) matrix E(a, b) = max(0, s(a)^2 g(a,a) + s(b)^2 g(b,b)
+    - 2 s(a) s(b) g(a,b)), s = sigma_theta, clamped at zero against roundoff.
+    A direct damping table is the case S(t) = t, E = table, looked up by
+    level value.  ``lambda_matrix(t)`` accepts a scalar or an array of times
+    and returns an array of shape t.shape + (m, m); the diagonal vanishes for
+    any Brownian-constructed model and is t times the tabulated
+    population-decay rates for a direct table.
     """
 
     model: NoiseModel
@@ -416,18 +404,6 @@ class LambdaKernel:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "form", form)
-
-    @property
-    def num_levels(self) -> int:
-        return self.levels.shape[0]
-
-    def eta_matrix(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.model.direct_lambda is not None:
-            rate = np.ones_like(t)
-        else:
-            rate = np.square(self.model.sigma_time(t))
-        return rate[..., None, None] * self.form
 
     def lambda_matrix(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

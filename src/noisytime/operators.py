@@ -107,14 +107,12 @@ class SpectralDecomposition:
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    fixed = vectors.copy()
-    for col in range(fixed.shape[1]):
-        pivot = int(np.argmax(np.abs(fixed[:, col])))
-        value = fixed[pivot, col]
-        if np.abs(value) > 0:
-            fixed[:, col] *= np.conj(value) / np.abs(value)
-    return fixed
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    A unit column has an entry of modulus >= 1/sqrt(d), so no pivot is zero.
+    """
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * (np.conj(pivots) / np.abs(pivots))
 
 
 def eigendecompose(operator) -> SpectralDecomposition:

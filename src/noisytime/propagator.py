@@ -3,8 +3,7 @@
 Averaging the random unitary over noise realizations acts entry by entry in
 the energy basis: entry (k, l) picks up the deterministic phase of the level
 gap and the damping factor exp(-lambda(t; theta_k, theta_l) / 2).  This module
-evaluates that map directly, plus the global-noise special case and the
-generic weighted time average.
+evaluates that map directly, plus the generic weighted time average.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, DissipativeTraceLoss, GridMismatch, WeightsNotNormalized
-from .noise import LambdaKernel, NoiseModel, SigmaTimePreset
+from .noise import LambdaKernel, NoiseModel
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
@@ -27,7 +26,6 @@ from .results import EvolutionResult, time_grid, time_point
 __all__ = [
     "averaged_state",
     "averaged_trajectory",
-    "averaged_state_global",
     "time_averaged_state",
     "semigroup_defect",
 ]
@@ -91,35 +89,6 @@ def averaged_trajectory(
     """
     grid_arr = time_grid(grid)
     return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr), "analytic")
-
-
-def averaged_state_global(
-    decomposition: SpectralDecomposition, sigma_profile, rho0, t: float
-) -> DensityMatrix:
-    """Averaged state for one global noise amplitude shared by all levels.
-
-    ``sigma_profile`` is either a strength gamma (amplitude sqrt(gamma), so
-    the accumulated variance is gamma * t) or a SigmaTimePreset giving the
-    amplitude itself.  Entry (k, l) is damped by
-    exp(-accumulated_variance * (theta_k - theta_l)^2 / 2) on top of the gap
-    phase; equivalent to :func:`averaged_state` with identity drift, linear
-    level amplitude, and uniform correlation.  A raw ``rho0`` must be a valid
-    state; ``t`` must be finite and >= 0 (else ValueError).
-    """
-    t = time_point(t)
-    if isinstance(sigma_profile, SigmaTimePreset):
-        accumulated = float(sigma_profile.integrated_square(t))
-    else:
-        gamma = float(sigma_profile)
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        accumulated = gamma * t
-    rho = state_matrix(rho0, decomposition.dim)
-    theta = decomposition.column_levels()
-    gaps = theta[:, None] - theta[None, :]
-    factors = np.exp(-1j * t * gaps) * np.exp(-0.5 * accumulated * gaps**2)
-    rho_e = to_energy_basis(rho, decomposition)
-    return DensityMatrix(from_energy_basis(factors * rho_e, decomposition))
 
 
 def time_averaged_state(grid, states, weights) -> DensityMatrix:

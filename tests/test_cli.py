@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
+import noisytime.config
 from noisytime import (
     EvolutionResult,
     averaged_trajectory,
     build_generator,
+    eigendecompose,
     integrate,
     load_config,
 )
@@ -352,6 +354,28 @@ class TestThreads:
         assert main(args + extra) == 2
         assert "config error: --threads:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDecomposition:
+    @pytest.mark.parametrize(
+        "command, extra", [("evolve", []), ("integrate", ["--generator", "phase"]), ("sample", [])]
+    )
+    def test_hamiltonian_decomposed_once(
+        self, command, extra, scenario_yaml, tmp_path, monkeypatch
+    ):
+        # The writer's metrics table reuses the route's decomposition.
+        calls = []
+
+        def counted(operator):
+            calls.append(operator)
+            return eigendecompose(operator)
+
+        monkeypatch.setattr(noisytime.config, "eigendecompose", counted)
+        config = scenario_yaml(
+            "global_dephasing", **{"grid.n_steps": 4, "montecarlo.n_traj": 200}
+        )
+        assert main([command, "--config", str(config), "--out", str(tmp_path), *extra]) == 0
+        assert len(calls) == 1
 
 
 class TestMoments:

@@ -15,7 +15,6 @@ from noisytime import (
     SigmaTimePreset,
     StepTooLarge,
     Superoperator,
-    averaged_state_global,
     averaged_trajectory,
     build_generator,
     correlated_model,
@@ -29,6 +28,7 @@ from noisytime import (
     to_energy_basis,
 )
 from noisytime.generator import CHOI_PSD_TOL, LOCAL_ERROR_LIMIT
+from noisytime.verify import _global_noise_state
 
 
 def _choi_matrix(generator, t):
@@ -216,8 +216,8 @@ class TestIntegrate:
         gen = build_generator(dec, dephasing_model(gamma))
         result = integrate(gen, rho0, grid, decomposition=dec)
         assert result.provenance == "ode"
-        for state, t in zip(result.states, grid):
-            exact = averaged_state_global(dec, gamma, rho0, float(t)).matrix
+        for state, t in zip(result.states, grid.tolist()):
+            exact = _global_noise_state(dec, gamma * t, rho0, t).matrix
             assert np.max(np.abs(state - exact)) < 1e-8
 
     def test_matches_correlated_analytic(self, four_level):
@@ -231,7 +231,7 @@ class TestIntegrate:
     def test_rk4_step_halving_improves(self, qubit):
         _, dec, rho0 = qubit
         gen = build_generator(dec, dephasing_model(2.0))
-        exact = averaged_state_global(dec, 2.0, rho0, 1.0).matrix
+        exact = _global_noise_state(dec, 2.0, rho0, 1.0).matrix
 
         def error_at(step):
             out = integrate(gen, rho0, [0.0, 1.0], decomposition=dec, max_step=step)

@@ -22,7 +22,6 @@ from noisytime import (
     correlation_matrix,
     dephasing_model,
     direct_damping_model,
-    eta,
     lambda_pair,
     moment_report,
     predicted_moment,
@@ -120,23 +119,25 @@ class TestNoiseModel:
 
 
 class TestEtaLambda:
+    # At unit sigma_time and t = 1, lambda equals the variance rate eta of the
+    # phase difference.
+
     def test_eta_closed_form(self):
         model = correlated_model(0.8, 1.0)
         a, b = 0.3, 1.7
         g = math.exp(-((a - b) ** 2))
         expected = 0.8 * (a * a + b * b - 2 * a * b * g)
-        assert eta(model, 0.0, a, b) == pytest.approx(expected, rel=1e-14)
+        assert lambda_pair(model, 1.0, a, b) == pytest.approx(expected, rel=1e-14)
 
     def test_eta_diagonal_zero(self):
         model = correlated_model(0.8, 1.0)
-        assert eta(model, 1.0, 1.3, 1.3) == 0.0
+        assert lambda_pair(model, 1.0, 1.3, 1.3) == 0.0
 
     def test_eta_nonnegative_everywhere(self):
         model = correlated_model(1.0, 2.0)
         thetas = np.linspace(-3, 3, 13)
-        for a in thetas:
-            for b in thetas:
-                assert eta(model, 0.5, float(a), float(b)) >= 0.0
+        lam = LambdaKernel(model, thetas).lambda_matrix(1.0)
+        assert np.all(lam >= 0.0)
 
     def test_lambda_constant_profile(self):
         model = correlated_model(0.8, 1.0)
@@ -170,7 +171,7 @@ class TestEtaLambda:
     def test_direct_table_bypasses_quadrature(self):
         model = direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
         assert lambda_pair(model, 2.0, 1.0, 2.0) == pytest.approx(1.4)
-        assert eta(model, 5.0, 2.0, 2.0) == pytest.approx(0.8)
+        assert lambda_pair(model, 1.0, 2.0, 2.0) == pytest.approx(0.8)
 
 
 def _trapezoid_square(preset, t, n=200_001):
@@ -221,11 +222,9 @@ class TestKernelMatrices:
         kernel = LambdaKernel(model, levels)
         for t in (0.0, 0.5, 1.2, 3.0):
             lam = kernel.lambda_matrix(t)
-            rate = kernel.eta_matrix(t)
             for i, a in enumerate(levels):
                 for j, b in enumerate(levels):
                     assert lambda_pair(model, t, a, b) == lam[i, j]
-                    assert eta(model, t, a, b) == rate[i, j]
 
     def test_array_of_times(self):
         model = NoiseModel(
@@ -236,11 +235,9 @@ class TestKernelMatrices:
         kernel = LambdaKernel(model, [0.0, 0.5, 1.7])
         times = np.array([0.0, 0.4, 1.0, 2.5])
         lam = kernel.lambda_matrix(times)
-        rate = kernel.eta_matrix(times)
-        assert lam.shape == rate.shape == (4, 3, 3)
+        assert lam.shape == (4, 3, 3)
         for k, t in enumerate(times):
             assert np.array_equal(lam[k], kernel.lambda_matrix(float(t)))
-            assert np.array_equal(rate[k], kernel.eta_matrix(float(t)))
         with pytest.raises(ValueError):
             kernel.lambda_matrix(np.array([0.0, -1e-3]))
 
@@ -249,7 +246,7 @@ class TestKernelMatrices:
         model = direct_damping_model([1.0, 2.0, 3.0], table)
         kernel = LambdaKernel(model, [3.0, 1.0, 2.0])
         expected = [[0.6, 0.3, 0.5], [0.3, 0.1, 0.2], [0.5, 0.2, 0.4]]
-        assert np.array_equal(kernel.eta_matrix(0.7), expected)
+        assert np.array_equal(kernel.lambda_matrix(1.0), expected)
         assert np.allclose(kernel.lambda_matrix(2.0), 2.0 * np.asarray(expected), rtol=1e-15)
         with pytest.raises(DimensionMismatch):
             LambdaKernel(model, [1.0, 1.5])
@@ -265,7 +262,7 @@ class TestKernelMatrices:
         kernel = LambdaKernel(
             direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]]), [1.0, 2.0]
         )
-        assert np.allclose(kernel.eta_matrix(0.0), [[0.6, 0.7], [0.7, 0.8]])
+        assert np.allclose(kernel.lambda_matrix(1.0), [[0.6, 0.7], [0.7, 0.8]])
 
     def test_correlation_matrix_psd(self):
         for model in (dephasing_model(1.0), correlated_model(1.0, 1.5)):

@@ -13,13 +13,22 @@ from noisytime import (
     to_energy_basis,
     validate_density,
 )
-from noisytime.operators import DEGENERACY_TOL
+from noisytime.operators import DEGENERACY_TOL, _fix_column_phases
 
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (raw + raw.conj().T)
+
+
+def _fix_column_phases_loop(vectors):
+    """Column-by-column reference of operators._fix_column_phases."""
+    fixed = vectors.copy()
+    for col in range(fixed.shape[1]):
+        value = fixed[np.argmax(np.abs(fixed[:, col])), col]
+        fixed[:, col] *= np.conj(value) / np.abs(value)
+    return fixed
 
 
 class TestHermitianOperator:
@@ -84,11 +93,15 @@ class TestEigendecompose:
     def test_eigenvector_phase_fixed(self):
         # Largest-magnitude component of each column is real and positive,
         # so decompositions are reproducible across runs.
-        dec = eigendecompose(HermitianOperator(random_hermitian(4, 99)))
-        for col in dec.eigenvectors.T:
-            pivot = col[np.argmax(np.abs(col))]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-            assert pivot.real > 0
+        for dim, seed in ((4, 99), (32, 7)):
+            hamiltonian = random_hermitian(dim, seed)
+            raw = np.linalg.eigh(hamiltonian)[1]
+            assert np.array_equal(_fix_column_phases(raw), _fix_column_phases_loop(raw))
+            dec = eigendecompose(HermitianOperator(hamiltonian))
+            for col in dec.eigenvectors.T:
+                pivot = col[np.argmax(np.abs(col))]
+                assert pivot.imag == pytest.approx(0.0, abs=1e-12)
+                assert pivot.real > 0
 
 
 class TestValidateDensity:

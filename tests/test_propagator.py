@@ -16,7 +16,6 @@ from noisytime import (
     SigmaTimePreset,
     WeightsNotNormalized,
     averaged_state,
-    averaged_state_global,
     averaged_trajectory,
     correlated_model,
     dephasing_model,
@@ -27,6 +26,7 @@ from noisytime import (
     time_averaged_state,
     to_energy_basis,
 )
+from noisytime.verify import _global_noise_state
 
 
 def manual_averaged(decomposition, model, rho0, t):
@@ -124,7 +124,7 @@ class TestGlobalPropagator:
     def test_gamma_shorthand(self, qubit):
         _, dec, rho0 = qubit
         for t in (0.0, 0.5, 2.0):
-            a = averaged_state_global(dec, 0.5, rho0, t).matrix
+            a = _global_noise_state(dec, 0.5 * t, rho0, t).matrix
             b = averaged_state(dec, dephasing_model(0.5), rho0, t).matrix
             assert np.allclose(a, b, atol=1e-15)
 
@@ -133,8 +133,10 @@ class TestGlobalPropagator:
         profile = SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6])
         t = 1.5
         accumulated = 0.4**2 * 1.0 + 1.6**2 * 0.5
-        out = averaged_state_global(dec, profile, rho0, t).matrix
         expected = 0.5 * math.exp(-0.5 * accumulated) * np.exp(-1j * t)
+        reference = _global_noise_state(dec, accumulated, rho0, t).matrix
+        out = averaged_state(dec, NoiseModel(sigma_time=profile), rho0, t).matrix
+        assert reference[1, 0] == pytest.approx(expected, abs=1e-12)
         assert out[1, 0] == pytest.approx(expected, abs=1e-12)
 
 

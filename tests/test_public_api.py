@@ -1,7 +1,9 @@
-"""Every exported name resolves, in the package and in each of its modules."""
+"""Every exported name resolves, in the package and in each of its modules,
+and every package export is listed by the module that defines it."""
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -20,3 +22,14 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"noisytime.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_are_listed_by_their_module():
+    """A package export is in the __all__ of the module that defines it."""
+    unlisted = []
+    for name in noisytime.__all__:
+        home = getattr(getattr(noisytime, name), "__module__", None)
+        module = sys.modules.get(home) if home else None
+        if module is not None and hasattr(module, "__all__") and name not in module.__all__:
+            unlisted.append(f"{home}.{name}")
+    assert unlisted == []

@@ -10,7 +10,6 @@ from noisytime import (
     GridMismatch,
     NotPositive,
     averaged_state,
-    averaged_state_global,
     averaged_trajectory,
     build_generator,
     dephasing_model,
@@ -70,7 +69,6 @@ def test_bad_time_raises(qubit, model, t):
     _, dec, rho0 = qubit
     for call in (
         lambda: averaged_state(dec, model, rho0, t),
-        lambda: averaged_state_global(dec, 1.0, rho0, t),
         lambda: semigroup_defect(dec, model, rho0, t, 0.5),
         lambda: semigroup_defect(dec, model, rho0, 0.5, t),
     ):
