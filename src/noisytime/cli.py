@@ -88,15 +88,12 @@ def _csv_text(columns: list[str], table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(result: EvolutionResult, metrics: Optional[dict] = None) -> str:
-    columns = ["t"] + _entry_columns(result.dim)
+def _trajectory_csv(result: EvolutionResult, metrics: dict) -> str:
+    columns = ["t"] + _entry_columns(result.dim) + list(METRIC_COLUMNS)
     # The float view of a complex row interleaves re and im per entry (k, l).
     entries = np.ascontiguousarray(result.states).view(float).reshape(result.num_points, -1)
-    blocks = [result.grid[:, None], entries]
-    if metrics is not None:
-        columns += METRIC_COLUMNS
-        blocks.append(np.column_stack([metrics[key] for key in METRIC_COLUMNS]))
-    return _csv_text(columns, np.hstack(blocks))
+    values = np.column_stack([metrics[key] for key in METRIC_COLUMNS])
+    return _csv_text(columns, np.hstack([result.grid[:, None], entries, values]))
 
 
 def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> str:
@@ -189,13 +186,7 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
 
 
 def _check_ensemble(config: ScenarioConfig, command: str) -> None:
-    """Sampling needs a Brownian model and two trajectories for standard errors."""
-    if config.noise.direct_lambda is not None:
-        raise ConfigError(
-            "noise.direct_lambda",
-            f"{command} needs a Brownian model; a direct damping table has no "
-            "stochastic realization",
-        )
+    """Sampling needs two trajectories for standard errors."""
     if config.n_traj < 2:
         raise ConfigError(
             "montecarlo.n_traj",
@@ -275,22 +266,20 @@ def cmd_verify(
     config: Optional[ScenarioConfig] = None,
     quick: bool = False,
     analytic_gamma_factor: float = 1.0,
-    stream=None,
 ) -> int:
     """Run the invariant suite; one line per check, nonzero exit on failure."""
-    stream = stream if stream is not None else sys.stdout
     results = run_suite(
         scenario=config, quick=quick, analytic_gamma_factor=analytic_gamma_factor
     )
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}  ({r.seconds:.2f} s)", file=stream)
+        print(f"{status}  {r.name:<{width}}  {r.detail}  ({r.seconds:.2f} s)")
     failed = [r for r in results if not r.passed]
     if failed:
-        print(f"{len(failed)} of {len(results)} checks failed", file=stream)
+        print(f"{len(failed)} of {len(results)} checks failed")
         return 1
-    print(f"all {len(results)} checks passed", file=stream)
+    print(f"all {len(results)} checks passed")
     return 0
 
 

@@ -185,7 +185,7 @@ def integrate(
         )
     if decomposition is not None:
         states = from_energy_basis(states, decomposition)
-    return EvolutionResult(grid_arr, states, "ode")
+    return EvolutionResult(grid_arr, states)
 
 
 @dataclass(frozen=True)

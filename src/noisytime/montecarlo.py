@@ -14,8 +14,8 @@ are released once folded in.  Chunk and slab boundaries depend only on array
 shapes, and every chunk is a whole number of RNG blocks (``noise.RNG_BLOCK``
 trajectories that share one Philox stream keyed by (seed, block)), so the
 result is byte-identical whether chunks are processed by one worker or many.
-A trajectory's phases depend only on the seed and its index; moving from
-per-trajectory to per-block keys changed the output for a fixed seed once.
+The chi paths come from the run's one Brownian field, set up once before the
+chunks, so a trajectory's phases depend only on the seed and its index.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .noise import MAX_CHUNK, RNG_BLOCK, NoiseModel, _chi_chunk, correlation_matrix, psd_sqrt
+from .noise import MAX_CHUNK, RNG_BLOCK, NoiseModel, _BrownianField
 from .operators import SpectralDecomposition, state_matrix, to_energy_basis
-from .results import EvolutionResult, time_grid
+from .results import EvolutionResult
 
 __all__ = [
     "EnsembleResult",
@@ -122,7 +122,7 @@ class EnsembleResult:
         return self.mean.shape[1]
 
     def as_result(self) -> EvolutionResult:
-        return EvolutionResult(self.grid, self.mean, "montecarlo")
+        return EvolutionResult(self.grid, self.mean)
 
 
 def _merge_stats(a, b):
@@ -162,35 +162,30 @@ def run_ensemble(
     order.  ``n_workers`` threads (at least 1) compute the chunks.
 
     The grid must be finite, hold two or more points, start at 0 and increase
-    strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
+    strictly (else GridMismatch); a raw ``rho0`` must be a valid state; a
+    direct damping table raises ConfigError.
 
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
     (seed, b), a partial last block takes a prefix of its block's draw, and
     chunks (whole blocks) and slabs depend on shapes only, so ``n_workers``
     changes the wall time but not a single output bit.  The chi paths are
-    those of ``sample_chi_paths`` with the same seed.  (Per-block keys
-    replaced per-trajectory keys; that changed the output for a fixed seed
-    once.)
+    those of ``sample_chi_paths`` with the same seed.
     """
-    if model.direct_lambda is not None:
-        raise ValueError("a direct damping table has no Brownian realization to sample")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    grid_arr = time_grid(grid)
+    field = _BrownianField(model, decomposition.levels, grid)
     rho = state_matrix(rho0, decomposition.dim)
 
-    levels = np.asarray(decomposition.levels, dtype=float)
-    factor = psd_sqrt(correlation_matrix(model, levels))
     state_factor = _state_factor(to_energy_basis(rho, decomposition))
     vectors = decomposition.eigenvectors
     idx = decomposition.level_index
-    num_points, dim = grid_arr.size, decomposition.dim
+    num_points, dim = field.grid.size, decomposition.dim
 
     def chunk_stats(start: int, count: int):
-        chi = _chi_chunk(model, levels, grid_arr, factor, seed, start, count)
+        chi = field.paths(seed, start, count)
         mean = np.empty((num_points, dim, dim), dtype=complex)
         # Squared deviations with real and imaginary parts interleaved.
         m2 = np.empty((num_points, dim, 2 * dim))
@@ -215,10 +210,10 @@ def run_ensemble(
     denom = max(n - 1, 1)
     stderr_re = np.sqrt(m2_re / denom / n)
     stderr_im = np.sqrt(m2_im / denom / n)
-    for arr in (grid_arr, mean, stderr_re, stderr_im):
+    for arr in (mean, stderr_re, stderr_im):
         arr.setflags(write=False)
     return EnsembleResult(
-        grid=grid_arr,
+        grid=field.grid,
         mean=mean,
         stderr_re=stderr_re,
         stderr_im=stderr_im,

@@ -6,10 +6,13 @@ sigma_time(t) * sigma_theta(theta), and the level-to-level correlation
 g(theta, theta') of the driving Brownian motions.  From these it derives
 lambda(t; a, b), the accumulated variance of the phase difference
 chi_t(a) - chi_t(b), which controls the damping factor exp(-lambda/2) of each
-coherence.  The module
-also samples the chi paths, driven by the correlated Brownian field, and
-checks the even/odd moment identities of the phase difference empirically,
-from one exact Gaussian step per sigma_time piece of [0, t].
+coherence.
+
+The module also samples that correlated Brownian field.  One private set-up,
+built once per run, owns it: the chi paths of ``sample_chi_paths``, the
+Monte Carlo ensemble and the phase differences behind the moment identities
+all draw from it, on the same (seed, block) Philox streams, and it alone
+refuses a direct damping table, which no Brownian field realizes.
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
 serializable and every lambda has a closed form.  Because the amplitude
@@ -20,13 +23,13 @@ sigma_time^2 over [0, t] and E(a, b) the variance rate at unit sigma_time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, KernelAsymmetric, KernelNotPSD
-from .results import time_grid
+from .results import time_grid, time_point
 
 __all__ = [
     "DriftPreset",
@@ -271,8 +274,8 @@ class DirectDampingPreset:
 
     ``separable_linear`` means lambda(t; theta_i, theta_j) = t * table[i, j]
     over the tabulated distinct levels.  A nonzero diagonal makes populations
-    decay (dissipative branch); no Brownian field realizes that, so models
-    carrying this preset cannot be sampled, only propagated and integrated.
+    decay (dissipative branch).  Models carrying this preset are propagated
+    and integrated; the Brownian samplers refuse them.
     """
 
     levels: tuple[float, ...]
@@ -307,9 +310,6 @@ class DirectDampingPreset:
             idx.append(int(hit[0]))
         return self.table[np.ix_(idx, idx)]
 
-    def has_dissipation(self) -> bool:
-        return bool(np.any(np.diag(self.table) > 0.0))
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -335,7 +335,8 @@ class NoiseModel:
     @property
     def is_dissipative(self) -> bool:
         """True when the direct table damps populations (nonzero diagonal)."""
-        return self.direct_lambda is not None and self.direct_lambda.has_dissipation()
+        direct = self.direct_lambda
+        return direct is not None and bool(np.any(np.diag(direct.table) > 0.0))
 
 
 def dephasing_model(gamma: float) -> NoiseModel:
@@ -407,8 +408,8 @@ class LambdaKernel:
 
     def lambda_matrix(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("t must be >= 0")
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise ValueError("times must be finite and >= 0")
         if self.model.direct_lambda is not None:
             accumulated = t
         else:
@@ -455,50 +456,64 @@ class ChiPaths:
     paths: np.ndarray  # (n_traj, len(grid), len(levels))
 
 
-def _chi_chunk(
-    model: NoiseModel,
-    lv: np.ndarray,
-    grid_arr: np.ndarray,
-    factor: np.ndarray,
-    seed: int,
-    start: int,
-    count: int,
-    include_drift: bool = True,
-) -> np.ndarray:
-    """Chi paths for trajectories [start, start+count), shape (count, T, m).
+class _BrownianField:
+    """The correlated Brownian field of one run, driving the chi paths.
 
-    Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order, from
-    one Philox generator keyed by (seed, b), so ``start`` must be a multiple
-    of ``RNG_BLOCK``; a partial block takes a prefix of its block's draw.
-    Steps run on the grid refined by the sigma_time breakpoints inside it, so
-    sigma evaluated at the left endpoint of each step is exact; the paths are
-    then read out at the requested grid points.  The grid [0, t] thus takes
-    one exact step per sigma_time piece.
+    Built once per run: it refuses a direct damping table (ConfigError naming
+    ``noise.direct_lambda``), applies the grid rule of ``results.time_grid``,
+    factors the level correlation matrix, refines the grid at the sigma_time
+    breakpoints inside it, and precomputes the step scale, the drift
+    increments and the read-out indices of the requested grid points.
+    Evaluating sigma_time at the left end of each refined step is then exact,
+    so the grid [0, t] takes one exact Gaussian step per sigma_time piece.
     """
-    if start % RNG_BLOCK:
-        raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
-    inside = [b for b in model.sigma_time.breakpoints if grid_arr[0] < b < grid_arr[-1]]
-    fine = np.union1d(grid_arr, inside)
-    dt = np.diff(fine)
-    time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
-    level_part = np.asarray(model.sigma_theta(lv), dtype=float)
-    scale = (time_part * np.sqrt(dt))[:, None] * level_part[None, :]
-    paths = np.empty((count, fine.shape[0], lv.shape[0]))
-    paths[:, 0, :] = 0.0
-    steps = paths[:, 1:, :]
-    for lo in range(0, count, RNG_BLOCK):
-        hi = min(lo + RNG_BLOCK, count)
-        key = np.array([seed, (start + lo) // RNG_BLOCK], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        z = rng.standard_normal((hi - lo, dt.shape[0], factor.shape[1]))
-        np.matmul(z, factor.T, out=steps[lo:hi])
-    steps *= scale
-    if include_drift:
-        steps += np.asarray(model.drift_h(lv), dtype=float)[None, :] * dt[:, None]
-    np.cumsum(steps, axis=1, out=steps)
-    if inside:
-        return paths[:, np.searchsorted(fine, grid_arr), :]
-    return paths
+
+    def __init__(self, model: NoiseModel, levels, grid):
+        if model.direct_lambda is not None:
+            raise ConfigError(
+                "noise.direct_lambda",
+                "a direct damping table has no Brownian realization to sample",
+            )
+        self.levels = np.asarray(levels, dtype=float).reshape(-1)
+        self.grid = time_grid(grid)
+        self.levels.setflags(write=False)
+        self.grid.setflags(write=False)
+        self.factor = psd_sqrt(correlation_matrix(model, self.levels))
+        inside = [b for b in model.sigma_time.breakpoints if 0.0 < b < self.grid[-1]]
+        fine = np.union1d(self.grid, inside)
+        dt = np.diff(fine)
+        time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
+        level_part = np.asarray(model.sigma_theta(self.levels), dtype=float)
+        self.scale = (time_part * np.sqrt(dt))[:, None] * level_part[None, :]
+        self.drift = np.asarray(model.drift_h(self.levels), dtype=float)[None, :] * dt[:, None]
+        self.readout = np.searchsorted(fine, self.grid) if inside else None
+
+    def paths(self, seed: int, start: int, count: int) -> np.ndarray:
+        """Chi paths of trajectories [start, start+count), shape (count, T, m).
+
+        Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order,
+        from one Philox generator keyed by (seed, b), so ``start`` must be a
+        multiple of ``RNG_BLOCK``; a partial block takes a prefix of its
+        block's draw.
+        """
+        if start % RNG_BLOCK:
+            raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
+        num_steps, rank = self.scale.shape[0], self.factor.shape[1]
+        paths = np.empty((count, num_steps + 1, self.levels.shape[0]))
+        paths[:, 0, :] = 0.0
+        steps = paths[:, 1:, :]
+        for lo in range(0, count, RNG_BLOCK):
+            hi = min(lo + RNG_BLOCK, count)
+            key = np.array([seed, (start + lo) // RNG_BLOCK], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            z = rng.standard_normal((hi - lo, num_steps, rank))
+            np.matmul(z, self.factor.T, out=steps[lo:hi])
+        steps *= self.scale
+        steps += self.drift
+        np.cumsum(steps, axis=1, out=steps)
+        if self.readout is None:
+            return paths
+        return paths[:, self.readout, :]
 
 
 def sample_chi_paths(
@@ -512,21 +527,14 @@ def sample_chi_paths(
     blocks of ``RNG_BLOCK``: block b reads one counter-based Philox stream
     keyed by (seed, b), and fewer than ``RNG_BLOCK`` trajectories of a block
     take a prefix of its draw.  So a trajectory depends only on the seed, its
-    index and the step/level shape, never on how many others are drawn.  (Keys
-    were per trajectory before; the switch changed float output for a fixed
-    seed once.)  The grid must be finite, hold two or more points, start at 0
-    and increase strictly (else GridMismatch).
+    index and the step/level shape, never on how many others are drawn.  The
+    grid must be finite, hold two or more points, start at 0 and increase
+    strictly (else GridMismatch); a direct damping table raises ConfigError.
     """
-    if model.direct_lambda is not None:
-        raise ValueError("a direct damping table has no Brownian realization to sample")
-    lv = np.asarray(levels, dtype=float).reshape(-1)
-    grid_arr = time_grid(grid)
-    factor = psd_sqrt(correlation_matrix(model, lv))
-    paths = _chi_chunk(model, lv, grid_arr, factor, seed, 0, n_traj)
-    grid_arr.setflags(write=False)
-    lv.setflags(write=False)
+    field = _BrownianField(model, levels, grid)
+    paths = field.paths(seed, 0, n_traj)
     paths.setflags(write=False)
-    return ChiPaths(seed=seed, grid=grid_arr, levels=lv, paths=paths)
+    return ChiPaths(seed=seed, grid=field.grid, levels=field.levels, paths=paths)
 
 
 def sample_phase_differences(
@@ -541,23 +549,22 @@ def sample_phase_differences(
 
     X_t is the stochastic integral of sigma dB at theta minus the same at
     theta_prime; its distribution is exactly N(0, lambda(t)).  Each sample ends
-    a driftless chi-path pair on the grid [0, t]: one exact Gaussian step per
-    sigma_time piece.
+    a chi-path pair of the model with zero drift on the grid [0, t]: one exact
+    Gaussian step per sigma_time piece.  ``t`` must be finite and >= 0 (else
+    ValueError); X_0 is 0.  A direct damping table raises ConfigError.
     """
-    if model.direct_lambda is not None:
-        raise ValueError("a direct damping table has no Brownian realization to sample")
-    if t <= 0:
+    t = time_point(t)
+    if t == 0.0:
         return np.zeros(n_traj)
+    driftless = replace(model, drift_h=DriftPreset.affine(0.0, 0.0))
+    field = _BrownianField(driftless, [theta, theta_prime], [0.0, t])
     if theta == theta_prime:
         # One level twice: the shared Brownian motion cancels identically.
         return np.zeros(n_traj)
-    lv = np.array([theta, theta_prime], dtype=float)
-    grid_arr = np.array([0.0, t], dtype=float)
-    factor = psd_sqrt(correlation_matrix(model, lv))
     out = np.empty(n_traj)
     for start in range(0, n_traj, MAX_CHUNK):
         count = min(MAX_CHUNK, n_traj - start)
-        paths = _chi_chunk(model, lv, grid_arr, factor, seed, start, count, include_drift=False)
+        paths = field.paths(seed, start, count)
         out[start : start + count] = paths[:, -1, 0] - paths[:, -1, 1]
     return out
 
@@ -602,8 +609,8 @@ def moment_report(
         raise ValueError("n_traj must be >= 2 for standard errors")
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    lam = lambda_pair(model, t, theta, theta_prime)
     x = sample_phase_differences(model, t, theta, theta_prime, n_traj, seed)
+    lam = lambda_pair(model, t, theta, theta_prime)
     rows = []
     for order in range(2, max_order + 1):
         with np.errstate(over="ignore", invalid="ignore"):

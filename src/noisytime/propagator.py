@@ -82,13 +82,13 @@ def averaged_state(
 def averaged_trajectory(
     decomposition: SpectralDecomposition, model: NoiseModel, rho0, grid
 ) -> EvolutionResult:
-    """Noise-averaged states on a whole grid, provenance "analytic".
+    """Noise-averaged states on a whole grid.
 
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
     """
     grid_arr = time_grid(grid)
-    return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr), "analytic")
+    return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr))
 
 
 def time_averaged_state(grid, states, weights) -> DensityMatrix:

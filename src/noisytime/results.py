@@ -13,8 +13,6 @@ from .metrics import coherence_l1, energy_expectation, purity
 
 __all__ = ["EvolutionResult", "time_grid", "time_point"]
 
-PROVENANCES = ("analytic", "ode", "montecarlo")
-
 
 def time_grid(grid) -> np.ndarray:
     """A route's time grid as a flat float array.
@@ -41,19 +39,15 @@ def time_point(t) -> float:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Density matrices on a time grid, tagged with how they were produced.
+    """Density matrices on a time grid.
 
     ``states[k]`` is the state at ``grid[k]`` in the computational basis.
-    Provenance is one of "analytic", "ode", "montecarlo".
     """
 
     grid: np.ndarray
     states: np.ndarray
-    provenance: str
 
-    def __init__(self, grid, states, provenance: str):
-        if provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
+    def __init__(self, grid, states):
         grid_arr = np.asarray(grid, dtype=float).reshape(-1)
         states_arr = np.asarray(states, dtype=complex)
         if states_arr.ndim != 3 or states_arr.shape[0] != grid_arr.shape[0]:
@@ -66,7 +60,6 @@ class EvolutionResult:
         states_arr.setflags(write=False)
         object.__setattr__(self, "grid", grid_arr)
         object.__setattr__(self, "states", states_arr)
-        object.__setattr__(self, "provenance", provenance)
 
     @property
     def dim(self) -> int:

@@ -13,6 +13,7 @@ no corruption.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -555,14 +556,6 @@ def _check_scenario_ensemble(scenario: ScenarioConfig, quick: bool) -> tuple[boo
     return bool(report.passed), f"max z {report.max_z:.2f} at n_traj {n}"
 
 
-def check_names() -> list[str]:
-    return [name for name, _ in _CHECKS] + [
-        "scenario-round-trip (with --config)",
-        "scenario-analytic-hermitian (with --config)",
-        "scenario-ensemble-z-test (with --config, Brownian mode)",
-    ]
-
-
 _CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
     ("spectral-invariants", lambda ctx: _check_spectral_invariants()),
     ("basis-round-trip", lambda ctx: _check_basis_round_trip()),
@@ -590,6 +583,20 @@ _CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
     ("bundled-scenario-round-trip", lambda ctx: _check_bundled_round_trip()),
 ]
 
+# Checks of a --config scenario: (name, Brownian models only, check).
+_SCENARIO_CHECKS: list[tuple[str, bool, Callable[..., tuple[bool, str]]]] = [
+    ("scenario-round-trip", False, lambda s, ctx: _check_scenario_round_trip(s)),
+    ("scenario-analytic-hermitian", False, lambda s, ctx: _check_scenario_hermitian(s)),
+    ("scenario-ensemble-z-test", True, lambda s, ctx: _check_scenario_ensemble(s, ctx["quick"])),
+]
+
+
+def check_names() -> list[str]:
+    return [name for name, _ in _CHECKS] + [
+        f"{name} (with --config{', Brownian mode' if brownian else ''})"
+        for name, brownian, _ in _SCENARIO_CHECKS
+    ]
+
 
 def run_suite(
     scenario: Optional[ScenarioConfig] = None,
@@ -600,13 +607,10 @@ def run_suite(
     checks = list(_CHECKS)
     if scenario is not None:
         checks += [
-            ("scenario-round-trip", lambda ctx: _check_scenario_round_trip(scenario)),
-            ("scenario-analytic-hermitian", lambda ctx: _check_scenario_hermitian(scenario)),
+            (name, functools.partial(check, scenario))
+            for name, brownian, check in _SCENARIO_CHECKS
+            if not brownian or scenario.noise.direct_lambda is None
         ]
-        if scenario.noise.direct_lambda is None:
-            checks.append(
-                ("scenario-ensemble-z-test", lambda ctx: _check_scenario_ensemble(scenario, quick))
-            )
     context = {"quick": quick, "gamma_factor": analytic_gamma_factor}
     results = []
     for name, check in checks:

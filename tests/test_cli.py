@@ -66,12 +66,10 @@ class TestCsvWriters:
         grid = np.array([0.0, 0.1, 1.0 / 3.0, 2.5])
         states = _awkward_values(rng, (4, 3, 3)) + 1j * _awkward_values(rng, (4, 3, 3))
         metrics = {key: _awkward_values(rng, (4,)) for key in METRIC_KEYS}
-        result = EvolutionResult(grid, states, "analytic")
+        result = EvolutionResult(grid, states)
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "-0," in expected
         assert _trajectory_csv(result, metrics).encode() == expected.encode()
-        plain = _reference_csv(grid, states.real, states.imag)
-        assert _trajectory_csv(result).encode() == plain.encode()
 
     def test_stderr_matches_per_element_format(self):
         rng = np.random.default_rng(4)
@@ -308,9 +306,12 @@ class TestSample:
         assert report["pass"] is True
         assert len(report["per_time"]) == 8
 
-    def test_dissipative_rejected(self, scenario_yaml, tmp_path):
+    def test_dissipative_rejected(self, scenario_yaml, tmp_path, capsys):
         config = scenario_yaml("dissipative_direct")
-        assert main(["sample", "--config", str(config), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: noise.direct_lambda:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_threads_exits_2(self, scenario_yaml, tmp_path, capsys):
         config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
@@ -423,6 +424,15 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "config error: --max-order:" in err
         assert "Warning" not in err
+        assert not out.exists()
+
+    def test_dissipative_rejected(self, scenario_yaml, tmp_path, capsys):
+        # levels 1 and 2 are tabulated, so only the sampler's refusal applies
+        config = scenario_yaml("dissipative_direct")
+        out = tmp_path / "run"
+        args = ["moments", "--config", str(config), "--out", str(out)]
+        assert main(args + ["--theta", "1.0", "--theta-prime", "2.0"]) == 2
+        assert "config error: noise.direct_lambda:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_trajectory_exits_2(self, scenario_yaml, tmp_path, capsys):

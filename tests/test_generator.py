@@ -215,7 +215,6 @@ class TestIntegrate:
         grid = np.linspace(0.0, 5.0, 26)
         gen = build_generator(dec, dephasing_model(gamma))
         result = integrate(gen, rho0, grid, decomposition=dec)
-        assert result.provenance == "ode"
         for state, t in zip(result.states, grid.tolist()):
             exact = _global_noise_state(dec, gamma * t, rho0, t).matrix
             assert np.max(np.abs(state - exact)) < 1e-8

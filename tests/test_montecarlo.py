@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisytime import (
+    ConfigError,
     DensityMatrix,
     DimensionMismatch,
     GridMismatch,
@@ -245,8 +246,9 @@ class TestRunEnsemble:
     def test_rejects_direct_model(self, qubit):
         _, dec, rho0 = qubit
         model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as info:
             run_ensemble(dec, model, rho0, [0.0, 1.0], n_traj=10, seed=1)
+        assert info.value.path == "noise.direct_lambda"
 
     def test_validates_raw_state(self, qubit):
         _, dec, _ = qubit
@@ -255,10 +257,12 @@ class TestRunEnsemble:
                 dec, dephasing_model(1.0), np.diag([1.5, -0.5]), [0.0, 1.0], n_traj=10, seed=1
             )
 
-    def test_as_result_provenance(self, qubit):
+    def test_as_result_holds_the_mean(self, qubit):
         _, dec, rho0 = qubit
         out = run_ensemble(dec, dephasing_model(1.0), rho0, [0.0, 1.0], n_traj=20, seed=3)
-        assert out.as_result().provenance == "montecarlo"
+        result = out.as_result()
+        assert np.array_equal(result.grid, out.grid)
+        assert np.array_equal(result.states, out.mean)
 
 
 class TestCompare:

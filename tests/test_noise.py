@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import warnings
@@ -313,13 +314,11 @@ class TestSampling:
         assert np.array_equal(many.paths[:65], few.paths)
 
     def test_chunk_must_start_on_a_block(self):
-        model = dephasing_model(1.0)
-        lv, grid = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 6)
-        factor = psd_sqrt(correlation_matrix(model, lv))
+        field = noise_module._BrownianField(dephasing_model(1.0), [0.0, 1.0], np.linspace(0, 1, 6))
         with pytest.raises(ValueError, match="RNG_BLOCK"):
-            noise_module._chi_chunk(model, lv, grid, factor, 9, 1, 10)
-        whole = noise_module._chi_chunk(model, lv, grid, factor, 9, 0, 130)
-        tail = noise_module._chi_chunk(model, lv, grid, factor, 9, noise_module.RNG_BLOCK, 66)
+            field.paths(9, 1, 10)
+        whole = field.paths(9, 0, 130)
+        tail = field.paths(9, noise_module.RNG_BLOCK, 66)
         assert np.array_equal(whole[noise_module.RNG_BLOCK:], tail)
 
     def test_samplers_share_one_chunk_constant(self, qubit, monkeypatch):
@@ -330,13 +329,12 @@ class TestSampling:
         assert max_chunk % noise_module.RNG_BLOCK == 0 and max_chunk > noise_module.RNG_BLOCK
         counts = []
 
-        def spy(*args, **kwargs):
-            counts.append(args[6])
-            return chi_chunk(*args, **kwargs)
+        def spy(field, seed, start, count):
+            counts.append(count)
+            return paths(field, seed, start, count)
 
-        chi_chunk = noise_module._chi_chunk
-        monkeypatch.setattr(noise_module, "_chi_chunk", spy)
-        monkeypatch.setattr(montecarlo, "_chi_chunk", spy)
+        paths = noise_module._BrownianField.paths
+        monkeypatch.setattr(noise_module._BrownianField, "paths", spy)
         model = dephasing_model(0.5)
         sample_phase_differences(model, 1.0, 0.0, 1.0, 2 * max_chunk + 5, seed=3)
         assert counts == [max_chunk, max_chunk, 5]
@@ -363,8 +361,11 @@ class TestSampling:
 
     def test_brownian_field_rejects_direct_model(self):
         model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as info:
             sample_chi_paths(model, [0.0, 1.0], np.linspace(0, 1, 5), seed=1, n_traj=1)
+        assert info.value.path == "noise.direct_lambda"
+        with pytest.raises(ConfigError, match="noise.direct_lambda"):
+            sample_phase_differences(model, 1.0, 0.0, 1.0, 5, seed=1)
 
     def test_grid_validation(self):
         model = dephasing_model(1.0)
@@ -434,11 +435,8 @@ class TestSampling:
         model = self._piecewise(0.6)
         t, a, b, n = 1.5, 0.3, 1.7, 20000
         x = sample_phase_differences(model, t, a, b, n, seed=9)
-        lv = np.array([a, b])
-        factor = psd_sqrt(correlation_matrix(model, lv))
-        paths = noise_module._chi_chunk(
-            model, lv, np.array([0.0, t]), factor, 9, 0, n, include_drift=False
-        )
+        driftless = dataclasses.replace(model, drift_h=DriftPreset.affine(0.0, 0.0))
+        paths = sample_chi_paths(driftless, [a, b], [0.0, t], seed=9, n_traj=n).paths
         assert np.array_equal(x, paths[:, -1, 0] - paths[:, -1, 1])
         s_t = 0.4**2 * 0.6 + 1.6**2 * (t - 0.6)
         lam = s_t * (a * a + b * b - 2 * a * b * math.exp(-((a - b) ** 2)))

@@ -89,13 +89,12 @@ class TestAveragedState:
 
 
 class TestTrajectory:
-    def test_shape_and_provenance(self, qubit):
+    def test_shape_and_grid(self, qubit):
         _, dec, rho0 = qubit
         grid = np.linspace(0, 2, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must not warn for Brownian models
             result = averaged_trajectory(dec, dephasing_model(1.0), rho0, grid)
-        assert result.provenance == "analytic"
         assert result.states.shape == (9, 2, 2)
         assert np.array_equal(result.grid, grid)
 

@@ -15,8 +15,11 @@ from noisytime import (
     dephasing_model,
     direct_damping_model,
     integrate,
+    lambda_pair,
+    moment_report,
     run_ensemble,
     sample_chi_paths,
+    sample_phase_differences,
     semigroup_defect,
 )
 
@@ -71,6 +74,9 @@ def test_bad_time_raises(qubit, model, t):
         lambda: averaged_state(dec, model, rho0, t),
         lambda: semigroup_defect(dec, model, rho0, t, 0.5),
         lambda: semigroup_defect(dec, model, rho0, 0.5, t),
+        lambda: lambda_pair(model, t, 0.0, 1.0),
+        lambda: sample_phase_differences(model, t, 0.0, 1.0, 5, 1),
+        lambda: moment_report(model, t, 0.0, 1.0, 5, 1),
     ):
         with pytest.raises(ValueError, match="finite and >= 0"):
             call()
