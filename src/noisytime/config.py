@@ -8,7 +8,9 @@ number is accepted as a real entry).
 This module is the only reader and writer of the schema.  Every field goes
 through one reader per field type (finite number, integer, list of numbers,
 preset ``kind`` with its closed field set), unknown fields are rejected, and
-every parse error is a ConfigError carrying the full path of the field.
+every parse error is a ConfigError carrying the full path of the field.  The
+noise presets are read and written through their families' tables in
+``noise.py`` (``PRESETS``), so a new family needs no change here.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, NoisytimeError
-from .noise import (
-    CorrelationPreset,
-    DirectDampingPreset,
-    DriftPreset,
-    NoiseModel,
-    SigmaThetaPreset,
-    SigmaTimePreset,
-)
+from .noise import PRESETS, DirectDampingPreset, NoiseModel, SigmaThetaPreset
 from .operators import DensityMatrix, HermitianOperator, eigendecompose
 
 __all__ = [
@@ -52,30 +47,7 @@ DEFAULT_SEED = 2024
 SEED_LIMIT = 2**64
 
 SECTIONS = ("name", "hamiltonian", "initial_state", "noise", "grid", "montecarlo", "outputs")
-NOISE_FIELDS = ("drift_h", "sigma_theta", "sigma_time", "correlation_g", "gamma", "direct_lambda")
-
-# Each preset section: its class, and per kind the fields in the order the
-# kind's classmethod of the same name takes them.
-PRESETS = {
-    "drift_h": (DriftPreset, {"identity": (), "affine": ("a", "b"), "polynomial": ("coeffs",)}),
-    "sigma_theta": (
-        SigmaThetaPreset,
-        {"constant": ("coefficient",), "linear": ("coefficient",), "polynomial": ("coeffs",)},
-    ),
-    "sigma_time": (
-        SigmaTimePreset,
-        {"constant": ("value",), "piecewise_constant": ("breakpoints", "values")},
-    ),
-    "correlation_g": (
-        CorrelationPreset,
-        {"uniform": (), "gaussian": ("tau",), "exponential": ("length",)},
-    ),
-}
-LIST_FIELDS = frozenset({"coeffs", "breakpoints", "values"})
-# Fields that may be left out; the classmethod's default applies.
-OPTIONAL_FIELDS = frozenset({"value"})
-# The one kind of direct_lambda, which may be left out of the file.
-DIRECT_KIND = "separable_linear"
+NOISE_FIELDS = (*PRESETS, "gamma", "direct_lambda")
 
 _REQUIRED = object()
 
@@ -224,6 +196,13 @@ def _kind(data, path: str, kinds: dict, default=_REQUIRED) -> str:
     return kind
 
 
+def _param(data: dict, path: str, field: str, spec):
+    """One preset field, read as its family's table specifies (see noise._Preset)."""
+    if spec is tuple:
+        return _read(data, path, field, _numbers)
+    return _read(data, path, field, _number, _REQUIRED if spec is float else spec)
+
+
 def _built(path: str, build, *args):
     """``build(*args)``, its model errors reported as config errors at ``path``."""
     try:
@@ -236,20 +215,18 @@ def _built(path: str, build, *args):
 
 def _noise(data: dict) -> NoiseModel:
     parts = {}
-    for name, (cls, kinds) in PRESETS.items():
+    for name, cls in PRESETS.items():
         if name in data:
             path = f"noise.{name}"
-            kind = _kind(data[name], path, kinds)
-            args = [
-                _read(data[name], path, field, _numbers if field in LIST_FIELDS else _number)
-                for field in kinds[kind]
-                if field in data[name] or field not in OPTIONAL_FIELDS
-            ]
-            parts[name] = getattr(cls, kind)(*args)
+            kind = _kind(data[name], path, cls.KINDS)
+            fields = cls.KINDS[kind]
+            params = tuple(_param(data[name], path, f, spec) for f, spec in fields.items())
+            parts[name] = cls(kind, params)
     if "direct_lambda" in data:
         path = "noise.direct_lambda"
         direct = data["direct_lambda"]
-        _kind(direct, path, {DIRECT_KIND: ("levels", "table")}, DIRECT_KIND)
+        kind = DirectDampingPreset.KIND
+        _kind(direct, path, {kind: ("levels", "table")}, kind)
         levels = _read(direct, path, "levels", _numbers)
         table = _read(direct, path, "table", _table)
         parts["direct_lambda"] = _built(f"{path}.table", DirectDampingPreset, levels, table)
@@ -331,26 +308,19 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(data)
 
 
-def _preset_to_dict(name: str, preset) -> dict:
-    fields = PRESETS[name][1][preset.kind]
-    if isinstance(preset, (DriftPreset, SigmaThetaPreset)):
-        # These keep their numbers in ``params``: one per field, or all of
-        # them as the single list field.
-        values = (preset.params,) if fields and fields[0] in LIST_FIELDS else preset.params
-    else:
-        values = tuple(getattr(preset, field) for field in fields)
+def _preset_to_dict(preset) -> dict:
     out = {"kind": preset.kind}
-    for field, value in zip(fields, values):
-        out[field] = list(value) if field in LIST_FIELDS else value
+    for field, value in preset.fields.items():
+        out[field] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def _noise_to_dict(noise: NoiseModel) -> dict:
-    out = {name: _preset_to_dict(name, getattr(noise, name)) for name in PRESETS}
+    out = {name: _preset_to_dict(getattr(noise, name)) for name in PRESETS}
     out["gamma"] = noise.gamma
     if noise.direct_lambda is not None:
         out["direct_lambda"] = {
-            "kind": DIRECT_KIND,
+            "kind": DirectDampingPreset.KIND,
             "levels": list(noise.direct_lambda.levels),
             "table": [[float(v) for v in row] for row in noise.direct_lambda.table],
         }

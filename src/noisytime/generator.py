@@ -93,8 +93,8 @@ def build_generator(decomposition: SpectralDecomposition, noise: NoiseModel) -> 
     + 2 s_k s_l (1 - g_kl)) with s = sigma_theta and g = correlation_g, so a
     zero gap or g = 1 gives the dephasing table exactly.  A direct damping
     table is taken as it is, looked up by level.  The drift gaps come from
-    drift_h.  A non-constant sigma_time has no time-independent table and
-    raises ConfigError naming noise.sigma_time.
+    drift_h.  A sigma_time whose pieces differ has no time-independent table
+    and raises ConfigError naming noise.sigma_time.
     """
     levels = decomposition.levels
     if noise.direct_lambda is not None:
@@ -108,7 +108,7 @@ def build_generator(decomposition: SpectralDecomposition, noise: NoiseModel) -> 
     else:
         s = noise.sigma_theta(levels)
         g = correlation_matrix(noise, levels)
-        table = noise.sigma_time.value**2 * (
+        table = noise.sigma_time.pieces[1][0] ** 2 * (
             (s[:, None] - s[None, :]) ** 2 + 2.0 * s[:, None] * s[None, :] * (1.0 - g)
         )
     h = noise.drift_h(levels)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .noise import MAX_CHUNK, RNG_BLOCK, NoiseModel, _BrownianField
+from .noise import RNG_BLOCK, NoiseModel, _BrownianField
 from .operators import SpectralDecomposition, state_matrix, to_energy_basis
 from .results import EvolutionResult
 
@@ -39,6 +39,8 @@ __all__ = [
     "compare_to_analytic",
 ]
 
+# Most trajectories one chunk draws and folds at once: a whole number of blocks.
+MAX_CHUNK = 16 * RNG_BLOCK
 # Target for chunk * grid * dim * dim; the chunk size must be a function of
 # shapes only, never of worker count, so that accumulation order (and
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK

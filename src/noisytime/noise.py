@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -61,8 +61,6 @@ PSD_EIG_FLOOR = -1e-8
 # [RNG_BLOCK * b, RNG_BLOCK * (b + 1)).  Every chunk of trajectories starts on
 # a block boundary.
 RNG_BLOCK = 64
-# Most trajectories either sampler draws at once: a whole number of blocks.
-MAX_CHUNK = 16 * RNG_BLOCK
 
 
 def _poly_eval(coeffs: tuple[float, ...], x):
@@ -71,22 +69,57 @@ def _poly_eval(coeffs: tuple[float, ...], x):
 
 
 @dataclass(frozen=True)
-class DriftPreset:
+class _Preset:
+    """A closed preset family: a ``kind`` and the numbers of its fields.
+
+    ``KINDS`` is the one table of a family: it maps each kind to its fields,
+    in the order the kind's classmethod takes them, and each field to
+    ``float`` (one number), ``tuple`` (a list of numbers) or a float default
+    (one number that may be left out).  ``params`` holds one entry per field,
+    in that order.  The config reader and writer work from this table alone.
+    """
+
+    SECTION: ClassVar[str]
+    KINDS: ClassVar[dict[str, dict]]
+
+    kind: str
+    params: tuple = ()
+
+    def __post_init__(self):
+        path = f"noise.{self.SECTION}"
+        fields = self.KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if fields is None:
+            known = tuple(self.KINDS)
+            raise ConfigError(f"{path}.kind", f"unknown kind {self.kind!r}; known: {known}")
+        if len(self.params) != len(fields):
+            raise ConfigError(
+                path, f"{self.kind} takes {len(fields)} fields {tuple(fields)}, got {len(self.params)}"
+            )
+        params = tuple(
+            tuple(map(float, value)) if spec is tuple else float(value)
+            for spec, value in zip(fields.values(), self.params)
+        )
+        object.__setattr__(self, "params", params)
+
+    @property
+    def fields(self) -> dict:
+        """Each field of the kind with its number or numbers, in table order."""
+        return dict(zip(self.KINDS[self.kind], self.params))
+
+
+class DriftPreset(_Preset):
     """Deterministic drift h(theta) of the phase SDE.
 
     Kinds: ``identity`` (h = theta), ``affine`` (a*theta + b),
     ``polynomial`` (ascending coefficients).
     """
 
-    kind: str
-    params: tuple[float, ...] = ()
+    SECTION = "drift_h"
+    KINDS = {"identity": {}, "affine": {"a": float, "b": float}, "polynomial": {"coeffs": tuple}}
 
     def __post_init__(self):
-        if self.kind not in ("identity", "affine", "polynomial"):
-            raise ConfigError("noise.drift_h.kind", f"unknown kind {self.kind!r}")
-        if self.kind == "affine" and len(self.params) != 2:
-            raise ConfigError("noise.drift_h", "affine drift needs exactly (a, b)")
-        if self.kind == "polynomial" and len(self.params) == 0:
+        super().__post_init__()
+        if self.kind == "polynomial" and not self.params[0]:
             raise ConfigError("noise.drift_h.coeffs", "polynomial drift needs coefficients")
 
     @classmethod
@@ -95,11 +128,11 @@ class DriftPreset:
 
     @classmethod
     def affine(cls, a: float, b: float) -> "DriftPreset":
-        return cls("affine", (float(a), float(b)))
+        return cls("affine", (a, b))
 
     @classmethod
     def polynomial(cls, coeffs) -> "DriftPreset":
-        return cls("polynomial", tuple(map(float, coeffs)))
+        return cls("polynomial", (coeffs,))
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -108,11 +141,10 @@ class DriftPreset:
         if self.kind == "affine":
             a, b = self.params
             return a * theta + b
-        return _poly_eval(self.params, theta)
+        return _poly_eval(self.params[0], theta)
 
 
-@dataclass(frozen=True)
-class SigmaThetaPreset:
+class SigmaThetaPreset(_Preset):
     """Level part of the diffusion amplitude.
 
     Kinds: ``constant`` (c), ``linear`` (c*theta), ``polynomial``.  Noise
@@ -120,30 +152,29 @@ class SigmaThetaPreset:
     coefficient (see :func:`dephasing_model`).
     """
 
-    kind: str
-    params: tuple[float, ...] = ()
+    SECTION = "sigma_theta"
+    KINDS = {
+        "constant": {"coefficient": float},
+        "linear": {"coefficient": float},
+        "polynomial": {"coeffs": tuple},
+    }
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear", "polynomial"):
-            raise ConfigError("noise.sigma_theta.kind", f"unknown kind {self.kind!r}")
-        if self.kind in ("constant", "linear") and len(self.params) != 1:
-            raise ConfigError(
-                "noise.sigma_theta.coefficient", f"{self.kind} needs exactly one coefficient"
-            )
-        if self.kind == "polynomial" and len(self.params) == 0:
+        super().__post_init__()
+        if self.kind == "polynomial" and not self.params[0]:
             raise ConfigError("noise.sigma_theta.coeffs", "polynomial needs coefficients")
 
     @classmethod
     def constant(cls, c: float) -> "SigmaThetaPreset":
-        return cls("constant", (float(c),))
+        return cls("constant", (c,))
 
     @classmethod
     def linear(cls, c: float) -> "SigmaThetaPreset":
-        return cls("linear", (float(c),))
+        return cls("linear", (c,))
 
     @classmethod
     def polynomial(cls, coeffs) -> "SigmaThetaPreset":
-        return cls("polynomial", tuple(map(float, coeffs)))
+        return cls("polynomial", (coeffs,))
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -151,80 +182,70 @@ class SigmaThetaPreset:
             return np.full_like(theta, self.params[0])
         if self.kind == "linear":
             return self.params[0] * theta
-        return _poly_eval(self.params, theta)
+        return _poly_eval(self.params[0], theta)
 
 
-@dataclass(frozen=True)
-class SigmaTimePreset:
-    """Time part of the diffusion amplitude, nonnegative.
+class SigmaTimePreset(_Preset):
+    """Time part of the diffusion amplitude: nonnegative, piecewise constant.
 
-    Kinds: ``constant`` (value, default 1) and ``piecewise_constant``
-    (breakpoints strictly increasing, one more value than breakpoints;
-    values[i] applies on [breakpoints[i-1], breakpoints[i]) ).
+    Kinds: ``piecewise_constant`` (breakpoints strictly increasing, one more
+    value than breakpoints; values[i] applies on [breakpoints[i-1],
+    breakpoints[i]) ) and ``constant`` (value, default 1), which is the
+    one-piece profile.
     """
 
-    kind: str
-    value: float = 1.0
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    SECTION = "sigma_time"
+    KINDS = {
+        "constant": {"value": 1.0},
+        "piecewise_constant": {"breakpoints": tuple, "values": tuple},
+    }
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.value < 0:
-                raise ConfigError("noise.sigma_time.value", "must be >= 0")
-        elif self.kind == "piecewise_constant":
-            if len(self.values) != len(self.breakpoints) + 1:
-                raise ConfigError(
-                    "noise.sigma_time.values",
-                    "piecewise_constant needs len(values) == len(breakpoints) + 1",
-                )
-            if any(v < 0 for v in self.values):
-                raise ConfigError("noise.sigma_time.values", "must all be >= 0")
-            if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
-                raise ConfigError("noise.sigma_time.breakpoints", "must be strictly increasing")
-        else:
-            raise ConfigError("noise.sigma_time.kind", f"unknown kind {self.kind!r}")
+        super().__post_init__()
+        breakpoints, values = self.pieces
+        where = "noise.sigma_time.value" if self.kind == "constant" else "noise.sigma_time.values"
+        if len(values) != len(breakpoints) + 1:
+            raise ConfigError(where, "piecewise_constant needs len(values) == len(breakpoints) + 1")
+        if any(v < 0 for v in values):
+            raise ConfigError(where, "must be >= 0")
+        if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
+            raise ConfigError("noise.sigma_time.breakpoints", "must be strictly increasing")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "SigmaTimePreset":
-        return cls("constant", value=float(value))
+        return cls("constant", (value,))
 
     @classmethod
     def piecewise_constant(cls, breakpoints, values) -> "SigmaTimePreset":
-        return cls(
-            "piecewise_constant",
-            breakpoints=tuple(map(float, breakpoints)),
-            values=tuple(map(float, values)),
-        )
+        return cls("piecewise_constant", (breakpoints, values))
+
+    @property
+    def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The breakpoints and the values; a constant profile is one piece."""
+        return ((), self.params) if self.kind == "constant" else self.params
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant"
+        """True when every piece has the same value."""
+        return len(set(self.pieces[1])) == 1
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.value)
-        idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
-        return np.asarray(self.values, dtype=float)[idx]
+        breakpoints, values = self.pieces
+        idx = np.searchsorted(np.asarray(breakpoints, dtype=float), t, side="right")
+        return np.asarray(values)[idx]
 
     def integrated_square(self, t):
-        """S(t), the integral of sigma_time(s)^2 over [0, t], elementwise in t.
-
-        value^2 t for a constant profile; for a piecewise one, the sum of
-        values[i]^2 times the length of [breakpoints[i-1], breakpoints[i])
-        inside [0, t].
-        """
+        """S(t), the integral of sigma_time(s)^2 over [0, t], elementwise in t:
+        the sum of values[i]^2 times the length of [breakpoints[i-1],
+        breakpoints[i]) inside [0, t]."""
+        breakpoints, values = self.pieces
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return self.value**2 * t
-        edges = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
+        edges = np.concatenate(([-np.inf], breakpoints, [np.inf]))
         overlap = np.minimum(t[..., None], edges[1:]) - np.maximum(0.0, edges[:-1])
-        return np.clip(overlap, 0.0, None) @ np.square(self.values)
+        return np.clip(overlap, 0.0, None) @ np.square(values)
 
 
-@dataclass(frozen=True)
-class CorrelationPreset:
+class CorrelationPreset(_Preset):
     """Correlation g(theta, theta') between level Brownian motions.
 
     Kinds: ``uniform`` (g = 1, one shared motion), ``gaussian`` with scale tau
@@ -233,16 +254,14 @@ class CorrelationPreset:
     symmetry, and |g| <= 1, and yield positive semidefinite matrices.
     """
 
-    kind: str
-    tau: float = 0.0
-    length: float = 1.0
+    SECTION = "correlation_g"
+    KINDS = {"uniform": {}, "gaussian": {"tau": float}, "exponential": {"length": float}}
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian", "exponential"):
-            raise ConfigError("noise.correlation_g.kind", f"unknown kind {self.kind!r}")
-        if self.kind == "gaussian" and self.tau < 0:
+        super().__post_init__()
+        if self.kind == "gaussian" and self.params[0] < 0:
             raise ConfigError("noise.correlation_g.tau", "must be >= 0")
-        if self.kind == "exponential" and self.length <= 0:
+        if self.kind == "exponential" and self.params[0] <= 0:
             raise ConfigError("noise.correlation_g.length", "must be > 0")
 
     @classmethod
@@ -251,11 +270,11 @@ class CorrelationPreset:
 
     @classmethod
     def gaussian(cls, tau: float) -> "CorrelationPreset":
-        return cls("gaussian", tau=float(tau))
+        return cls("gaussian", (tau,))
 
     @classmethod
     def exponential(cls, length: float) -> "CorrelationPreset":
-        return cls("exponential", length=float(length))
+        return cls("exponential", (length,))
 
     def __call__(self, theta, theta_prime):
         theta = np.asarray(theta, dtype=float)
@@ -264,8 +283,14 @@ class CorrelationPreset:
             return np.ones(np.broadcast_shapes(theta.shape, theta_prime.shape))
         diff = theta - theta_prime
         if self.kind == "gaussian":
-            return np.exp(-(self.tau**2) * diff**2)
-        return np.exp(-np.abs(diff) / self.length)
+            return np.exp(-(self.params[0] ** 2) * diff**2)
+        return np.exp(-np.abs(diff) / self.params[0])
+
+
+# The preset sections of a NoiseModel, each to its family.
+PRESETS = {
+    cls.SECTION: cls for cls in (DriftPreset, SigmaThetaPreset, SigmaTimePreset, CorrelationPreset)
+}
 
 
 @dataclass(frozen=True)
@@ -277,6 +302,9 @@ class DirectDampingPreset:
     decay (dissipative branch).  Models carrying this preset are propagated
     and integrated; the Brownian samplers refuse them.
     """
+
+    # The one kind, which a config file may leave out.
+    KIND = "separable_linear"
 
     levels: tuple[float, ...]
     table: np.ndarray
@@ -300,14 +328,15 @@ class DirectDampingPreset:
         object.__setattr__(self, "table", arr)
 
     def __call__(self, levels) -> np.ndarray:
-        """The table over the given levels, each looked up by value to 1e-9."""
-        tabulated = np.asarray(self.levels)
-        idx = []
-        for theta in np.asarray(levels, dtype=float).reshape(-1):
-            hit = np.nonzero(np.isclose(tabulated, theta, rtol=0.0, atol=1e-9))[0]
-            if hit.size == 0:
-                raise DimensionMismatch(f"level {theta!r} is not tabulated in direct_lambda")
-            idx.append(int(hit[0]))
+        """The table over the given levels, each looked up by value to 1e-9;
+        a level matching several tabulated ones takes the first."""
+        wanted = np.asarray(levels, dtype=float).reshape(-1)
+        hits = np.isclose(wanted[:, None], np.asarray(self.levels), rtol=0.0, atol=1e-9)
+        missing = ~hits.any(axis=1)
+        if missing.any():
+            theta = float(wanted[np.argmax(missing)])
+            raise DimensionMismatch(f"level {theta!r} is not tabulated in direct_lambda")
+        idx = np.argmax(hits, axis=1)
         return self.table[np.ix_(idx, idx)]
 
 
@@ -479,7 +508,7 @@ class _BrownianField:
         self.levels.setflags(write=False)
         self.grid.setflags(write=False)
         self.factor = psd_sqrt(correlation_matrix(model, self.levels))
-        inside = [b for b in model.sigma_time.breakpoints if 0.0 < b < self.grid[-1]]
+        inside = [b for b in model.sigma_time.pieces[0] if 0.0 < b < self.grid[-1]]
         fine = np.union1d(self.grid, inside)
         dt = np.diff(fine)
         time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
@@ -548,25 +577,18 @@ def sample_phase_differences(
     """Samples of the driftless phase difference X_t between two levels.
 
     X_t is the stochastic integral of sigma dB at theta minus the same at
-    theta_prime; its distribution is exactly N(0, lambda(t)).  Each sample ends
-    a chi-path pair of the model with zero drift on the grid [0, t]: one exact
-    Gaussian step per sigma_time piece.  ``t`` must be finite and >= 0 (else
-    ValueError); X_0 is 0.  A direct damping table raises ConfigError.
+    theta_prime; its distribution is exactly N(0, lambda(t)).  Each sample is
+    the end-point difference of a ``sample_chi_paths`` pair of the model with
+    zero drift on the grid [0, t]: one exact Gaussian step per sigma_time
+    piece.  ``t`` must be finite and >= 0 (else ValueError); X_0 is 0.  A
+    direct damping table raises ConfigError.
     """
     t = time_point(t)
     if t == 0.0:
         return np.zeros(n_traj)
     driftless = replace(model, drift_h=DriftPreset.affine(0.0, 0.0))
-    field = _BrownianField(driftless, [theta, theta_prime], [0.0, t])
-    if theta == theta_prime:
-        # One level twice: the shared Brownian motion cancels identically.
-        return np.zeros(n_traj)
-    out = np.empty(n_traj)
-    for start in range(0, n_traj, MAX_CHUNK):
-        count = min(MAX_CHUNK, n_traj - start)
-        paths = field.paths(seed, start, count)
-        out[start : start + count] = paths[:, -1, 0] - paths[:, -1, 1]
-    return out
+    ends = sample_chi_paths(driftless, [theta, theta_prime], [0.0, t], seed, n_traj).paths[:, -1]
+    return ends[:, 0] - ends[:, 1]
 
 
 @dataclass(frozen=True)

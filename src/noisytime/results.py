@@ -15,13 +15,13 @@ __all__ = ["EvolutionResult", "time_grid", "time_point"]
 
 
 def time_grid(grid) -> np.ndarray:
-    """A route's time grid as a flat float array.
+    """A route's time grid as a flat float array, copied from the caller's.
 
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly; otherwise GridMismatch.  Every route starts from the initial
     state at t = 0, so a grid starting later would silently shift the clock.
     """
-    arr = np.asarray(grid, dtype=float).reshape(-1)
+    arr = np.array(grid, dtype=float).reshape(-1)
     if arr.size < 2 or arr[0] != 0.0 or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) <= 0):
         raise GridMismatch(
             "grid must be finite, have at least two points, start at 0 and increase strictly"

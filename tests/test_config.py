@@ -248,7 +248,7 @@ class TestMalformed:
         data = yaml.safe_load("gamma: 1e-3\nsigma_time: {kind: constant, value: 2}")
         config = parse_config(minimal_config(noise=data))
         assert config.noise.gamma == 0.001
-        assert config.noise.sigma_time.value == 2.0
+        assert config.noise.sigma_time == SigmaTimePreset.constant(2.0)
 
 
 class TestNoiseSection:

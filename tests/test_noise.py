@@ -85,6 +85,36 @@ class TestPresets:
         with pytest.raises(ConfigError):
             CorrelationPreset("lorentzian")
 
+    @pytest.mark.parametrize(
+        "cls, section",
+        [
+            (DriftPreset, "drift_h"),
+            (SigmaThetaPreset, "sigma_theta"),
+            (SigmaTimePreset, "sigma_time"),
+            (CorrelationPreset, "correlation_g"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_kind_and_field_count_errors_name_the_path(self, cls, section):
+        with pytest.raises(ConfigError) as info:
+            cls("cubic")
+        assert info.value.path == f"noise.{section}.kind"
+        for kind, fields in cls.KINDS.items():
+            with pytest.raises(ConfigError) as info:
+                cls(kind, (1.0,) * (len(fields) + 1))
+            assert info.value.path == f"noise.{section}"
+
+    def test_constant_sigma_time_is_the_one_piece_profile(self):
+        constant, one_piece = SigmaTimePreset.constant(0.7), SigmaTimePreset.piecewise_constant([], [0.7])
+        t = np.linspace(0.0, 3.0, 7)
+        assert constant.pieces == one_piece.pieces == ((), (0.7,))
+        assert constant(t).tobytes() == one_piece(t).tobytes()
+        assert constant.integrated_square(t).tobytes() == one_piece.integrated_square(t).tobytes()
+        # constant means every piece has the same value
+        assert one_piece.is_constant
+        assert SigmaTimePreset.piecewise_constant([1.0, 2.0], [0.7, 0.7, 0.7]).is_constant
+        assert not SigmaTimePreset.piecewise_constant([1.0], [0.7, 0.0]).is_constant
+
 
 class TestDirectDamping:
     def test_asymmetric_table_rejected(self):
@@ -99,6 +129,23 @@ class TestDirectDamping:
         model = direct_damping_model([1.0, 2.0], [[0.0, 0.7], [0.7, 0.0]])
         with pytest.raises(DimensionMismatch):
             LambdaKernel(model, [1.5, 2.0])
+
+    def test_lookup_takes_the_first_match(self):
+        # 1 + 4e-10 lies within 1e-9 of both 1 and 1 + 8e-10
+        table = [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]]
+        preset = DirectDampingPreset([1.0, 1.0 + 8e-10, 2.0], table)
+        assert np.array_equal(preset([2.0, 1.0 + 4e-10]), [[0.6, 0.3], [0.3, 0.1]])
+        with pytest.raises(DimensionMismatch, match="level 1.5 "):
+            preset([1.0, 1.5, 3.0])
+
+    def test_lookup_matches_per_level_loop(self):
+        rng = np.random.default_rng(5)
+        tabulated = np.repeat(rng.normal(size=4), 2) + rng.uniform(-6e-10, 6e-10, size=8)
+        table = rng.uniform(size=(8, 8))
+        preset = DirectDampingPreset(tabulated, table + table.T)
+        wanted = rng.choice(tabulated, size=12) + rng.uniform(-5e-10, 5e-10, size=12)
+        idx = [int(np.flatnonzero(np.abs(tabulated - theta) <= 1e-9)[0]) for theta in wanted]
+        assert np.array_equal(preset(wanted), preset.table[np.ix_(idx, idx)])
 
 
 class TestNoiseModel:
@@ -321,28 +368,6 @@ class TestSampling:
         tail = field.paths(9, noise_module.RNG_BLOCK, 66)
         assert np.array_equal(whole[noise_module.RNG_BLOCK:], tail)
 
-    def test_samplers_share_one_chunk_constant(self, qubit, monkeypatch):
-        # run_ensemble and sample_phase_differences cut at the same cap, a
-        # whole number of RNG blocks
-        max_chunk = noise_module.MAX_CHUNK
-        assert montecarlo.MAX_CHUNK is max_chunk
-        assert max_chunk % noise_module.RNG_BLOCK == 0 and max_chunk > noise_module.RNG_BLOCK
-        counts = []
-
-        def spy(field, seed, start, count):
-            counts.append(count)
-            return paths(field, seed, start, count)
-
-        paths = noise_module._BrownianField.paths
-        monkeypatch.setattr(noise_module._BrownianField, "paths", spy)
-        model = dephasing_model(0.5)
-        sample_phase_differences(model, 1.0, 0.0, 1.0, 2 * max_chunk + 5, seed=3)
-        assert counts == [max_chunk, max_chunk, 5]
-        counts.clear()
-        _, dec, rho0 = qubit
-        run_ensemble(dec, model, rho0, [0.0, 1.0], n_traj=9 * max_chunk, seed=3)
-        assert counts == [max_chunk] * 9
-
     def test_brownian_field_covariance(self):
         # driftless, unit amplitude: chi path increments are the Brownian increments
         model = NoiseModel(
@@ -409,7 +434,7 @@ class TestSampling:
         assert np.all(x == 0.0)
 
     def test_phase_differences_prefix_across_chunks(self):
-        # 3000 samples take three moment-sampler chunks, 1500 take two
+        # 1500 and 3000 samples end inside different RNG blocks
         model = correlated_model(0.8, 1.0)
         few = sample_phase_differences(model, 1.0, 0.3, 1.7, 1500, seed=4)
         many = sample_phase_differences(model, 1.0, 0.3, 1.7, 3000, seed=4)

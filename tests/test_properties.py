@@ -1,8 +1,11 @@
-"""Property-based cross-route checks: RK4 on the master equation against the
-analytic propagator, on random Hamiltonians, noise models and grids.
+"""Property-based checks: RK4 on the master equation against the analytic
+propagator, on random Hamiltonians, noise models and grids; and the scenario
+codec on random presets of every kind.
 
 Derandomized, so every run draws the same examples.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +24,13 @@ from noisytime import (  # noqa: E402
     SigmaTimePreset,
     averaged_trajectory,
     build_generator,
+    config_to_dict,
     direct_damping_model,
     eigendecompose,
     integrate,
+    parse_config,
 )
+from noisytime.noise import PRESETS  # noqa: E402
 
 
 @st.composite
@@ -52,10 +58,21 @@ def grids(draw):
 
 
 @st.composite
+def constant_profiles(draw):
+    """A constant sigma_time in [0, 2], as such or as 1 to 3 equal pieces."""
+    value = draw(st.floats(0.0, 2.0))
+    breakpoints = sorted(draw(st.sets(st.floats(0.0, 5.0), max_size=2)))
+    if draw(st.booleans()):
+        return SigmaTimePreset.constant(value)
+    return SigmaTimePreset.piecewise_constant(breakpoints, [value] * (len(breakpoints) + 1))
+
+
+@st.composite
 def noise_models(draw, levels):
     """A time-independent model with an affine drift: a nonnegative direct
     table over ``levels``, or a uniform, gaussian or exponential correlation
-    with a linear or degree-2 sigma_theta and a constant sigma_time in [0, 2]."""
+    with a linear or degree-2 sigma_theta and a sigma_time in [0, 2] that is
+    constant or has pieces of one value."""
     drift = DriftPreset.affine(draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0)))
     kind = draw(st.sampled_from(["uniform", "gaussian", "exponential", "direct"]))
     if kind == "direct":
@@ -77,7 +94,7 @@ def noise_models(draw, levels):
     return NoiseModel(
         drift_h=drift,
         sigma_theta=sigma_theta,
-        sigma_time=SigmaTimePreset.constant(draw(st.floats(0.0, 2.0))),
+        sigma_time=draw(constant_profiles()),
         correlation_g=correlation,
     )
 
@@ -95,3 +112,48 @@ def test_rk4_matches_analytic_and_stays_a_state(system, grid, data):
     assert np.max(np.abs(ode - np.conj(np.swapaxes(ode, 1, 2)))) <= 1e-12
     if not model.is_dissipative:
         assert np.max(np.abs(np.trace(ode, axis1=1, axis2=2) - 1.0)) <= 1e-12
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(0.0, 1e300)
+# Draws of each preset field, within the range its family accepts.
+FIELD_DRAWS = {
+    "a": FINITE,
+    "b": FINITE,
+    "coeffs": st.lists(FINITE, min_size=1, max_size=4),
+    "coefficient": FINITE,
+    "value": NONNEGATIVE,
+    "tau": NONNEGATIVE,
+    "length": st.floats(1e-300, 1e300),
+}
+
+
+@st.composite
+def presets(draw, cls):
+    """A preset of any kind of the family ``cls``, with random fields."""
+    kind = draw(st.sampled_from(list(cls.KINDS)))
+    if kind == "piecewise_constant":
+        breakpoints = sorted(draw(st.sets(FINITE, max_size=4)))
+        size = len(breakpoints) + 1
+        values = draw(st.lists(NONNEGATIVE, min_size=size, max_size=size))
+        return cls.piecewise_constant(breakpoints, values)
+    return getattr(cls, kind)(*(draw(FIELD_DRAWS[field]) for field in cls.KINDS[kind]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_preset_kind_round_trips(data):
+    scenario = {
+        "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+        "initial_state": "plus_state",
+        "noise": {"gamma": 0.5},
+        "grid": {"t_end": 1.0},
+    }
+    base = parse_config(scenario)
+    drawn = {name: data.draw(presets(cls), label=name) for name, cls in PRESETS.items()}
+    config = parse_config(config_to_dict(replace(base, noise=replace(base.noise, **drawn))))
+    for name, preset in drawn.items():
+        rebuilt = getattr(config.noise, name)
+        assert rebuilt == preset
+        assert repr(rebuilt.params) == repr(preset.params)  # signed zeros too
+    assert config_to_dict(parse_config(config_to_dict(config))) == config_to_dict(config)

@@ -66,6 +66,15 @@ def test_bad_grid_raises(qubit, route, grid):
         route(dec, rho0, grid)
 
 
+@pytest.mark.parametrize("route", GRID_ROUTES, ids=lambda f: f.__name__)
+def test_result_grid_is_a_copy(qubit, route):
+    _, dec, rho0 = qubit
+    grid = np.linspace(0.0, 1.0, 5)
+    result = route(dec, rho0, grid)
+    grid[1] = 7.0
+    assert np.array_equal(result.grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 @BAD_TIMES
 @pytest.mark.parametrize("model", [MODEL, DISSIPATIVE], ids=["brownian", "dissipative"])
 def test_bad_time_raises(qubit, model, t):
