@@ -33,7 +33,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import NoiseModel, SigmaTimePreset, moment_report
+from .noise import NoiseModel, moment_report
 from .propagator import averaged_trajectory
 from .results import EvolutionResult
 from .verify import run_suite, check_names
@@ -141,7 +141,7 @@ def _check_family(noise: NoiseModel, kind: str) -> None:
         field = "correlation_g"
     elif kind == "phase" and noise.drift_h.kind != "identity":
         field = "drift_h"
-    elif noise.sigma_time != SigmaTimePreset.constant(1.0):
+    elif noise.sigma_time.pieces != ((), (1.0,)):
         field = "sigma_time"
     elif not math.isclose(coefficient**2, noise.gamma, rel_tol=FAMILY_GAMMA_RTOL):
         field = "sigma_theta"

@@ -5,7 +5,12 @@ at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
 initial state is factored once, rho = V G G^dagger V^dagger in the energy
 basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
-rotations.  A chunk of trajectories keeps only its chi paths; it is
+rotations.  The factors of g samples come from one BLAS call,
+V [X_1 ... X_g] with X_n = exp(-i chi_n) o G, where g is the most samples
+whose product stays within ``CALL_BUDGET`` multiply-adds: at small d one call
+per sample is mostly call overhead, while a larger call would reach the BLAS
+thread pool, whose start-up costs more than a small product.  A chunk of
+trajectories keeps only its chi paths; it is
 processed in time slabs sized to stay in cache, each slab forming the phases
 exp(-i chi) of its own time points, and the per-entry mean and two-pass
 variance of a slab are taken in place.  Chunk statistics are merged by a
@@ -50,6 +55,12 @@ CHUNK_ELEMENT_BUDGET = 4_000_000
 # chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.  A
 # chunk is also kept within it at one time point per slab.
 SLAB_ELEMENT_BUDGET = 1 << 16
+# Complex multiply-adds of one BLAS call forming the factors of a group of
+# samples: one d = 32 full-rank product (32 x 32 by 32 x 32).  OpenBLAS
+# threads complex products from about 6.5e4 multiply-adds, and a small
+# threaded call costs milliseconds, so groups stay within it; only a sample
+# whose own product exceeds it (d > 32 at full rank) makes a larger call.
+CALL_BUDGET = 32**3
 
 Z_MAX = 4.0
 Z_TAIL = 3.0
@@ -66,6 +77,11 @@ def _chunk_size(num_points: int, dim: int) -> int:
 
 def _slab_size(count: int, dim: int) -> int:
     return max(1, SLAB_ELEMENT_BUDGET // (count * dim * dim))
+
+
+def _group_size(dim: int, rank: int) -> int:
+    """Samples per BLAS call forming their factors: within CALL_BUDGET, at least 1."""
+    return max(1, CALL_BUDGET // (dim * dim * rank))
 
 
 def _state_factor(rho_e: np.ndarray) -> np.ndarray:
@@ -97,9 +113,24 @@ def _sample_states(vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray) 
     """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
-    rho_e = G G^dagger, computed from the d x r factor instead.
+    rho_e = G G^dagger, computed from the d x r factor instead.  The factors
+    B of ``_group_size`` samples come from one product V [X_1 ... X_g] with
+    X_n = c_n o G; a group of one sample is the plain stacked product.  The
+    Gram product B B^dagger is taken one sample at a time.
     """
-    b = vectors @ (phases[..., :, None] * factor)
+    dim, rank = factor.shape
+    group = _group_size(dim, rank)
+    if group == 1:
+        b = vectors @ (phases[..., :, None] * factor)
+    else:
+        # Columns [n r, (n + 1) r) of x hold X_n, so g r adjacent columns
+        # are one group.
+        x = (phases.reshape(-1, dim).T[:, :, None] * factor[:, None, :]).reshape(dim, -1)
+        b = np.empty_like(x)
+        width = group * rank
+        for lo in range(0, x.shape[1], width):
+            np.matmul(vectors, x[:, lo : lo + width], out=b[:, lo : lo + width])
+        b = b.reshape(dim, -1, rank).transpose(1, 0, 2).reshape(phases.shape[:-1] + (dim, rank))
     return b @ np.swapaxes(b, -1, -2).conj()
 
 
@@ -153,7 +184,13 @@ def run_ensemble(
 
     The energy-basis state is factored once as G G^dagger (G is d x r, r the
     numerical rank), and every sample state U rho U^dagger is formed as
-    B B^dagger with B = V (exp(-i chi) o G).  Trajectories are processed in
+    B B^dagger with B = V (exp(-i chi) o G).  The B of ``_group_size``
+    samples come from one BLAS call of at most ``CALL_BUDGET`` (32^3)
+    complex multiply-adds, the size of one d = 32 full-rank product: at
+    d <= 4 a call per sample costs more in overhead than in arithmetic, and a
+    call past the budget would start the BLAS thread pool, which costs
+    milliseconds.  At d = 32 and full rank a group is one sample.  Groups
+    split a slab by its shape alone.  Trajectories are processed in
     chunks (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds

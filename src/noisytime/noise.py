@@ -202,7 +202,7 @@ class SigmaTimePreset(_Preset):
 
     def __post_init__(self):
         super().__post_init__()
-        breakpoints, values = self.pieces
+        breakpoints, values = ((), self.params) if self.kind == "constant" else self.params
         where = "noise.sigma_time.value" if self.kind == "constant" else "noise.sigma_time.values"
         if len(values) != len(breakpoints) + 1:
             raise ConfigError(where, "piecewise_constant needs len(values) == len(breakpoints) + 1")
@@ -221,13 +221,18 @@ class SigmaTimePreset(_Preset):
 
     @property
     def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The breakpoints and the values; a constant profile is one piece."""
-        return ((), self.params) if self.kind == "constant" else self.params
+        """The breakpoints and the values, neighbouring pieces of equal value
+        merged: a constant profile, however written, is one piece."""
+        if self.kind == "constant":
+            return (), self.params
+        breakpoints, values = self.params
+        kept = [i for i in range(len(breakpoints)) if values[i + 1] != values[i]]
+        return tuple(breakpoints[i] for i in kept), values[:1] + tuple(values[i + 1] for i in kept)
 
     @property
     def is_constant(self) -> bool:
         """True when every piece has the same value."""
-        return len(set(self.pieces[1])) == 1
+        return len(self.pieces[1]) == 1
 
     def __call__(self, t):
         breakpoints, values = self.pieces

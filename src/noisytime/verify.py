@@ -22,8 +22,9 @@ from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
+import yaml
 
-from .config import ScenarioConfig, config_to_dict, parse_config
+from .config import _YAML_LOADER, ScenarioConfig, config_to_dict, parse_config
 from .errors import DissipativeTraceLoss
 from .generator import build_generator, cp_report, integrate
 from .metrics import energy_expectation, purity
@@ -511,10 +512,8 @@ def _check_comparison_detector() -> tuple[bool, str]:
 
 
 def _check_bundled_round_trip() -> tuple[bool, str]:
-    import yaml
-
     for name in BUNDLED_SCENARIOS:
-        data = yaml.safe_load(bundled_scenario_text(name))
+        data = yaml.load(bundled_scenario_text(name), Loader=_YAML_LOADER)
         first = config_to_dict(parse_config(data))
         second = config_to_dict(parse_config(first))
         if first != second:

@@ -260,19 +260,28 @@ class TestIntegrate:
         assert float(rows[0]["trace"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_piece_profile_is_the_constant_one(self, scenario_yaml, tmp_path):
-        # a profile whose pieces all have the same value is time-independent
-        written = []
-        for name, profile in {
-            "constant": {"kind": "constant", "value": 0.7},
-            "one_piece": {"kind": "piecewise_constant", "breakpoints": [], "values": [0.7]},
-            "equal_pieces": {"kind": "piecewise_constant", "breakpoints": [1.0], "values": [0.7, 0.7]},
-        }.items():
-            config = scenario_yaml("correlated_tau", **{"noise.sigma_time": profile})
-            out = tmp_path / name
-            args = ["integrate", "--config", str(config), "--out", str(out), "--generator", "general"]
-            assert main(args) == 0
-            written.append((out / "me.csv").read_bytes())
-        assert written[1] == written[0] and written[2] == written[0]
+        # a profile whose pieces all have the same value is time-independent,
+        # and the phase family takes it at value 1 however it is written
+        for scenario, generator, value in (
+            ("correlated_tau", "general", 0.7),
+            ("global_dephasing", "phase", 1.0),
+        ):
+            written = []
+            for name, profile in {
+                "constant": {"kind": "constant", "value": value},
+                "one_piece": {"kind": "piecewise_constant", "breakpoints": [], "values": [value]},
+                "equal_pieces": {
+                    "kind": "piecewise_constant",
+                    "breakpoints": [1.0],
+                    "values": [value, value],
+                },
+            }.items():
+                config = scenario_yaml(scenario, **{"noise.sigma_time": profile})
+                out = tmp_path / scenario / name
+                args = ["integrate", "--config", str(config), "--out", str(out)]
+                assert main(args + ["--generator", generator]) == 0
+                written.append((out / "me.csv").read_bytes())
+            assert written[1] == written[0] and written[2] == written[0]
 
     def test_general_rejects_time_dependent_profile(self, scenario_yaml, tmp_path):
         config = scenario_yaml("nonmarkovian_piecewise")

@@ -23,9 +23,11 @@ from noisytime import (
 )
 from noisytime import montecarlo
 from noisytime.montecarlo import (
+    CALL_BUDGET,
     MAX_CHUNK,
     SLAB_ELEMENT_BUDGET,
     _chunk_size,
+    _group_size,
     _sample_states,
     _slab_phases,
     _slab_size,
@@ -132,6 +134,75 @@ class TestStateFactor:
         assert _state_factor(to_energy_basis(ground.matrix, dec)).shape == (4, 2)
         mixed = DensityMatrix.maximally_mixed(4)
         assert _state_factor(to_energy_basis(mixed.matrix, dec)).shape == (4, 4)
+
+
+class TestGroupedProduct:
+    # (dim, rank, degenerate spectrum): ranks 1, 2 and d, levels in equal pairs
+    CASES = [(d, r, False) for d in (2, 3, 4, 8, 32) for r in sorted({1, 2, d})] + [
+        (4, 2, True),
+        (8, 8, True),
+    ]
+
+    @pytest.mark.parametrize("dim, rank, degenerate", CASES)
+    def test_matches_per_sample_reference(self, dim, rank, degenerate):
+        dec, rho0 = _random_case(np.random.default_rng(7 * dim + rank), dim, rank, degenerate)
+        grid = np.linspace(0, 1.2, 5)
+        model = correlated_model(0.7, 0.8)
+        n_traj = 130
+        out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=2)
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=1)
+        for got, want in (
+            (out.mean, serial.mean),
+            (out.stderr_re, serial.stderr_re),
+            (out.stderr_im, serial.stderr_im),
+        ):
+            assert got.tobytes() == want.tobytes()
+        paths = sample_chi_paths(model, dec.levels, grid, seed=5, n_traj=n_traj).paths
+        states = _per_sample_reference(dec, rho0, paths)
+        assert np.max(np.abs(out.mean - states.mean(axis=0))) < 1e-14
+        for stderr, part in ((out.stderr_re, states.real), (out.stderr_im, states.imag)):
+            expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
+            assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 4), (8, 2), (32, 1)])
+    def test_partial_group(self, dim, rank, monkeypatch):
+        # a slab of 2.5 groups: whole groups, then a partial one, every call
+        # within the budget and every sample as if formed on its own
+        dec, rho0 = _random_case(np.random.default_rng(dim + rank), dim, rank, degenerate=False)
+        factor = _state_factor(to_energy_basis(rho0.matrix, dec))
+        group = _group_size(dim, rank)
+        count = 5 * group // 2
+        chi = np.random.default_rng(3).normal(scale=2.0, size=(count, 1, dec.num_levels))
+        phases = _slab_phases(chi, dec.level_index)
+        widths = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            widths.append(b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        states = _sample_states(dec.eigenvectors, factor, phases)
+        monkeypatch.undo()
+        assert widths == [group * rank] * 2 + [group * rank // 2]
+        assert max(widths) * dim * dim <= CALL_BUDGET
+        for j in (0, group - 1, group, count - 1):
+            alone = _sample_states(dec.eigenvectors, factor, phases[j : j + 1])
+            assert np.max(np.abs(states[j] - alone)) < 1e-15
+            u = unitary_from_phases(dec, chi[j, 0])
+            assert np.max(np.abs(states[j, 0] - u @ rho0.matrix @ u.conj().T)) < 1e-14
+
+    def test_group_size_rule(self):
+        # one d = 32 full-rank product per call, 8192 rank-1 qubit samples
+        assert _group_size(32, 32) == 1
+        assert _group_size(2, 1) == 8192
+        for dim in range(1, 65):
+            for rank in range(1, dim + 1):
+                group, per_sample = _group_size(dim, rank), dim * dim * rank
+                if per_sample > CALL_BUDGET:
+                    assert group == 1
+                else:
+                    assert group * per_sample <= CALL_BUDGET < (group + 1) * per_sample
 
 
 class TestRunEnsemble:

@@ -115,6 +115,22 @@ class TestPresets:
         assert SigmaTimePreset.piecewise_constant([1.0, 2.0], [0.7, 0.7, 0.7]).is_constant
         assert not SigmaTimePreset.piecewise_constant([1.0], [0.7, 0.0]).is_constant
 
+    def test_equal_neighbouring_pieces_merge(self):
+        profile = SigmaTimePreset.piecewise_constant([0.5, 1.0, 2.0], [1.0, 1.0, 0.3, 0.3])
+        assert profile.pieces == ((1.0,), (1.0, 0.3))
+        assert SigmaTimePreset.piecewise_constant([1.0], [0.3, 1.0]).pieces == ((1.0,), (0.3, 1.0))
+        # so a breakpoint between equal values refines no grid: same normals,
+        # same paths as the constant profile
+        constant = dephasing_model(1.0)
+        assert constant.sigma_time == SigmaTimePreset.constant(1.0)
+        split = dataclasses.replace(
+            constant, sigma_time=SigmaTimePreset.piecewise_constant([0.5], [1.0, 1.0])
+        )
+        for grid in ([0.0, 1.0], np.linspace(0.0, 2.0, 6)):
+            a = sample_chi_paths(constant, [0.0, 1.0], grid, seed=3, n_traj=70).paths
+            b = sample_chi_paths(split, [0.0, 1.0], grid, seed=3, n_traj=70).paths
+            assert a.tobytes() == b.tobytes()
+
 
 class TestDirectDamping:
     def test_asymmetric_table_rejected(self):
