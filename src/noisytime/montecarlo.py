@@ -13,7 +13,10 @@ thread pool, whose start-up costs more than a small product.  A chunk of
 trajectories keeps only its chi paths; it is
 processed in time slabs sized to stay in cache, each slab forming the phases
 exp(-i chi) of its own time points, and the per-entry mean and two-pass
-variance of a slab are taken in place.  Chunk statistics are merged by a
+variance of a slab are taken in place.  Each worker owns one workspace,
+allocated once per run and sized from the run's chunk and slab shapes; the
+chi paths of a chunk and every temporary of a slab live in it, so a run
+allocates per chunk only the chunk's statistics.  Chunk statistics are merged by a
 left fold in chunk order as the results arrive, and each chunk's statistics
 are released once folded in.  Chunk and slab boundaries depend only on array
 shapes, and every chunk is a whole number of RNG blocks (``noise.RNG_BLOCK``
@@ -25,6 +28,8 @@ chunks, so a trajectory's phases depend only on the seed and its index.
 
 from __future__ import annotations
 
+import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -95,43 +100,94 @@ def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
-def _slab_phases(chi: np.ndarray, level_index: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The arrays one worker reuses for every chunk and slab of a run.
+
+    ``chi`` holds a chunk's chi paths, shape (chunk, T, m); the flat buffers
+    hold a slab of at most ``samples`` sample points: ``angles`` and
+    ``phases`` (d entries each) for ``_slab_phases``, and ``factors``,
+    ``conj_factors`` (d r each) and ``states`` (d d) for ``_sample_states``,
+    where the products X = c o G live in ``states`` until B is formed.  A
+    slab takes the leading part of each buffer it needs (``_leading``), so a
+    partial slab or chunk reuses the same memory.
+    """
+
+    def __init__(self, samples: int, dim: int, rank: int, chi_shape=(0, 0, 0)):
+        self.chi = np.empty(chi_shape)
+        self.angles = np.empty(samples * dim)
+        self.phases = np.empty(samples * dim, dtype=complex)
+        self.factors = np.empty(samples * dim * rank, dtype=complex)
+        self.conj_factors = np.empty_like(self.factors)
+        self.states = np.empty(samples * dim * dim, dtype=complex)
+
+
+def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of a flat buffer, in that shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _slab_phases(
+    chi: np.ndarray, level_index: np.ndarray, work: Optional[_Workspace] = None
+) -> np.ndarray:
     """exp(-i chi) per basis vector for level phases chi of shape (..., m).
 
     The angles are gathered by ``level_index`` and written as cos and -sin
-    into one complex array of shape (..., d).
+    into one complex array of shape (..., d), both in ``work`` (a workspace
+    is allocated for the call when none is given).
     """
-    angles = np.take(chi, level_index, axis=-1)
-    phases = np.empty(angles.shape, dtype=complex)
+    shape = chi.shape[:-1] + level_index.shape
+    if work is None:
+        work = _Workspace(math.prod(shape[:-1]), shape[-1], 0)
+    angles = _leading(work.angles, shape)
+    np.take(chi, level_index, axis=-1, out=angles, mode="clip")
+    phases = _leading(work.phases, shape)
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
     return phases
 
 
-def _sample_states(vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _sample_states(
+    vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray, work: Optional[_Workspace] = None
+) -> np.ndarray:
     """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
     rho_e = G G^dagger, computed from the d x r factor instead.  The factors
     B of ``_group_size`` samples come from one product V [X_1 ... X_g] with
     X_n = c_n o G; a group of one sample is the plain stacked product.  The
-    Gram product B B^dagger is taken one sample at a time.
+    Gram product B B^dagger is taken one sample at a time.  Every array is
+    a view into ``work`` (a workspace is allocated for the call when none is
+    given), so the result is overwritten by the next call on it.
     """
     dim, rank = factor.shape
+    samples = math.prod(phases.shape[:-1])
+    if work is None:
+        work = _Workspace(samples, dim, rank)
+    # X_n^T is block n of x_t, as numpy lays out the products c_n o G of
+    # the d x r factor (column-major from eigh).
+    x_t = _leading(work.states, (samples, rank, dim))
+    np.multiply(phases.reshape(samples, 1, dim), factor.T, out=x_t)
     group = _group_size(dim, rank)
     if group == 1:
-        b = vectors @ (phases[..., :, None] * factor)
+        b = _leading(work.factors, (samples, dim, rank))
+        np.matmul(vectors, np.swapaxes(x_t, 1, 2), out=b)
+        b_conj = _leading(work.conj_factors, (samples, dim, rank))
     else:
         # Columns [n r, (n + 1) r) of x hold X_n, so g r adjacent columns
-        # are one group.
-        x = (phases.reshape(-1, dim).T[:, :, None] * factor[:, None, :]).reshape(dim, -1)
-        b = np.empty_like(x)
+        # are one group; B comes out in the layout of x.
+        x = x_t.reshape(-1, dim).T
+        b_t = _leading(work.factors, (samples * rank, dim))
         width = group * rank
         for lo in range(0, x.shape[1], width):
-            np.matmul(vectors, x[:, lo : lo + width], out=b[:, lo : lo + width])
-        b = b.reshape(dim, -1, rank).transpose(1, 0, 2).reshape(phases.shape[:-1] + (dim, rank))
-    return b @ np.swapaxes(b, -1, -2).conj()
+            np.matmul(vectors, x[:, lo : lo + width], out=b_t.T[:, lo : lo + width])
+        b = np.swapaxes(b_t.reshape(samples, rank, dim), 1, 2)
+        b_conj = np.swapaxes(_leading(work.conj_factors, (samples, rank, dim)), 1, 2)
+    # conj(B) in B's own layout, as ndarray.conj() writes it.
+    np.conjugate(b, out=b_conj)
+    states = _leading(work.states, (samples, dim, dim))
+    np.matmul(b, np.swapaxes(b_conj, 1, 2), out=states)
+    return states.reshape(phases.shape[:-1] + (dim, dim))
 
 
 @dataclass(frozen=True)
@@ -200,6 +256,13 @@ def run_ensemble(
     squared deviations in place.  Chunks are merged by a left fold in chunk
     order.  ``n_workers`` threads (at least 1) compute the chunks.
 
+    Allocated per call: min(n_workers, chunks) workspaces (``_Workspace``),
+    made before the chunks start and handed from chunk to chunk through a
+    queue.  Each holds a chunk's chi paths and the angles, phases, factors
+    B, conj(B) and states of the largest slab of the run, so the chunks and
+    slabs reuse them; per chunk only its mean and squared deviations are
+    new, held until they are folded in.
+
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state; a
     direct damping table raises ConfigError.
@@ -223,25 +286,37 @@ def run_ensemble(
     idx = decomposition.level_index
     num_points, dim = field.grid.size, decomposition.dim
 
-    def chunk_stats(start: int, count: int):
-        chi = field.paths(seed, start, count)
-        mean = np.empty((num_points, dim, dim), dtype=complex)
-        # Squared deviations with real and imaginary parts interleaved.
-        m2 = np.empty((num_points, dim, 2 * dim))
-        slab = _slab_size(count, dim)
-        for lo in range(0, num_points, slab):
-            hi = min(lo + slab, num_points)
-            phases = _slab_phases(chi[:, lo:hi], idx)
-            states = _sample_states(vectors, state_factor, phases)
-            states -= np.mean(states, axis=0, out=mean[lo:hi])
-            flat = states.view(float)
-            np.square(flat, out=flat)
-            np.sum(flat, axis=0, out=m2[lo:hi])
-        return count, mean, m2[..., 0::2], m2[..., 1::2]
-
     chunk = _chunk_size(num_points, dim)
     starts = range(0, n_traj, chunk)
     counts = [min(chunk, n_traj - s) for s in starts]
+    # One workspace per worker, handed from chunk to chunk through a queue;
+    # sized for the largest slab of a whole or of the last chunk.
+    samples = max(c * min(_slab_size(c, dim), num_points) for c in {counts[0], counts[-1]})
+    chi_shape = (counts[0], num_points, field.levels.size)
+    free = queue.SimpleQueue()
+    for _ in range(min(n_workers, len(counts))):
+        free.put(_Workspace(samples, dim, state_factor.shape[1], chi_shape))
+
+    def chunk_stats(start: int, count: int):
+        work = free.get()
+        try:
+            chi = field.paths(seed, start, count, out=work.chi[:count])
+            mean = np.empty((num_points, dim, dim), dtype=complex)
+            # Squared deviations with real and imaginary parts interleaved.
+            m2 = np.empty((num_points, dim, 2 * dim))
+            slab = _slab_size(count, dim)
+            for lo in range(0, num_points, slab):
+                hi = min(lo + slab, num_points)
+                phases = _slab_phases(chi[:, lo:hi], idx, work)
+                states = _sample_states(vectors, state_factor, phases, work)
+                states -= np.mean(states, axis=0, out=mean[lo:hi])
+                flat = states.view(float)
+                np.square(flat, out=flat)
+                np.sum(flat, axis=0, out=m2[lo:hi])
+        finally:
+            free.put(work)
+        return count, mean, m2[..., 0::2], m2[..., 1::2]
+
     # pool.map yields in chunk order; the tree shape of the reduction is part
     # of the determinism contract, so keep it a plain left fold.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -520,20 +520,22 @@ class _BrownianField:
         level_part = np.asarray(model.sigma_theta(self.levels), dtype=float)
         self.scale = (time_part * np.sqrt(dt))[:, None] * level_part[None, :]
         self.drift = np.asarray(model.drift_h(self.levels), dtype=float)[None, :] * dt[:, None]
-        self.readout = np.searchsorted(fine, self.grid) if inside else None
+        self.readout = np.searchsorted(fine, self.grid) if fine.size > self.grid.size else None
 
-    def paths(self, seed: int, start: int, count: int) -> np.ndarray:
+    def paths(self, seed: int, start: int, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Chi paths of trajectories [start, start+count), shape (count, T, m).
 
         Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order,
         from one Philox generator keyed by (seed, b), so ``start`` must be a
         multiple of ``RNG_BLOCK``; a partial block takes a prefix of its
-        block's draw.
+        block's draw.  The paths are written to ``out`` when it is given (a
+        C-contiguous float array of that shape), else to a new array.
         """
         if start % RNG_BLOCK:
             raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
         num_steps, rank = self.scale.shape[0], self.factor.shape[1]
-        paths = np.empty((count, num_steps + 1, self.levels.shape[0]))
+        shape = (count, num_steps + 1, self.levels.shape[0])
+        paths = out if out is not None and self.readout is None else np.empty(shape)
         paths[:, 0, :] = 0.0
         steps = paths[:, 1:, :]
         for lo in range(0, count, RNG_BLOCK):
@@ -547,7 +549,7 @@ class _BrownianField:
         np.cumsum(steps, axis=1, out=steps)
         if self.readout is None:
             return paths
-        return paths[:, self.readout, :]
+        return np.take(paths, self.readout, axis=1, out=out, mode="clip")
 
 
 def sample_chi_paths(

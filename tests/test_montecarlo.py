@@ -178,7 +178,8 @@ class TestGroupedProduct:
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            widths.append(b.shape[-1])
+            if a is dec.eigenvectors:  # a product forming factors, not B B^dagger
+                widths.append(b.shape[-1])
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
@@ -203,6 +204,74 @@ class TestGroupedProduct:
                     assert group == 1
                 else:
                     assert group * per_sample <= CALL_BUDGET < (group + 1) * per_sample
+
+
+def _reference_sample_states(vectors, factor, phases):
+    """``_sample_states`` as it was before the workspace: fresh temporaries
+    for every call, the same products in the same order."""
+    dim, rank = factor.shape
+    group = _group_size(dim, rank)
+    if group == 1:
+        b = vectors @ (phases[..., :, None] * factor)
+    else:
+        x = (phases.reshape(-1, dim).T[:, :, None] * factor[:, None, :]).reshape(dim, -1)
+        b = np.empty_like(x)
+        width = group * rank
+        for lo in range(0, x.shape[1], width):
+            np.matmul(vectors, x[:, lo : lo + width], out=b[:, lo : lo + width])
+        b = b.reshape(dim, -1, rank).transpose(1, 0, 2).reshape(phases.shape[:-1] + (dim, rank))
+    return b @ np.swapaxes(b, -1, -2).conj()
+
+
+class TestWorkspace:
+    # (dim, rank, grid points, n_traj): every case has two chunks, the last
+    # ending inside an RNG block.  d = 2: slabs of 16 points over 41 (the
+    # last slab partial) and slabs of 4 groups, the last of 2.25 groups; d =
+    # 8: 1024-sample slabs of 6 groups and a partial one; d = 32 and 33 at
+    # full rank: one sample per call.
+    CASES = [(2, 2, 41, 1124), (8, 3, 11, 1100), (32, 32, 5, 100), (33, 33, 4, 100)]
+
+    @pytest.mark.parametrize("dim, rank, num_points, n_traj", CASES)
+    def test_matches_allocating_reference(self, dim, rank, num_points, n_traj, monkeypatch):
+        dec, rho0 = _random_case(np.random.default_rng(dim * rank), dim, rank, degenerate=False)
+        grid = np.linspace(0, 1.3, num_points)
+        model = correlated_model(0.6, 0.7)
+        chunk = _chunk_size(num_points, dim)
+        assert chunk < n_traj < 2 * chunk and n_traj % RNG_BLOCK
+        if dim == 2:
+            slab = _slab_size(chunk, dim)
+            assert num_points % slab and (chunk * slab) % _group_size(dim, rank) == 0
+            assert (chunk * (num_points % slab)) % _group_size(dim, rank)
+        if dim >= 32:
+            assert _group_size(dim, rank) == 1
+        runs = [
+            run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=w)
+            for w in (1, 3)
+        ]
+        monkeypatch.setattr(
+            montecarlo, "_sample_states", lambda v, f, p, work: _reference_sample_states(v, f, p)
+        )
+        runs.append(run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=1))
+        for out in runs[1:]:
+            for name in ("mean", "stderr_re", "stderr_im"):
+                assert getattr(out, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    @pytest.mark.parametrize("n_workers, n_traj, expected", [(64, 1100, 2), (1, 3000, 1), (3, 5000, 3)])
+    def test_one_workspace_per_worker(self, n_workers, n_traj, expected, monkeypatch):
+        # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each
+        built = []
+
+        class Spy(montecarlo._Workspace):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Spy)
+        dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
+        grid = np.linspace(0, 1, 101)
+        assert _slab_size(_chunk_size(grid.size, 2), 2) < grid.size
+        run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=n_traj, seed=4, n_workers=n_workers)
+        assert len(built) == expected
 
 
 class TestRunEnsemble:
