@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
 from .noise import RNG_BLOCK, NoiseModel, _BrownianField
-from .operators import SpectralDecomposition, state_matrix, to_energy_basis
+from .operators import SpectralDecomposition, _rank_factor, state_matrix, to_energy_basis
 from .results import EvolutionResult
 
 __all__ = [
@@ -92,12 +92,10 @@ def _group_size(dim: int, rank: int) -> int:
 def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     """Factor G, shape (d, r), with G G^dagger = rho_e.
 
-    Keeps the eigenvalues above d * eps * lambda_max, so a pure state gives
-    r = 1 and a full-rank state r = d.
+    Keeps the eigenvalues above d * eps * lambda_max (``_rank_factor``), so
+    a pure state gives r = 1 and a full-rank state r = d.
     """
-    eigvals, eigvecs = np.linalg.eigh(rho_e)
-    keep = eigvals > eigvals.shape[0] * np.finfo(float).eps * eigvals[-1]
-    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    return _rank_factor(*np.linalg.eigh(rho_e))
 
 
 class _Workspace:

@@ -29,6 +29,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, KernelAsymmetric, KernelNotPSD
+from .operators import _rank_factor
 from .results import time_grid, time_point
 
 __all__ = [
@@ -458,25 +459,29 @@ def correlation_matrix(model: NoiseModel, levels) -> np.ndarray:
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T equal to the given PSD matrix.
+    """Factor L of shape (d, r) with L L^T equal to the given PSD matrix.
 
     Eigendecomposition with clipping, not Cholesky: a uniform correlation is
     rank one and Cholesky would fail.  Eigenvalues in [-1e-8, 0) are clipped
-    to zero; anything below -1e-8 raises KernelNotPSD.  Rows are rescaled so
+    to zero; anything below -1e-8 raises KernelNotPSD.  Only the eigenpairs
+    above d * eps * lambda_max are kept (the rule of ``_rank_factor``), so r
+    is the numerical rank, at least 1: a uniform correlation gives one
+    column, and the chi paths draw r normals per step.  Rows are rescaled so
     the marginal variances match the diagonal exactly after clipping.
     """
     arr = np.asarray(matrix, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (arr + arr.T))
     if eigvals[0] < PSD_EIG_FLOOR:
         raise KernelNotPSD(float(eigvals[0]))
-    clipped = np.clip(eigvals, 0.0, None)
-    factor = eigvecs * np.sqrt(clipped)[None, :]
+    factor = _rank_factor(np.clip(eigvals, 0.0, None), eigvecs)
     row_var = np.sum(factor**2, axis=1)
     target = np.diag(arr)
     scale = np.ones_like(row_var)
     positive = row_var > 0
     scale[positive] = np.sqrt(target[positive] / row_var[positive])
-    return factor * scale[:, None]
+    # Row-major: the rounding of the chi paths' product z L^T depends on the
+    # layout, and full-rank streams are defined with this one.
+    return np.ascontiguousarray(factor * scale[:, None])
 
 
 @dataclass(frozen=True)

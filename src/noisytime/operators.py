@@ -167,6 +167,18 @@ def eigendecompose(operator) -> SpectralDecomposition:
     )
 
 
+def _rank_factor(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Factor L, shape (d, r), with L L^dagger = sum of lambda_k v_k v_k^dagger
+    over the eigenpairs above d * eps * lambda_max (ascending ``eigvals``).
+
+    r is the numerical rank: 1 for a pure state or a uniform correlation, d
+    at full rank, and at least 1 (a zero matrix keeps one zero column).
+    """
+    keep = eigvals > eigvals.shape[0] * np.finfo(float).eps * eigvals[-1]
+    keep[-1] = True
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+
+
 def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 

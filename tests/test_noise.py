@@ -344,6 +344,17 @@ class TestKernelMatrices:
         factor = psd_sqrt(g)
         assert np.allclose(factor @ factor.T, g, atol=1e-12)
 
+    def test_psd_sqrt_keeps_the_numerical_rank(self):
+        # a uniform correlation is one column; the correlated model of the
+        # four-level verify checks keeps all four
+        uniform = psd_sqrt(np.ones((4, 4)))
+        assert uniform.shape == (4, 1)
+        g = correlation_matrix(correlated_model(0.8, 1.0), [0.0, 0.37, 1.1, 2.03])
+        factor = psd_sqrt(g)
+        assert factor.shape == (4, 4)
+        for f, target in ((uniform, np.ones((4, 4))), (factor, g)):
+            assert np.max(np.abs(f @ f.T - target)) < 1e-12
+
     def test_psd_sqrt_rejects_indefinite(self):
         with pytest.raises(KernelNotPSD) as info:
             psd_sqrt(np.array([[1.0, 1.5], [1.5, 1.0]]))
@@ -375,6 +386,34 @@ class TestSampling:
         many = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=9, n_traj=130)
         few = sample_chi_paths(model, [-1.0, 0.0, 1.0], grid, seed=9, n_traj=65)
         assert np.array_equal(many.paths[:65], few.paths)
+
+    def test_one_normal_per_correlation_rank(self, monkeypatch):
+        # per trajectory and step, r normals: 1 for a uniform correlation over
+        # four levels, 4 for a full-rank gaussian one
+        drawn = []
+
+        class Spy(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                drawn.append(size)
+                return super().standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        grid = np.linspace(0.0, 1.0, 11)
+        sample_chi_paths(dephasing_model(1.0), [-1.0, 0.0, 0.5, 2.0], grid, seed=3, n_traj=70)
+        assert drawn == [(64, 10, 1), (6, 10, 1)]
+        drawn.clear()
+        levels = [0.0, 0.37, 1.1, 2.03]
+        sample_chi_paths(correlated_model(0.8, 1.0), levels, grid, seed=3, n_traj=70)
+        assert drawn == [(64, 10, 4), (6, 10, 4)]
+
+    def test_uniform_correlation_drives_every_level_alike(self):
+        # one shared Brownian motion B: with h = theta and sigma = c theta,
+        # chi_t(theta) / theta = t + c B_t on every level
+        levels = np.array([-1.5, 0.5, 1.0, 3.0])
+        grid = np.linspace(0.0, 2.0, 21)
+        paths = sample_chi_paths(dephasing_model(0.7), levels, grid, seed=8, n_traj=100).paths
+        ratio = paths / levels
+        assert np.max(np.abs(ratio - ratio[..., :1])) < 1e-12
 
     def test_chunk_must_start_on_a_block(self):
         field = noise_module._BrownianField(dephasing_model(1.0), [0.0, 1.0], np.linspace(0, 1, 6))
