@@ -16,12 +16,13 @@ exp(-i chi) of its own time points, and the per-entry mean and two-pass
 variance of a slab are taken in place.  Each worker owns one workspace,
 allocated once per run and sized from the run's chunk and slab shapes; the
 chi paths of a chunk and every temporary of a slab live in it, so a run
-allocates per chunk only the chunk's statistics.  Chunk statistics are merged by a
-left fold in chunk order as the results arrive, and each chunk's statistics
-are released once folded in.  Chunk and slab boundaries depend only on array
-shapes, and every chunk is a whole number of RNG blocks (``noise.RNG_BLOCK``
-trajectories that share one Philox stream keyed by (seed, block)), so the
-result is byte-identical whether chunks are processed by one worker or many.
+allocates per chunk only the chunk's statistics.  Chunk statistics are
+merged by a left fold in chunk order as the results arrive, and each chunk's
+statistics are released once folded in.  Chunk and slab boundaries depend
+only on array shapes, and every chunk is a whole number of RNG blocks
+(``noise.RNG_BLOCK`` trajectories that share one Philox stream keyed by
+(seed, block)), so the result is byte-identical whether chunks are
+processed by one worker or many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
 """
@@ -162,8 +163,9 @@ def _sample_states(
     samples = math.prod(phases.shape[:-1])
     if work is None:
         work = _Workspace(samples, dim, rank)
-    # X_n^T is block n of x_t, as numpy lays out the products c_n o G of
-    # the d x r factor (column-major from eigh).
+    # X_n^T is block n of x_t: the layout numpy gives c_n o G for the
+    # column-major factor from eigh.  The rounding of the products below
+    # depends on the layouts, and every B and conj(B) follows this one.
     x_t = _leading(work.states, (samples, rank, dim))
     np.multiply(phases.reshape(samples, 1, dim), factor.T, out=x_t)
     group = _group_size(dim, rank)

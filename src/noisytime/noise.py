@@ -527,7 +527,9 @@ class _BrownianField:
         self.drift = np.asarray(model.drift_h(self.levels), dtype=float)[None, :] * dt[:, None]
         self.readout = np.searchsorted(fine, self.grid) if fine.size > self.grid.size else None
 
-    def paths(self, seed: int, start: int, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def paths(
+        self, seed: int, start: int, count: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Chi paths of trajectories [start, start+count), shape (count, T, m).
 
         Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order,

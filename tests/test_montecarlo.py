@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,9 +257,12 @@ class TestWorkspace:
             for name in ("mean", "stderr_re", "stderr_im"):
                 assert getattr(out, name).tobytes() == getattr(runs[0], name).tobytes()
 
-    @pytest.mark.parametrize("n_workers, n_traj, expected", [(64, 1100, 2), (1, 3000, 1), (3, 5000, 3)])
+    @pytest.mark.parametrize(
+        "n_workers, n_traj, expected", [(64, 1100, 2), (1, 3000, 1), (3, 5000, 3)]
+    )
     def test_one_workspace_per_worker(self, n_workers, n_traj, expected, monkeypatch):
-        # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each
+        # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each; at most
+        # min(n_workers, chunks) workspaces, whatever the slab count
         built = []
 
         class Spy(montecarlo._Workspace):
@@ -270,8 +274,28 @@ class TestWorkspace:
         dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
         grid = np.linspace(0, 1, 101)
         assert _slab_size(_chunk_size(grid.size, 2), 2) < grid.size
-        run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=n_traj, seed=4, n_workers=n_workers)
+        model = dephasing_model(0.5)
+        run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=4, n_workers=n_workers)
         assert len(built) == expected
+
+
+    def test_workers_never_share_a_workspace(self):
+        # 9 chunks on 8 workers, more than the cores, with a short switch
+        # interval: a workspace used by two chunks at once, or handed on
+        # before its chunk is done, would corrupt their statistics
+        dec, rho0 = _random_case(np.random.default_rng(5), 3, 2, degenerate=False)
+        grid = np.linspace(0, 1, 21)
+        model = correlated_model(0.6, 0.7)
+        assert -(-9000 // _chunk_size(grid.size, 3)) == 9
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=9000, seed=3, n_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_ensemble(dec, model, rho0, grid, n_traj=9000, seed=3, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("mean", "stderr_re", "stderr_im"):
+            assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
 
 
 class TestRunEnsemble:
