@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 a verification or statistical comparison failed,
 Trajectory tables are CSV, reports are JSON; the ``outputs.formats`` list in
 the scenario selects which of the two families is written.  Every file is
 written to a temporary name and renamed into place, so a crash never leaves
-a half-written table behind.
+a half-written table behind; a write that fails removes its temporary file.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import NoiseModel, moment_report
+from .operators import _single_threaded_blas
 from .propagator import averaged_trajectory
 from .results import EvolutionResult
 from .verify import run_suite, check_names
@@ -63,8 +64,12 @@ def _atomic_write(path: Path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -398,7 +403,9 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
-        return args.handler(args)
+        # --threads is the only parallelism: BLAS runs on one thread.
+        with _single_threaded_blas():
+            return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,18 +5,16 @@ at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
 initial state is factored once, rho = V G G^dagger V^dagger in the energy
 basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
-rotations.  The factors of g samples come from one BLAS call,
-V [X_1 ... X_g] with X_n = exp(-i chi_n) o G, where g is the most samples
-whose product stays within ``CALL_BUDGET`` multiply-adds: at small d one call
-per sample is mostly call overhead, while a larger call would reach the BLAS
-thread pool, whose start-up costs more than a small product.  A chunk of
-trajectories keeps only its chi paths; it is
-processed in time slabs sized to stay in cache, each slab forming the phases
-exp(-i chi) of its own time points, and the per-entry mean and two-pass
-variance of a slab are taken in place.  Each worker owns one workspace,
-allocated once per run and sized from the run's chunk and slab shapes; the
-chi paths of a chunk and every temporary of a slab live in it, so a run
-allocates per chunk only the chunk's statistics.  Chunk statistics are
+rotations.  The factors of all N samples of a slab come from one product,
+V [X_1 ... X_N] with X_n = exp(-i chi_n) o G; numpy's OpenBLAS is held at one
+thread meanwhile (``operators._single_threaded_blas``), so the workers are
+the run's only parallelism.  A chunk of trajectories keeps only its chi
+paths; it is processed in time slabs sized to stay in cache, each slab
+forming the phases exp(-i chi) of its own time points, and the per-entry
+mean and two-pass variance of a slab are taken in place.  Each worker owns
+one workspace, allocated once per run and sized from the run's chunk and
+slab shapes; the chi paths of a chunk and every temporary of a slab live in
+it, so a run allocates per chunk only the chunk's statistics.  Chunk statistics are
 merged by a left fold in chunk order as the results arrive, and each chunk's
 statistics are released once folded in.  Chunk and slab boundaries depend
 only on array shapes, and every chunk is a whole number of RNG blocks
@@ -40,7 +38,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
 from .noise import RNG_BLOCK, NoiseModel, _BrownianField
-from .operators import SpectralDecomposition, _rank_factor, state_matrix, to_energy_basis
+from .operators import (
+    SpectralDecomposition,
+    _rank_factor,
+    _single_threaded_blas,
+    state_matrix,
+    to_energy_basis,
+)
 from .results import EvolutionResult
 
 __all__ = [
@@ -61,12 +65,6 @@ CHUNK_ELEMENT_BUDGET = 4_000_000
 # chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.  A
 # chunk is also kept within it at one time point per slab.
 SLAB_ELEMENT_BUDGET = 1 << 16
-# Complex multiply-adds of one BLAS call forming the factors of a group of
-# samples: one d = 32 full-rank product (32 x 32 by 32 x 32).  OpenBLAS
-# threads complex products from about 6.5e4 multiply-adds, and a small
-# threaded call costs milliseconds, so groups stay within it; only a sample
-# whose own product exceeds it (d > 32 at full rank) makes a larger call.
-CALL_BUDGET = 32**3
 
 Z_MAX = 4.0
 Z_TAIL = 3.0
@@ -83,11 +81,6 @@ def _chunk_size(num_points: int, dim: int) -> int:
 
 def _slab_size(count: int, dim: int) -> int:
     return max(1, SLAB_ELEMENT_BUDGET // (count * dim * dim))
-
-
-def _group_size(dim: int, rank: int) -> int:
-    """Samples per BLAS call forming their factors: within CALL_BUDGET, at least 1."""
-    return max(1, CALL_BUDGET // (dim * dim * rank))
 
 
 def _state_factor(rho_e: np.ndarray) -> np.ndarray:
@@ -153,11 +146,11 @@ def _sample_states(
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
     rho_e = G G^dagger, computed from the d x r factor instead.  The factors
-    B of ``_group_size`` samples come from one product V [X_1 ... X_g] with
-    X_n = c_n o G; a group of one sample is the plain stacked product.  The
-    Gram product B B^dagger is taken one sample at a time.  Every array is
-    a view into ``work`` (a workspace is allocated for the call when none is
-    given), so the result is overwritten by the next call on it.
+    B of all N samples come from one product V [X_1 ... X_N] with
+    X_n = c_n o G; the Gram product B B^dagger is taken one sample at a
+    time.  Every array is a view into ``work`` (a workspace is allocated for
+    the call when none is given), so the result is overwritten by the next
+    call on it.
     """
     dim, rank = factor.shape
     samples = math.prod(phases.shape[:-1])
@@ -168,21 +161,12 @@ def _sample_states(
     # depends on the layouts, and every B and conj(B) follows this one.
     x_t = _leading(work.states, (samples, rank, dim))
     np.multiply(phases.reshape(samples, 1, dim), factor.T, out=x_t)
-    group = _group_size(dim, rank)
-    if group == 1:
-        b = _leading(work.factors, (samples, dim, rank))
-        np.matmul(vectors, np.swapaxes(x_t, 1, 2), out=b)
-        b_conj = _leading(work.conj_factors, (samples, dim, rank))
-    else:
-        # Columns [n r, (n + 1) r) of x hold X_n, so g r adjacent columns
-        # are one group; B comes out in the layout of x.
-        x = x_t.reshape(-1, dim).T
-        b_t = _leading(work.factors, (samples * rank, dim))
-        width = group * rank
-        for lo in range(0, x.shape[1], width):
-            np.matmul(vectors, x[:, lo : lo + width], out=b_t.T[:, lo : lo + width])
-        b = np.swapaxes(b_t.reshape(samples, rank, dim), 1, 2)
-        b_conj = np.swapaxes(_leading(work.conj_factors, (samples, rank, dim)), 1, 2)
+    # Columns [n r, (n + 1) r) of the (d, N r) matrix x hold X_n, so one
+    # product forms every B, in the layout of x.
+    b_t = _leading(work.factors, (samples, rank, dim))
+    np.matmul(vectors, x_t.reshape(-1, dim).T, out=b_t.reshape(-1, dim).T)
+    b = np.swapaxes(b_t, 1, 2)
+    b_conj = np.swapaxes(_leading(work.conj_factors, (samples, rank, dim)), 1, 2)
     # conj(B) in B's own layout, as ndarray.conj() writes it.
     np.conjugate(b, out=b_conj)
     states = _leading(work.states, (samples, dim, dim))
@@ -227,6 +211,7 @@ def _merge_stats(a, b):
     return n, mean, m2_re, m2_im
 
 
+@_single_threaded_blas()
 def run_ensemble(
     decomposition: SpectralDecomposition,
     model: NoiseModel,
@@ -240,21 +225,21 @@ def run_ensemble(
 
     The energy-basis state is factored once as G G^dagger (G is d x r, r the
     numerical rank), and every sample state U rho U^dagger is formed as
-    B B^dagger with B = V (exp(-i chi) o G).  The B of ``_group_size``
-    samples come from one BLAS call of at most ``CALL_BUDGET`` (32^3)
-    complex multiply-adds, the size of one d = 32 full-rank product: at
-    d <= 4 a call per sample costs more in overhead than in arithmetic, and a
-    call past the budget would start the BLAS thread pool, which costs
-    milliseconds.  At d = 32 and full rank a group is one sample.  Groups
-    split a slab by its shape alone.  Trajectories are processed in
-    chunks (``_chunk_size``: at most ``MAX_CHUNK``, within
+    B B^dagger with B = V (exp(-i chi) o G); the B of a slab's samples come
+    from one product.  Trajectories are processed in chunks
+    (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
     only its chi paths and runs in time slabs of about
     ``SLAB_ELEMENT_BUDGET`` state entries; each slab forms the phases and
     sample states of its own time points and takes its mean and sum of
     squared deviations in place.  Chunks are merged by a left fold in chunk
-    order.  ``n_workers`` threads (at least 1) compute the chunks.
+    order.  ``n_workers`` threads (at least 1) compute the chunks, and they
+    are the call's only parallelism: numpy's OpenBLAS thread count is held
+    at 1 during the call and restored afterwards
+    (``operators._single_threaded_blas``; nothing happens where numpy has
+    no OpenBLAS).  Its own pool would compete with the workers for the
+    cores, and its threads keep spinning after a small threaded call.
 
     Allocated per call: min(n_workers, chunks) workspaces (``_Workspace``),
     made before the chunks start and handed from chunk to chunk through a

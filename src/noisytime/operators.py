@@ -8,7 +8,13 @@ whose columns are eigenvectors grouped by level.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +34,77 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 DENSITY_TOL = 1e-10
+
+
+# Thread-count entry points of OpenBLAS, as scipy-openblas (the library of
+# numpy's wheels, 64- or 32-bit integers) and a plain build name them.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(path, get, set) of the OpenBLAS numpy loaded, or None.
+
+    Looks for the library pip wheels ship beside numpy (``numpy.libs`` on
+    Linux and Windows, ``numpy/.dylibs`` on macOS); loading it again through
+    ctypes returns the copy numpy already holds, whose thread count
+    ``get()`` reads and ``set(n)`` writes.  A numpy on another BLAS (MKL,
+    Accelerate) gives None.
+    """
+    package = Path(np.__file__).parent
+    libraries = package.parent.glob("numpy.libs/*openblas*"), package.glob(".dylibs/*openblas*")
+    for path in sorted(itertools.chain(*libraries)):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return path, get, set_
+    return None
+
+
+# The pin's state is per process, as the thread count it guards is.
+_blas_pin_lock = threading.Lock()
+_blas_pin_depth = 0
+_blas_pin_saved = 1
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold numpy's OpenBLAS at one thread, restoring the previous count on exit.
+
+    The count is process-wide, so nested and concurrent entries share one
+    pin: the outermost entry sets it and the last exit restores it.  Without
+    an OpenBLAS (see ``_openblas_threads``) this does nothing.
+    """
+    global _blas_pin_depth, _blas_pin_saved
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    _, get, set_ = controls
+    with _blas_pin_lock:
+        if _blas_pin_depth == 0:
+            _blas_pin_saved = get()
+            set_(1)
+        _blas_pin_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_pin_lock:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                set_(_blas_pin_saved)
 
 
 def _as_square_array(matrix) -> np.ndarray:

@@ -40,3 +40,22 @@ def scenario_yaml(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def blas_threads():
+    """Getter of numpy's OpenBLAS thread count, set to 2 for the test.
+
+    Two threads outside the pin tell a restored count from a pinned one on
+    any machine.  Skips where ``_single_threaded_blas`` finds no OpenBLAS.
+    """
+    from noisytime import operators
+
+    controls = operators._openblas_threads()
+    if controls is None:
+        pytest.skip("numpy loaded no OpenBLAS whose thread count can be set")
+    _, get, set_ = controls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

@@ -1,7 +1,9 @@
 import csv
+import errno
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from noisytime import (
     integrate,
     load_config,
 )
-from noisytime.cli import _stderr_csv, _trajectory_csv, main
+from noisytime.cli import _atomic_write, _stderr_csv, _trajectory_csv, main
 
 
 def read_csv(path):
@@ -379,6 +381,63 @@ class TestThreads:
         assert main(args + extra) == 2
         assert "config error: --threads:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBlasPin:
+    """cli.main runs each handler with numpy's OpenBLAS on one thread."""
+
+    def test_one_thread_inside_the_handler(self, blas_threads, scenario_yaml, monkeypatch):
+        seen = []
+
+        def handler(config):
+            seen.append(blas_threads())
+            return 0, []
+
+        monkeypatch.setattr(noisytime.cli, "cmd_evolve", handler)
+        assert main(["evolve", "--config", str(scenario_yaml("global_dephasing"))]) == 0
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_restored_after_a_config_error(self, blas_threads, capsys):
+        assert main(["evolve"]) == 2  # no --config: the handler raises ConfigError
+        assert "config error: --config:" in capsys.readouterr().err
+        assert blas_threads() == 2
+
+    def test_restored_after_the_handler_raises(self, blas_threads, scenario_yaml, monkeypatch):
+        def handler(config):
+            raise RuntimeError("inside the handler")
+
+        monkeypatch.setattr(noisytime.cli, "cmd_evolve", handler)
+        with pytest.raises(RuntimeError):
+            main(["evolve", "--config", str(scenario_yaml("global_dephasing"))])
+        assert blas_threads() == 2
+
+    def test_sample_output_does_not_depend_on_the_pin(
+        self, blas_threads, scenario_yaml, tmp_path, monkeypatch
+    ):
+        config = scenario_yaml("correlated_tau", **{"grid.n_steps": 6, "montecarlo.n_traj": 1500})
+        pinned, free = tmp_path / "pinned", tmp_path / "free"
+        args = ["sample", "--config", str(config), "--threads", "2", "--out"]
+        assert main(args + [str(pinned)]) == 0
+        monkeypatch.setattr(noisytime.operators, "_openblas_threads", lambda: None)
+        assert main(args + [str(free)]) == 0
+        for name in ("mc_mean.csv", "mc_stderr.csv", "comparison.json"):
+            assert (free / name).read_bytes() == (pinned / name).read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def full_disk(self, text):
+            with open(self, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        target = tmp_path / "table.csv"
+        with pytest.raises(OSError) as info:
+            _atomic_write(target, "t,x\n0,1\n")
+        assert info.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDecomposition:

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,13 +23,11 @@ from noisytime import (
     sample_chi_paths,
     to_energy_basis,
 )
-from noisytime import montecarlo
+from noisytime import montecarlo, operators
 from noisytime.montecarlo import (
-    CALL_BUDGET,
     MAX_CHUNK,
     SLAB_ELEMENT_BUDGET,
     _chunk_size,
-    _group_size,
     _sample_states,
     _slab_phases,
     _slab_size,
@@ -165,71 +164,25 @@ class TestGroupedProduct:
             expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
-    @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 4), (8, 2), (32, 1)])
-    def test_partial_group(self, dim, rank, monkeypatch):
-        # a slab of 2.5 groups: whole groups, then a partial one, every call
-        # within the budget and every sample as if formed on its own
-        dec, rho0 = _random_case(np.random.default_rng(dim + rank), dim, rank, degenerate=False)
-        factor = _state_factor(to_energy_basis(rho0.matrix, dec))
-        group = _group_size(dim, rank)
-        count = 5 * group // 2
-        chi = np.random.default_rng(3).normal(scale=2.0, size=(count, 1, dec.num_levels))
-        phases = _slab_phases(chi, dec.level_index)
-        widths = []
-        matmul = np.matmul
-
-        def spy(a, b, **kwargs):
-            if a is dec.eigenvectors:  # a product forming factors, not B B^dagger
-                widths.append(b.shape[-1])
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", spy)
-        states = _sample_states(dec.eigenvectors, factor, phases)
-        monkeypatch.undo()
-        assert widths == [group * rank] * 2 + [group * rank // 2]
-        assert max(widths) * dim * dim <= CALL_BUDGET
-        for j in (0, group - 1, group, count - 1):
-            alone = _sample_states(dec.eigenvectors, factor, phases[j : j + 1])
-            assert np.max(np.abs(states[j] - alone)) < 1e-15
-            u = unitary_from_phases(dec, chi[j, 0])
-            assert np.max(np.abs(states[j, 0] - u @ rho0.matrix @ u.conj().T)) < 1e-14
-
-    def test_group_size_rule(self):
-        # one d = 32 full-rank product per call, 8192 rank-1 qubit samples
-        assert _group_size(32, 32) == 1
-        assert _group_size(2, 1) == 8192
-        for dim in range(1, 65):
-            for rank in range(1, dim + 1):
-                group, per_sample = _group_size(dim, rank), dim * dim * rank
-                if per_sample > CALL_BUDGET:
-                    assert group == 1
-                else:
-                    assert group * per_sample <= CALL_BUDGET < (group + 1) * per_sample
-
 
 def _reference_sample_states(vectors, factor, phases):
-    """``_sample_states`` as it was before the workspace: fresh temporaries
-    for every call, the same products in the same order."""
+    """``_sample_states`` without the workspace: fresh temporaries for every
+    call, the same products in the same layouts.  Row n r + j of x_t is
+    column j of X_n = c_n o G, so one product x_t V^T forms every factor
+    B_n, transposed."""
     dim, rank = factor.shape
-    group = _group_size(dim, rank)
-    if group == 1:
-        b = vectors @ (phases[..., :, None] * factor)
-    else:
-        x = (phases.reshape(-1, dim).T[:, :, None] * factor[:, None, :]).reshape(dim, -1)
-        b = np.empty_like(x)
-        width = group * rank
-        for lo in range(0, x.shape[1], width):
-            np.matmul(vectors, x[:, lo : lo + width], out=b[:, lo : lo + width])
-        b = b.reshape(dim, -1, rank).transpose(1, 0, 2).reshape(phases.shape[:-1] + (dim, rank))
-    return b @ np.swapaxes(b, -1, -2).conj()
+    x_t = phases.reshape(-1, 1, dim) * factor.T
+    b_t = (x_t.reshape(-1, dim) @ vectors.T).reshape(phases.shape[:-1] + (rank, dim))
+    return np.swapaxes(b_t, -1, -2) @ b_t.conj()
 
 
 class TestWorkspace:
     # (dim, rank, grid points, n_traj): every case has two chunks, the last
-    # ending inside an RNG block.  d = 2: slabs of 16 points over 41 (the
-    # last slab partial) and slabs of 4 groups, the last of 2.25 groups; d =
-    # 8: 1024-sample slabs of 6 groups and a partial one; d = 32 and 33 at
-    # full rank: one sample per call.
+    # ending inside an RNG block.  d = 2: slabs of 16 points over 41, the
+    # last slab of each chunk partial; d = 8: slabs of one point in the
+    # whole chunk and one slab of every point in the last; d = 32 and 33 at
+    # full rank: slabs of one point.  Each slab forms its factors in one
+    # product, as wide as its sample count times the rank.
     CASES = [(2, 2, 41, 1124), (8, 3, 11, 1100), (32, 32, 5, 100), (33, 33, 4, 100)]
 
     @pytest.mark.parametrize("dim, rank, num_points, n_traj", CASES)
@@ -239,12 +192,13 @@ class TestWorkspace:
         model = correlated_model(0.6, 0.7)
         chunk = _chunk_size(num_points, dim)
         assert chunk < n_traj < 2 * chunk and n_traj % RNG_BLOCK
+        slab = _slab_size(chunk, dim)
         if dim == 2:
-            slab = _slab_size(chunk, dim)
-            assert num_points % slab and (chunk * slab) % _group_size(dim, rank) == 0
-            assert (chunk * (num_points % slab)) % _group_size(dim, rank)
+            assert 1 < slab < num_points and num_points % slab
+        if dim == 8:
+            assert slab == 1 and _slab_size(n_traj - chunk, dim) >= num_points
         if dim >= 32:
-            assert _group_size(dim, rank) == 1
+            assert slab == 1
         runs = [
             run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=w)
             for w in (1, 3)
@@ -296,6 +250,74 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         for name in ("mean", "stderr_re", "stderr_im"):
             assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+
+
+class TestBlasPin:
+    """run_ensemble holds numpy's OpenBLAS at one thread while it runs."""
+
+    @staticmethod
+    def _case(dim):
+        dec, rho0 = _random_case(np.random.default_rng(dim), dim, dim, degenerate=False)
+        return dec, correlated_model(0.6, 0.7), rho0, np.linspace(0, 1.1, 4)
+
+    def test_one_thread_inside(self, blas_threads, monkeypatch):
+        seen = []
+        sample_states = montecarlo._sample_states
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return sample_states(*args)
+
+        monkeypatch.setattr(montecarlo, "_sample_states", spy)
+        run_ensemble(*self._case(8), n_traj=300, seed=2, n_workers=2)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_concurrent_calls_restore_the_count(self, blas_threads, monkeypatch):
+        # four calls, more than the cores, meet inside the pin and then run
+        # with a short switch interval: the first to leave must not restore
+        # the count under the others, nor the last leave it pinned
+        callers = 4
+        together = threading.Barrier(callers, timeout=30)
+        state_factor = montecarlo._state_factor
+
+        def meet(rho_e):
+            together.wait()
+            return state_factor(rho_e)
+
+        monkeypatch.setattr(montecarlo, "_state_factor", meet)
+        case = self._case(4)
+        results = [None] * callers
+
+        def call(slot):
+            results[slot] = run_ensemble(*case, n_traj=200, seed=slot, n_workers=2)
+
+        threads = [threading.Thread(target=call, args=(slot,)) for slot in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert blas_threads() == 2
+        monkeypatch.undo()
+        for slot in range(callers):
+            alone = run_ensemble(*case, n_traj=200, seed=slot, n_workers=1)
+            assert results[slot].mean.tobytes() == alone.mean.tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 33, 48])
+    def test_output_does_not_depend_on_the_pin(self, dim, blas_threads, monkeypatch):
+        # at d >= 32 the factor products and eigh are large enough for
+        # OpenBLAS to thread them when it is not held at one thread
+        pinned = run_ensemble(*self._case(dim), n_traj=130, seed=9, n_workers=2)
+        monkeypatch.setattr(operators, "_openblas_threads", lambda: None)
+        free = run_ensemble(*self._case(dim), n_traj=130, seed=9, n_workers=2)
+        for name in ("mean", "stderr_re", "stderr_im"):
+            assert getattr(free, name).tobytes() == getattr(pinned, name).tobytes()
 
 
 class TestRunEnsemble:

@@ -13,7 +13,8 @@ from noisytime import (
     to_energy_basis,
     validate_density,
 )
-from noisytime.operators import DEGENERACY_TOL, _fix_column_phases
+from noisytime import operators
+from noisytime.operators import DEGENERACY_TOL, _fix_column_phases, _single_threaded_blas
 
 
 def random_hermitian(dim, seed):
@@ -171,3 +172,25 @@ class TestBasisChange:
         dec = eigendecompose(HermitianOperator(np.diag([0.0, 1.0])))
         rho = DensityMatrix.pure([1.0, 1.0]).matrix
         assert np.allclose(to_energy_basis(rho, dec), rho, atol=0.0)
+
+
+class TestSingleThreadedBlas:
+    def test_nested_pins_restore_the_outer_value(self, blas_threads):
+        with _single_threaded_blas():
+            assert blas_threads() == 1
+            with _single_threaded_blas():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restored_when_the_body_raises(self, blas_threads):
+        with pytest.raises(RuntimeError):
+            with _single_threaded_blas():
+                raise RuntimeError("inside the pin")
+        assert blas_threads() == 2
+
+    def test_does_nothing_without_openblas(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(operators, "_openblas_threads", lambda: None)
+        with _single_threaded_blas():
+            assert blas_threads() == 2
+        assert blas_threads() == 2
