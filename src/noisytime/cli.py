@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 a verification or statistical comparison failed,
 
 Trajectory tables are CSV, reports are JSON; the ``outputs.formats`` list in
 the scenario selects which of the two families is written.  Every file is
-written to a temporary name and renamed into place, so a crash never leaves
-a half-written table behind; a write that fails removes its temporary file.
+written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
+half-written table behind; a write that fails removes its temporary file.
+Trajectory tables are formatted and written in blocks of rows, each built
+from a slice of the states, so the text of a whole table is never held in
+memory; the bytes are those of formatting the whole table at once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -49,6 +52,10 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = ".17g"
+# Values formatted per block of CSV rows (at least one row per block): about
+# 180 kB of text, so a table's text and float copy stay small next to its
+# states at any grid size and dimension.
+CSV_BLOCK_VALUES = 1 << 13
 
 # sigma_theta = linear(c) matches a family of strength gamma when c^2 equals
 # gamma to this relative tolerance; sqrt(gamma) written out in decimal
@@ -60,12 +67,21 @@ def _fmt(value: float) -> str:
     return format(float(value), FLOAT_FORMAT)
 
 
-def _atomic_write(path: Path, text: str) -> Path:
+def _atomic_write(path: Path, chunks: Union[str, Iterable[str]]) -> Path:
+    """Write one string, or the strings of an iterable in turn, to ``path``.
+
+    The text goes to ``<name>.tmp``, which is renamed into place once
+    complete; on any failure the temporary file is removed and the error
+    re-raised.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -85,26 +101,42 @@ def _entry_columns(dim: int) -> list[str]:
 METRIC_COLUMNS = ("purity", "coherence_l1", "energy", "trace")
 
 
-def _csv_text(columns: list[str], table: np.ndarray) -> str:
-    """Header line plus one line per table row, every value in FLOAT_FORMAT."""
-    row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns))
-    lines = [",".join(columns)]
-    lines.extend(row_format % tuple(row) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+def _csv_chunks(
+    columns: list[str], num_rows: int, rows: Callable[[int, int], np.ndarray]
+) -> Iterator[str]:
+    """The header line, then the lines of each block of rows, every value in FLOAT_FORMAT.
+
+    ``rows(lo, hi)`` returns the float table of rows [lo, hi); blocks hold
+    about ``CSV_BLOCK_VALUES`` values.
+    """
+    row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
+    yield ",".join(columns) + "\n"
+    step = max(1, CSV_BLOCK_VALUES // len(columns))
+    for lo in range(0, num_rows, step):
+        table = rows(lo, min(lo + step, num_rows))
+        yield "".join(row_format % tuple(row) for row in table.tolist())
 
 
-def _trajectory_csv(result: EvolutionResult, metrics: dict) -> str:
+def _trajectory_csv(result: EvolutionResult, metrics: dict) -> Iterator[str]:
     columns = ["t"] + _entry_columns(result.dim) + list(METRIC_COLUMNS)
-    # The float view of a complex row interleaves re and im per entry (k, l).
-    entries = np.ascontiguousarray(result.states).view(float).reshape(result.num_points, -1)
     values = np.column_stack([metrics[key] for key in METRIC_COLUMNS])
-    return _csv_text(columns, np.hstack([result.grid[:, None], entries, values]))
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # The float view of a complex row interleaves re and im per entry (k, l).
+        entries = np.ascontiguousarray(result.states[lo:hi]).view(float).reshape(hi - lo, -1)
+        return np.hstack([result.grid[lo:hi, None], entries, values[lo:hi]])
+
+    return _csv_chunks(columns, result.num_points, rows)
 
 
-def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> str:
+def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> Iterator[str]:
     columns = ["t"] + _entry_columns(stderr_re.shape[1])
-    entries = np.stack([stderr_re, stderr_im], axis=-1).reshape(grid.shape[0], -1)
-    return _csv_text(columns, np.hstack([grid[:, None], entries]))
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        entries = np.stack([stderr_re[lo:hi], stderr_im[lo:hi]], axis=-1).reshape(hi - lo, -1)
+        return np.hstack([grid[lo:hi, None], entries])
+
+    return _csv_chunks(columns, grid.shape[0], rows)
 
 
 def _json_text(data: dict) -> str:

@@ -14,10 +14,11 @@ forming the phases exp(-i chi) of its own time points, and the per-entry
 mean and two-pass variance of a slab are taken in place.  Each worker owns
 one workspace, allocated once per run and sized from the run's chunk and
 slab shapes; the chi paths of a chunk and every temporary of a slab live in
-it, so a run allocates per chunk only the chunk's statistics.  Chunk statistics are
-merged by a left fold in chunk order as the results arrive, and each chunk's
-statistics are released once folded in.  Chunk and slab boundaries depend
-only on array shapes, and every chunk is a whole number of RNG blocks
+it, so a run allocates per chunk only the chunk's statistics.  Chunk
+statistics are folded in place into the first chunk's, in chunk order as
+the results arrive, and each chunk's statistics are released once folded
+in.  Chunk and slab boundaries depend only on array shapes, and every
+chunk is a whole number of RNG blocks
 (``noise.RNG_BLOCK`` trajectories that share one Philox stream keyed by
 (seed, block)), so the result is byte-identical whether chunks are
 processed by one worker or many.
@@ -31,7 +32,6 @@ import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -198,19 +198,6 @@ class EnsembleResult:
         return EvolutionResult(self.grid, self.mean)
 
 
-def _merge_stats(a, b):
-    """Combine two (count, mean, m2_re, m2_im) accumulators."""
-    n_a, mean_a, m2re_a, m2im_a = a
-    n_b, mean_b, m2re_b, m2im_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    scale = n_a * n_b / n
-    m2_re = m2re_a + m2re_b + delta.real**2 * scale
-    m2_im = m2im_a + m2im_b + delta.imag**2 * scale
-    return n, mean, m2_re, m2_im
-
-
 @_single_threaded_blas()
 def run_ensemble(
     decomposition: SpectralDecomposition,
@@ -233,9 +220,11 @@ def run_ensemble(
     only its chi paths and runs in time slabs of about
     ``SLAB_ELEMENT_BUDGET`` state entries; each slab forms the phases and
     sample states of its own time points and takes its mean and sum of
-    squared deviations in place.  Chunks are merged by a left fold in chunk
-    order.  ``n_workers`` threads (at least 1) compute the chunks, and they
-    are the call's only parallelism: numpy's OpenBLAS thread count is held
+    squared deviations in place.  Chunks are folded into one accumulator in
+    chunk order, in place: the pairwise mean and variance update, with the
+    folded chunk's own arrays holding the mean difference and its squares.
+    ``n_workers`` threads (at least 1) compute the chunks, and they are the
+    call's only parallelism: numpy's OpenBLAS thread count is held
     at 1 during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
     no OpenBLAS).  Its own pool would compete with the workers for the
@@ -246,7 +235,7 @@ def run_ensemble(
     queue.  Each holds a chunk's chi paths and the angles, phases, factors
     B, conj(B) and states of the largest slab of the run, so the chunks and
     slabs reuse them; per chunk only its mean and squared deviations are
-    new, held until they are folded in.
+    new, held until they are folded in, and the fold allocates nothing.
 
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state; a
@@ -300,15 +289,28 @@ def run_ensemble(
                 np.sum(flat, axis=0, out=m2[lo:hi])
         finally:
             free.put(work)
-        return count, mean, m2[..., 0::2], m2[..., 1::2]
+        return count, mean, m2
 
-    # pool.map yields in chunk order; the tree shape of the reduction is part
-    # of the determinism contract, so keep it a plain left fold.
+    # pool.map yields in chunk order; the fold order and the order of its
+    # operations are part of the determinism contract, so keep it a plain
+    # left fold: m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and
+    # mean = mean_a + delta n_b / n with delta = mean_b - mean_a.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        n, mean, m2_re, m2_im = reduce(_merge_stats, pool.map(chunk_stats, starts, counts))
+        chunks = pool.map(chunk_stats, starts, counts)
+        n, mean, m2 = next(chunks)
+        for n_b, delta, square in chunks:
+            n_a, n = n, n + n_b
+            delta -= mean
+            m2 += square
+            # delta's float view interleaves re and im as m2 does.
+            np.square(delta.view(float), out=square)
+            square *= n_a * n_b / n
+            m2 += square
+            delta *= n_b / n
+            mean += delta
     denom = max(n - 1, 1)
-    stderr_re = np.sqrt(m2_re / denom / n)
-    stderr_im = np.sqrt(m2_im / denom / n)
+    stderr_re = np.sqrt(m2[..., 0::2] / denom / n)
+    stderr_im = np.sqrt(m2[..., 1::2] / denom / n)
     for arr in (mean, stderr_re, stderr_im):
         arr.setflags(write=False)
     return EnsembleResult(

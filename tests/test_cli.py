@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from noisytime import (
     integrate,
     load_config,
 )
-from noisytime.cli import _atomic_write, _stderr_csv, _trajectory_csv, main
+from noisytime.cli import CSV_BLOCK_VALUES, _atomic_write, _stderr_csv, _trajectory_csv, main
 
 
 def read_csv(path):
@@ -71,7 +72,7 @@ class TestCsvWriters:
         result = EvolutionResult(grid, states)
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "-0," in expected
-        assert _trajectory_csv(result, metrics).encode() == expected.encode()
+        assert "".join(_trajectory_csv(result, metrics)).encode() == expected.encode()
 
     def test_stderr_matches_per_element_format(self):
         rng = np.random.default_rng(4)
@@ -80,7 +81,55 @@ class TestCsvWriters:
         stderr_im = _awkward_values(rng, (5, 2, 2))
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "-0," in expected
-        assert _stderr_csv(grid, stderr_re, stderr_im).encode() == expected.encode()
+        assert "".join(_stderr_csv(grid, stderr_re, stderr_im)).encode() == expected.encode()
+
+    def test_trajectory_across_row_blocks(self):
+        # 1000 rows of 23 columns: two whole blocks of 356 rows and a partial one
+        rng = np.random.default_rng(5)
+        num_rows, dim = 1000, 3
+        assert CSV_BLOCK_VALUES // 23 == 356
+        grid = np.linspace(0.0, 7.0, num_rows)
+        states = _awkward_values(rng, (num_rows, dim, dim)) + 1j * _awkward_values(
+            rng, (num_rows, dim, dim)
+        )
+        metrics = {key: _awkward_values(rng, (num_rows,)) for key in METRIC_KEYS}
+        chunks = list(_trajectory_csv(EvolutionResult(grid, states), metrics))
+        assert len(chunks) == 1 + 3
+        expected = _reference_csv(grid, states.real, states.imag, metrics)
+        assert "".join(chunks).encode() == expected.encode()
+
+    def test_stderr_across_row_blocks(self):
+        # 2000 rows of 9 columns: two whole blocks of 910 rows and a partial one
+        rng = np.random.default_rng(6)
+        num_rows = 2000
+        assert CSV_BLOCK_VALUES // 9 == 910
+        grid = np.linspace(0.0, 3.0, num_rows)
+        stderr_re = _awkward_values(rng, (num_rows, 2, 2))
+        stderr_im = _awkward_values(rng, (num_rows, 2, 2))
+        chunks = list(_stderr_csv(grid, stderr_re, stderr_im))
+        assert len(chunks) == 1 + 3
+        expected = _reference_csv(grid, stderr_re, stderr_im)
+        assert "".join(chunks).encode() == expected.encode()
+
+    def test_writing_memory_follows_the_blocks(self, tmp_path):
+        # The traced peak of writing a T = 2001, d = 8 table stays below a
+        # quarter of the file: no whole-table float copy or text is built.
+        rng = np.random.default_rng(7)
+        num_rows, dim = 2001, 8
+        grid = np.linspace(0.0, 10.0, num_rows)
+        states = rng.normal(size=(num_rows, dim, dim)) + 1j * rng.normal(size=(num_rows, dim, dim))
+        metrics = {key: rng.normal(size=num_rows) for key in METRIC_KEYS}
+        result = EvolutionResult(grid, states)
+        target = tmp_path / "analytic.csv"
+        tracemalloc.start()
+        try:
+            _atomic_write(target, _trajectory_csv(result, metrics))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 4
 
 
 class TestEvolve:
@@ -425,19 +474,28 @@ class TestBlasPin:
             assert (free / name).read_bytes() == (pinned / name).read_bytes()
 
 
-class TestAtomicWrite:
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
-        def full_disk(self, text):
-            with open(self, "w") as handle:
-                handle.write(text[: len(text) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+def _full_disk_chunks():
+    """A table's first block, then the error of a disk that is full."""
+    yield "t,x\n0,1\n"
+    raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_text", full_disk)
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
         target = tmp_path / "table.csv"
         with pytest.raises(OSError) as info:
-            _atomic_write(target, "t,x\n0,1\n")
+            _atomic_write(target, _full_disk_chunks())
         assert info.value.errno == errno.ENOSPC
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"t,x\n0,2\n")
+        with pytest.raises(OSError) as info:
+            _atomic_write(target, _full_disk_chunks())
+        assert info.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"t,x\n0,2\n"
 
 
 class TestDecomposition:

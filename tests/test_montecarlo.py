@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -449,6 +451,53 @@ class TestRunEnsemble:
         result = out.as_result()
         assert np.array_equal(result.grid, out.grid)
         assert np.array_equal(result.states, out.mean)
+
+
+def _merge_stats(a, b):
+    """Combine two (count, mean, m2_re, m2_im) accumulators into new arrays."""
+    n_a, mean_a, m2re_a, m2im_a = a
+    n_b, mean_b, m2re_b, m2im_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (n_b / n)
+    scale = n_a * n_b / n
+    m2_re = m2re_a + m2re_b + delta.real**2 * scale
+    m2_im = m2im_a + m2im_b + delta.imag**2 * scale
+    return n, mean, m2_re, m2_im
+
+
+class TestInPlaceFold:
+    """run_ensemble's in-place fold against reduce(_merge_stats) over the same chunks."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_matches_reduce_reference(self, monkeypatch, dim, workers):
+        recorded = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            """Keeps a copy of each chunk's statistics as the fold receives them."""
+
+            def map(self, fn, *iterables):
+                for count, mean, m2 in super().map(fn, *iterables):
+                    m2_re, m2_im = m2[..., 0::2].copy(), m2[..., 1::2].copy()
+                    recorded.append((count, mean.copy(), m2_re, m2_im))
+                    yield count, mean, m2
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "MAX_CHUNK", 2 * RNG_BLOCK)
+        dec, rho0 = _random_case(np.random.default_rng(40 + dim), dim, dim, degenerate=False)
+        grid = np.linspace(0, 1.2, 9)
+        n_traj = 3 * 2 * RNG_BLOCK + 37
+        out = run_ensemble(
+            dec, correlated_model(0.6, 0.9), rho0, grid, n_traj=n_traj, seed=5, n_workers=workers
+        )
+        # four chunks, the last one partial
+        assert [chunk[0] for chunk in recorded] == [2 * RNG_BLOCK] * 3 + [37]
+        n, mean, m2_re, m2_im = reduce(_merge_stats, recorded)
+        assert n == out.n_traj == n_traj
+        assert out.mean.tobytes() == mean.tobytes()
+        assert out.stderr_re.tobytes() == np.sqrt(m2_re / (n - 1) / n).tobytes()
+        assert out.stderr_im.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()
 
 
 class TestCompare:
