@@ -17,7 +17,9 @@ written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
 half-written table behind; a write that fails removes its temporary file.
 Trajectory tables are formatted and written in blocks of rows, each built
 from a slice of the states, so the text of a whole table is never held in
-memory; the bytes are those of formatting the whole table at once.
+memory.  A row formats its diagonal and upper triangle, and an entry below
+the diagonal that equals its mirror's conjugate reuses the mirror's text; the
+bytes are those of formatting every value of the whole table at once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -39,7 +42,7 @@ from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import NoiseModel, moment_report
 from .operators import _single_threaded_blas
 from .propagator import averaged_trajectory
-from .results import EvolutionResult
+from .results import EvolutionResult, _sorted_unique
 from .verify import run_suite, check_names
 
 __all__ = [
@@ -101,20 +104,86 @@ def _entry_columns(dim: int) -> list[str]:
 METRIC_COLUMNS = ("purity", "coherence_l1", "energy", "trace")
 
 
+def _mirror_columns(dim: int, flip_imaginary: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value columns of the lower-triangle entries, of their mirrors, and the sign rule.
+
+    Entry (k, l) of a table row has its real part in column 1 + 2 (k d + l)
+    and its imaginary part in the next.  Returns, for every entry below the
+    diagonal, its two columns, the two columns of its mirror (l, k), and
+    whether the mirror's text is negated (the imaginary part of a state).
+    """
+    k, l = np.tril_indices(dim, -1)
+    lower = 1 + 2 * (k * dim + l)
+    upper = 1 + 2 * (l * dim + k)
+    return (
+        np.stack([lower, lower + 1], axis=-1).reshape(-1),
+        np.stack([upper, upper + 1], axis=-1).reshape(-1),
+        np.tile([False, flip_imaginary], k.size),
+    )
+
+
+def _row_plan(num_columns: int, mirrors, same: np.ndarray):
+    """How to write a row whose lower-triangle cells where ``same`` reuse their mirrors' texts.
+
+    Returns (order, row_format, first, pick): the row's values taken in
+    ``order`` (every cell but the copied ones, the mirrors to be negated
+    last) are formatted with ``row_format`` and split at the commas; the
+    texts from ``first`` on, up to the empty text the split ends with, are
+    negated and appended; ``pick`` then takes every cell's text in column
+    order.
+    """
+    lower, upper, flip = mirrors
+    negated = upper[same & flip]
+    keep = np.ones(num_columns, dtype=bool)
+    keep[lower[same]] = False
+    keep[negated] = False
+    order = np.concatenate([np.flatnonzero(keep), negated])
+    place = np.empty(num_columns, dtype=np.int64)
+    place[order] = np.arange(order.size)
+    place[lower[same]] = place[upper[same]]
+    place[lower[same & flip]] = order.size + 1 + np.arange(negated.size)
+    row_format = ("%" + FLOAT_FORMAT + ",") * order.size
+    return order, row_format, order.size - negated.size, itemgetter(*place.tolist())
+
+
 def _csv_chunks(
-    columns: list[str], num_rows: int, rows: Callable[[int, int], np.ndarray]
+    columns: list[str],
+    num_rows: int,
+    rows: Callable[[int, int], np.ndarray],
+    mirrors: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> Iterator[str]:
     """The header line, then the lines of each block of rows, every value in FLOAT_FORMAT.
 
     ``rows(lo, hi)`` returns the float table of rows [lo, hi); blocks hold
-    about ``CSV_BLOCK_VALUES`` values.
+    about ``CSV_BLOCK_VALUES`` values.  ``mirrors`` is ``_mirror_columns``:
+    a lower-triangle entry whose two values equal, sign of zero included,
+    those of its mirror (the imaginary one negated where the rule says so)
+    reuses the mirror's texts, negated alike; every other value is
+    formatted.  Formatting is the cost of writing, and a Hermitian table
+    formats only its diagonal and upper triangle; the bytes are those of
+    formatting every value.  Consecutive rows that mirror alike share one
+    ``_row_plan``.
     """
-    row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
+    lower, upper, flip = mirrors
     yield ",".join(columns) + "\n"
     step = max(1, CSV_BLOCK_VALUES // len(columns))
+    key = None
     for lo in range(0, num_rows, step):
         table = rows(lo, min(lo + step, num_rows))
-        yield "".join(row_format % tuple(row) for row in table.tolist())
+        own, mirror = table[:, lower], table[:, upper]
+        np.negative(mirror, out=mirror, where=flip)
+        same = (own == mirror) & (np.signbit(own) == np.signbit(mirror))
+        # An entry reuses its mirror's texts when both of its values do.
+        same = np.repeat(same.reshape(len(table), -1, 2).all(axis=2), 2, axis=1)
+        lines = []
+        for row, mask in zip(table, same):
+            if mask.tobytes() != key:
+                key = mask.tobytes()
+                order, row_format, first, pick = _row_plan(len(columns), mirrors, mask)
+            texts = (row_format % tuple(row[order].tolist())).split(",")
+            texts += [text[1:] if text[0] == "-" else "-" + text for text in texts[first:-1]]
+            lines.append(",".join(pick(texts)))
+        yield "\n".join(lines) + "\n"
 
 
 def _trajectory_csv(result: EvolutionResult, metrics: dict) -> Iterator[str]:
@@ -126,17 +195,18 @@ def _trajectory_csv(result: EvolutionResult, metrics: dict) -> Iterator[str]:
         entries = np.ascontiguousarray(result.states[lo:hi]).view(float).reshape(hi - lo, -1)
         return np.hstack([result.grid[lo:hi, None], entries, values[lo:hi]])
 
-    return _csv_chunks(columns, result.num_points, rows)
+    return _csv_chunks(columns, result.num_points, rows, _mirror_columns(result.dim, True))
 
 
 def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> Iterator[str]:
-    columns = ["t"] + _entry_columns(stderr_re.shape[1])
+    dim = stderr_re.shape[1]
+    columns = ["t"] + _entry_columns(dim)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         entries = np.stack([stderr_re[lo:hi], stderr_im[lo:hi]], axis=-1).reshape(hi - lo, -1)
         return np.hstack([grid[lo:hi, None], entries])
 
-    return _csv_chunks(columns, grid.shape[0], rows)
+    return _csv_chunks(columns, grid.shape[0], rows, _mirror_columns(dim, False))
 
 
 def _json_text(data: dict) -> str:
@@ -211,7 +281,7 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
     if "csv" in config.formats:
         path = _out_dir(config) / "me.csv"
         written.append(_write_trajectory(path, config, decomposition, result))
-    checkpoint_indices = np.unique(np.linspace(0, grid.size - 1, 9).astype(int))
+    checkpoint_indices = _sorted_unique(np.linspace(0, grid.size - 1, 9).astype(int))
     checkpoint_times = [float(grid[i]) for i in checkpoint_indices if grid[i] > 0.0]
     report = cp_report(generator, checkpoint_times)
     payload = report.to_dict()

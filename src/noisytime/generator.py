@@ -29,7 +29,14 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, StepTooLarge
 from .noise import NoiseModel, correlation_matrix
-from .operators import SpectralDecomposition, from_energy_basis, state_matrix, to_energy_basis
+from .operators import (
+    SpectralDecomposition,
+    _hermitian_part,
+    _time_slabs,
+    from_energy_basis,
+    state_matrix,
+    to_energy_basis,
+)
 from .results import EvolutionResult, time_grid
 
 __all__ = [
@@ -145,7 +152,8 @@ def integrate(
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
     ``decomposition`` rotates in and out of the energy basis; pass None when
-    rho0 is already expressed there.
+    rho0 is already expressed there.  Every returned state S is replaced by
+    its Hermitian part (S + S^dagger) / 2, so it is Hermitian to the bit.
     """
     grid_arr = time_grid(grid)
     if max_step is not None and not (isinstance(max_step, numbers.Real) and max_step > 0):
@@ -183,8 +191,12 @@ def integrate(
             f"local error estimate {estimates[k]:.3e} exceeds {LOCAL_ERROR_LIMIT:g} "
             f"at step size {h[k, 0, 0]:.3e}"
         )
-    if decomposition is not None:
-        states = from_energy_basis(states, decomposition)
+    # Rotated and replaced by its Hermitian part one time slab at a time, in
+    # place, so no second (T, d, d) array is made.
+    for slab in _time_slabs(*states.shape[:2]):
+        if decomposition is not None:
+            states[slab] = from_energy_basis(states[slab], decomposition)
+        _hermitian_part(states[slab])
     return EvolutionResult(grid_arr, states)
 
 

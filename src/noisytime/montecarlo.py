@@ -5,10 +5,12 @@ at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
 initial state is factored once, rho = V G G^dagger V^dagger in the energy
 basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
-rotations.  The factors of all N samples of a slab come from one product,
-V [X_1 ... X_N] with X_n = exp(-i chi_n) o G; numpy's OpenBLAS is held at one
-thread meanwhile (``operators._single_threaded_blas``), so the workers are
-the run's only parallelism.  A chunk of trajectories keeps only its chi
+rotations.  B is linear in the phases c = exp(-i chi),
+B_ia = sum_k c_k W[k, (i, a)] with the fixed map W[k, (i, a)] = V_ik G_ka
+built once per run, so the factors of all N samples of a slab are the rows
+of one product of their (N, d) phases with W; numpy's OpenBLAS is held at
+one thread meanwhile (``operators._single_threaded_blas``), so the workers
+are the run's only parallelism.  A chunk of trajectories keeps only its chi
 paths; it is processed in time slabs sized to stay in cache, each slab
 forming the phases exp(-i chi) of its own time points, and the per-entry
 mean and two-pass variance of a slab are taken in place.  Each worker owns
@@ -17,10 +19,12 @@ slab shapes; the chi paths of a chunk and every temporary of a slab live in
 it, so a run allocates per chunk only the chunk's statistics.  Chunk
 statistics are folded in place into the first chunk's, in chunk order as
 the results arrive, and each chunk's statistics are released once folded
-in.  Chunk and slab boundaries depend only on array shapes, and every
-chunk is a whole number of RNG blocks
-(``noise.RNG_BLOCK`` trajectories that share one Philox stream keyed by
-(seed, block)), so the result is byte-identical whether chunks are
+in.  The folded mean and squared deviations then take their lower triangle
+from the upper one, so the mean is Hermitian off the diagonal and the
+standard errors are symmetric, to the bit.  Chunk and slab boundaries
+depend only on array shapes, and every chunk is a whole number of RNG
+blocks (``noise.RNG_BLOCK`` trajectories that share one Philox stream keyed
+by (seed, block)), so the result is byte-identical whether chunks are
 processed by one worker or many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
@@ -39,6 +43,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch
 from .noise import RNG_BLOCK, NoiseModel, _BrownianField
 from .operators import (
+    SLAB_ELEMENT_BUDGET,
     SpectralDecomposition,
     _rank_factor,
     _single_threaded_blas,
@@ -60,11 +65,10 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # shapes only, never of worker count, so that accumulation order (and
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
+# A slab of a chunk forms about SLAB_ELEMENT_BUDGET sample-state entries
+# (count * slab * dim * dim), and a chunk is kept within it at one time point
+# per slab.
 CHUNK_ELEMENT_BUDGET = 4_000_000
-# Complex state entries (count * slab * dim * dim) formed at once within a
-# chunk: 2**16 entries is 1 MiB, so a slab's temporaries stay in cache.  A
-# chunk is also kept within it at one time point per slab.
-SLAB_ELEMENT_BUDGET = 1 << 16
 
 Z_MAX = 4.0
 Z_TAIL = 3.0
@@ -92,15 +96,20 @@ def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     return _rank_factor(*np.linalg.eigh(rho_e))
 
 
+def _factor_map(vectors: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The (d, d r) map W[k, (i, a)] = V_ik G_ka: phases c give B = V (c o G) as c W."""
+    dim, rank = factor.shape
+    return (vectors.T[:, :, None] * factor[:, None, :]).reshape(dim, dim * rank)
+
+
 class _Workspace:
     """The arrays one worker reuses for every chunk and slab of a run.
 
     ``chi`` holds a chunk's chi paths, shape (chunk, T, m); the flat buffers
     hold a slab of at most ``samples`` sample points: ``angles`` and
     ``phases`` (d entries each) for ``_slab_phases``, and ``factors``,
-    ``conj_factors`` (d r each) and ``states`` (d d) for ``_sample_states``,
-    where the products X = c o G live in ``states`` until B is formed.  A
-    slab takes the leading part of each buffer it needs (``_leading``), so a
+    ``conj_factors`` (d r each) and ``states`` (d d) for ``_sample_states``.
+    A slab takes the leading part of each buffer it needs (``_leading``), so a
     partial slab or chunk reuses the same memory.
     """
 
@@ -140,34 +149,27 @@ def _slab_phases(
 
 
 def _sample_states(
-    vectors: np.ndarray, factor: np.ndarray, phases: np.ndarray, work: Optional[_Workspace] = None
+    weights: np.ndarray, phases: np.ndarray, work: Optional[_Workspace] = None
 ) -> np.ndarray:
     """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
-    rho_e = G G^dagger, computed from the d x r factor instead.  The factors
-    B of all N samples come from one product V [X_1 ... X_N] with
-    X_n = c_n o G; the Gram product B B^dagger is taken one sample at a
+    rho_e = G G^dagger, computed from the d x r factor instead.  ``weights``
+    is W = ``_factor_map(V, G)``, so the factors of all N samples are the
+    rows of one (N, d) x (d, d r) product, sample n's B_n being row n read
+    as a (d, r) matrix; the Gram product B B^dagger is taken one sample at a
     time.  Every array is a view into ``work`` (a workspace is allocated for
     the call when none is given), so the result is overwritten by the next
     call on it.
     """
-    dim, rank = factor.shape
+    dim = phases.shape[-1]
+    rank = weights.shape[1] // dim
     samples = math.prod(phases.shape[:-1])
     if work is None:
         work = _Workspace(samples, dim, rank)
-    # X_n^T is block n of x_t: the layout numpy gives c_n o G for the
-    # column-major factor from eigh.  The rounding of the products below
-    # depends on the layouts, and every B and conj(B) follows this one.
-    x_t = _leading(work.states, (samples, rank, dim))
-    np.multiply(phases.reshape(samples, 1, dim), factor.T, out=x_t)
-    # Columns [n r, (n + 1) r) of the (d, N r) matrix x hold X_n, so one
-    # product forms every B, in the layout of x.
-    b_t = _leading(work.factors, (samples, rank, dim))
-    np.matmul(vectors, x_t.reshape(-1, dim).T, out=b_t.reshape(-1, dim).T)
-    b = np.swapaxes(b_t, 1, 2)
-    b_conj = np.swapaxes(_leading(work.conj_factors, (samples, rank, dim)), 1, 2)
-    # conj(B) in B's own layout, as ndarray.conj() writes it.
+    b = _leading(work.factors, (samples, dim, rank))
+    np.matmul(phases.reshape(samples, dim), weights, out=b.reshape(samples, -1))
+    b_conj = _leading(work.conj_factors, (samples, dim, rank))
     np.conjugate(b, out=b_conj)
     states = _leading(work.states, (samples, dim, dim))
     np.matmul(b, np.swapaxes(b_conj, 1, 2), out=states)
@@ -212,8 +214,9 @@ def run_ensemble(
 
     The energy-basis state is factored once as G G^dagger (G is d x r, r the
     numerical rank), and every sample state U rho U^dagger is formed as
-    B B^dagger with B = V (exp(-i chi) o G); the B of a slab's samples come
-    from one product.  Trajectories are processed in chunks
+    B B^dagger with B = V (exp(-i chi) o G); the B of a slab's samples are
+    the rows of one product of its phases with ``_factor_map(V, G)``, built
+    once per call.  Trajectories are processed in chunks
     (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
@@ -223,14 +226,17 @@ def run_ensemble(
     squared deviations in place.  Chunks are folded into one accumulator in
     chunk order, in place: the pairwise mean and variance update, with the
     folded chunk's own arrays holding the mean difference and its squares.
-    ``n_workers`` threads (at least 1) compute the chunks, and they are the
-    call's only parallelism: numpy's OpenBLAS thread count is held
+    The folded mean's lower triangle is then the conjugate of its upper
+    one, and the squared deviations' the transpose, so the mean is
+    Hermitian off the diagonal and the standard errors symmetric, to the
+    bit.  ``n_workers`` threads (at least 1) compute the chunks, and they
+    are the call's only parallelism: numpy's OpenBLAS thread count is held
     at 1 during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
     no OpenBLAS).  Its own pool would compete with the workers for the
     cores, and its threads keep spinning after a small threaded call.
 
-    Allocated per call: min(n_workers, chunks) workspaces (``_Workspace``),
+    Allocated per call: W, and min(n_workers, chunks) workspaces (``_Workspace``),
     made before the chunks start and handed from chunk to chunk through a
     queue.  Each holds a chunk's chi paths and the angles, phases, factors
     B, conj(B) and states of the largest slab of the run, so the chunks and
@@ -256,7 +262,7 @@ def run_ensemble(
     rho = state_matrix(rho0, decomposition.dim)
 
     state_factor = _state_factor(to_energy_basis(rho, decomposition))
-    vectors = decomposition.eigenvectors
+    weights = _factor_map(decomposition.eigenvectors, state_factor)
     idx = decomposition.level_index
     num_points, dim = field.grid.size, decomposition.dim
 
@@ -282,7 +288,7 @@ def run_ensemble(
             for lo in range(0, num_points, slab):
                 hi = min(lo + slab, num_points)
                 phases = _slab_phases(chi[:, lo:hi], idx, work)
-                states = _sample_states(vectors, state_factor, phases, work)
+                states = _sample_states(weights, phases, work)
                 states -= np.mean(states, axis=0, out=mean[lo:hi])
                 flat = states.view(float)
                 np.square(flat, out=flat)
@@ -308,6 +314,15 @@ def run_ensemble(
             m2 += square
             delta *= n_b / n
             mean += delta
+    # The lower triangle from the upper one, a row at a time: conj(mean),
+    # with the imaginary part as 0 - im so that a zero stays +0 as in the
+    # Hermitian part the other routes take, and the transpose of m2 (whose
+    # re and im parts are interleaved).
+    for k in range(dim - 1):
+        upper, lower = mean[:, k, k + 1 :], mean[:, k + 1 :, k]
+        lower.real = upper.real
+        np.subtract(0.0, upper.imag, out=lower.imag)
+        m2[:, k + 1 :, 2 * k : 2 * k + 2] = m2[:, k, 2 * k + 2 :].reshape(num_points, -1, 2)
     denom = max(n - 1, 1)
     stderr_re = np.sqrt(m2[..., 0::2] / denom / n)
     stderr_im = np.sqrt(m2[..., 1::2] / denom / n)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, KernelAsymmetric, KernelNotPSD
 from .operators import _rank_factor
-from .results import time_grid, time_point
+from .results import _sorted_unique, time_grid, time_point
 
 __all__ = [
     "DriftPreset",
@@ -519,7 +519,7 @@ class _BrownianField:
         self.grid.setflags(write=False)
         self.factor = psd_sqrt(correlation_matrix(model, self.levels))
         inside = [b for b in model.sigma_time.pieces[0] if 0.0 < b < self.grid[-1]]
-        fine = np.union1d(self.grid, inside)
+        fine = _sorted_unique(np.concatenate([self.grid, inside]))
         dt = np.diff(fine)
         time_part = np.asarray(model.sigma_time(fine[:-1]), dtype=float)
         level_part = np.asarray(model.sigma_theta(self.levels), dtype=float)

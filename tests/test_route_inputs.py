@@ -7,13 +7,17 @@ import pytest
 from noisytime import (
     DensityMatrix,
     DimensionMismatch,
+    DissipativeTraceLoss,
     GridMismatch,
+    HermitianOperator,
     NotPositive,
     averaged_state,
     averaged_trajectory,
     build_generator,
+    correlated_model,
     dephasing_model,
     direct_damping_model,
+    eigendecompose,
     integrate,
     lambda_pair,
     moment_report,
@@ -114,3 +118,55 @@ def test_unchecked_state_passes_as_is(qubit, route):
     _, dec, _ = qubit
     result = route(dec, DensityMatrix.unchecked(np.diag([0.4, 0.3])), [0.0, 1.0])
     assert np.allclose(np.trace(result.states, axis1=1, axis2=2), 0.7)
+
+
+def _random_system(rng, dim, full_rank, degenerate):
+    """A non-diagonal Hamiltonian (levels in equal pairs if ``degenerate``)
+    and a pure or full-rank state."""
+    levels = 0.5 * (np.arange(dim) // 2) if degenerate else np.sort(rng.normal(size=dim))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    dec = eigendecompose(HermitianOperator(q @ np.diag(levels) @ q.conj().T))
+    w = rng.normal(size=(dim, dim if full_rank else 1))
+    w = w + 1j * rng.normal(size=w.shape)
+    rho = w @ w.conj().T
+    return dec, DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+
+
+def _assert_hermitian_to_the_bit(states, real_diagonal=True):
+    """Every entry below the diagonal equals the conjugate of its mirror, as floats."""
+    k, l = np.triu_indices(states.shape[-1], 1)
+    assert np.array_equal(states[:, l, k], np.conj(states[:, k, l]))
+    if real_diagonal:
+        assert not np.any(np.diagonal(states, axis1=1, axis2=2).imag)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("full_rank", [False, True], ids=["pure", "full-rank"])
+@pytest.mark.parametrize("degenerate", [False, True], ids=["distinct", "degenerate"])
+def test_states_are_hermitian_to_the_bit(dim, full_rank, degenerate):
+    rng = np.random.default_rng(10 * dim + 2 * full_rank + degenerate)
+    dec, rho0 = _random_system(rng, dim, full_rank, degenerate)
+    grid = np.linspace(0.0, 2.0, 7)
+    model = correlated_model(0.6, 0.8)
+    _assert_hermitian_to_the_bit(averaged_trajectory(dec, model, rho0, grid).states)
+    ode = integrate(build_generator(dec, model), rho0, grid, decomposition=dec)
+    _assert_hermitian_to_the_bit(ode.states)
+    # the sample mean's diagonal keeps the samples' rounding
+    ensemble = run_ensemble(dec, model, rho0, grid, n_traj=64, seed=3)
+    _assert_hermitian_to_the_bit(ensemble.mean, real_diagonal=False)
+    # so are the standard errors symmetric
+    for stderr in (ensemble.stderr_re, ensemble.stderr_im):
+        assert np.array_equal(stderr, np.swapaxes(stderr, 1, 2))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_dissipative_states_are_hermitian_to_the_bit(dim):
+    rng = np.random.default_rng(dim)
+    dec, rho0 = _random_system(rng, dim, full_rank=True, degenerate=False)
+    table = rng.uniform(0.1, 1.0, size=(dim, dim))
+    model = direct_damping_model(dec.levels, table + table.T)
+    grid = np.linspace(0.0, 1.5, 6)
+    with pytest.warns(DissipativeTraceLoss):
+        _assert_hermitian_to_the_bit(averaged_trajectory(dec, model, rho0, grid).states)
+    ode = integrate(build_generator(dec, model), rho0, grid, decomposition=dec)
+    _assert_hermitian_to_the_bit(ode.states)
