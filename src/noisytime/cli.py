@@ -17,8 +17,10 @@ written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
 half-written table behind; a write that fails removes its temporary file.
 Trajectory tables are formatted and written in blocks of rows, each built
 from a slice of the states, so the text of a whole table is never held in
-memory.  A row formats its diagonal and upper triangle, and an entry below
-the diagonal that equals its mirror's conjugate reuses the mirror's text; the
+memory; the blocks are the time slabs of every pass over a trajectory
+(``operators._time_slabs``), about ``operators.SLAB_ELEMENT_BUDGET`` values
+each.  A row formats its diagonal and upper triangle, and an entry below the
+diagonal that equals its mirror's conjugate reuses the mirror's text; the
 bytes are those of formatting every value of the whole table at once.
 """
 
@@ -40,7 +42,7 @@ from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import NoiseModel, moment_report
-from .operators import _single_threaded_blas
+from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import EvolutionResult, _sorted_unique
 from .verify import run_suite, check_names
@@ -55,10 +57,6 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = ".17g"
-# Values formatted per block of CSV rows (at least one row per block): about
-# 180 kB of text, so a table's text and float copy stay small next to its
-# states at any grid size and dimension.
-CSV_BLOCK_VALUES = 1 << 13
 
 # sigma_theta = linear(c) matches a family of strength gamma when c^2 equals
 # gamma to this relative tolerance; sqrt(gamma) written out in decimal
@@ -154,22 +152,21 @@ def _csv_chunks(
 ) -> Iterator[str]:
     """The header line, then the lines of each block of rows, every value in FLOAT_FORMAT.
 
-    ``rows(lo, hi)`` returns the float table of rows [lo, hi); blocks hold
-    about ``CSV_BLOCK_VALUES`` values.  ``mirrors`` is ``_mirror_columns``:
-    a lower-triangle entry whose two values equal, sign of zero included,
-    those of its mirror (the imaginary one negated where the rule says so)
-    reuses the mirror's texts, negated alike; every other value is
-    formatted.  Formatting is the cost of writing, and a Hermitian table
+    ``rows(lo, hi)`` returns the float table of rows [lo, hi); the blocks
+    are ``operators._time_slabs`` at one entry per column.  ``mirrors`` is
+    ``_mirror_columns``: a lower-triangle entry whose two values equal,
+    sign of zero included, those of its mirror (the imaginary one negated
+    where the rule says so) reuses the mirror's texts, negated alike; every
+    other value is formatted.  Formatting is the cost of writing, and a Hermitian table
     formats only its diagonal and upper triangle; the bytes are those of
     formatting every value.  Consecutive rows that mirror alike share one
     ``_row_plan``.
     """
     lower, upper, flip = mirrors
     yield ",".join(columns) + "\n"
-    step = max(1, CSV_BLOCK_VALUES // len(columns))
     key = None
-    for lo in range(0, num_rows, step):
-        table = rows(lo, min(lo + step, num_rows))
+    for block in _time_slabs(num_rows, len(columns)):
+        table = rows(block.start, block.stop)
         own, mirror = table[:, lower], table[:, upper]
         np.negative(mirror, out=mirror, where=flip)
         same = (own == mirror) & (np.signbit(own) == np.signbit(mirror))

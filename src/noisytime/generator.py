@@ -147,7 +147,11 @@ def integrate(
     per substep, the halved result kept.  The step-doubling estimate
     max |P(h r) - P(h r / 2)^2| |y| of every substep is checked in closed
     form.  A grid that would need more than ``MAX_SUBSTEPS`` substeps in
-    total raises StepTooLarge before the first step.
+    total raises StepTooLarge before the first step.  The factors, their
+    cumulative products, the states and the estimates are formed one slab of
+    intervals at a time (``operators._time_slabs``), written into the
+    returned array, so no other (T, d, d) array is built; the first slab
+    whose estimate fails raises StepTooLarge.
 
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
@@ -176,24 +180,35 @@ def integrate(
     h = (spans / n_subs)[:, None, None]
     n = n_subs.astype(np.int64)[:, None, None]
     y = to_energy_basis(rho, decomposition) if decomposition is not None else rho
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = _amplification(h * rates)
-        half = _amplification(0.5 * h * rates) ** 2
-        states = np.concatenate([y[None], np.cumprod(half**n, axis=0) * y])
-        # Entry by entry |half|^j is monotone in j, so the largest of an
-        # interval's n estimates is at its first or last substep.
-        growth = np.maximum(1.0, np.abs(half) ** (n - 1))
-        estimates = np.max(np.abs(full - half) * np.abs(states[:-1]) * growth, axis=(1, 2))
-    failed = np.flatnonzero(~(estimates <= LOCAL_ERROR_LIMIT))  # NaN fails too
-    if failed.size:
-        k = failed[0]
-        raise StepTooLarge(
-            f"local error estimate {estimates[k]:.3e} exceeds {LOCAL_ERROR_LIMIT:g} "
-            f"at step size {h[k, 0, 0]:.3e}"
-        )
+    states = np.empty((grid_arr.size,) + y.shape, dtype=complex)
+    states[0] = y
+    # One slab of intervals at a time, each writing the states at its ends.
+    # The cumulative product runs on from the previous slab's last row,
+    # prepended to this slab's powers.
+    for slab in _time_slabs(spans.size, y.size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _amplification(h[slab] * rates)
+            half = _amplification(0.5 * h[slab] * rates) ** 2
+            powers = half ** n[slab]
+            if slab.start:
+                powers = np.concatenate([cumulative[-1:], powers])
+            cumulative = np.cumprod(powers, axis=0)[-len(half) :]
+            states[slab.start + 1 : slab.stop + 1] = cumulative * y
+            # states[slab] are the intervals' starts.  Entry by entry |half|^j
+            # is monotone in j, so the largest of an interval's n estimates
+            # is at its first or last substep.
+            growth = np.maximum(1.0, np.abs(half) ** (n[slab] - 1))
+            estimates = np.max(np.abs(full - half) * np.abs(states[slab]) * growth, axis=(1, 2))
+        failed = np.flatnonzero(~(estimates <= LOCAL_ERROR_LIMIT))  # NaN fails too
+        if failed.size:
+            k = failed[0]
+            raise StepTooLarge(
+                f"local error estimate {estimates[k]:.3e} exceeds {LOCAL_ERROR_LIMIT:g} "
+                f"at step size {h[slab][k, 0, 0]:.3e}"
+            )
     # Rotated and replaced by its Hermitian part one time slab at a time, in
     # place, so no second (T, d, d) array is made.
-    for slab in _time_slabs(*states.shape[:2]):
+    for slab in _time_slabs(grid_arr.size, y.size):
         if decomposition is not None:
             states[slab] = from_energy_basis(states[slab], decomposition)
         _hermitian_part(states[slab])

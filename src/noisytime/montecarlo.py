@@ -20,12 +20,12 @@ it, so a run allocates per chunk only the chunk's statistics.  Chunk
 statistics are folded in place into the first chunk's, in chunk order as
 the results arrive, and each chunk's statistics are released once folded
 in.  The folded mean and squared deviations then take their lower triangle
-from the upper one, so the mean is Hermitian off the diagonal and the
-standard errors are symmetric, to the bit.  Chunk and slab boundaries
-depend only on array shapes, and every chunk is a whole number of RNG
-blocks (``noise.RNG_BLOCK`` trajectories that share one Philox stream keyed
-by (seed, block)), so the result is byte-identical whether chunks are
-processed by one worker or many.
+from the upper one and a diagonal with imaginary part +0, so the mean is
+Hermitian and the standard errors are symmetric, to the bit.  Chunk and
+slab boundaries depend only on array shapes, and every chunk is a whole
+number of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one
+Philox stream keyed by (seed, block)), so the result is byte-identical
+whether chunks are processed by one worker or many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
 """
@@ -47,6 +47,7 @@ from .operators import (
     SpectralDecomposition,
     _rank_factor,
     _single_threaded_blas,
+    _time_slabs,
     state_matrix,
     to_energy_basis,
 )
@@ -83,10 +84,6 @@ def _chunk_size(num_points: int, dim: int) -> int:
     return max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
 
 
-def _slab_size(count: int, dim: int) -> int:
-    return max(1, SLAB_ELEMENT_BUDGET // (count * dim * dim))
-
-
 def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     """Factor G, shape (d, r), with G G^dagger = rho_e.
 
@@ -113,7 +110,7 @@ class _Workspace:
     partial slab or chunk reuses the same memory.
     """
 
-    def __init__(self, samples: int, dim: int, rank: int, chi_shape=(0, 0, 0)):
+    def __init__(self, samples: int, dim: int, rank: int, chi_shape: tuple):
         self.chi = np.empty(chi_shape)
         self.angles = np.empty(samples * dim)
         self.phases = np.empty(samples * dim, dtype=complex)
@@ -127,18 +124,13 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _slab_phases(
-    chi: np.ndarray, level_index: np.ndarray, work: Optional[_Workspace] = None
-) -> np.ndarray:
+def _slab_phases(chi: np.ndarray, level_index: np.ndarray, work: _Workspace) -> np.ndarray:
     """exp(-i chi) per basis vector for level phases chi of shape (..., m).
 
     The angles are gathered by ``level_index`` and written as cos and -sin
-    into one complex array of shape (..., d), both in ``work`` (a workspace
-    is allocated for the call when none is given).
+    into one complex array of shape (..., d), both in ``work``.
     """
     shape = chi.shape[:-1] + level_index.shape
-    if work is None:
-        work = _Workspace(math.prod(shape[:-1]), shape[-1], 0)
     angles = _leading(work.angles, shape)
     np.take(chi, level_index, axis=-1, out=angles, mode="clip")
     phases = _leading(work.phases, shape)
@@ -148,9 +140,7 @@ def _slab_phases(
     return phases
 
 
-def _sample_states(
-    weights: np.ndarray, phases: np.ndarray, work: Optional[_Workspace] = None
-) -> np.ndarray:
+def _sample_states(weights: np.ndarray, phases: np.ndarray, work: _Workspace) -> np.ndarray:
     """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
 
     This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
@@ -158,15 +148,12 @@ def _sample_states(
     is W = ``_factor_map(V, G)``, so the factors of all N samples are the
     rows of one (N, d) x (d, d r) product, sample n's B_n being row n read
     as a (d, r) matrix; the Gram product B B^dagger is taken one sample at a
-    time.  Every array is a view into ``work`` (a workspace is allocated for
-    the call when none is given), so the result is overwritten by the next
-    call on it.
+    time.  Every array is a view into ``work``, so the result is
+    overwritten by the next call on it.
     """
     dim = phases.shape[-1]
     rank = weights.shape[1] // dim
     samples = math.prod(phases.shape[:-1])
-    if work is None:
-        work = _Workspace(samples, dim, rank)
     b = _leading(work.factors, (samples, dim, rank))
     np.matmul(phases.reshape(samples, dim), weights, out=b.reshape(samples, -1))
     b_conj = _leading(work.conj_factors, (samples, dim, rank))
@@ -220,18 +207,19 @@ def run_ensemble(
     (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
-    only its chi paths and runs in time slabs of about
-    ``SLAB_ELEMENT_BUDGET`` state entries; each slab forms the phases and
-    sample states of its own time points and takes its mean and sum of
+    only its chi paths and runs in the time slabs of every pass over a
+    trajectory (``operators._time_slabs`` at count d^2 entries per point,
+    the slabs the workspaces are sized from); each slab forms the phases
+    and sample states of its own time points and takes its mean and sum of
     squared deviations in place.  Chunks are folded into one accumulator in
     chunk order, in place: the pairwise mean and variance update, with the
     folded chunk's own arrays holding the mean difference and its squares.
     The folded mean's lower triangle is then the conjugate of its upper
-    one, and the squared deviations' the transpose, so the mean is
-    Hermitian off the diagonal and the standard errors symmetric, to the
-    bit.  ``n_workers`` threads (at least 1) compute the chunks, and they
-    are the call's only parallelism: numpy's OpenBLAS thread count is held
-    at 1 during the call and restored afterwards
+    one, and the squared deviations' the transpose, and both diagonals'
+    imaginary parts are +0, so the mean is Hermitian and the standard
+    errors symmetric, to the bit.  ``n_workers`` threads (at least 1)
+    compute the chunks, and they are the call's only parallelism: numpy's
+    OpenBLAS thread count is held at 1 during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
     no OpenBLAS).  Its own pool would compete with the workers for the
     cores, and its threads keep spinning after a small threaded call.
@@ -270,8 +258,8 @@ def run_ensemble(
     starts = range(0, n_traj, chunk)
     counts = [min(chunk, n_traj - s) for s in starts]
     # One workspace per worker, handed from chunk to chunk through a queue;
-    # sized for the largest slab of a whole or of the last chunk.
-    samples = max(c * min(_slab_size(c, dim), num_points) for c in {counts[0], counts[-1]})
+    # sized for the first slab, the largest, of a whole or of the last chunk.
+    samples = max(c * _time_slabs(num_points, c * dim * dim)[0].stop for c in set(counts))
     chi_shape = (counts[0], num_points, field.levels.size)
     free = queue.SimpleQueue()
     for _ in range(min(n_workers, len(counts))):
@@ -284,15 +272,13 @@ def run_ensemble(
             mean = np.empty((num_points, dim, dim), dtype=complex)
             # Squared deviations with real and imaginary parts interleaved.
             m2 = np.empty((num_points, dim, 2 * dim))
-            slab = _slab_size(count, dim)
-            for lo in range(0, num_points, slab):
-                hi = min(lo + slab, num_points)
-                phases = _slab_phases(chi[:, lo:hi], idx, work)
+            for slab in _time_slabs(num_points, count * dim * dim):
+                phases = _slab_phases(chi[:, slab], idx, work)
                 states = _sample_states(weights, phases, work)
-                states -= np.mean(states, axis=0, out=mean[lo:hi])
+                states -= np.mean(states, axis=0, out=mean[slab])
                 flat = states.view(float)
                 np.square(flat, out=flat)
-                np.sum(flat, axis=0, out=m2[lo:hi])
+                np.sum(flat, axis=0, out=m2[slab])
         finally:
             free.put(work)
         return count, mean, m2
@@ -317,8 +303,11 @@ def run_ensemble(
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the
     # Hermitian part the other routes take, and the transpose of m2 (whose
-    # re and im parts are interleaved).
-    for k in range(dim - 1):
+    # re and im parts are interleaved).  Every sample's diagonal is real, so
+    # the imaginary parts of both diagonals are +0 (the Gram product can
+    # round them to a few 1e-18).
+    for k in range(dim):
+        mean[:, k, k].imag = m2[:, k, 2 * k + 1] = 0.0
         upper, lower = mean[:, k, k + 1 :], mean[:, k + 1 :, k]
         lower.real = upper.real
         np.subtract(0.0, upper.imag, out=lower.imag)

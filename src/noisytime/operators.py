@@ -34,9 +34,10 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 DENSITY_TOL = 1e-10
-# Complex state entries a route forms at once in a slab of a (T, d, d)
-# stack (a Monte Carlo slab counts every sample): 2**16 entries is 1 MiB,
-# so a slab's temporaries stay in cache and a trajectory's stay states-sized.
+# Entries a pass over a (T, d, d) stack forms at once, one slab of time
+# points at a time (``_time_slabs``; a Monte Carlo slab counts every
+# sample, a CSV block every value): 2**16 complex entries is 1 MiB, so a
+# slab's temporaries stay in cache and a trajectory's stay states-sized.
 SLAB_ELEMENT_BUDGET = 1 << 16
 
 
@@ -365,9 +366,14 @@ def from_energy_basis(rho_energy: np.ndarray, decomposition: SpectralDecompositi
     return v @ arr @ v.conj().T
 
 
-def _time_slabs(num_points: int, dim: int) -> list[slice]:
-    """Slices of a (T, d, d) stack of about ``SLAB_ELEMENT_BUDGET`` entries, one point at least."""
-    step = max(1, SLAB_ELEMENT_BUDGET // (dim * dim))
+def _time_slabs(num_points: int, per_point: int) -> list[slice]:
+    """Slices of ``num_points`` points, about ``SLAB_ELEMENT_BUDGET`` entries each, one point at least.
+
+    ``per_point`` counts the entries a pass forms per point: d^2 for a
+    state, count d^2 for a chunk of count Monte Carlo samples, the number of
+    columns for a CSV row.
+    """
+    step = max(1, SLAB_ELEMENT_BUDGET // per_point)
     return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]
 
 

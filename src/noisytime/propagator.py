@@ -70,7 +70,7 @@ def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) ->
     times = t.reshape(-1)
     dim = decomposition.dim
     states = np.empty(times.shape + (dim, dim), dtype=complex)
-    for slab in _time_slabs(times.size, dim):
+    for slab in _time_slabs(times.size, dim * dim):
         factors = _element_factors(decomposition, kernel, drift, times[slab])
         states[slab] = from_energy_basis(factors * rho_e, decomposition)
         _hermitian_part(states[slab])

@@ -88,7 +88,7 @@ class EvolutionResult:
         """
         keys = ("purity", "coherence_l1", "energy", "trace")
         table = {key: np.empty(self.num_points) for key in keys}
-        for slab in _time_slabs(self.num_points, self.dim):
+        for slab in _time_slabs(self.num_points, self.dim * self.dim):
             states = self.states[slab]
             table["purity"][slab] = purity(states)
             table["coherence_l1"][slab] = coherence_l1(states, decomposition)

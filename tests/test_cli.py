@@ -21,7 +21,9 @@ from noisytime import (
     integrate,
     load_config,
 )
-from noisytime.cli import CSV_BLOCK_VALUES, _atomic_write, _stderr_csv, _trajectory_csv, main
+from noisytime import operators
+from noisytime.cli import _atomic_write, _stderr_csv, _trajectory_csv, main
+from noisytime.operators import _time_slabs
 
 
 def read_csv(path):
@@ -85,6 +87,14 @@ def _mirrored_awkward(rng, num_rows, dim, negate):
     return re, im
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of about 2**13 values: 356 rows of 23 columns, 910 of 9."""
+    monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", 1 << 13)
+    assert [s.stop - s.start for s in _time_slabs(1000, 23)] == [356, 356, 288]
+    assert [s.stop - s.start for s in _time_slabs(2000, 9)] == [910, 910, 180]
+
+
 class TestCsvWriters:
     """The table writers against a per-element format(x, ".17g") loop."""
 
@@ -107,11 +117,10 @@ class TestCsvWriters:
         assert "-0," in expected
         assert "".join(_stderr_csv(grid, stderr_re, stderr_im)).encode() == expected.encode()
 
-    def test_trajectory_across_row_blocks(self):
+    def test_trajectory_across_row_blocks(self, small_blocks):
         # 1000 rows of 23 columns: two whole blocks of 356 rows and a partial one
         rng = np.random.default_rng(5)
         num_rows, dim = 1000, 3
-        assert CSV_BLOCK_VALUES // 23 == 356
         grid = np.linspace(0.0, 7.0, num_rows)
         states = _awkward_values(rng, (num_rows, dim, dim)) + 1j * _awkward_values(
             rng, (num_rows, dim, dim)
@@ -122,11 +131,10 @@ class TestCsvWriters:
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "".join(chunks).encode() == expected.encode()
 
-    def test_stderr_across_row_blocks(self):
+    def test_stderr_across_row_blocks(self, small_blocks):
         # 2000 rows of 9 columns: two whole blocks of 910 rows and a partial one
         rng = np.random.default_rng(6)
         num_rows = 2000
-        assert CSV_BLOCK_VALUES // 9 == 910
         grid = np.linspace(0.0, 3.0, num_rows)
         stderr_re = _awkward_values(rng, (num_rows, 2, 2))
         stderr_im = _awkward_values(rng, (num_rows, 2, 2))
@@ -136,7 +144,7 @@ class TestCsvWriters:
         assert "".join(chunks).encode() == expected.encode()
 
     @pytest.mark.parametrize("num_rows", [6, 1000])
-    def test_hermitian_trajectory(self, num_rows):
+    def test_hermitian_trajectory(self, num_rows, small_blocks):
         # 1000 rows of 23 columns: three blocks, the last partial
         rng = np.random.default_rng(8)
         re, im = _mirrored_awkward(rng, num_rows, 3, negate=True)
@@ -153,7 +161,7 @@ class TestCsvWriters:
         assert "".join(chunks).encode() == expected.encode()
 
     @pytest.mark.parametrize("num_rows", [6, 2000])
-    def test_symmetric_stderr(self, num_rows):
+    def test_symmetric_stderr(self, num_rows, small_blocks):
         # 2000 rows of 9 columns: three blocks, the last partial
         rng = np.random.default_rng(9)
         stderr_re, stderr_im = _mirrored_awkward(rng, num_rows, 2, negate=False)
@@ -180,9 +188,10 @@ class TestCsvWriters:
         stderr = "".join(_stderr_csv(grid, re, np.swapaxes(re, 1, 2)))
         assert stderr == _reference_csv(grid, re, np.swapaxes(re, 1, 2))
 
-    def test_writing_memory_follows_the_blocks(self, tmp_path):
-        # The traced peak of writing a T = 2001, d = 8 table stays below a
-        # quarter of the file: no whole-table float copy or text is built.
+    def test_writing_memory_follows_the_blocks(self, tmp_path, small_blocks):
+        # The traced peak of writing a T = 2001, d = 8 table in blocks of 61
+        # rows stays below a quarter of the file: no whole-table float copy
+        # or text is built.
         rng = np.random.default_rng(7)
         num_rows, dim = 2001, 8
         grid = np.linspace(0.0, 10.0, num_rows)

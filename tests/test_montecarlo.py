@@ -29,14 +29,15 @@ from noisytime import montecarlo, operators
 from noisytime.montecarlo import (
     MAX_CHUNK,
     SLAB_ELEMENT_BUDGET,
+    _Workspace,
     _chunk_size,
     _factor_map,
     _sample_states,
     _slab_phases,
-    _slab_size,
     _state_factor,
 )
 from noisytime.noise import RNG_BLOCK
+from noisytime.operators import _time_slabs
 
 
 def _random_case(rng, dim, rank, degenerate):
@@ -113,9 +114,10 @@ class TestStateFactor:
             assert factor.shape == (dim, rank)
             assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
-            phases = _slab_phases(chi, dec.level_index)
+            work = _Workspace(5, dim, rank, chi.shape)
+            phases = _slab_phases(chi, dec.level_index, work)
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
-            states = _sample_states(_factor_map(dec.eigenvectors, factor), phases)
+            states = _sample_states(_factor_map(dec.eigenvectors, factor), phases, work)
             for c, state, levels_chi in zip(phases, states, chi):
                 assert np.max(np.abs(state - _dense_sample(dec, rho_e, c))) < 1e-13
                 u = unitary_from_phases(dec, levels_chi)
@@ -194,13 +196,14 @@ class TestWorkspace:
         model = correlated_model(0.6, 0.7)
         chunk = _chunk_size(num_points, dim)
         assert chunk < n_traj < 2 * chunk and n_traj % RNG_BLOCK
-        slab = _slab_size(chunk, dim)
+        slabs = [s.stop - s.start for s in _time_slabs(num_points, chunk * dim * dim)]
         if dim == 2:
-            assert 1 < slab < num_points and num_points % slab
+            assert 1 < slabs[-1] < slabs[0] < num_points
         if dim == 8:
-            assert slab == 1 and _slab_size(n_traj - chunk, dim) >= num_points
+            assert set(slabs) == {1}
+            assert len(_time_slabs(num_points, (n_traj - chunk) * dim * dim)) == 1
         if dim >= 32:
-            assert slab == 1
+            assert set(slabs) == {1}
         runs = [
             run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=w)
             for w in (1, 3)
@@ -229,7 +232,7 @@ class TestWorkspace:
         monkeypatch.setattr(montecarlo, "_Workspace", Spy)
         dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
         grid = np.linspace(0, 1, 101)
-        assert _slab_size(_chunk_size(grid.size, 2), 2) < grid.size
+        assert len(_time_slabs(grid.size, _chunk_size(grid.size, 2) * 2 * 2)) == 7
         model = dephasing_model(0.5)
         run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=4, n_workers=n_workers)
         assert len(built) == expected
@@ -345,7 +348,7 @@ class TestRunEnsemble:
         # time slabs per chunk
         chunk = _chunk_size(grid.size, 8)
         assert chunk < n_traj and n_traj % chunk and n_traj % RNG_BLOCK
-        assert _slab_size(chunk, 8) < grid.size
+        assert len(_time_slabs(grid.size, chunk * 8 * 8)) > 1
         model = correlated_model(0.5, 1.0)
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=1)
         threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=3)
@@ -406,6 +409,18 @@ class TestRunEnsemble:
                 chunk = _chunk_size(num_points, dim)
                 assert chunk % RNG_BLOCK == 0 and RNG_BLOCK <= chunk <= MAX_CHUNK
                 assert chunk * dim * dim <= SLAB_ELEMENT_BUDGET
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_diagonal_is_real(self, dim):
+        # a non-diagonal Hamiltonian and a full-rank state: the Gram product
+        # B B^dagger rounds a sample's diagonal to a few 1e-18 imaginary
+        dec, rho0 = _random_case(np.random.default_rng(dim), dim, dim, degenerate=False)
+        grid = np.linspace(0, 1.5, 7)
+        out = run_ensemble(dec, correlated_model(0.6, 0.7), rho0, grid, n_traj=300, seed=dim)
+        diagonal = np.arange(dim)
+        for part in (out.mean.imag, out.stderr_im):
+            values = part[:, diagonal, diagonal]
+            assert not np.any(values) and not np.any(np.signbit(values))
 
     def test_initial_point_exact(self, qubit):
         _, dec, rho0 = qubit
@@ -468,7 +483,10 @@ def _merge_stats(a, b):
 
 def _mirror_lower(mean, m2_re, m2_im):
     """Lower triangles from the upper ones, in place: conj(mean) with the
-    imaginary part as 0 - im, and the transposed squared deviations."""
+    imaginary part as 0 - im, and the transposed squared deviations; the
+    imaginary parts of the diagonals +0."""
+    diagonal = np.arange(mean.shape[-1])
+    mean.imag[:, diagonal, diagonal] = m2_im[:, diagonal, diagonal] = 0.0
     k, l = np.triu_indices(mean.shape[-1], 1)
     mean.real[:, l, k] = mean.real[:, k, l]
     mean.imag[:, l, k] = 0.0 - mean.imag[:, k, l]

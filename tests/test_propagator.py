@@ -15,21 +15,25 @@ from noisytime import (
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
+    StepTooLarge,
     WeightsNotNormalized,
     averaged_state,
     averaged_trajectory,
+    build_generator,
     coherence_l1,
     correlated_model,
     dephasing_model,
     direct_damping_model,
     eigendecompose,
     energy_expectation,
+    integrate,
     lambda_pair,
     purity,
     semigroup_defect,
     time_averaged_state,
     to_energy_basis,
 )
+from noisytime import operators
 from noisytime.noise import LambdaKernel
 from noisytime.operators import _hermitian_part, _time_slabs, from_energy_basis
 from noisytime.propagator import _element_factors
@@ -196,8 +200,9 @@ class TestGridErrors:
 
 
 class TestTimeSlabs:
-    """The analytic route and the metrics table, evaluated one time slab at a
-    time, against one broadcast over the whole grid."""
+    """The analytic route, the master-equation route and the metrics table,
+    evaluated one time slab at a time, against one broadcast over the whole
+    grid."""
 
     @staticmethod
     def _case():
@@ -209,7 +214,7 @@ class TestTimeSlabs:
         rho = w @ w.conj().T
         state = DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
         grid = np.linspace(0.0, 3.0, 150)
-        assert len(_time_slabs(grid.size, 32)) == 3
+        assert len(_time_slabs(grid.size, 32 * 32)) == 3
         return hamiltonian, eigendecompose(hamiltonian), state, grid
 
     def test_analytic_route(self):
@@ -235,3 +240,42 @@ class TestTimeSlabs:
         assert list(table) == list(whole)
         for key, values in whole.items():
             assert table[key].tobytes() == values.tobytes()
+
+    @staticmethod
+    def _route2_case(spans):
+        # d = 4: a slab budget of 80 entries cuts 11 intervals into 5, 5 and 1
+        rng = np.random.default_rng(4)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dec = eigendecompose(HermitianOperator(0.5 * (raw + raw.conj().T)))
+        w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = w @ w.conj().T
+        state = DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+        generator = build_generator(dec, correlated_model(0.5, 1.0))
+        grid = np.concatenate([[0.0], np.cumsum(spans(rng))])
+        assert len(_time_slabs(grid.size - 1, 16)) == 1
+        return dec, generator, state, grid
+
+    def test_master_equation_route(self, monkeypatch):
+        # an irregular grid; numpy's complex loops may round the factors of
+        # an interval differently in another slab, by about 1e-16
+        dec, generator, state, grid = self._route2_case(lambda rng: rng.uniform(0.05, 0.6, 11))
+        whole = integrate(generator, state, grid, decomposition=dec).states
+        monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", 80)
+        assert [s.stop - s.start for s in _time_slabs(grid.size - 1, 16)] == [5, 5, 1]
+        sliced = integrate(generator, state, grid, decomposition=dec).states
+        assert np.max(np.abs(sliced - whole)) <= 1e-15
+
+    def test_step_too_large_in_a_later_slab(self, monkeypatch):
+        # one RK4 step per interval: ten short intervals pass and the
+        # eleventh, alone in the third slab, fails
+        dec, generator, state, grid = self._route2_case(
+            lambda rng: np.append(rng.uniform(0.001, 0.002, 10), 2.0)
+        )
+        with pytest.raises(StepTooLarge) as whole:
+            integrate(generator, state, grid, decomposition=dec, max_step=math.inf)
+        monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", 80)
+        with pytest.raises(StepTooLarge) as sliced:
+            integrate(generator, state, grid, decomposition=dec, max_step=math.inf)
+        step = str(whole.value).split("at step size ")[1]
+        assert step == f"{grid[-1] - grid[-2]:.3e}"
+        assert str(sliced.value).split("at step size ")[1] == step
