@@ -184,7 +184,8 @@ def integrate(
     states[0] = y
     # One slab of intervals at a time, each writing the states at its ends.
     # The cumulative product runs on from the previous slab's last row,
-    # prepended to this slab's powers.
+    # prepended to this slab's powers.  The first slab prepends nothing:
+    # (1 + 0j) x is not x to the bit, it can flip the sign of a zero part.
     for slab in _time_slabs(spans.size, y.size):
         with np.errstate(over="ignore", invalid="ignore"):
             full = _amplification(h[slab] * rates)

@@ -188,14 +188,18 @@ class TestCsvWriters:
         stderr = "".join(_stderr_csv(grid, re, np.swapaxes(re, 1, 2)))
         assert stderr == _reference_csv(grid, re, np.swapaxes(re, 1, 2))
 
-    def test_writing_memory_follows_the_blocks(self, tmp_path, small_blocks):
-        # The traced peak of writing a T = 2001, d = 8 table in blocks of 61
-        # rows stays below a quarter of the file: no whole-table float copy
-        # or text is built.
+    def test_writing_memory_follows_the_blocks(self, tmp_path):
+        # The traced peak of writing a T = 10001, d = 8 Hermitian table
+        # (25 MB) in the writer's own blocks of 492 rows stays below a
+        # quarter of the file: no whole-table float copy or text is built.
+        # A block is a twentieth of the table, so the few copies of one
+        # block's text that writing holds fit under the bound.
         rng = np.random.default_rng(7)
-        num_rows, dim = 2001, 8
+        num_rows, dim = 10001, 8
+        assert len(_time_slabs(num_rows, 1 + 2 * dim * dim + len(METRIC_KEYS))) == 21
         grid = np.linspace(0.0, 10.0, num_rows)
-        states = rng.normal(size=(num_rows, dim, dim)) + 1j * rng.normal(size=(num_rows, dim, dim))
+        noise = rng.normal(size=(num_rows, dim, dim)) + 1j * rng.normal(size=(num_rows, dim, dim))
+        states = noise + np.conj(np.swapaxes(noise, 1, 2))
         metrics = {key: rng.normal(size=num_rows) for key in METRIC_KEYS}
         result = EvolutionResult(grid, states)
         target = tmp_path / "analytic.csv"
@@ -206,7 +210,7 @@ class TestCsvWriters:
         finally:
             tracemalloc.stop()
         size = target.stat().st_size
-        assert size > 5_000_000
+        assert size > 25_000_000
         assert peak < size / 4
 
 
