@@ -19,9 +19,11 @@ Trajectory tables are formatted and written in blocks of rows, each built
 from a slice of the states, so the text of a whole table is never held in
 memory; the blocks are the time slabs of every pass over a trajectory
 (``operators._time_slabs``), about ``operators.SLAB_ELEMENT_BUDGET`` values
-each.  A row formats its diagonal and upper triangle, and an entry below the
-diagonal that equals its mirror's conjugate reuses the mirror's text; the
-bytes are those of formatting every value of the whole table at once.
+each.  A row whose lower triangle mirrors its upper one by the routes' own
+rule (entry (l, k) is (Re S_kl, 0 - Im S_kl), a standard error its
+mirror's) formats its diagonal and upper triangle and copies the mirrors'
+texts; any other row formats every value.  The bytes are those of
+formatting every value of the whole table at once.
 """
 
 from __future__ import annotations
@@ -120,30 +122,6 @@ def _mirror_columns(dim: int, flip_imaginary: bool) -> tuple[np.ndarray, np.ndar
     )
 
 
-def _row_plan(num_columns: int, mirrors, same: np.ndarray):
-    """How to write a row whose lower-triangle cells where ``same`` reuse their mirrors' texts.
-
-    Returns (order, row_format, first, pick): the row's values taken in
-    ``order`` (every cell but the copied ones, the mirrors to be negated
-    last) are formatted with ``row_format`` and split at the commas; the
-    texts from ``first`` on, up to the empty text the split ends with, are
-    negated and appended; ``pick`` then takes every cell's text in column
-    order.
-    """
-    lower, upper, flip = mirrors
-    negated = upper[same & flip]
-    keep = np.ones(num_columns, dtype=bool)
-    keep[lower[same]] = False
-    keep[negated] = False
-    order = np.concatenate([np.flatnonzero(keep), negated])
-    place = np.empty(num_columns, dtype=np.int64)
-    place[order] = np.arange(order.size)
-    place[lower[same]] = place[upper[same]]
-    place[lower[same & flip]] = order.size + 1 + np.arange(negated.size)
-    row_format = ("%" + FLOAT_FORMAT + ",") * order.size
-    return order, row_format, order.size - negated.size, itemgetter(*place.tolist())
-
-
 def _csv_chunks(
     columns: list[str],
     num_rows: int,
@@ -154,31 +132,46 @@ def _csv_chunks(
 
     ``rows(lo, hi)`` returns the float table of rows [lo, hi); the blocks
     are ``operators._time_slabs`` at one entry per column.  ``mirrors`` is
-    ``_mirror_columns``: a lower-triangle entry whose two values equal,
-    sign of zero included, those of its mirror (the imaginary one negated
-    where the rule says so) reuses the mirror's texts, negated alike; every
-    other value is formatted.  Formatting is the cost of writing, and a Hermitian table
-    formats only its diagonal and upper triangle; the bytes are those of
-    formatting every value.  Consecutive rows that mirror alike share one
-    ``_row_plan``.
+    ``_mirror_columns``.  A row mirrors when every lower-triangle value is
+    its mirror's, or 0 - x of its mirror's x where the rule negates, sign of
+    zero included: the rule by which every route writes its lower triangle.
+    Such a row formats its other columns and copies the mirrors' texts, a
+    negated one as ``-`` toggled and ``0`` and ``-0`` as ``0``; any other
+    row formats every value.  Formatting is the cost of writing, and a
+    Hermitian table formats only its diagonal and upper triangle; the bytes
+    are those of formatting every value.
     """
     lower, upper, flip = mirrors
+    negated = upper[flip]
+    # A mirrored row formats its values in ``order``, the mirrors to be
+    # negated last, and ``pick`` puts every column's text in its place.
+    keep = np.ones(len(columns), dtype=bool)
+    keep[lower] = keep[negated] = False
+    order = np.concatenate([np.flatnonzero(keep), negated])
+    first = order.size - negated.size
+    place = np.empty(len(columns), dtype=np.int64)
+    place[order] = np.arange(order.size)
+    place[lower] = place[upper]
+    place[lower[flip]] = order.size + np.arange(negated.size)
+    pick = itemgetter(*place.tolist())
+    mirrored_format = ",".join(["%" + FLOAT_FORMAT] * order.size)
+    row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns))
     yield ",".join(columns) + "\n"
-    key = None
     for block in _time_slabs(num_rows, len(columns)):
         table = rows(block.start, block.stop)
         own, mirror = table[:, lower], table[:, upper]
-        np.negative(mirror, out=mirror, where=flip)
+        np.subtract(0.0, mirror, out=mirror, where=flip)
         same = (own == mirror) & (np.signbit(own) == np.signbit(mirror))
-        # An entry reuses its mirror's texts when both of its values do.
-        same = np.repeat(same.reshape(len(table), -1, 2).all(axis=2), 2, axis=1)
         lines = []
-        for row, mask in zip(table, same):
-            if mask.tobytes() != key:
-                key = mask.tobytes()
-                order, row_format, first, pick = _row_plan(len(columns), mirrors, mask)
-            texts = (row_format % tuple(row[order].tolist())).split(",")
-            texts += [text[1:] if text[0] == "-" else "-" + text for text in texts[first:-1]]
+        for row, mirrored in zip(table, same.all(axis=1)):
+            if not mirrored:
+                lines.append(row_format % tuple(row.tolist()))
+                continue
+            texts = (mirrored_format % tuple(row[order].tolist())).split(",")
+            texts += [
+                text[1:] if text[0] == "-" else text if text == "0" else "-" + text
+                for text in texts[first:]
+            ]
             lines.append(",".join(pick(texts)))
         yield "\n".join(lines) + "\n"
 
@@ -407,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", parents=[parent], help="analytic averaged evolution")
-    p.set_defaults(handler=_run_evolve)
+    p.set_defaults(handler=lambda args: cmd_evolve(_load(args)))
 
     p = sub.add_parser("integrate", parents=[parent], help="master-equation route")
     p.add_argument(
@@ -416,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="model family the scenario must match; every family runs the same builder",
     )
-    p.set_defaults(handler=_run_integrate)
+    p.set_defaults(handler=lambda args: cmd_integrate(_load(args), args.generator))
 
     p = sub.add_parser("sample", parents=[parent], help="Monte Carlo ensemble")
-    p.set_defaults(handler=_run_sample)
+    p.set_defaults(handler=lambda args: cmd_sample(_load(args), threads=args.threads))
 
     p = sub.add_parser("moments", parents=[parent], help="phase-difference moment table")
     p.add_argument("--theta", type=float, required=True, help="first level")
@@ -427,7 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-order", type=int, default=4, help="highest moment order, >= 2 (default 4)"
     )
-    p.set_defaults(handler=_run_moments)
+    p.set_defaults(
+        handler=lambda args: cmd_moments(
+            _load(args), theta=args.theta, theta_prime=args.theta_prime, max_order=args.max_order
+        )
+    )
 
     p = sub.add_parser("verify", parents=[parent], help="built-in invariant suite")
     p.add_argument("--list", action="store_true", help="list check names and exit")
@@ -453,47 +450,17 @@ def _load(args, required: bool = True) -> Optional[ScenarioConfig]:
     return config.with_overrides(seed=args.seed, out_dir=args.out)
 
 
-def _report(written: list[Path]) -> None:
-    for path in written:
-        print(f"wrote {path}")
-
-
-def _run_evolve(args) -> int:
-    code, written = cmd_evolve(_load(args))
-    _report(written)
-    return code
-
-
-def _run_integrate(args) -> int:
-    code, written = cmd_integrate(_load(args), args.generator)
-    _report(written)
-    return code
-
-
-def _run_sample(args) -> int:
-    code, written = cmd_sample(_load(args), threads=args.threads)
-    _report(written)
-    return code
-
-
-def _run_moments(args) -> int:
-    code, written = cmd_moments(
-        _load(args), theta=args.theta, theta_prime=args.theta_prime, max_order=args.max_order
-    )
-    _report(written)
-    return code
-
-
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[int, list[Path]]:
     if args.list:
         for name in check_names():
             print(name)
-        return 0
-    return cmd_verify(
+        return 0, []
+    code = cmd_verify(
         config=_load(args, required=False),
         quick=args.quick,
         analytic_gamma_factor=args.inject_wrong_gamma,
     )
+    return code, []
 
 
 def main(argv=None) -> int:
@@ -504,7 +471,10 @@ def main(argv=None) -> int:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         # --threads is the only parallelism: BLAS runs on one thread.
         with _single_threaded_blas():
-            return args.handler(args)
+            code, written = args.handler(args)
+        for path in written:
+            print(f"wrote {path}")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

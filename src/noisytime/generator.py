@@ -65,7 +65,7 @@ class Superoperator:
     """Elementwise generator in the energy basis.
 
     ``rates[k, l]`` multiplies entry (k, l).  The constructor enforces
-    rates = conj(rates.T), which makes the generated flow Hermiticity
+    finite rates = conj(rates.T), which makes the generated flow Hermiticity
     preserving.
     """
 
@@ -75,10 +75,11 @@ class Superoperator:
         arr = np.asarray(rates, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"rates must be square, got shape {arr.shape}")
-        defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if defect > 1e-12:
+        with np.errstate(invalid="ignore"):  # a NaN or inf entry gives NaN and fails
+            defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+        if not defect <= 1e-12:
             raise ValueError(
-                f"rates must satisfy r[k,l] = conj(r[l,k]); defect {defect:.3e}"
+                f"rates must be finite with r[k,l] = conj(r[l,k]); defect {defect:.3e}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "rates", arr)

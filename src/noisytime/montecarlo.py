@@ -214,12 +214,14 @@ def run_ensemble(
     squared deviations in place.  Chunks are folded into one accumulator in
     chunk order, in place: the pairwise mean and variance update, with the
     folded chunk's own arrays holding the mean difference and its squares.
-    The folded mean's lower triangle is then the conjugate of its upper
-    one, and the squared deviations' the transpose, and both diagonals'
-    imaginary parts are +0, so the mean is Hermitian and the standard
-    errors symmetric, to the bit.  ``n_workers`` threads (at least 1)
-    compute the chunks, and they are the call's only parallelism: numpy's
-    OpenBLAS thread count is held at 1 during the call and restored afterwards
+    The folded mean's entry (l, k) is then (Re m_kl, 0 - Im m_kl) of its
+    upper entry (k, l), the rule of ``operators._hermitian_part``, the
+    squared deviations' lower triangle is the transpose of their upper
+    one, and both diagonals' imaginary parts are +0, so the mean is
+    Hermitian and the standard errors symmetric, to the bit.
+    ``n_workers`` threads (at least 1) compute the chunks, and they are the
+    call's only parallelism: numpy's OpenBLAS thread count is held at 1
+    during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
     no OpenBLAS).  Its own pool would compete with the workers for the
     cores, and its threads keep spinning after a small threaded call.

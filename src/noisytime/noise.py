@@ -323,6 +323,8 @@ class DirectDampingPreset:
             raise DimensionMismatch(
                 f"direct damping table shape {arr.shape} does not match {m} levels"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError("noise.direct_lambda.table", "rates must be finite")
         asym = float(np.max(np.abs(arr - arr.T))) if m else 0.0
         if asym > 1e-12:
             raise KernelAsymmetric(f"damping table asymmetric by {asym:.3e}")

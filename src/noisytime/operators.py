@@ -380,8 +380,10 @@ def _time_slabs(num_points: int, per_point: int) -> list[slice]:
 def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     """Replace every S of a (..., d, d) stack by (S + S^dagger) / 2, in place.
 
-    Entry (l, k) comes out as the exact conjugate of entry (k, l), and a zero
-    imaginary part as +0; an exactly Hermitian S keeps its values.  The one
+    Entry (l, k) comes out as (Re S_kl, 0 - Im S_kl) of entry (k, l): the
+    conjugate, except that the mirror of a zero imaginary part of either
+    sign is +0, and every diagonal imaginary part is +0.  An exactly
+    Hermitian S keeps its values.  The one
     temporary is the size of the stack, so callers pass a slab at a time.
     """
     stack += np.conj(np.swapaxes(stack, -1, -2))

@@ -71,9 +71,9 @@ def _mirrored_awkward(rng, num_rows, dim, negate):
     imaginary parts negated when ``negate`` (a Hermitian state) or not (the
     standard errors of one).  Row 0 holds a subnormal and +-max double
     mirrored, and rows 0-3 every pair of signed zeros across the diagonal at
-    entry (0, 1); only the first two pairs are exact mirrors of a state's
-    imaginary part, only the last two of a standard error.  A state's
-    diagonal is real."""
+    entry (0, 1), as (upper, lower).  Under the routes' rule, lower = 0 - upper,
+    (-0, +0) and (+0, +0) are a state's mirrors; (+0, +0) and (-0, -0) are a
+    standard error's.  A state's diagonal is real."""
     re, im = _awkward_values(rng, (2, num_rows, dim, dim))
     re[0, 0, 1], im[0, 0, 1], re[0, 1, 1] = 5e-324, 1.7976931348623157e308, -1.7976931348623157e308
     k, l = np.tril_indices(dim, -1)

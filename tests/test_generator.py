@@ -117,6 +117,19 @@ class TestSuperoperator:
         with pytest.raises(ValueError):
             Superoperator(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.0, np.nan], [np.nan, 0.0]],
+            [[np.inf, 0.0], [0.0, 0.0]],
+            [[0.0, np.inf], [np.inf, 0.0]],
+        ],
+        ids=["nan", "inf-diagonal", "inf-pair"],
+    )
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Superoperator(bad)
+
     def test_factors(self):
         rates = np.array([[0.0, -1.0 - 2.0j], [-1.0 + 2.0j, 0.0]])
         gen = Superoperator(rates)

@@ -141,6 +141,20 @@ class TestDirectDamping:
         with pytest.raises(ConfigError):
             DirectDampingPreset([1.0, 2.0], [[-0.1, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0.0, np.nan], [np.nan, 0.0]],
+            [[np.inf, 0.5], [0.5, 0.0]],
+            [[0.0, np.inf], [np.inf, 0.0]],
+        ],
+        ids=["nan", "inf-diagonal", "inf-pair"],
+    )
+    def test_non_finite_table_rejected(self, table):
+        # NaN - NaN and inf - inf pass a `> tol` symmetry test as NaN
+        with pytest.raises(ConfigError, match="noise.direct_lambda.table"):
+            direct_damping_model([0.0, 1.0], table)
+
     def test_unknown_level_rejected(self):
         model = direct_damping_model([1.0, 2.0], [[0.0, 0.7], [0.7, 0.0]])
         with pytest.raises(DimensionMismatch):

@@ -132,12 +132,17 @@ def _random_system(rng, dim, full_rank, degenerate):
     return dec, DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
 
 
-def _assert_hermitian_to_the_bit(states, real_diagonal=True):
-    """Every entry below the diagonal equals the conjugate of its mirror, as floats."""
+def _assert_hermitian_to_the_bit(states):
+    """Entry (l, k) is (Re S_kl, 0 - Im S_kl) and the diagonal's imaginary part
+    +0, compared as bits, so that -0 and +0 differ: the rule by which the CSV
+    writer copies a lower triangle's texts."""
     k, l = np.triu_indices(states.shape[-1], 1)
-    assert np.array_equal(states[:, l, k], np.conj(states[:, k, l]))
-    if real_diagonal:
-        assert not np.any(np.diagonal(states, axis1=1, axis2=2).imag)
+    upper = states[:, k, l]
+    mirror = np.empty_like(upper)
+    mirror.real, mirror.imag = upper.real, 0.0 - upper.imag
+    assert states[:, l, k].tobytes() == mirror.tobytes()
+    diagonal = np.diagonal(states, axis1=1, axis2=2).imag
+    assert diagonal.tobytes() == np.zeros_like(diagonal).tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -151,9 +156,8 @@ def test_states_are_hermitian_to_the_bit(dim, full_rank, degenerate):
     _assert_hermitian_to_the_bit(averaged_trajectory(dec, model, rho0, grid).states)
     ode = integrate(build_generator(dec, model), rho0, grid, decomposition=dec)
     _assert_hermitian_to_the_bit(ode.states)
-    # the sample mean's diagonal keeps the samples' rounding
     ensemble = run_ensemble(dec, model, rho0, grid, n_traj=64, seed=3)
-    _assert_hermitian_to_the_bit(ensemble.mean, real_diagonal=False)
+    _assert_hermitian_to_the_bit(ensemble.mean)
     # so are the standard errors symmetric
     for stderr in (ensemble.stderr_re, ensemble.stderr_im):
         assert np.array_equal(stderr, np.swapaxes(stderr, 1, 2))
