@@ -15,8 +15,10 @@ Trajectory tables are CSV, reports are JSON; the ``outputs.formats`` list in
 the scenario selects which of the two families is written.  Every file is
 written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
 half-written table behind; a write that fails removes its temporary file.
-Trajectory tables are formatted and written in blocks of rows, each built
-from a slice of the states, so the text of a whole table is never held in
+The four trajectory tables (analytic.csv, me.csv, mc_mean.csv, and
+mc_stderr.csv from the ensemble's complex standard-error stack) have one
+writer.  They are formatted and written in blocks of rows, each built from
+a slice of the (T, d, d) stack, so the text of a whole table is never held in
 memory; the blocks are the time slabs of every pass over a trajectory
 (``operators._time_slabs``), about ``operators.SLAB_ELEMENT_BUDGET`` values
 each.  A row whose lower triangle mirrors its upper one by the routes' own
@@ -35,7 +37,7 @@ import os
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import NoiseModel, moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
-from .results import EvolutionResult, _sorted_unique
+from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
 from .verify import run_suite, check_names
 
 __all__ = [
@@ -101,9 +103,6 @@ def _entry_columns(dim: int) -> list[str]:
     return columns
 
 
-METRIC_COLUMNS = ("purity", "coherence_l1", "energy", "trace")
-
-
 def _mirror_columns(dim: int, flip_imaginary: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value columns of the lower-triangle entries, of their mirrors, and the sign rule.
 
@@ -122,26 +121,30 @@ def _mirror_columns(dim: int, flip_imaginary: bool) -> tuple[np.ndarray, np.ndar
     )
 
 
-def _csv_chunks(
-    columns: list[str],
-    num_rows: int,
-    rows: Callable[[int, int], np.ndarray],
-    mirrors: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _trajectory_csv(
+    grid: np.ndarray, stack: np.ndarray, flip_imaginary: bool, metrics: Optional[dict] = None
 ) -> Iterator[str]:
-    """The header line, then the lines of each block of rows, every value in FLOAT_FORMAT.
+    """The lines of a trajectory table, every value in FLOAT_FORMAT.
 
-    ``rows(lo, hi)`` returns the float table of rows [lo, hi); the blocks
-    are ``operators._time_slabs`` at one entry per column.  ``mirrors`` is
-    ``_mirror_columns``.  A row mirrors when every lower-triangle value is
-    its mirror's, or 0 - x of its mirror's x where the rule negates, sign of
-    zero included: the rule by which every route writes its lower triangle.
-    Such a row formats its other columns and copies the mirrors' texts, a
-    negated one as ``-`` toggled and ``0`` and ``-0`` as ``0``; any other
-    row formats every value.  Formatting is the cost of writing, and a
-    Hermitian table formats only its diagonal and upper triangle; the bytes
-    are those of formatting every value.
+    A row holds t, the real and imaginary parts of each entry (k, l) of the
+    (T, d, d) complex ``stack`` at t and, given ``metrics``, the row's
+    ``METRIC_COLUMNS``.  The header line comes first, then the lines of
+    each block of rows, the blocks being ``operators._time_slabs`` at one
+    value per column.  A row mirrors when every lower-triangle value is its
+    mirror's (``_mirror_columns``), or 0 - x of its mirror's x for the
+    imaginary parts where ``flip_imaginary``, sign of zero included: the
+    rule by which every route writes its lower triangle, a state's with the
+    flip and a standard error's without.  Such a row formats its other
+    columns and copies the mirrors' texts, a negated one as ``-`` toggled
+    and ``0`` and ``-0`` as ``0``; any other row formats every value.
+    Formatting is the cost of writing, and a Hermitian table formats only
+    its diagonal and upper triangle; the bytes are those of formatting every
+    value.
     """
-    lower, upper, flip = mirrors
+    num_rows, dim = stack.shape[:2]
+    keys = METRIC_COLUMNS if metrics is not None else ()
+    columns = ["t"] + _entry_columns(dim) + list(keys)
+    lower, upper, flip = _mirror_columns(dim, flip_imaginary)
     negated = upper[flip]
     # A mirrored row formats its values in ``order``, the mirrors to be
     # negated last, and ``pick`` puts every column's text in its place.
@@ -158,7 +161,12 @@ def _csv_chunks(
     row_format = ",".join(["%" + FLOAT_FORMAT] * len(columns))
     yield ",".join(columns) + "\n"
     for block in _time_slabs(num_rows, len(columns)):
-        table = rows(block.start, block.stop)
+        # The float view of a complex row interleaves re and im per entry (k, l).
+        entries = np.ascontiguousarray(stack[block]).view(float)
+        table = np.hstack(
+            [grid[block, None], entries.reshape(entries.shape[0], -1)]
+            + [metrics[key][block, None] for key in keys]
+        )
         own, mirror = table[:, lower], table[:, upper]
         np.subtract(0.0, mirror, out=mirror, where=flip)
         same = (own == mirror) & (np.signbit(own) == np.signbit(mirror))
@@ -176,29 +184,6 @@ def _csv_chunks(
         yield "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(result: EvolutionResult, metrics: dict) -> Iterator[str]:
-    columns = ["t"] + _entry_columns(result.dim) + list(METRIC_COLUMNS)
-    values = np.column_stack([metrics[key] for key in METRIC_COLUMNS])
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        # The float view of a complex row interleaves re and im per entry (k, l).
-        entries = np.ascontiguousarray(result.states[lo:hi]).view(float).reshape(hi - lo, -1)
-        return np.hstack([result.grid[lo:hi, None], entries, values[lo:hi]])
-
-    return _csv_chunks(columns, result.num_points, rows, _mirror_columns(result.dim, True))
-
-
-def _stderr_csv(grid: np.ndarray, stderr_re: np.ndarray, stderr_im: np.ndarray) -> Iterator[str]:
-    dim = stderr_re.shape[1]
-    columns = ["t"] + _entry_columns(dim)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        entries = np.stack([stderr_re[lo:hi], stderr_im[lo:hi]], axis=-1).reshape(hi - lo, -1)
-        return np.hstack([grid[lo:hi, None], entries])
-
-    return _csv_chunks(columns, grid.shape[0], rows, _mirror_columns(dim, False))
-
-
 def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -207,7 +192,7 @@ def _write_trajectory(
     path: Path, config: ScenarioConfig, decomposition, result: EvolutionResult
 ) -> Path:
     metrics = result.metrics_table(decomposition, config.hamiltonian)
-    return _atomic_write(path, _trajectory_csv(result, metrics))
+    return _atomic_write(path, _trajectory_csv(result.grid, result.states, True, metrics))
 
 
 def _out_dir(config: ScenarioConfig) -> Path:
@@ -311,12 +296,8 @@ def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path
     if "csv" in config.formats:
         path = _out_dir(config) / "mc_mean.csv"
         written.append(_write_trajectory(path, config, decomposition, ensemble.as_result()))
-        written.append(
-            _atomic_write(
-                _out_dir(config) / "mc_stderr.csv",
-                _stderr_csv(grid, ensemble.stderr_re, ensemble.stderr_im),
-            )
-        )
+        path = _out_dir(config) / "mc_stderr.csv"
+        written.append(_atomic_write(path, _trajectory_csv(grid, ensemble.stderr, False)))
     payload = report.to_dict()
     payload["scenario"] = config.name
     if "json" in config.formats:
@@ -359,15 +340,9 @@ def cmd_moments(
     return 0, written
 
 
-def cmd_verify(
-    config: Optional[ScenarioConfig] = None,
-    quick: bool = False,
-    analytic_gamma_factor: float = 1.0,
-) -> int:
+def cmd_verify(config: Optional[ScenarioConfig] = None, quick: bool = False) -> int:
     """Run the invariant suite; one line per check, nonzero exit on failure."""
-    results = run_suite(
-        scenario=config, quick=quick, analytic_gamma_factor=analytic_gamma_factor
-    )
+    results = run_suite(scenario=config, quick=quick)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -429,14 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[parent], help="built-in invariant suite")
     p.add_argument("--list", action="store_true", help="list check names and exit")
     p.add_argument("--quick", action="store_true", help="smaller ensembles, same checks")
-    p.add_argument(
-        "--inject-wrong-gamma",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="corrupt the analytic reference of the ensemble comparison "
-        "(sanity check for the failure path; default 1.0 = no corruption)",
-    )
     p.set_defaults(handler=_run_verify)
     return parser
 
@@ -455,12 +422,7 @@ def _run_verify(args) -> tuple[int, list[Path]]:
         for name in check_names():
             print(name)
         return 0, []
-    code = cmd_verify(
-        config=_load(args, required=False),
-        quick=args.quick,
-        analytic_gamma_factor=args.inject_wrong_gamma,
-    )
-    return code, []
+    return cmd_verify(config=_load(args, required=False), quick=args.quick), []
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,6 @@ import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -168,14 +167,14 @@ class EnsembleResult:
     """Monte Carlo mean trajectory with per-entry standard errors.
 
     ``mean[k]`` estimates the averaged state at ``grid[k]`` in the
-    computational basis; ``stderr_re``/``stderr_im`` are standard errors of
-    the mean for the real and imaginary parts of each entry.
+    computational basis.  ``stderr`` is a complex stack of the same shape:
+    the real part of ``stderr[k, i, j]`` is the standard error of the mean of
+    Re rho_ij at ``grid[k]``, its imaginary part that of Im rho_ij.
     """
 
     grid: np.ndarray
     mean: np.ndarray
-    stderr_re: np.ndarray
-    stderr_im: np.ndarray
+    stderr: np.ndarray
     n_traj: int
     seed: int
 
@@ -211,14 +210,18 @@ def run_ensemble(
     trajectory (``operators._time_slabs`` at count d^2 entries per point,
     the slabs the workspaces are sized from); each slab forms the phases
     and sample states of its own time points and takes its mean and sum of
-    squared deviations in place.  Chunks are folded into one accumulator in
-    chunk order, in place: the pairwise mean and variance update, with the
-    folded chunk's own arrays holding the mean difference and its squares.
-    The folded mean's entry (l, k) is then (Re m_kl, 0 - Im m_kl) of its
-    upper entry (k, l), the rule of ``operators._hermitian_part``, the
-    squared deviations' lower triangle is the transpose of their upper
-    one, and both diagonals' imaginary parts are +0, so the mean is
-    Hermitian and the standard errors symmetric, to the bit.
+    squared deviations in place, the squares of the real and imaginary
+    parts side by side: the float view of a (T, d, d) complex stack.
+    Chunks are folded into one accumulator in chunk order, in place: the
+    pairwise mean and variance update, with the folded chunk's own arrays
+    holding the mean difference and its squares.  The folded mean's entry
+    (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
+    rule of ``operators._hermitian_part``, the squared deviations' lower
+    triangle is the transpose of their upper one, and both diagonals'
+    imaginary parts are +0, so the mean is Hermitian and the standard
+    errors symmetric, to the bit.  The standard errors are
+    sqrt(m2 / (n - 1) / n) of that float view, read as the complex stack
+    ``EnsembleResult.stderr``.
     ``n_workers`` threads (at least 1) compute the chunks, and they are the
     call's only parallelism: numpy's OpenBLAS thread count is held at 1
     during the call and restored afterwards
@@ -233,9 +236,10 @@ def run_ensemble(
     slabs reuse them; per chunk only its mean and squared deviations are
     new, held until they are folded in, and the fold allocates nothing.
 
-    The grid must be finite, hold two or more points, start at 0 and increase
-    strictly (else GridMismatch); a raw ``rho0`` must be a valid state; a
-    direct damping table raises ConfigError.
+    ``n_traj`` must be at least 2, the fewest that give standard errors
+    (else ValueError).  The grid must be finite, hold two or more points,
+    start at 0 and increase strictly (else GridMismatch); a raw ``rho0``
+    must be a valid state; a direct damping table raises ConfigError.
 
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
@@ -244,8 +248,8 @@ def run_ensemble(
     changes the wall time but not a single output bit.  The chi paths are
     those of ``sample_chi_paths`` with the same seed.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+    if n_traj < 2:
+        raise ValueError("n_traj must be >= 2 for standard errors")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     field = _BrownianField(model, decomposition.levels, grid)
@@ -304,38 +308,26 @@ def run_ensemble(
             mean += delta
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the
-    # Hermitian part the other routes take, and the transpose of m2 (whose
-    # re and im parts are interleaved).  Every sample's diagonal is real, so
-    # the imaginary parts of both diagonals are +0 (the Gram product can
-    # round them to a few 1e-18).
+    # Hermitian part the other routes take, and the transpose of the squared
+    # deviations, through their complex view.  Every sample's diagonal is
+    # real, so the imaginary parts of both diagonals are +0 (the Gram product
+    # can round them to a few 1e-18).
+    squares = m2.view(complex)
     for k in range(dim):
-        mean[:, k, k].imag = m2[:, k, 2 * k + 1] = 0.0
+        mean[:, k, k].imag = squares[:, k, k].imag = 0.0
         upper, lower = mean[:, k, k + 1 :], mean[:, k + 1 :, k]
         lower.real = upper.real
         np.subtract(0.0, upper.imag, out=lower.imag)
-        m2[:, k + 1 :, 2 * k : 2 * k + 2] = m2[:, k, 2 * k + 2 :].reshape(num_points, -1, 2)
-    denom = max(n - 1, 1)
-    stderr_re = np.sqrt(m2[..., 0::2] / denom / n)
-    stderr_im = np.sqrt(m2[..., 1::2] / denom / n)
-    for arr in (mean, stderr_re, stderr_im):
-        arr.setflags(write=False)
-    return EnsembleResult(
-        grid=field.grid,
-        mean=mean,
-        stderr_re=stderr_re,
-        stderr_im=stderr_im,
-        n_traj=n,
-        seed=seed,
-    )
+        squares[:, k + 1 :, k] = squares[:, k, k + 1 :]
+    stderr = np.sqrt(m2 / (n - 1) / n).view(complex)
+    mean.setflags(write=False)
+    stderr.setflags(write=False)
+    return EnsembleResult(grid=field.grid, mean=mean, stderr=stderr, n_traj=n, seed=seed)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Entrywise z-score comparison of an ensemble mean to a reference.
-
-    ``passed`` is None when the ensemble is too small to estimate standard
-    errors (fewer than two trajectories).
-    """
+    """Entrywise z-score comparison of an ensemble mean to a reference."""
 
     grid: np.ndarray
     max_abs_difference: np.ndarray
@@ -343,13 +335,14 @@ class ComparisonReport:
     max_z: float
     frac_above_tail: float
     n_traj: int
-    passed: Optional[bool]
+    passed: bool
 
     def to_dict(self) -> dict:
-        report = {
+        return {
             "n_traj": self.n_traj,
             "max_z": self.max_z,
             "frac_above_3": self.frac_above_tail,
+            "pass": self.passed,
             "thresholds": {"max_z": Z_MAX, "tail_z": Z_TAIL, "tail_fraction": TAIL_FRACTION},
             "per_time": [
                 {
@@ -360,20 +353,19 @@ class ComparisonReport:
                 for t, d, z in zip(self.grid, self.max_abs_difference, self.max_z_per_time)
             ],
         }
-        if self.passed is not None:
-            report["pass"] = self.passed
-        return report
 
 
 def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> ComparisonReport:
     """z-test of the ensemble mean against a reference trajectory on its grid.
 
-    Per entry and per real/imag component, z = |deviation| / stderr.
-    Deviations at or below 1e-12 count as z = 0 outright: entries that are
-    deterministic under the model (frozen populations, the t = 0 point) have
-    rounding-level standard errors, and dividing one rounding error by
-    another would report huge z for perfect agreement.  A deviation above
-    the slack over zero standard error counts as infinite.  PASS means
+    Per entry and per real/imag component, z = |deviation| / stderr, taken
+    in one pass over the float views of mean - reference and of the
+    standard-error stack.  Deviations at or below 1e-12 count as z = 0
+    outright: entries that are deterministic under the model (frozen
+    populations, the t = 0 point) have rounding-level standard errors, and
+    dividing one rounding error by another would report huge z for perfect
+    agreement.  A deviation above the slack over zero standard error counts
+    as infinite, and a NaN deviation is never agreement.  PASS means
     max z <= 4 and at most 5% of components above z = 3.  A reference on
     another grid raises GridMismatch, one of another dimension
     DimensionMismatch.
@@ -384,37 +376,23 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
         raise DimensionMismatch(
             f"analytic reference has dimension {analytic.dim}, the ensemble {ensemble.dim}"
         )
-    reference = analytic.states
-    dev_re = np.abs(ensemble.mean.real - reference.real)
-    dev_im = np.abs(ensemble.mean.imag - reference.imag)
-
-    def z_of(dev, stderr):
-        z = np.zeros_like(dev)
-        genuine = dev > ZERO_STDERR_SLACK
-        positive = stderr > 0
-        ratio = genuine & positive
-        z[ratio] = dev[ratio] / stderr[ratio]
-        z[genuine & ~positive] = np.inf
-        return z
-
-    z_re = z_of(dev_re, ensemble.stderr_re)
-    z_im = z_of(dev_im, ensemble.stderr_im)
-    z_all = np.stack([z_re, z_im], axis=-1)
-    max_abs = np.maximum(dev_re, dev_im).reshape(ensemble.grid.size, -1).max(axis=1)
-    max_z_per_time = z_all.reshape(ensemble.grid.size, -1).max(axis=1)
-    max_z = float(np.max(z_all))
-    frac = float(np.mean(z_all > Z_TAIL))
-    passed: Optional[bool]
-    if ensemble.n_traj < 2:
-        passed = None
-    else:
-        passed = bool(max_z <= Z_MAX and frac <= TAIL_FRACTION)
+    # Real and imaginary parts side by side, as in the standard errors' view.
+    dev = np.abs((ensemble.mean - analytic.states).view(float))
+    stderr = ensemble.stderr.view(float)
+    genuine = ~(dev <= ZERO_STDERR_SLACK)
+    positive = stderr > 0
+    z = np.zeros_like(dev)
+    np.divide(dev, stderr, out=z, where=genuine & positive)
+    z[genuine & ~positive] = np.inf
+    num_points = ensemble.grid.size
+    max_z = float(np.max(z))
+    frac = float(np.mean(z > Z_TAIL))
     return ComparisonReport(
         grid=ensemble.grid,
-        max_abs_difference=max_abs,
-        max_z_per_time=max_z_per_time,
+        max_abs_difference=dev.reshape(num_points, -1).max(axis=1),
+        max_z_per_time=z.reshape(num_points, -1).max(axis=1),
         max_z=max_z,
         frac_above_tail=frac,
         n_traj=ensemble.n_traj,
-        passed=passed,
+        passed=bool(max_z <= Z_MAX and frac <= TAIL_FRACTION),
     )

@@ -78,6 +78,7 @@ class _Preset:
     ``float`` (one number), ``tuple`` (a list of numbers) or a float default
     (one number that may be left out).  ``params`` holds one entry per field,
     in that order.  The config reader and writer work from this table alone.
+    Every number must be finite, else ConfigError naming the field.
     """
 
     SECTION: ClassVar[str]
@@ -100,6 +101,9 @@ class _Preset:
             tuple(map(float, value)) if spec is tuple else float(value)
             for spec, value in zip(fields.values(), self.params)
         )
+        for name, value in zip(fields, params):
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{path}.{name}", f"expected finite numbers, got {value!r}")
         object.__setattr__(self, "params", params)
 
     @property
@@ -306,7 +310,8 @@ class DirectDampingPreset:
     ``separable_linear`` means lambda(t; theta_i, theta_j) = t * table[i, j]
     over the tabulated distinct levels.  A nonzero diagonal makes populations
     decay (dissipative branch).  Models carrying this preset are propagated
-    and integrated; the Brownian samplers refuse them.
+    and integrated; the Brownian samplers refuse them.  Levels and rates must
+    be finite.
     """
 
     # The one kind, which a config file may leave out.
@@ -317,6 +322,8 @@ class DirectDampingPreset:
 
     def __init__(self, levels, table):
         levels = tuple(map(float, levels))
+        if not all(map(math.isfinite, levels)):
+            raise ConfigError("noise.direct_lambda.levels", "levels must be finite")
         arr = np.asarray(table, dtype=float)
         m = len(levels)
         if arr.shape != (m, m):
@@ -355,7 +362,7 @@ class NoiseModel:
     ``gamma`` records the declared noise strength; the sigma presets carry it
     numerically (a dephasing model of strength gamma uses sigma_theta =
     linear(sqrt(gamma))).  Neither the kernel nor the generator builder reads
-    gamma again.
+    gamma again.  It must be finite and >= 0.
     """
 
     drift_h: DriftPreset = field(default_factory=DriftPreset.identity)
@@ -366,8 +373,8 @@ class NoiseModel:
     direct_lambda: Optional[DirectDampingPreset] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError("noise.gamma", "must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError("noise.gamma", f"must be finite and >= 0, got {self.gamma!r}")
 
     @property
     def is_dissipative(self) -> bool:

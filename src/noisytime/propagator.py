@@ -113,7 +113,9 @@ def time_averaged_state(grid, states, weights) -> DensityMatrix:
 
     ``states`` is an array of shape (T, d, d) or a sequence of T matrices;
     ``weights`` are probability-density values on the grid; they must be
-    nonnegative and integrate to one (trapezoid rule) within 1e-8.  The grid
+    nonnegative and integrate to one (trapezoid rule) within 1e-8, else
+    WeightsNotNormalized, and the grid must increase strictly, else
+    GridMismatch; a NaN weight or grid point fails these tests.  The grid
     is a quadrature grid, so it may start after 0, and a single grid point
     gets quadrature weight one: a point mass is the one-point grid with
     weight 1.
@@ -125,12 +127,12 @@ def time_averaged_state(grid, states, weights) -> DensityMatrix:
         raise DimensionMismatch(
             f"grid ({grid_arr.size}), states ({stack.shape}), weights ({w.size}) disagree"
         )
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise WeightsNotNormalized(f"weights must be >= 0, min is {float(np.min(w)):.3e}")
     if grid_arr.size == 1:
         quadrature = np.ones(1)
     else:
-        if np.any(np.diff(grid_arr) <= 0):
+        if not np.all(np.diff(grid_arr) > 0):
             raise GridMismatch("grid must be strictly increasing")
         dt = np.diff(grid_arr)
         quadrature = np.zeros_like(grid_arr)
@@ -138,7 +140,7 @@ def time_averaged_state(grid, states, weights) -> DensityMatrix:
         quadrature[1:] += 0.5 * dt
     mass = quadrature * w
     total = float(np.sum(mass))
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise WeightsNotNormalized(f"weights integrate to {total!r}, expected 1 within 1e-8")
     # Renormalize the discrete masses: keeps the result an exact convex
     # combination despite the 1e-8 slack.

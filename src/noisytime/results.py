@@ -14,6 +14,10 @@ from .operators import _time_slabs
 
 __all__ = ["EvolutionResult", "time_grid", "time_point"]
 
+# The per-time diagnostics of ``EvolutionResult.metrics_table``, in the
+# order of the trajectory tables' last columns.
+METRIC_COLUMNS = ("purity", "coherence_l1", "energy", "trace")
+
 
 def time_grid(grid) -> np.ndarray:
     """A route's time grid as a flat float array, copied from the caller's.
@@ -86,8 +90,7 @@ class EvolutionResult:
         Evaluated one time slab at a time (``operators._time_slabs``), so the
         temporaries stay slab-sized; each value depends on its own state only.
         """
-        keys = ("purity", "coherence_l1", "energy", "trace")
-        table = {key: np.empty(self.num_points) for key in keys}
+        table = {key: np.empty(self.num_points) for key in METRIC_COLUMNS}
         for slab in _time_slabs(self.num_points, self.dim * self.dim):
             states = self.states[slab]
             table["purity"][slab] = purity(states)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import noisytime.config
+import noisytime.verify
 from noisytime import (
-    EvolutionResult,
     averaged_trajectory,
     build_generator,
     eigendecompose,
@@ -22,7 +22,7 @@ from noisytime import (
     load_config,
 )
 from noisytime import operators
-from noisytime.cli import _atomic_write, _stderr_csv, _trajectory_csv, main
+from noisytime.cli import _atomic_write, _trajectory_csv, main
 from noisytime.operators import _time_slabs
 
 
@@ -54,6 +54,13 @@ def _reference_csv(grid, re, im, metrics=None) -> str:
             row += [format(float(metrics[key][i]), ".17g") for key in METRIC_KEYS]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _complex(re, im):
+    """The complex stack with parts re and im, signed zeros kept."""
+    stack = np.empty(np.shape(re), dtype=complex)
+    stack.real, stack.imag = re, im
+    return stack
 
 
 def _awkward_values(rng, shape):
@@ -96,17 +103,16 @@ def small_blocks(monkeypatch):
 
 
 class TestCsvWriters:
-    """The table writers against a per-element format(x, ".17g") loop."""
+    """The table writer against a per-element format(x, ".17g") loop."""
 
     def test_trajectory_matches_per_element_format(self):
         rng = np.random.default_rng(3)
         grid = np.array([0.0, 0.1, 1.0 / 3.0, 2.5])
         states = _awkward_values(rng, (4, 3, 3)) + 1j * _awkward_values(rng, (4, 3, 3))
         metrics = {key: _awkward_values(rng, (4,)) for key in METRIC_KEYS}
-        result = EvolutionResult(grid, states)
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "-0," in expected
-        assert "".join(_trajectory_csv(result, metrics)).encode() == expected.encode()
+        assert "".join(_trajectory_csv(grid, states, True, metrics)).encode() == expected.encode()
 
     def test_stderr_matches_per_element_format(self):
         rng = np.random.default_rng(4)
@@ -115,7 +121,8 @@ class TestCsvWriters:
         stderr_im = _awkward_values(rng, (5, 2, 2))
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "-0," in expected
-        assert "".join(_stderr_csv(grid, stderr_re, stderr_im)).encode() == expected.encode()
+        stderr = _complex(stderr_re, stderr_im)
+        assert "".join(_trajectory_csv(grid, stderr, False)).encode() == expected.encode()
 
     def test_trajectory_across_row_blocks(self, small_blocks):
         # 1000 rows of 23 columns: two whole blocks of 356 rows and a partial one
@@ -126,7 +133,7 @@ class TestCsvWriters:
             rng, (num_rows, dim, dim)
         )
         metrics = {key: _awkward_values(rng, (num_rows,)) for key in METRIC_KEYS}
-        chunks = list(_trajectory_csv(EvolutionResult(grid, states), metrics))
+        chunks = list(_trajectory_csv(grid, states, True, metrics))
         assert len(chunks) == 1 + 3
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "".join(chunks).encode() == expected.encode()
@@ -138,7 +145,7 @@ class TestCsvWriters:
         grid = np.linspace(0.0, 3.0, num_rows)
         stderr_re = _awkward_values(rng, (num_rows, 2, 2))
         stderr_im = _awkward_values(rng, (num_rows, 2, 2))
-        chunks = list(_stderr_csv(grid, stderr_re, stderr_im))
+        chunks = list(_trajectory_csv(grid, _complex(stderr_re, stderr_im), False))
         assert len(chunks) == 1 + 3
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "".join(chunks).encode() == expected.encode()
@@ -150,10 +157,9 @@ class TestCsvWriters:
         re, im = _mirrored_awkward(rng, num_rows, 3, negate=True)
         grid = np.linspace(0.0, 7.0, num_rows)
         metrics = {key: _awkward_values(rng, (num_rows,)) for key in METRIC_KEYS}
-        states = np.empty(re.shape, dtype=complex)
-        states.real, states.imag = re, im
+        states = _complex(re, im)
         assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
-        chunks = list(_trajectory_csv(EvolutionResult(grid, states), metrics))
+        chunks = list(_trajectory_csv(grid, states, True, metrics))
         assert len(chunks) == 1 + -(-num_rows // 356)
         expected = _reference_csv(grid, re, im, metrics)
         for text in ("4.9406564584124654e-324", "-1.7976931348623157e+308", ",-0,0,", ",0,-0,"):
@@ -166,7 +172,7 @@ class TestCsvWriters:
         rng = np.random.default_rng(9)
         stderr_re, stderr_im = _mirrored_awkward(rng, num_rows, 2, negate=False)
         grid = np.linspace(0.0, 3.0, num_rows)
-        chunks = list(_stderr_csv(grid, stderr_re, stderr_im))
+        chunks = list(_trajectory_csv(grid, _complex(stderr_re, stderr_im), False))
         assert len(chunks) == 1 + -(-num_rows // 910)
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "".join(chunks).encode() == expected.encode()
@@ -181,11 +187,10 @@ class TestCsvWriters:
         im[6, 2, 0] = np.nextafter(im[6, 2, 0], np.inf)
         grid = np.linspace(0.0, 1.0, 8)
         metrics = {key: _awkward_values(rng, (8,)) for key in METRIC_KEYS}
-        states = np.empty(re.shape, dtype=complex)
-        states.real, states.imag = re, im
+        states = _complex(re, im)
         expected = _reference_csv(grid, re, im, metrics)
-        assert "".join(_trajectory_csv(EvolutionResult(grid, states), metrics)) == expected
-        stderr = "".join(_stderr_csv(grid, re, np.swapaxes(re, 1, 2)))
+        assert "".join(_trajectory_csv(grid, states, True, metrics)) == expected
+        stderr = "".join(_trajectory_csv(grid, _complex(re, np.swapaxes(re, 1, 2)), False))
         assert stderr == _reference_csv(grid, re, np.swapaxes(re, 1, 2))
 
     def test_writing_memory_follows_the_blocks(self, tmp_path):
@@ -201,11 +206,10 @@ class TestCsvWriters:
         noise = rng.normal(size=(num_rows, dim, dim)) + 1j * rng.normal(size=(num_rows, dim, dim))
         states = noise + np.conj(np.swapaxes(noise, 1, 2))
         metrics = {key: rng.normal(size=num_rows) for key in METRIC_KEYS}
-        result = EvolutionResult(grid, states)
         target = tmp_path / "analytic.csv"
         tracemalloc.start()
         try:
-            _atomic_write(target, _trajectory_csv(result, metrics))
+            _atomic_write(target, _trajectory_csv(grid, states, True, metrics))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -708,10 +712,23 @@ class TestVerifyCommand:
         ]
         assert all(re.search(r"  \(\d+\.\d\d s\)$", line) for line in scenario)
 
-    def test_fault_injection_fails(self, capsys):
-        assert main(["verify", "--quick", "--inject-wrong-gamma", "2.0"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  ensemble-matches-analytic" in out
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        # one check made to fail: the suite reports it and exits 1
+        checks = list(noisytime.verify._CHECKS)
+        index = [name for name, _ in checks].index("ensemble-determinism")
+        checks[index] = ("ensemble-determinism", lambda ctx: (False, "injected failure"))
+        monkeypatch.setattr(noisytime.verify, "_CHECKS", checks)
+        assert main(["verify", "--quick"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        failed = r"FAIL  ensemble-determinism +injected failure  \(\d+\.\d\d s\)"
+        assert re.fullmatch(failed, lines[index])
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == f"1 of {len(checks)} checks failed"
+
+    def test_no_fault_injection_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--quick", "--inject-wrong-gamma", "2.0"])
+        assert "unrecognized arguments: --inject-wrong-gamma" in capsys.readouterr().err
 
 
 class TestNoMaskedArrays:

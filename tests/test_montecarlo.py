@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -11,6 +12,8 @@ from noisytime import (
     ConfigError,
     DensityMatrix,
     DimensionMismatch,
+    EnsembleResult,
+    EvolutionResult,
     GridMismatch,
     HermitianOperator,
     NotPositive,
@@ -158,14 +161,13 @@ class TestGroupedProduct:
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=1)
         for got, want in (
             (out.mean, serial.mean),
-            (out.stderr_re, serial.stderr_re),
-            (out.stderr_im, serial.stderr_im),
+            (out.stderr, serial.stderr),
         ):
             assert got.tobytes() == want.tobytes()
         paths = sample_chi_paths(model, dec.levels, grid, seed=5, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
         assert np.max(np.abs(out.mean - states.mean(axis=0))) < 1e-14
-        for stderr, part in ((out.stderr_re, states.real), (out.stderr_im, states.imag)):
+        for stderr, part in ((out.stderr.real, states.real), (out.stderr.imag, states.imag)):
             expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
@@ -213,7 +215,7 @@ class TestWorkspace:
         )
         runs.append(run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=13, n_workers=1))
         for out in runs[1:]:
-            for name in ("mean", "stderr_re", "stderr_im"):
+            for name in ("mean", "stderr"):
                 assert getattr(out, name).tobytes() == getattr(runs[0], name).tobytes()
 
     @pytest.mark.parametrize(
@@ -253,7 +255,7 @@ class TestWorkspace:
             threaded = run_ensemble(dec, model, rho0, grid, n_traj=9000, seed=3, n_workers=8)
         finally:
             sys.setswitchinterval(interval)
-        for name in ("mean", "stderr_re", "stderr_im"):
+        for name in ("mean", "stderr"):
             assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
 
 
@@ -321,7 +323,7 @@ class TestBlasPin:
         pinned = run_ensemble(*self._case(dim), n_traj=130, seed=9, n_workers=2)
         monkeypatch.setattr(operators, "_openblas_threads", lambda: None)
         free = run_ensemble(*self._case(dim), n_traj=130, seed=9, n_workers=2)
-        for name in ("mean", "stderr_re", "stderr_im"):
+        for name in ("mean", "stderr"):
             assert getattr(free, name).tobytes() == getattr(pinned, name).tobytes()
 
 
@@ -333,7 +335,7 @@ class TestRunEnsemble:
         a = run_ensemble(dec, model, rho0, grid, n_traj=300, seed=17)
         b = run_ensemble(dec, model, rho0, grid, n_traj=300, seed=17)
         assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.stderr_re, b.stderr_re)
+        assert np.array_equal(a.stderr, b.stderr)
         c = run_ensemble(dec, model, rho0, grid, n_traj=300, seed=18)
         assert not np.array_equal(a.mean, c.mean)
 
@@ -353,8 +355,7 @@ class TestRunEnsemble:
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=1)
         threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=9, n_workers=3)
         assert serial.mean.tobytes() == threaded.mean.tobytes()
-        assert serial.stderr_re.tobytes() == threaded.stderr_re.tobytes()
-        assert serial.stderr_im.tobytes() == threaded.stderr_im.tobytes()
+        assert serial.stderr.tobytes() == threaded.stderr.tobytes()
 
     def test_matches_per_sample_reference(self, monkeypatch):
         # mean and standard errors against U rho U^dagger formed sample by
@@ -370,7 +371,7 @@ class TestRunEnsemble:
         paths = sample_chi_paths(model, dec.levels, grid, seed=21, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
         assert np.max(np.abs(out.mean - states.mean(axis=0))) < 1e-14
-        for stderr, part in ((out.stderr_re, states.real), (out.stderr_im, states.imag)):
+        for stderr, part in ((out.stderr.real, states.real), (out.stderr.imag, states.imag)):
             expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
@@ -386,12 +387,12 @@ class TestRunEnsemble:
         assert -(-n_traj // chunk) == 9 and n_traj % RNG_BLOCK
         out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=77, n_workers=2)
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=77, n_workers=1)
-        for got, want in ((out.mean, serial.mean), (out.stderr_re, serial.stderr_re)):
+        for got, want in ((out.mean, serial.mean), (out.stderr, serial.stderr)):
             assert got.tobytes() == want.tobytes()
         paths = sample_chi_paths(model, dec.levels, grid, seed=77, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
         assert np.max(np.abs(out.mean - _exact_mean(states))) < 1e-14
-        for stderr, part in ((out.stderr_re, states.real), (out.stderr_im, states.imag)):
+        for stderr, part in ((out.stderr.real, states.real), (out.stderr.imag, states.imag)):
             expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
@@ -418,7 +419,7 @@ class TestRunEnsemble:
         grid = np.linspace(0, 1.5, 7)
         out = run_ensemble(dec, correlated_model(0.6, 0.7), rho0, grid, n_traj=300, seed=dim)
         diagonal = np.arange(dim)
-        for part in (out.mean.imag, out.stderr_im):
+        for part in (out.mean.imag, out.stderr.imag):
             values = part[:, diagonal, diagonal]
             assert not np.any(values) and not np.any(np.signbit(values))
 
@@ -433,7 +434,7 @@ class TestRunEnsemble:
         model = dephasing_model(0.5)
         small = run_ensemble(dec, model, rho0, grid, n_traj=500, seed=5)
         large = run_ensemble(dec, model, rho0, grid, n_traj=8000, seed=5)
-        ratio = np.max(small.stderr_re) / np.max(large.stderr_re)
+        ratio = np.max(small.stderr.real) / np.max(large.stderr.real)
         assert 2.5 < ratio < 6.5  # expect 4 from the 16x trajectory count
 
     def test_grid_must_start_at_zero(self, qubit):
@@ -525,8 +526,8 @@ class TestInPlaceFold:
         assert n == out.n_traj == n_traj
         _mirror_lower(mean, m2_re, m2_im)
         assert out.mean.tobytes() == mean.tobytes()
-        assert out.stderr_re.tobytes() == np.sqrt(m2_re / (n - 1) / n).tobytes()
-        assert out.stderr_im.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()
+        assert out.stderr.real.tobytes() == np.sqrt(m2_re / (n - 1) / n).tobytes()
+        assert out.stderr.imag.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()
 
 
 class TestCompare:
@@ -560,13 +561,68 @@ class TestCompare:
         assert report.passed is True
 
     def test_insufficient_trajectories(self, qubit):
+        # one trajectory gives no standard errors, so no ensemble to compare
         _, dec, rho0 = qubit
-        grid = [0.0, 1.0]
+        with pytest.raises(ValueError, match="n_traj must be >= 2"):
+            run_ensemble(dec, dephasing_model(0.5), rho0, [0.0, 1.0], n_traj=1, seed=1)
+
+    def test_nan_reference_fails(self, qubit):
+        # a NaN deviation is no agreement, however small the slack
+        _, dec, rho0 = qubit
+        grid = np.linspace(0, 2, 6)
+        ensemble = run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=200, seed=90125)
+        nan = EvolutionResult(grid, np.full((6, 2, 2), complex(np.nan, np.nan)))
+        assert compare_to_analytic(ensemble, nan).passed is False
+
+    def test_nan_mean_fails(self, qubit):
+        _, dec, rho0 = qubit
+        grid = np.linspace(0, 2, 6)
         model = dephasing_model(0.5)
-        ensemble = run_ensemble(dec, model, rho0, grid, n_traj=1, seed=1)
-        report = compare_to_analytic(ensemble, averaged_trajectory(dec, model, rho0, grid))
-        assert report.passed is None
-        assert "pass" not in report.to_dict()
+        ensemble = run_ensemble(dec, model, rho0, grid, n_traj=200, seed=90125)
+        analytic = averaged_trajectory(dec, model, rho0, grid)
+        assert compare_to_analytic(ensemble, analytic).passed is True
+        mean = ensemble.mean.copy()
+        mean.real[3, 0, 1] = np.nan
+        broken = dataclasses.replace(ensemble, mean=mean)
+        assert compare_to_analytic(broken, analytic).passed is False
+
+    def test_one_pass_matches_per_component_z(self):
+        # a hand-built ensemble: a zero-stderr deviation above the slack at
+        # t[1] (z = inf), one below it at t[2] (z = 0), ordinary components
+        # elsewhere, all against z taken one component at a time
+        rng = np.random.default_rng(23)
+        grid = np.array([0.0, 0.5, 1.0])
+        shape = (3, 3, 3)
+        reference = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stderr = np.empty(shape, dtype=complex)
+        stderr.real, stderr.imag = rng.uniform(0.01, 0.1, (2,) + shape)
+        mean = reference + 0.05 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        stderr[1, 0, 2] = complex(stderr[1, 0, 2].real, 0.0)
+        mean[1, 0, 2] = complex(mean[1, 0, 2].real, reference[1, 0, 2].imag + 1e-9)
+        stderr[2, 1, 1] = complex(0.0, stderr[2, 1, 1].imag)
+        mean[2, 1, 1] = complex(reference[2, 1, 1].real + 1e-13, mean[2, 1, 1].imag)
+        ensemble = EnsembleResult(grid, mean, stderr, n_traj=100, seed=0)
+        report = compare_to_analytic(ensemble, EvolutionResult(grid, reference))
+
+        devs, zs = [], []
+        for part in (np.real, np.imag):
+            dev = np.abs(part(mean) - part(reference))
+            error = part(stderr)
+            z = np.zeros_like(dev)
+            genuine, positive = dev > 1e-12, error > 0
+            z[genuine & positive] = dev[genuine & positive] / error[genuine & positive]
+            z[genuine & ~positive] = np.inf
+            devs.append(dev)
+            zs.append(z)
+        z_all = np.stack(zs, axis=-1)
+        assert zs[1][1, 0, 2] == np.inf and zs[0][2, 1, 1] == 0.0
+        assert report.max_z == float(np.max(z_all)) == np.inf
+        assert report.frac_above_tail == float(np.mean(z_all > 3.0))
+        assert np.array_equal(report.max_z_per_time, z_all.reshape(3, -1).max(axis=1))
+        assert np.isfinite(report.max_z_per_time[[0, 2]]).all()
+        max_abs = np.maximum(*devs).reshape(3, -1).max(axis=1)
+        assert report.max_abs_difference.tobytes() == max_abs.tobytes()
+        assert report.passed is False
 
     def test_grid_mismatch(self, qubit):
         _, dec, rho0 = qubit

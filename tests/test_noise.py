@@ -40,7 +40,41 @@ def closed_form_lambda(gamma, t, a, b, g_ab):
     return gamma * t * (a * a + b * b - 2 * a * b * g_ab)
 
 
+# Valid fields for each preset kind that has fields.
+VALID_FIELDS = {
+    (DriftPreset, "affine"): (2.0, 1.0),
+    (DriftPreset, "polynomial"): ((1.0, 0.0, 2.0),),
+    (SigmaThetaPreset, "constant"): (0.3,),
+    (SigmaThetaPreset, "linear"): (2.0,),
+    (SigmaThetaPreset, "polynomial"): ((0.1, 1.0),),
+    (SigmaTimePreset, "constant"): (0.5,),
+    (SigmaTimePreset, "piecewise_constant"): ((1.0, 2.0), (0.4, 1.6, 0.2)),
+    (CorrelationPreset, "gaussian"): (1.3,),
+    (CorrelationPreset, "exponential"): (0.7,),
+}
+
+
+def _non_finite_cases():
+    """(class, kind, field name, params) with one number of one field replaced
+    by NaN or inf: a single field's value, or the last entry of a list."""
+    for (cls, kind), valid in VALID_FIELDS.items():
+        for index, name in enumerate(cls.KINDS[kind]):
+            for bad in (math.nan, math.inf):
+                params = list(valid)
+                value = params[index]
+                params[index] = value[:-1] + (bad,) if isinstance(value, tuple) else bad
+                yield pytest.param(
+                    cls, kind, name, tuple(params), id=f"{cls.__name__}-{kind}-{name}-{bad}"
+                )
+
+
 class TestPresets:
+    @pytest.mark.parametrize("cls, kind, name, params", _non_finite_cases())
+    def test_non_finite_field_rejected(self, cls, kind, name, params):
+        with pytest.raises(ConfigError) as info:
+            cls(kind, params)
+        assert info.value.path == f"noise.{cls.SECTION}.{name}"
+
     def test_drift_kinds(self):
         assert DriftPreset.identity()(2.5) == 2.5
         assert DriftPreset.affine(2.0, 1.0)(3.0) == 7.0
@@ -155,6 +189,12 @@ class TestDirectDamping:
         with pytest.raises(ConfigError, match="noise.direct_lambda.table"):
             direct_damping_model([0.0, 1.0], table)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ConfigError) as info:
+            DirectDampingPreset([level, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        assert info.value.path == "noise.direct_lambda.levels"
+
     def test_unknown_level_rejected(self):
         model = direct_damping_model([1.0, 2.0], [[0.0, 0.7], [0.7, 0.0]])
         with pytest.raises(DimensionMismatch):
@@ -189,6 +229,12 @@ class TestNoiseModel:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ConfigError):
             NoiseModel(gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigError) as info:
+            NoiseModel(gamma=gamma)
+        assert info.value.path == "noise.gamma"
 
     def test_dissipative_flag(self):
         assert direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]]).is_dissipative

@@ -166,6 +166,22 @@ class TestTimeAverage:
         with pytest.raises(WeightsNotNormalized):
             time_averaged_state([0.0, 1.0], [rho0.matrix] * 2, [3.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "weights", [[math.nan] * 5, [0.25, math.nan, 0.25, 0.25, 0.25], [math.inf] * 5]
+    )
+    def test_rejects_non_finite_weights(self, qubit, weights):
+        _, dec, rho0 = qubit
+        with pytest.raises(WeightsNotNormalized):
+            time_averaged_state([0.0, 1.0, 2.0, 3.0, 4.0], [rho0.matrix] * 5, weights)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.nan, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, math.nan]]
+    )
+    def test_rejects_nan_grid(self, qubit, grid):
+        _, dec, rho0 = qubit
+        with pytest.raises(GridMismatch):
+            time_averaged_state(grid, [rho0.matrix] * 5, [0.25] * 5)
+
     def test_gaussian_weight_characteristic_function(self, qubit):
         # Averaging pure phase evolution over a normal time density damps the
         # coherence by exp(-var/2), the gaussian characteristic function.

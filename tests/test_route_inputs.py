@@ -159,8 +159,7 @@ def test_states_are_hermitian_to_the_bit(dim, full_rank, degenerate):
     ensemble = run_ensemble(dec, model, rho0, grid, n_traj=64, seed=3)
     _assert_hermitian_to_the_bit(ensemble.mean)
     # so are the standard errors symmetric
-    for stderr in (ensemble.stderr_re, ensemble.stderr_im):
-        assert np.array_equal(stderr, np.swapaxes(stderr, 1, 2))
+    assert np.array_equal(ensemble.stderr, np.swapaxes(ensemble.stderr, 1, 2))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
