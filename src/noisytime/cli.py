@@ -11,8 +11,9 @@ Shared flags (--config, --out, --seed, --threads) go after the subcommand.
 Exit codes: 0 success, 1 a verification or statistical comparison failed,
 2 configuration or usage error.
 
-Trajectory tables are CSV, reports are JSON; the ``outputs.formats`` list in
-the scenario selects which of the two families is written.  Every file is
+Trajectory tables are CSV, reports are strict JSON (a number that is not
+finite is written as null); the ``outputs.formats`` list in the scenario
+selects which of the two families is written.  Every file is
 written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
 half-written table behind; a write that fails removes its temporary file.
 The four trajectory tables (analytic.csv, me.csv, mc_mean.csv, and
@@ -185,7 +186,9 @@ def _trajectory_csv(
 
 
 def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite float (a NaN or infinite z) is written as null."""
+    strict = json.loads(json.dumps(data), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_trajectory(

@@ -134,7 +134,7 @@ def integrate(
     generator: Superoperator,
     rho0,
     grid,
-    decomposition: SpectralDecomposition | None = None,
+    decomposition: SpectralDecomposition,
     max_step: float | None = None,
 ) -> EvolutionResult:
     """Runge-Kutta integration of the elementwise master equation.
@@ -156,8 +156,8 @@ def integrate(
 
     The grid must be finite, hold two or more points, start at 0 and increase
     strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
-    ``decomposition`` rotates in and out of the energy basis; pass None when
-    rho0 is already expressed there.  Every returned state S is replaced by
+    ``decomposition`` rotates in and out of the energy basis, where the
+    equation is elementwise.  Every returned state S is replaced by
     its Hermitian part (S + S^dagger) / 2, so it is Hermitian to the bit.
     """
     grid_arr = time_grid(grid)
@@ -180,7 +180,7 @@ def integrate(
 
     h = (spans / n_subs)[:, None, None]
     n = n_subs.astype(np.int64)[:, None, None]
-    y = to_energy_basis(rho, decomposition) if decomposition is not None else rho
+    y = to_energy_basis(rho, decomposition)
     states = np.empty((grid_arr.size,) + y.shape, dtype=complex)
     states[0] = y
     # One slab of intervals at a time, each writing the states at its ends.
@@ -211,8 +211,7 @@ def integrate(
     # Rotated and replaced by its Hermitian part one time slab at a time, in
     # place, so no second (T, d, d) array is made.
     for slab in _time_slabs(grid_arr.size, y.size):
-        if decomposition is not None:
-            states[slab] = from_energy_basis(states[slab], decomposition)
+        states[slab] = from_energy_basis(states[slab], decomposition)
         _hermitian_part(states[slab])
     return EvolutionResult(grid_arr, states)
 

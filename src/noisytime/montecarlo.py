@@ -365,9 +365,9 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
     populations, the t = 0 point) have rounding-level standard errors, and
     dividing one rounding error by another would report huge z for perfect
     agreement.  A deviation above the slack over zero standard error counts
-    as infinite, and a NaN deviation is never agreement.  PASS means
-    max z <= 4 and at most 5% of components above z = 3.  A reference on
-    another grid raises GridMismatch, one of another dimension
+    as infinite, and so does a NaN deviation, which is never agreement.
+    PASS means max z <= 4 and at most 5% of components above z = 3.  A
+    reference on another grid raises GridMismatch, one of another dimension
     DimensionMismatch.
     """
     if not np.array_equal(analytic.grid, ensemble.grid):
@@ -380,10 +380,10 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
     dev = np.abs((ensemble.mean - analytic.states).view(float))
     stderr = ensemble.stderr.view(float)
     genuine = ~(dev <= ZERO_STDERR_SLACK)
-    positive = stderr > 0
+    scored = genuine & (stderr > 0) & ~np.isnan(dev)
     z = np.zeros_like(dev)
-    np.divide(dev, stderr, out=z, where=genuine & positive)
-    z[genuine & ~positive] = np.inf
+    np.divide(dev, stderr, out=z, where=scored)
+    z[genuine & ~scored] = np.inf
     num_points = ensemble.grid.size
     max_z = float(np.max(z))
     frac = float(np.mean(z > Z_TAIL))

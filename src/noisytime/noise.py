@@ -642,12 +642,13 @@ def moment_report(
     theta_prime: float,
     n_traj: int,
     seed: int,
-    max_order: int = 6,
+    max_order: int = 4,
 ) -> list[MomentRow]:
     """Empirical moments of the phase difference against the Gaussian values.
 
-    Returns rows for orders 2..max_order.  Standard errors are the sample
-    standard deviation of X^order over sqrt(n_traj).  Raises ValueError
+    Returns rows for orders 2..max_order (2..4 by default, as the
+    ``moments`` subcommand).  Standard errors are the sample standard
+    deviation of X^order over sqrt(n_traj).  Raises ValueError
     naming ``max_order`` when a row would not be finite doubles.
     """
     if n_traj < 2:

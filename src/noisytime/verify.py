@@ -5,6 +5,9 @@ they cover the documented invariants of every module: spectral decomposition
 algebra, kernel properties, sampled-path statistics, the resummation identity,
 generator-versus-analytic agreement, complete positivity, the Markovianity
 boundary, energy conservation versus dissipation, and byte-level determinism.
+A check evaluates its kernels and trajectories once, as arrays, and tests
+each invariant over the whole stack: over every level pair, projector pair
+and state at once.
 
 The failure path of the ensemble z-test is itself a check:
 ``comparison-detector`` compares an ensemble with a doubled-gamma analytic
@@ -32,6 +35,7 @@ from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import (
     CorrelationPreset,
     DriftPreset,
+    LambdaKernel,
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
@@ -124,15 +128,14 @@ def _check_spectral_invariants() -> tuple[bool, str]:
         HermitianOperator(np.diag([0.5, 0.5, 2.0])),  # degenerate pair
     ):
         dec = eigendecompose(operator)
-        d = operator.dim
-        completeness = np.max(np.abs(dec.projectors.sum(axis=0) - np.eye(d)))
-        worst = max(worst, float(completeness))
-        for j in range(dec.num_levels):
-            for k in range(dec.num_levels):
-                product = dec.projectors[j] @ dec.projectors[k]
-                expected = dec.projectors[j] if j == k else np.zeros((d, d))
-                worst = max(worst, float(np.max(np.abs(product - expected))))
-        worst = max(worst, float(np.max(np.abs(dec.reconstruct() - operator.matrix))))
+        projectors = dec.projectors
+        completeness = np.max(np.abs(projectors.sum(axis=0) - np.eye(operator.dim)))
+        # products[j, k] = P_j P_k, expected delta_jk P_j
+        products = projectors[:, None] @ projectors[None, :]
+        expected = np.eye(dec.num_levels)[:, :, None, None] * projectors[:, None]
+        orthogonality = np.max(np.abs(products - expected))
+        reconstruction = np.max(np.abs(dec.reconstruct() - operator.matrix))
+        worst = max(worst, float(completeness), float(orthogonality), float(reconstruction))
     return worst < 1e-10, f"max defect {worst:.2e}"
 
 
@@ -160,22 +163,13 @@ def _check_kernel_properties() -> tuple[bool, str]:
     }
     thetas = [-1.0, 0.0, 0.4, 1.0]
     times = [0.0, 0.3, 1.0, 1.7, 2.5]
-    worst_asym = 0.0
-    worst_diag = 0.0
-    monotone = True
-    nonnegative = True
-    for model in models.values():
-        for a in thetas:
-            for b in thetas:
-                previous = 0.0
-                for t in times:
-                    lam = lambda_pair(model, t, a, b)
-                    nonnegative &= lam >= 0.0
-                    worst_asym = max(worst_asym, abs(lam - lambda_pair(model, t, b, a)))
-                    if a == b:
-                        worst_diag = max(worst_diag, abs(lam))
-                    monotone &= lam >= previous - 1e-12
-                    previous = lam
+    # lam[model, time, a, b], shape (3, 5, 4, 4)
+    lam = np.stack([LambdaKernel(model, thetas).lambda_matrix(times) for model in models.values()])
+    nonnegative = bool(np.all(lam >= 0.0))
+    worst_asym = float(np.max(np.abs(lam - lam.swapaxes(-2, -1))))
+    worst_diag = float(np.max(np.abs(np.diagonal(lam, axis1=-2, axis2=-1))))
+    # Non-decreasing in time from lambda = 0.
+    monotone = bool(np.all(np.diff(lam, axis=1, prepend=0.0) >= -1e-12))
     # Piecewise closed form against the exact piecewise sum.
     pw = models["piecewise"]
     t = 1.7
@@ -252,7 +246,7 @@ def _check_moment_identities() -> tuple[bool, str]:
     model = correlated_model(0.8, 1.0)
     rows = moment_report(model, t=1.0, theta=0.3, theta_prime=1.7, n_traj=20000, seed=1618)
     worst = 0.0
-    for row in rows[:3]:  # orders 2, 3, 4
+    for row in rows:  # orders 2, 3, 4
         if row.stderr == 0.0:
             if row.empirical != row.predicted:
                 return False, f"order {row.order} exact mismatch"
@@ -263,27 +257,25 @@ def _check_moment_identities() -> tuple[bool, str]:
 
 def _check_analytic_invariants() -> tuple[bool, str]:
     _, decomposition, rho0 = _four_level()
+    hamiltonian = decomposition.reconstruct()
     grid = np.linspace(0.0, 3.0, 31)
     worst_herm = worst_trace = worst_eig = 0.0
     monotone = True
     for model in (dephasing_model(0.5), correlated_model(0.8, 1.0), _piecewise_model()):
-        result = averaged_trajectory(decomposition, model, rho0, grid)
-        previous_purity = np.inf
-        previous_abs = np.full((4, 4), np.inf)
-        energy0 = energy_expectation(result.states[0], decomposition.reconstruct())
-        for state in result.states:
-            worst_herm = max(worst_herm, float(np.max(np.abs(state - state.conj().T))))
-            worst_trace = max(worst_trace, abs(float(np.trace(state).real) - 1.0))
-            worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(state)[0]))
-            p = purity(state)
-            monotone &= p <= previous_purity + 1e-12
-            previous_purity = p
-            rho_e = np.abs(to_energy_basis(state, decomposition))
-            monotone &= bool(np.all(rho_e <= previous_abs + 1e-12))
-            previous_abs = rho_e
-            drift = abs(energy_expectation(state, decomposition.reconstruct()) - energy0)
-            if drift > 1e-10:
-                return False, f"energy drift {drift:.2e}"
+        states = averaged_trajectory(decomposition, model, rho0, grid).states
+        energies = energy_expectation(states, hamiltonian)
+        drift = float(np.max(np.abs(energies - energies[0])))
+        if not drift <= 1e-10:
+            return False, f"energy drift {drift:.2e}"
+        herm = np.max(np.abs(states - states.conj().swapaxes(-2, -1)))
+        trace = np.max(np.abs(np.trace(states, axis1=-2, axis2=-1).real - 1.0))
+        worst_herm = max(worst_herm, float(herm))
+        worst_trace = max(worst_trace, float(trace))
+        worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(states))))
+        # Purity and every energy-basis magnitude are non-increasing in time.
+        magnitudes = np.abs(to_energy_basis(states, decomposition))
+        monotone &= bool(np.all(np.diff(purity(states)) <= 1e-12))
+        monotone &= bool(np.all(np.diff(magnitudes, axis=0) <= 1e-12))
     ok = worst_herm < 1e-12 and worst_trace < 1e-12 and worst_eig < 1e-10 and monotone
     return ok, (
         f"herm {worst_herm:.2e}, trace {worst_trace:.2e}, eig {worst_eig:.2e}, monotone {monotone}"
@@ -429,26 +421,21 @@ def _check_energy_modes() -> tuple[bool, str]:
     ensemble = run_ensemble(decomposition, model, rho0, grid, n_traj=200, seed=31)
     drift = 0.0
     for states in (analytic.states, ode.states, ensemble.mean):
-        energies = [energy_expectation(s, hamiltonian) for s in states]
-        drift = max(drift, max(abs(e - energies[0]) for e in energies))
+        energies = energy_expectation(states, hamiltonian)
+        drift = max(drift, float(np.max(np.abs(energies - energies[0]))))
 
     d_ham, d_dec, d_model, d_rho = _dissipative_fixture()
-    table = d_model.direct_lambda.table
-    rho_e = to_energy_basis(d_rho.matrix, d_dec)
-    worst_energy = 0.0
-    trace_warned = False
+    times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for t in (0.5, 1.0, 2.0, 4.0):
-            state = averaged_state(d_dec, d_model, d_rho, t)
-            measured = energy_expectation(state, d_ham)
-            closed = sum(
-                d_dec.levels[k] * math.exp(-0.5 * t * table[k, k]) * rho_e[k, k].real
-                for k in range(d_dec.num_levels)
-            )
-            worst_energy = max(worst_energy, abs(measured - closed))
+        states = averaged_trajectory(d_dec, d_model, d_rho, times).states
         trace_warned = any(issubclass(w.category, DissipativeTraceLoss) for w in caught)
-    final_trace = float(np.trace(state.matrix).real)
+    # Populations decay as exp(-t table_kk / 2); coherences carry no energy.
+    populations = to_energy_basis(d_rho.matrix, d_dec).diagonal().real
+    decay = np.exp(-0.5 * times[:, None] * np.diag(d_model.direct_lambda.table))
+    closed = (decay * populations) @ d_dec.levels
+    worst_energy = float(np.max(np.abs(energy_expectation(states, d_ham) - closed)))
+    final_trace = float(np.trace(states[-1]).real)
     ok = drift <= 1e-10 and worst_energy <= 1e-10 and trace_warned and final_trace < 1.0
     return ok, (
         f"conserved drift {drift:.2e}; dissipative closed-form gap {worst_energy:.2e}; "

@@ -15,6 +15,7 @@ import pytest
 import noisytime.config
 import noisytime.verify
 from noisytime import (
+    EvolutionResult,
     averaged_trajectory,
     build_generator,
     eigendecompose,
@@ -443,6 +444,33 @@ class TestSample:
         assert len(mean_rows) == len(stderr_rows) == 6
         assert "purity" in mean_rows[0]
         assert "purity" not in stderr_rows[0]
+
+    @pytest.mark.parametrize("fault", ["nan", "inf"])
+    def test_non_finite_z_is_strict_json(self, fault, scenario_yaml, tmp_path, monkeypatch):
+        # a NaN reference gives NaN deviations; an imaginary part on the
+        # reference's diagonal, where every stderr is zero, gives z = inf.
+        # Both are written as null.
+        def reference(*args):
+            result = averaged_trajectory(*args)
+            states = result.states.copy()
+            if fault == "nan":
+                states[:] = complex(np.nan, np.nan)
+            else:
+                states[:, 0, 0] += 1e-6j
+            return EvolutionResult(result.grid, states)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        monkeypatch.setattr(noisytime.cli, "averaged_trajectory", reference)
+        config = scenario_yaml(
+            "global_dephasing", **{"grid.n_steps": 4, "montecarlo.n_traj": 200}
+        )
+        out = tmp_path / "run"
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+        report = json.loads((out / "comparison.json").read_text(), parse_constant=refuse)
+        assert report["max_z"] is None
+        assert report["pass"] is False
 
     def test_seed_override_changes_output(self, scenario_yaml, tmp_path):
         config = scenario_yaml(

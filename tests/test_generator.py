@@ -140,7 +140,8 @@ class TestSuperoperator:
         rates = np.array([[0.0, -0.5], [-0.5, 0.0]], dtype=complex)
         gen = Superoperator(rates)
         rho_e = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        out = integrate(gen, rho_e, [0.0, 2.0]).states[-1]
+        basis = eigendecompose(np.diag([0.0, 1.0]))  # rho_e is in its eigenbasis
+        out = integrate(gen, rho_e, [0.0, 2.0], decomposition=basis).states[-1]
         assert np.max(np.abs(out - np.exp(rates * 2.0) * rho_e)) < 1e-8
 
 
@@ -285,7 +286,8 @@ class TestIntegrate:
         grid = np.concatenate([[0.0], np.cumsum(spans)])  # 2 to 6 substeps each
         rho_e = to_energy_basis(rho, dec)
         expected, _ = _reference_integrate(gen, rho_e, grid, max_step)
-        got = integrate(gen, rho_e, grid, max_step=max_step).states
+        basis = eigendecompose(np.diag(dec.column_levels()))  # rho_e is in its eigenbasis
+        got = integrate(gen, rho_e, grid, decomposition=basis, max_step=max_step).states
         assert np.max(np.abs(got - expected)) < 1e-13
         rotated = integrate(gen, rho, grid, decomposition=dec, max_step=max_step).states
         assert np.max(np.abs(rotated - from_energy_basis(expected, dec))) < 1e-13
@@ -305,9 +307,9 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             _reference_integrate(gen, rho0.matrix, grid, coarse)
         with pytest.raises(StepTooLarge):
-            integrate(gen, rho0.matrix, grid, max_step=coarse)
+            integrate(gen, rho0.matrix, grid, decomposition=dec, max_step=coarse)
         expected, _ = _reference_integrate(gen, rho0.matrix, grid, fine)
-        got = integrate(gen, rho0.matrix, grid, max_step=fine).states
+        got = integrate(gen, rho0.matrix, grid, decomposition=dec, max_step=fine).states
         assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-13
 
     @pytest.mark.parametrize("max_step", [-1.0, 0.0, float("nan")])
@@ -324,14 +326,6 @@ class TestIntegrate:
         a = integrate(gen, rho0, grid, decomposition=dec, max_step=np.inf).states
         b = integrate(gen, rho0, grid, decomposition=dec, max_step=0.02).states
         assert np.array_equal(a, b)
-
-    def test_energy_basis_input(self, qubit):
-        # decomposition=None means rho0 is already elementwise-diagonalized
-        _, dec, rho0 = qubit
-        gen = build_generator(dec, dephasing_model(0.5))
-        a = integrate(gen, rho0, [0.0, 1.0], decomposition=dec).states[-1]
-        b = integrate(gen, rho0.matrix, [0.0, 1.0]).states[-1]
-        assert np.allclose(a, b, atol=1e-12)  # diagonal H: same basis
 
 
 class TestChoi:

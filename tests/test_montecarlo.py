@@ -567,12 +567,16 @@ class TestCompare:
             run_ensemble(dec, dephasing_model(0.5), rho0, [0.0, 1.0], n_traj=1, seed=1)
 
     def test_nan_reference_fails(self, qubit):
-        # a NaN deviation is no agreement, however small the slack
+        # a NaN deviation is no agreement, however small the slack: over a
+        # positive stderr it scores z = inf like any disagreement
         _, dec, rho0 = qubit
         grid = np.linspace(0, 2, 6)
         ensemble = run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=200, seed=90125)
         nan = EvolutionResult(grid, np.full((6, 2, 2), complex(np.nan, np.nan)))
-        assert compare_to_analytic(ensemble, nan).passed is False
+        report = compare_to_analytic(ensemble, nan)
+        assert report.passed is False
+        assert report.max_z == np.inf
+        assert np.all(report.max_z_per_time == np.inf)
 
     def test_nan_mean_fails(self, qubit):
         _, dec, rho0 = qubit

@@ -607,7 +607,9 @@ class TestMoments:
 
     def test_report_rows(self):
         model = correlated_model(0.8, 1.0)
-        rows = moment_report(model, t=1.0, theta=0.3, theta_prime=1.7, n_traj=5000, seed=12)
+        rows = moment_report(
+            model, t=1.0, theta=0.3, theta_prime=1.7, n_traj=5000, seed=12, max_order=6
+        )
         assert [r.order for r in rows] == [2, 3, 4, 5, 6]
         lam = lambda_pair(model, 1.0, 0.3, 1.7)
         assert rows[0].predicted == pytest.approx(lam, rel=1e-12)
@@ -624,6 +626,13 @@ class TestMoments:
         rows = moment_report(
             dephasing_model(1.0), t=1.0, theta=0.0, theta_prime=1.0,
             n_traj=500, seed=2, max_order=4,
+        )
+        assert [r.order for r in rows] == [2, 3, 4]
+
+    def test_report_default_orders(self):
+        # the library default is the CLI's --max-order default
+        rows = moment_report(
+            dephasing_model(1.0), t=1.0, theta=0.0, theta_prime=1.0, n_traj=500, seed=2
         )
         assert [r.order for r in rows] == [2, 3, 4]
 

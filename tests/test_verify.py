@@ -1,0 +1,95 @@
+"""Failure paths of the invariant suite: each fault must turn its check to FAIL.
+
+Every check passes on correct code (``TestVerifyCommand`` in test_cli.py
+runs the whole suite), so these tests feed a check one broken input through
+a monkeypatched dependency and require that the check rejects it.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from noisytime import verify
+from noisytime.noise import LambdaKernel
+
+
+def _shift_energy(stack, size):
+    """Move ``size`` of population from level 0 to level 3 of the four-level
+    system in every state after the first: trace and Hermiticity are kept,
+    the energy rises by 2.03 * size."""
+    shifted = stack.copy()
+    shifted[1:, 3, 3] += size
+    shifted[1:, 0, 0] -= size
+    return shifted
+
+
+def test_kernel_properties_flags_an_asymmetric_kernel(monkeypatch):
+    # lambda(a, b) gains 1e-6 (b - a) where b > a: nonnegative, zero on the
+    # diagonal, constant in time, and absent from the closed-form pair (1, -1)
+    exact = LambdaKernel.lambda_matrix
+
+    def skewed(self, t):
+        levels = self.levels
+        return exact(self, t) + 1e-6 * np.maximum(levels[None, :] - levels[:, None], 0.0)
+
+    monkeypatch.setattr(LambdaKernel, "lambda_matrix", skewed)
+    ok, detail = verify._check_kernel_properties()
+    assert not ok
+    assert detail.startswith("asym 2.00e-06, diag 0.00e+00,")
+
+
+def test_spectral_invariants_flag_non_orthogonal_projectors(monkeypatch):
+    # P_j + c_j X with sum c_j = 0 and sum level_j c_j = 0 still sums to the
+    # identity and reconstructs the operator, but P_j P_k is not delta_jk P_j
+    exact = verify.eigendecompose
+
+    def skewed(operator):
+        dec = exact(operator)
+        if dec.num_levels < 3:
+            return dec
+        c = np.linalg.svd(np.vstack([np.ones(dec.num_levels), dec.levels]))[2][-1]
+        x = np.full((dec.dim, dec.dim), 1e-6)
+        return dataclasses.replace(dec, projectors=dec.projectors + c[:, None, None] * x)
+
+    monkeypatch.setattr(verify, "eigendecompose", skewed)
+    ok, detail = verify._check_spectral_invariants()
+    assert not ok
+    assert float(detail.removeprefix("max defect ")) > 1e-7
+
+
+def test_analytic_invariants_flag_an_energy_drift(monkeypatch):
+    exact = verify.averaged_trajectory
+
+    def drifting(*args):
+        result = exact(*args)
+        return dataclasses.replace(result, states=_shift_energy(result.states, 1e-9))
+
+    monkeypatch.setattr(verify, "averaged_trajectory", drifting)
+    assert verify._check_analytic_invariants() == (False, "energy drift 2.03e-09")
+
+
+def test_analytic_invariants_flag_a_rising_purity(monkeypatch):
+    # the states in reverse time order: purity and |rho_E| grow
+    exact = verify.averaged_trajectory
+
+    def reversed_in_time(*args):
+        result = exact(*args)
+        return dataclasses.replace(result, states=result.states[::-1].copy())
+
+    monkeypatch.setattr(verify, "averaged_trajectory", reversed_in_time)
+    ok, detail = verify._check_analytic_invariants()
+    assert not ok
+    assert detail.endswith("monotone False")
+
+
+def test_energy_modes_flag_a_drifting_ensemble_mean(monkeypatch):
+    exact = verify.run_ensemble
+
+    def drifting(*args, **kwargs):
+        ensemble = exact(*args, **kwargs)
+        return dataclasses.replace(ensemble, mean=_shift_energy(ensemble.mean, 1e-9))
+
+    monkeypatch.setattr(verify, "run_ensemble", drifting)
+    ok, detail = verify._check_energy_modes()
+    assert not ok
+    assert detail.startswith("conserved drift 2.03e-09;")
