@@ -61,7 +61,6 @@ from .generator import (
     Superoperator,
     build_generator,
     cp_report,
-    CPCheckpoint,
     CPReport,
     integrate,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "build_generator",
     "integrate",
     "cp_report",
-    "CPCheckpoint",
     "CPReport",
     # montecarlo
     "EnsembleResult",

@@ -18,15 +18,16 @@ written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
 half-written table behind; a write that fails removes its temporary file.
 The four trajectory tables (analytic.csv, me.csv, mc_mean.csv, and
 mc_stderr.csv from the ensemble's complex standard-error stack) have one
-writer.  They are formatted and written in blocks of rows, each built from
-a slice of the (T, d, d) stack, so the text of a whole table is never held in
-memory; the blocks are the time slabs of every pass over a trajectory
-(``operators._time_slabs``), about ``operators.SLAB_ELEMENT_BUDGET`` values
-each.  A row whose lower triangle mirrors its upper one by the routes' own
-rule (entry (l, k) is (Re S_kl, 0 - Im S_kl), a standard error its
-mirror's) formats its diagonal and upper triangle and copies the mirrors'
-texts; any other row formats every value.  The bytes are those of
-formatting every value of the whole table at once.
+writer.  They are formatted and written one row at a time from blocks of
+rows, each block's float table built from a slice of the (T, d, d) stack, so
+neither a whole table nor a block is ever held as text; the blocks are the
+time slabs of every pass over a trajectory (``operators._time_slabs``),
+about ``operators.SLAB_ELEMENT_BUDGET`` values each.  A row whose lower
+triangle mirrors its upper one by the routes' own rule (entry (l, k) is
+(Re S_kl, 0 - Im S_kl), a standard error its mirror's) formats its diagonal
+and upper triangle and copies the mirrors' texts; any other row formats
+every value.  The bytes are those of formatting every value of the whole
+table at once.
 """
 
 from __future__ import annotations
@@ -129,13 +130,14 @@ def _trajectory_csv(
 
     A row holds t, the real and imaginary parts of each entry (k, l) of the
     (T, d, d) complex ``stack`` at t and, given ``metrics``, the row's
-    ``METRIC_COLUMNS``.  The header line comes first, then the lines of
-    each block of rows, the blocks being ``operators._time_slabs`` at one
-    value per column.  A row mirrors when every lower-triangle value is its
-    mirror's (``_mirror_columns``), or 0 - x of its mirror's x for the
-    imaginary parts where ``flip_imaginary``, sign of zero included: the
-    rule by which every route writes its lower triangle, a state's with the
-    flip and a standard error's without.  Such a row formats its other
+    ``METRIC_COLUMNS``.  The header line comes first, then one line per
+    row, each block of rows put in a float table of its own, the blocks
+    being ``operators._time_slabs`` at one value per column.  A row mirrors
+    when every lower-triangle value is its mirror's (``_mirror_columns``),
+    or 0 - x of its mirror's x for the imaginary parts where
+    ``flip_imaginary``, sign of zero included: the rule by which every route
+    writes its lower triangle, a state's with the flip and a standard
+    error's without.  Such a row formats its other
     columns and copies the mirrors' texts, a negated one as ``-`` toggled
     and ``0`` and ``-0`` as ``0``; any other row formats every value.
     Formatting is the cost of writing, and a Hermitian table formats only
@@ -171,18 +173,16 @@ def _trajectory_csv(
         own, mirror = table[:, lower], table[:, upper]
         np.subtract(0.0, mirror, out=mirror, where=flip)
         same = (own == mirror) & (np.signbit(own) == np.signbit(mirror))
-        lines = []
         for row, mirrored in zip(table, same.all(axis=1)):
             if not mirrored:
-                lines.append(row_format % tuple(row.tolist()))
+                yield row_format % tuple(row.tolist()) + "\n"
                 continue
             texts = (mirrored_format % tuple(row[order].tolist())).split(",")
             texts += [
                 text[1:] if text[0] == "-" else text if text == "0" else "-" + text
                 for text in texts[first:]
             ]
-            lines.append(",".join(pick(texts)))
-        yield "\n".join(lines) + "\n"
+            yield ",".join(pick(texts)) + "\n"
 
 
 def _json_text(data: dict) -> str:

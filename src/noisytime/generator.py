@@ -4,7 +4,8 @@ All built-in generators act entry by entry in the energy basis:
 (d rho / dt)_{kl} = r_{kl} rho_{kl}.  Storage is therefore the (d, d) rate
 matrix, not a d^2 x d^2 superoperator matrix.  The Choi matrix of such a map
 is the factor matrix F(t) = exp(r t) placed on the index pairs (ii, jj), so
-complete positivity is certified from F(t) alone.
+complete positivity at a time is certified from F(t) alone, and at every
+time from r alone (:func:`cp_report`).
 
 :func:`build_generator` reads the rates from the noise model's presets, as
 the other two routes do; it shares no kernel with the analytic route.
@@ -41,7 +42,6 @@ from .results import EvolutionResult, time_grid
 
 __all__ = [
     "Superoperator",
-    "CPCheckpoint",
     "CPReport",
     "build_generator",
     "integrate",
@@ -88,8 +88,9 @@ class Superoperator:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    def factors(self, t: float) -> np.ndarray:
-        """Entrywise solution factors exp(rates * t)."""
+    def factors(self, t) -> np.ndarray:
+        """Entrywise solution factors exp(rates * t); times of shape (K, 1, 1)
+        give the (K, d, d) stack."""
         return np.exp(self.rates * t)
 
 
@@ -217,75 +218,69 @@ def integrate(
 
 
 @dataclass(frozen=True)
-class CPCheckpoint:
-    """Map diagnostics at one time."""
-
-    t: float
-    min_choi_eigenvalue: float
-    trace_defect: float
-    unitality_defect: float
-    semigroup_defect: float
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "min_choi_eigenvalue": self.min_choi_eigenvalue,
-            "trace_defect": self.trace_defect,
-            "unitality_defect": self.unitality_defect,
-            "semigroup_defect": self.semigroup_defect,
-        }
-
-
-@dataclass(frozen=True)
 class CPReport:
-    """Complete-positivity, trace, unitality, and semigroup diagnostics."""
+    """Complete-positivity, trace and semigroup diagnostics of a generator.
 
-    checkpoints: tuple[CPCheckpoint, ...]
+    ``times`` are the checkpoints; ``choi_minima``, ``trace_defects`` and
+    ``semigroup_defects`` hold one value per checkpoint.
+    ``min_generator_eigenvalue`` certifies every t >= 0 at once, and
+    ``cp_ok`` requires it and every checkpoint's Choi minimum.
+    """
 
-    @property
-    def cp_ok(self) -> bool:
-        return all(c.min_choi_eigenvalue >= CHOI_PSD_TOL for c in self.checkpoints)
+    times: np.ndarray
+    choi_minima: np.ndarray
+    trace_defects: np.ndarray
+    semigroup_defects: np.ndarray
+    min_generator_eigenvalue: float
+    cp_ok: bool
 
     @property
     def min_choi_eigenvalue(self) -> float:
-        return min(c.min_choi_eigenvalue for c in self.checkpoints)
+        return float(np.min(self.choi_minima))
 
     def to_dict(self) -> dict:
+        rows = np.stack([self.times, self.choi_minima, self.trace_defects, self.semigroup_defects])
         return {
             "cp_ok": self.cp_ok,
             "min_choi_eigenvalue": self.min_choi_eigenvalue,
-            "checkpoints": [c.to_dict() for c in self.checkpoints],
+            "min_generator_eigenvalue": self.min_generator_eigenvalue,
+            "checkpoints": [
+                {"t": t, "min_choi_eigenvalue": e, "trace_defect": d, "semigroup_defect": s}
+                for t, e, d, s in rows.T.tolist()
+            ],
         }
 
 
 def cp_report(generator: Superoperator, times) -> CPReport:
-    """Evaluate the four map diagnostics at each requested time.
+    """Evaluate the map diagnostics at every requested time in one array pass.
 
     The Choi matrix of an elementwise map is the Hermitian factor matrix
     F(t) on the pairs (ii, jj) and zero elsewhere, so its spectrum is that of
     F(t) plus d^2 - d zeros: the minimum Choi eigenvalue is lambda_min(F) for
-    d = 1 and min(0, lambda_min(F)) otherwise.  Trace and unitality defects
-    coincide for elementwise maps (both are max |F_kk - 1|).  The semigroup
-    defect compares the map at 2t with the squared map at t.
+    d = 1 and min(0, lambda_min(F)) otherwise, taken for the (K, d, d) stack
+    of all checkpoints in one batched eigensolve.  The trace defect is
+    max |F_kk - 1|, which for an elementwise map is also its distance from
+    unitality.  The semigroup defect compares the map at 2t with the squared
+    map at t.
+
+    F(t) = exp(R t) entrywise is PSD for every t >= 0 exactly when R is
+    conditionally PSD, x^dagger R x >= 0 whenever sum(x) = 0 (Horn & Johnson,
+    Topics in Matrix Analysis, Thm 6.3.6).  ``min_generator_eigenvalue`` is
+    lambda_min(J R J) with J = I - 1 1^T / d the centering matrix, and
+    ``cp_ok`` requires it to be at least CHOI_PSD_TOL * max|R| as well as
+    every checkpoint's Choi minimum to be at least CHOI_PSD_TOL.
     """
-    checkpoints = []
-    for t in np.asarray(times, dtype=float).reshape(-1):
-        t = float(t)
-        factors = generator.factors(t)
-        min_eig = float(np.linalg.eigvalsh(factors)[0])
-        if generator.dim > 1:
-            min_eig = min(0.0, min_eig)
-        defect = float(np.max(np.abs(np.diag(factors) - 1.0)))
-        semigroup = float(
-            np.max(np.abs(generator.factors(2.0 * t) - factors * factors))
-        )
-        checkpoints.append(
-            CPCheckpoint(
-                t=t,
-                min_choi_eigenvalue=min_eig,
-                trace_defect=defect,
-                unitality_defect=defect,
-                semigroup_defect=semigroup,
-            )
-        )
-    return CPReport(checkpoints=tuple(checkpoints))
+    times = np.asarray(times, dtype=float).reshape(-1)
+    stacked = times[:, None, None]
+    factors = generator.factors(stacked)
+    choi_minima = np.linalg.eigvalsh(factors)[:, 0]
+    if generator.dim > 1:
+        choi_minima = np.minimum(choi_minima, 0.0)
+    trace_defects = np.max(np.abs(np.diagonal(factors, axis1=1, axis2=2) - 1.0), axis=1)
+    semigroup = np.abs(generator.factors(2.0 * stacked) - factors * factors)
+    semigroup_defects = np.max(semigroup, axis=(1, 2))
+    centering = np.eye(generator.dim) - 1.0 / generator.dim
+    min_generator = float(np.linalg.eigvalsh(centering @ generator.rates @ centering)[0])
+    tolerance = CHOI_PSD_TOL * float(np.max(np.abs(generator.rates)))
+    cp_ok = bool(np.all(choi_minima >= CHOI_PSD_TOL)) and min_generator >= tolerance
+    return CPReport(times, choi_minima, trace_defects, semigroup_defects, min_generator, cp_ok)

@@ -311,7 +311,12 @@ class DirectDampingPreset:
     over the tabulated distinct levels.  A nonzero diagonal makes populations
     decay (dissipative branch).  Models carrying this preset are propagated
     and integrated; the Brownian samplers refuse them.  Levels and rates must
-    be finite.
+    be finite.  The table D must be conditionally negative semidefinite:
+    exp(-t D / 2) entrywise is PSD for every t >= 0 exactly when -J D J / 2
+    is PSD, J = I - 1 1^T / m (Horn & Johnson, Topics in Matrix Analysis,
+    Thm 6.3.6), so any other table gives a map that is not completely
+    positive at small t.  A squared-distance table plus (a_k + a_l) / 2 with
+    a >= 0 passes; so do its sub-tables and degenerate-level expansions.
     """
 
     # The one kind, which a config file may leave out.
@@ -338,6 +343,13 @@ class DirectDampingPreset:
         arr = 0.5 * (arr + arr.T)
         if m and float(np.min(np.diag(arr))) < 0:
             raise ConfigError("noise.direct_lambda.table", "diagonal rates must be >= 0")
+        centering = np.eye(m) - 1.0 / max(m, 1)
+        gram = np.linalg.eigvalsh(-0.5 * centering @ arr @ centering)
+        if m and gram[0] < PSD_EIG_FLOOR * np.max(np.abs(arr)):
+            raise ConfigError(
+                "noise.direct_lambda.table",
+                f"not completely positive at small t: -J D J / 2 has eigenvalue {gram[0]:.3e}",
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "table", arr)

@@ -29,7 +29,7 @@ import yaml
 
 from .config import _YAML_LOADER, ScenarioConfig, config_to_dict, parse_config
 from .errors import DissipativeTraceLoss
-from .generator import build_generator, cp_report, integrate
+from .generator import Superoperator, build_generator, cp_report, integrate
 from .metrics import energy_expectation, purity
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import (
@@ -352,43 +352,42 @@ def _check_tau_zero_reduction() -> tuple[bool, str]:
     return worst < 1e-6, f"max relative gap {worst:.2e} at tau=1e-4"
 
 
+def _direct_rates(levels, table) -> Superoperator:
+    """Route 2's rates -i dh - table / 2 for a table the preset would refuse."""
+    return Superoperator(-1j * np.subtract.outer(levels, levels) - 0.5 * np.asarray(table))
+
+
 def _check_cp_certification() -> tuple[bool, str]:
     spectra = [0.0, 0.37, 1.1, 2.03, 2.5, 3.01, 3.9, 4.42]
-    worst = np.inf
+    reports = []
     for dim in range(2, 9):
         decomposition = eigendecompose(HermitianOperator(np.diag(spectra[:dim])))
-        for generator in (
-            build_generator(decomposition, dephasing_model(0.7)),
-            build_generator(decomposition, correlated_model(0.7, 1.2)),
-        ):
-            report = cp_report(generator, [0.1, 1.0, 10.0])
-            worst = min(worst, report.min_choi_eigenvalue)
-    _, qubit_dec, _ = _qubit()
-    amplifying = direct_damping_model(qubit_dec.levels, [[0, -1], [-1, 0]])
-    violator = build_generator(qubit_dec, amplifying)
-    violation = cp_report(violator, [1.0]).min_choi_eigenvalue
-    ok = worst >= -1e-10 and violation < -1e-6
-    return ok, f"min eigenvalue {worst:.2e}; violator flagged at {violation:.2e}"
+        for model in (dephasing_model(0.7), correlated_model(0.7, 1.2)):
+            reports.append(cp_report(build_generator(decomposition, model), [0.1, 1.0, 10.0]))
+    worst = min(report.min_choi_eigenvalue for report in reports)
+    amplifying = cp_report(_direct_rates([0.0, 1.0], [[0, -1], [-1, 0]]), [1.0])
+    # Not CP at small t only: its Choi matrix is PSD again from t ~ 0.5 on.
+    three_level = cp_report(
+        _direct_rates([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]]), [1.0]
+    )
+    certified = worst >= -1e-10 and all(report.cp_ok for report in reports)
+    flagged = amplifying.min_choi_eigenvalue < -1e-6 and not (amplifying.cp_ok or three_level.cp_ok)
+    return certified and flagged, (
+        f"min eigenvalue {worst:.2e}; amplifying qubit flagged at "
+        f"{amplifying.min_choi_eigenvalue:.2e}, three-level table at generator "
+        f"eigenvalue {three_level.min_generator_eigenvalue:.2e}"
+    )
 
 
 def _check_map_defects() -> tuple[bool, str]:
     _, decomposition, _ = _four_level()
-    worst = 0.0
-    for generator in (
-        build_generator(decomposition, dephasing_model(0.5)),
-        build_generator(decomposition, correlated_model(0.8, 1.0)),
-    ):
-        report = cp_report(generator, [0.1, 1.0, 10.0])
-        for checkpoint in report.checkpoints:
-            worst = max(
-                worst,
-                checkpoint.trace_defect,
-                checkpoint.unitality_defect,
-                checkpoint.semigroup_defect,
-            )
+    reports = [
+        cp_report(build_generator(decomposition, model), [0.1, 1.0, 10.0])
+        for model in (dephasing_model(0.5), correlated_model(0.8, 1.0))
+    ]
+    worst = float(np.max([(r.trace_defects, r.semigroup_defects) for r in reports]))
     _, dec2, model, _ = _dissipative_fixture()
-    dissipative = build_generator(dec2, model)
-    trace_defect = cp_report(dissipative, [1.0]).checkpoints[0].trace_defect
+    trace_defect = float(cp_report(build_generator(dec2, model), [1.0]).trace_defects[0])
     ok = worst < 1e-10 and trace_defect > 1e-3
     return ok, f"brownian defects {worst:.2e}; dissipative trace defect {trace_defect:.3f}"
 

@@ -135,7 +135,7 @@ class TestCsvWriters:
         )
         metrics = {key: _awkward_values(rng, (num_rows,)) for key in METRIC_KEYS}
         chunks = list(_trajectory_csv(grid, states, True, metrics))
-        assert len(chunks) == 1 + 3
+        assert [chunk.count("\n") for chunk in chunks] == [1] * (1 + num_rows)
         expected = _reference_csv(grid, states.real, states.imag, metrics)
         assert "".join(chunks).encode() == expected.encode()
 
@@ -147,7 +147,7 @@ class TestCsvWriters:
         stderr_re = _awkward_values(rng, (num_rows, 2, 2))
         stderr_im = _awkward_values(rng, (num_rows, 2, 2))
         chunks = list(_trajectory_csv(grid, _complex(stderr_re, stderr_im), False))
-        assert len(chunks) == 1 + 3
+        assert [chunk.count("\n") for chunk in chunks] == [1] * (1 + num_rows)
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "".join(chunks).encode() == expected.encode()
 
@@ -161,7 +161,7 @@ class TestCsvWriters:
         states = _complex(re, im)
         assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
         chunks = list(_trajectory_csv(grid, states, True, metrics))
-        assert len(chunks) == 1 + -(-num_rows // 356)
+        assert [chunk.count("\n") for chunk in chunks] == [1] * (1 + num_rows)
         expected = _reference_csv(grid, re, im, metrics)
         for text in ("4.9406564584124654e-324", "-1.7976931348623157e+308", ",-0,0,", ",0,-0,"):
             assert text in expected
@@ -174,7 +174,7 @@ class TestCsvWriters:
         stderr_re, stderr_im = _mirrored_awkward(rng, num_rows, 2, negate=False)
         grid = np.linspace(0.0, 3.0, num_rows)
         chunks = list(_trajectory_csv(grid, _complex(stderr_re, stderr_im), False))
-        assert len(chunks) == 1 + -(-num_rows // 910)
+        assert [chunk.count("\n") for chunk in chunks] == [1] * (1 + num_rows)
         expected = _reference_csv(grid, stderr_re, stderr_im)
         assert "".join(chunks).encode() == expected.encode()
 
@@ -198,8 +198,8 @@ class TestCsvWriters:
         # The traced peak of writing a T = 10001, d = 8 Hermitian table
         # (25 MB) in the writer's own blocks of 492 rows stays below a
         # quarter of the file: no whole-table float copy or text is built.
-        # A block is a twentieth of the table, so the few copies of one
-        # block's text that writing holds fit under the bound.
+        # A block is a twentieth of the table, and only its float table and
+        # one row's text are held at a time.
         rng = np.random.default_rng(7)
         num_rows, dim = 10001, 8
         assert len(_time_slabs(num_rows, 1 + 2 * dim * dim + len(METRIC_KEYS))) == 21
@@ -543,6 +543,37 @@ class TestThreads:
         args = [command, "--config", str(config), "--out", str(out), "--threads", threads]
         assert main(args + extra) == 2
         assert "config error: --threads:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTableThatIsNotCompletelyPositive:
+    """H = diag(0, 1, 2.5) with the direct table [[0, 1, 1], [1, 0, 5],
+    [1, 5, 0]]: exp(-t D / 2) entrywise is not PSD for t below about 0.5, so
+    no subcommand takes the config."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("evolve", []),
+            ("integrate", ["--generator", "general"]),
+            ("sample", []),
+            ("moments", ["--theta", "0.0", "--theta-prime", "1.0"]),
+            ("verify", ["--quick"]),
+        ],
+    )
+    def test_exits_2(self, command, extra, scenario_yaml, tmp_path, capsys):
+        row = [[0.0, 0.0]] * 3
+        config = scenario_yaml(
+            "dissipative_direct",
+            **{
+                "hamiltonian": [row, [row[0], [1.0, 0.0], row[0]], [row[0], row[0], [2.5, 0.0]]],
+                "noise.direct_lambda.levels": [0.0, 1.0, 2.5],
+                "noise.direct_lambda.table": [[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]],
+            },
+        )
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)] + extra) == 2
+        assert "config error: noise.direct_lambda.table:" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -53,9 +53,22 @@ def _damping_table(generator):
     return -2.0 * generator.rates.real
 
 
+def _direct_rates(levels, table):
+    """Route 2's rates -i dh - table / 2 for a table that direct_damping_model
+    refuses: one that is not conditionally negative semidefinite."""
+    return Superoperator(-1j * np.subtract.outer(levels, levels) - 0.5 * np.asarray(table))
+
+
+def _cp_table(rng, m):
+    """A random completely positive damping table: squared distances of points
+    on a line plus (a_k + a_l) / 2 with a >= 0."""
+    p, a = rng.normal(size=m), rng.uniform(0.0, 1.0, m)
+    return (p[:, None] - p[None, :]) ** 2 + 0.5 * (a[:, None] + a[None, :])
+
+
 def _amplifying(dec):
     """Negative off-diagonal rates: coherences grow, the map is not CP."""
-    return build_generator(dec, direct_damping_model(dec.levels, [[0.0, -1.0], [-1.0, 0.0]]))
+    return _direct_rates(dec.levels, [[0.0, -1.0], [-1.0, 0.0]])
 
 
 def _rk4_step(rates, y, h):
@@ -101,9 +114,7 @@ def _random_case(d, kind, seed):
     elif kind == "correlated":
         model = correlated_model(0.7, 0.9)
     else:
-        m = dec.num_levels
-        table = rng.uniform(0.0, 1.0, (m, m))
-        model = direct_damping_model(dec.levels, table + table.T)
+        model = direct_damping_model(dec.levels, _cp_table(rng, dec.num_levels))
     gen = build_generator(dec, model)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
@@ -361,29 +372,29 @@ class TestReducedCertificate:
     @staticmethod
     def _assert_matches_oracle(generator, times):
         report = cp_report(generator, times)
-        for checkpoint in report.checkpoints:
-            oracle = float(np.linalg.eigvalsh(_choi_matrix(generator, checkpoint.t))[0])
-            assert checkpoint.min_choi_eigenvalue == pytest.approx(oracle, abs=1e-12)
+        for t, choi_min in zip(report.times, report.choi_minima):
+            oracle = float(np.linalg.eigvalsh(_choi_matrix(generator, t))[0])
+            assert choi_min == pytest.approx(oracle, abs=1e-12)
         return report
 
     def test_builtin_generators(self):
         rng = np.random.default_rng(5)
         for dim in range(1, 9):
             dec = eigendecompose(HermitianOperator(np.diag(self.SPECTRUM[:dim])))
-            table = rng.uniform(0.0, 1.0, size=(dim, dim))
+            table = _cp_table(rng, dim)
             drifted = replace(correlated_model(0.7, 1.2), drift_h=DriftPreset.affine(1.5, 0.2))
             brownian = (dephasing_model(0.7), drifted)
             for model in brownian:
                 report = self._assert_matches_oracle(build_generator(dec, model), [0.1, 1.0, 10.0])
                 assert report.cp_ok
-            direct = direct_damping_model(dec.levels, table @ table.T)
+            direct = direct_damping_model(dec.levels, table)
             self._assert_matches_oracle(build_generator(dec, direct), [0.1, 1.0, 10.0])
 
     def test_single_level_reports_the_factor(self):
         dec = eigendecompose(HermitianOperator(np.diag([2.0])))
         generator = build_generator(dec, direct_damping_model([2.0], [[0.6]]))
         report = self._assert_matches_oracle(generator, [0.5, 2.0])
-        assert report.checkpoints[0].min_choi_eigenvalue == pytest.approx(np.exp(-0.15))
+        assert report.choi_minima[0] == pytest.approx(np.exp(-0.15))
         assert report.cp_ok
 
     def test_indefinite_table_fails_both(self):
@@ -392,7 +403,7 @@ class TestReducedCertificate:
         table = np.full((4, 4), 0.2)
         np.fill_diagonal(table, 2.0)
         table[0, 3] = table[3, 0] = -1.5
-        generator = build_generator(dec, direct_damping_model(dec.levels, table))
+        generator = _direct_rates(dec.levels, table)
         report = self._assert_matches_oracle(generator, [0.5, 1.0, 3.0])
         assert not report.cp_ok
         oracle_ok = all(
@@ -401,41 +412,99 @@ class TestReducedCertificate:
         )
         assert not oracle_ok
 
-    def test_trace_and_unitality_defects_coincide(self, four_level):
+    def test_trace_defect_is_the_identity_defect(self, four_level):
+        # an elementwise map is as far from trace preserving as from unital
         _, dec, _ = four_level
-        table = np.diag([0.3, 0.0, 0.1, 0.2]) + 0.4
+        a = np.array([0.3, 0.0, 0.1, 0.2])
+        table = 0.4 * (1.0 - np.eye(4)) + 0.5 * (a[:, None] + a[None, :])
         generator = build_generator(dec, direct_damping_model(dec.levels, table))
         identity = np.eye(dec.dim)
-        for checkpoint in cp_report(generator, [0.2, 1.5]).checkpoints:
-            direct = np.max(np.abs(_apply(generator, identity, checkpoint.t) - identity))
-            assert checkpoint.trace_defect == checkpoint.unitality_defect == direct
+        report = cp_report(generator, [0.2, 1.5])
+        for t, defect in zip(report.times, report.trace_defects):
+            assert defect == np.max(np.abs(_apply(generator, identity, t) - identity))
+        assert np.all(report.trace_defects > 0.0)
+
+
+def _reference_checkpoints(generator, times):
+    """The per-checkpoint loop: (t, Choi minimum, trace defect, semigroup defect)."""
+    rows = []
+    for t in times:
+        factors = generator.factors(t)
+        min_eig = float(np.linalg.eigvalsh(factors)[0])
+        if generator.dim > 1:
+            min_eig = min(0.0, min_eig)
+        trace = float(np.max(np.abs(np.diag(factors) - 1.0)))
+        semigroup = float(np.max(np.abs(generator.factors(2.0 * t) - factors * factors)))
+        rows.append((float(t), min_eig, trace, semigroup))
+    return np.array(rows).reshape(-1, 4)
 
 
 class TestCPReport:
+    def test_array_pass_matches_checkpoint_loop(self, qubit, four_level):
+        _, dec2, _ = qubit
+        _, dec4, _ = four_level
+        drifted = replace(correlated_model(0.7, 1.2), drift_h=DriftPreset.affine(1.5, 0.2))
+        generators = [
+            build_generator(dec4, dephasing_model(0.5)),
+            build_generator(dec4, drifted),
+            build_generator(dec2, direct_damping_model(dec2.levels, [[0.6, 0.7], [0.7, 0.8]])),
+            build_generator(
+                eigendecompose(HermitianOperator(np.diag([2.0]))),
+                direct_damping_model([2.0], [[0.6]]),
+            ),
+            _amplifying(dec2),
+            _direct_rates([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]]),
+        ]
+        for d in (3, 8):
+            generators += [_random_case(d, kind, d)[1] for kind in ("correlated", "general")]
+        for times in ([1.0], [0.0, 0.05, 0.3, 1.2, 4.0, 10.0], np.linspace(0.0, 3.0, 9)[1:]):
+            for generator in generators:
+                r = cp_report(generator, times)
+                got = np.stack([r.times, r.choi_minima, r.trace_defects, r.semigroup_defects], 1)
+                assert got.tobytes() == _reference_checkpoints(generator, times).tobytes()
+
+    def test_certifies_every_t_not_only_the_checkpoints(self):
+        # Not CP for t up to about 0.5 only: the factor matrix is PSD at
+        # every checkpoint integrate picks on a 100-step grid over [0, 10],
+        # and the generator eigenvalue still fails the map.
+        rates = _direct_rates([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]])
+        late = cp_report(rates, np.linspace(0.0, 10.0, 101)[[12, 25, 37, 50, 62, 75, 87, 100]])
+        assert late.min_choi_eigenvalue >= CHOI_PSD_TOL
+        assert late.min_generator_eigenvalue == pytest.approx(-1.0 / 6.0, abs=1e-12)
+        assert not late.cp_ok
+        assert cp_report(rates, [0.01]).min_choi_eigenvalue < -1e-3
+        # a table on the boundary, dissipative_direct's, certifies
+        dec = eigendecompose(HermitianOperator(np.diag([1.0, 2.0])))
+        boundary = direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
+        assert cp_report(build_generator(dec, boundary), [1.0]).cp_ok
+
     def test_defects_small_for_brownian(self, four_level):
         _, dec, _ = four_level
         report = cp_report(build_generator(dec, correlated_model(0.8, 1.0)), [0.1, 1.0, 10.0])
         assert report.cp_ok
-        for cp in report.checkpoints:
-            assert cp.trace_defect < 1e-10
-            assert cp.unitality_defect < 1e-10
-            assert cp.semigroup_defect < 1e-10
+        assert np.all(report.trace_defects < 1e-10)
+        assert np.all(report.semigroup_defects < 1e-10)
 
     def test_dissipative_trace_defect_reported(self, qubit):
         _, dec, _ = qubit
         model = direct_damping_model(dec.levels, [[0.6, 0.7], [0.7, 0.8]])
         report = cp_report(build_generator(dec, model), [1.0])
-        assert report.checkpoints[0].trace_defect > 0.2
+        assert report.trace_defects[0] > 0.2
 
     def test_to_dict_shape(self, qubit):
         _, dec, _ = qubit
         payload = cp_report(build_generator(dec, dephasing_model(1.0)), [0.5, 1.0]).to_dict()
         assert payload["cp_ok"] is True
+        assert set(payload) == {
+            "cp_ok",
+            "min_choi_eigenvalue",
+            "min_generator_eigenvalue",
+            "checkpoints",
+        }
         assert len(payload["checkpoints"]) == 2
         assert set(payload["checkpoints"][0]) == {
             "t",
             "min_choi_eigenvalue",
             "trace_defect",
-            "unitality_defect",
             "semigroup_defect",
         }

@@ -449,7 +449,7 @@ class TestRunEnsemble:
 
     def test_rejects_direct_model(self, qubit):
         _, dec, rho0 = qubit
-        model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])
+        model = direct_damping_model([0.0, 1.0], [[0.1, 0.1], [0.1, 0.1]])
         with pytest.raises(ConfigError) as info:
             run_ensemble(dec, model, rho0, [0.0, 1.0], n_traj=10, seed=1)
         assert info.value.path == "noise.direct_lambda"

@@ -175,6 +175,17 @@ class TestDirectDamping:
         with pytest.raises(ConfigError):
             DirectDampingPreset([1.0, 2.0], [[-0.1, 0.0], [0.0, 0.0]])
 
+    def test_table_that_is_not_completely_positive_rejected(self):
+        # sqrt(5) > 1 + 1: not a squared-distance table, and exp(-t D / 2)
+        # entrywise has eigenvalue -0.0016 at t = 0.01
+        with pytest.raises(ConfigError, match="eigenvalue -1.667e-01") as info:
+            DirectDampingPreset([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]])
+        assert info.value.path == "noise.direct_lambda.table"
+        with pytest.raises(ConfigError, match="noise.direct_lambda.table"):
+            DirectDampingPreset([0.0, 1.0], [[0.0, -1.0], [-1.0, 0.0]])
+        # dissipative_direct's table sits on the boundary and is accepted
+        DirectDampingPreset([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
+
     @pytest.mark.parametrize(
         "table",
         [
@@ -202,17 +213,18 @@ class TestDirectDamping:
 
     def test_lookup_takes_the_first_match(self):
         # 1 + 4e-10 lies within 1e-9 of both 1 and 1 + 8e-10
-        table = [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]]
+        table = [[0.2, 1.3, 1.4], [1.3, 0.4, 1.5], [1.4, 1.5, 0.6]]
         preset = DirectDampingPreset([1.0, 1.0 + 8e-10, 2.0], table)
-        assert np.array_equal(preset([2.0, 1.0 + 4e-10]), [[0.6, 0.3], [0.3, 0.1]])
+        assert np.array_equal(preset([2.0, 1.0 + 4e-10]), [[0.6, 1.4], [1.4, 0.2]])
         with pytest.raises(DimensionMismatch, match="level 1.5 "):
             preset([1.0, 1.5, 3.0])
 
     def test_lookup_matches_per_level_loop(self):
         rng = np.random.default_rng(5)
         tabulated = np.repeat(rng.normal(size=4), 2) + rng.uniform(-6e-10, 6e-10, size=8)
-        table = rng.uniform(size=(8, 8))
-        preset = DirectDampingPreset(tabulated, table + table.T)
+        points, diagonal = rng.normal(size=8), rng.uniform(size=8)
+        table = (points[:, None] - points) ** 2 + 0.5 * (diagonal[:, None] + diagonal)
+        preset = DirectDampingPreset(tabulated, table)
         wanted = rng.choice(tabulated, size=12) + rng.uniform(-5e-10, 5e-10, size=12)
         idx = [int(np.flatnonzero(np.abs(tabulated - theta) <= 1e-9)[0]) for theta in wanted]
         assert np.array_equal(preset(wanted), preset.table[np.ix_(idx, idx)])
@@ -366,10 +378,10 @@ class TestKernelMatrices:
             kernel.lambda_matrix(np.array([0.0, -1e-3]))
 
     def test_direct_table_level_order_lookup(self):
-        table = [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]]
+        table = [[0.2, 1.3, 1.4], [1.3, 0.4, 1.5], [1.4, 1.5, 0.6]]
         model = direct_damping_model([1.0, 2.0, 3.0], table)
         kernel = LambdaKernel(model, [3.0, 1.0, 2.0])
-        expected = [[0.6, 0.3, 0.5], [0.3, 0.1, 0.2], [0.5, 0.2, 0.4]]
+        expected = [[0.6, 1.4, 1.5], [1.4, 0.2, 1.3], [1.5, 1.3, 0.4]]
         assert np.array_equal(kernel.lambda_matrix(1.0), expected)
         assert np.allclose(kernel.lambda_matrix(2.0), 2.0 * np.asarray(expected), rtol=1e-15)
         with pytest.raises(DimensionMismatch):
@@ -500,7 +512,7 @@ class TestSampling:
         assert np.max(np.abs(cov - expected)) < 5.0 * math.sqrt(2.0 / pooled.shape[0])
 
     def test_brownian_field_rejects_direct_model(self):
-        model = direct_damping_model([0.0, 1.0], [[0.1, 0.0], [0.0, 0.1]])
+        model = direct_damping_model([0.0, 1.0], [[0.1, 0.1], [0.1, 0.1]])
         with pytest.raises(ConfigError) as info:
             sample_chi_paths(model, [0.0, 1.0], np.linspace(0, 1, 5), seed=1, n_traj=1)
         assert info.value.path == "noise.direct_lambda"

@@ -1,6 +1,7 @@
 """Property-based checks: RK4 on the master equation against the analytic
-propagator, on random Hamiltonians, noise models and grids; and the scenario
-codec on random presets of every kind.
+propagator, on random Hamiltonians, noise models and grids; the scenario
+codec on random presets of every kind; and the complete-positivity test of
+direct damping tables against a dense scan in t.
 
 Derandomized, so every run draws the same examples.
 """
@@ -15,16 +16,20 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from noisytime import (  # noqa: E402
+    ConfigError,
     CorrelationPreset,
     DensityMatrix,
+    DirectDampingPreset,
     DriftPreset,
     HermitianOperator,
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
+    Superoperator,
     averaged_trajectory,
     build_generator,
     config_to_dict,
+    cp_report,
     direct_damping_model,
     eigendecompose,
     integrate,
@@ -69,17 +74,19 @@ def constant_profiles(draw):
 
 @st.composite
 def noise_models(draw, levels):
-    """A time-independent model with an affine drift: a nonnegative direct
-    table over ``levels``, or a uniform, gaussian or exponential correlation
-    with a linear or degree-2 sigma_theta and a sigma_time in [0, 2] that is
-    constant or has pieces of one value."""
+    """A time-independent model with an affine drift: a completely positive
+    direct table over ``levels`` (squared distances of points in [-1, 1] plus
+    (a_k + a_l) / 2, a in [0, 1]), or a uniform, gaussian or exponential
+    correlation with a linear or degree-2 sigma_theta and a sigma_time in
+    [0, 2] that is constant or has pieces of one value."""
     drift = DriftPreset.affine(draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0)))
     kind = draw(st.sampled_from(["uniform", "gaussian", "exponential", "direct"]))
     if kind == "direct":
         m = len(levels)
-        entries = draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m))
-        table = np.reshape(entries, (m, m))
-        return direct_damping_model(levels, table + table.T, drift=drift)
+        points = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        diagonal = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        table = (points[:, None] - points) ** 2 + 0.5 * (diagonal[:, None] + diagonal)
+        return direct_damping_model(levels, table, drift=drift)
     if kind == "uniform":
         correlation = CorrelationPreset.uniform()
     elif kind == "gaussian":
@@ -157,3 +164,43 @@ def test_every_preset_kind_round_trips(data):
         assert rebuilt == preset
         assert repr(rebuilt.params) == repr(preset.params)  # signed zeros too
     assert config_to_dict(parse_config(config_to_dict(config))) == config_to_dict(config)
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A symmetric 3- to 6-level table and its margin, the smallest
+    eigenvalue of -D / 2 on sum(x) = 0.  Entries in [0, 1] plus a shift in
+    [0, 1] off the diagonal; a shift c adds c / 2 to every such eigenvalue,
+    which makes both signs of the margin common.  A margin within 1e-3 of 0
+    is moved to 1e-3 or more by a further shift of 0.004."""
+    m = draw(st.integers(3, 6))
+    table = np.zeros((m, m))
+    table[np.triu_indices(m)] = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2)
+    )
+    table += np.triu(table, 1).T + draw(st.floats(0.0, 1.0)) * (1.0 - np.eye(m))
+    complement = np.linalg.svd(np.ones((1, m)))[2][1:]  # orthonormal rows, each sum 0
+    margin = np.linalg.eigvalsh(complement @ (-0.5 * table) @ complement.T)[0]
+    if abs(margin) < 1e-3:
+        table += 0.004 * (1.0 - np.eye(m))
+        margin += 0.002
+    return table, margin
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(drawn=symmetric_tables())
+def test_direct_table_accepted_exactly_when_completely_positive_for_every_t(drawn):
+    table, margin = drawn
+    m = len(table)
+    levels = np.linspace(0.0, 1.0, m)
+    try:
+        DirectDampingPreset(levels, table)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    # F(t) = exp(t R) entrywise on a dense log-spaced scan of t
+    rates = -1j * np.subtract.outer(levels, levels) - 0.5 * table
+    times = np.logspace(-4.0, 2.0, 400)[:, None, None]
+    scan_ok = bool(np.all(np.linalg.eigvalsh(np.exp(rates * times))[:, 0] >= -1e-12))
+    assert accepted == scan_ok == (margin > 0)
+    assert cp_report(Superoperator(rates), [1.0]).cp_ok == accepted

@@ -166,8 +166,9 @@ def test_states_are_hermitian_to_the_bit(dim, full_rank, degenerate):
 def test_dissipative_states_are_hermitian_to_the_bit(dim):
     rng = np.random.default_rng(dim)
     dec, rho0 = _random_system(rng, dim, full_rank=True, degenerate=False)
-    table = rng.uniform(0.1, 1.0, size=(dim, dim))
-    model = direct_damping_model(dec.levels, table + table.T)
+    points, diagonal = rng.normal(size=dim), rng.uniform(0.1, 1.0, size=dim)
+    table = (points[:, None] - points) ** 2 + 0.5 * (diagonal[:, None] + diagonal)
+    model = direct_damping_model(dec.levels, table)
     grid = np.linspace(0.0, 1.5, 6)
     with pytest.warns(DissipativeTraceLoss):
         _assert_hermitian_to_the_bit(averaged_trajectory(dec, model, rho0, grid).states)
