@@ -11,29 +11,34 @@ built once per run, so the factors of all N samples of a slab are the rows
 of one product of their (N, d) phases with W; numpy's OpenBLAS is held at
 one thread meanwhile (``operators._single_threaded_blas``), so the workers
 are the run's only parallelism.  A chunk of trajectories keeps only its chi
-paths; it is processed in time slabs sized to stay in cache, each slab
-forming the phases exp(-i chi) of its own time points, and the per-entry
-mean and two-pass variance of a slab are taken in place.  Each worker owns
-one workspace, allocated once per run and sized from the run's chunk and
-slab shapes; the chi paths of a chunk and every temporary of a slab live in
-it, so a run allocates per chunk only the chunk's statistics.  Chunk
-statistics are folded in place into the first chunk's, in chunk order as
-the results arrive, and each chunk's statistics are released once folded
-in.  The folded mean and squared deviations then take their lower triangle
-from the upper one and a diagonal with imaginary part +0, so the mean is
-Hermitian and the standard errors are symmetric, to the bit.  Chunk and
-slab boundaries depend only on array shapes, and every chunk is a whole
-number of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one
-Philox stream keyed by (seed, block)), so the result is byte-identical
-whether chunks are processed by one worker or many.
+paths; it is processed in time slabs sized to stay in cache, the same
+slabs in every chunk, each slab forming the phases exp(-i chi) of its own
+time points, and the per-entry mean and two-pass variance of a slab are
+taken in place.  Each worker owns one workspace, allocated once per run and
+sized from the run's chunk and slab shapes; the chi paths of a chunk and
+every temporary and statistic of a slab live in it.  The first chunk forms
+its statistics in the run's one accumulator; a later chunk folds each slab's
+into it in place as soon as every earlier chunk has folded that slab, and
+otherwise leaves a copy, folded in on its turn by the worker that folds the
+chunk before it.  So no chunk holds statistics of the whole grid, workers
+never wait on one another, and every entry is folded in chunk order.  The
+folded mean and squared deviations then take their lower triangle from the
+upper one and a diagonal with imaginary part +0, so the mean is Hermitian
+and the standard errors are symmetric, to the bit.  Chunk and slab
+boundaries depend only on array shapes, and every chunk is a whole number
+of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one Philox
+stream keyed by (seed, block)), so the result is byte-identical whether
+chunks are processed by one worker or many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -65,6 +70,8 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # shapes only, never of worker count, so that accumulation order (and
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
+# What it bounds is a worker's chi workspace, chunk * grid * levels floats:
+# no chunk holds statistics of the whole grid (``_SlabFold``).
 # A slab of a chunk forms about SLAB_ELEMENT_BUDGET sample-state entries
 # (count * slab * dim * dim), and a chunk is kept within it at one time point
 # per slab.
@@ -102,20 +109,81 @@ class _Workspace:
     """The arrays one worker reuses for every chunk and slab of a run.
 
     ``chi`` holds a chunk's chi paths, shape (chunk, T, m); the flat buffers
-    hold a slab of at most ``samples`` sample points: ``angles`` and
-    ``phases`` (d entries each) for ``_slab_phases``, and ``factors``,
-    ``conj_factors`` (d r each) and ``states`` (d d) for ``_sample_states``.
-    A slab takes the leading part of each buffer it needs (``_leading``), so a
+    hold a slab of at most ``points`` time points of a whole chunk:
+    ``angles`` and ``phases`` (d entries per sample point) for
+    ``_slab_phases``, ``factors``, ``conj_factors`` (d r each) and ``states``
+    (d d) for ``_sample_states``, and the slab's ``mean`` (d d complex
+    entries per point) and squared deviations ``m2`` (2 d d floats).  A slab
+    takes the leading part of each buffer it needs (``_leading``), so a
     partial slab or chunk reuses the same memory.
     """
 
-    def __init__(self, samples: int, dim: int, rank: int, chi_shape: tuple):
+    def __init__(self, points: int, dim: int, rank: int, chi_shape: tuple):
+        samples = chi_shape[0] * points
         self.chi = np.empty(chi_shape)
         self.angles = np.empty(samples * dim)
         self.phases = np.empty(samples * dim, dtype=complex)
         self.factors = np.empty(samples * dim * rank, dtype=complex)
         self.conj_factors = np.empty_like(self.factors)
         self.states = np.empty(samples * dim * dim, dtype=complex)
+        self.mean = np.empty(points * dim * dim, dtype=complex)
+        self.m2 = np.empty(points * dim * 2 * dim)
+
+
+class _SlabFold:
+    """A run's mean and squared deviations, folded slab by slab in chunk order.
+
+    ``mean`` (T, d, d) and ``m2`` (T, d, 2d), the squares of the real and
+    imaginary parts side by side, are the accumulator; chunk 0 forms its
+    statistics in them directly.  ``fold(s, c, mean, m2)`` hands over chunk
+    c's statistics of slab s (for chunk 0, the accumulator's own slices).
+    If chunks 0 to c - 1 have folded slab s, chunk c's are folded in at
+    once, followed by any later chunks of that slab waiting in ``pending``;
+    otherwise a copy waits there, keyed by (s, c).  So workers never wait on
+    one another, and every entry sees the chunks in order 0, 1, 2, ...
+    whatever worker formed them and whenever.
+    """
+
+    def __init__(self, num_points: int, dim: int, slabs: list, counts: list):
+        self.mean = np.empty((num_points, dim, dim), dtype=complex)
+        self.m2 = np.empty((num_points, dim, 2 * dim))
+        self.slabs = slabs
+        # Trajectories in chunks 0 to c, as Python ints.
+        self.totals = list(itertools.accumulate(counts))
+        self.folded = [0] * len(slabs)
+        self.pending = {}
+        self.lock = threading.Lock()
+
+    def fold(self, s: int, c: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        with self.lock:
+            if self.folded[s] < c:
+                self.pending[s, c] = mean.copy(), m2.copy()
+                return
+            while True:
+                if c:
+                    self._merge(self.slabs[s], c, mean, m2)
+                c += 1
+                self.folded[s] = c
+                if (s, c) not in self.pending:
+                    return
+                mean, m2 = self.pending.pop((s, c))
+
+    def _merge(self, slab: slice, c: int, delta: np.ndarray, square: np.ndarray) -> None:
+        # The order of these operations is part of the determinism contract,
+        # so keep it a plain pairwise update on chunk c's own arrays:
+        # m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and
+        # mean = mean_a + delta n_b / n with delta = mean_b - mean_a.
+        n_a, n = self.totals[c - 1], self.totals[c]
+        n_b = n - n_a
+        mean, m2 = self.mean[slab], self.m2[slab]
+        delta -= mean
+        m2 += square
+        # delta's float view interleaves re and im as m2 does.
+        np.square(delta.view(float), out=square)
+        square *= n_a * n_b / n
+        m2 += square
+        delta *= n_b / n
+        mean += delta
 
 
 def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -207,21 +275,25 @@ def run_ensemble(
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
     only its chi paths and runs in the time slabs of every pass over a
-    trajectory (``operators._time_slabs`` at count d^2 entries per point,
-    the slabs the workspaces are sized from); each slab forms the phases
-    and sample states of its own time points and takes its mean and sum of
-    squared deviations in place, the squares of the real and imaginary
-    parts side by side: the float view of a (T, d, d) complex stack.
-    Chunks are folded into one accumulator in chunk order, in place: the
-    pairwise mean and variance update, with the folded chunk's own arrays
-    holding the mean difference and its squares.  The folded mean's entry
+    trajectory (``operators._time_slabs`` at count d^2 entries per point
+    for the first chunk's count, the slabs of every chunk and those the
+    workspaces are sized from); each slab forms the phases and sample states of its own
+    time points and takes its mean and sum of squared deviations in place,
+    the squares of the real and imaginary parts side by side: the float
+    view of a (T, d, d) complex stack.  The first chunk forms them in the
+    accumulator, a later one in its workspace and hands them to
+    ``_SlabFold``, which folds each slab in place in chunk order: the
+    pairwise mean and variance update, with the folded slab's own arrays
+    holding the mean difference and its squares.  A slab whose earlier
+    chunks have not all folded it waits as a copy, folded in by the worker
+    that completes its predecessor; no worker waits.  The folded mean's entry
     (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
     rule of ``operators._hermitian_part``, the squared deviations' lower
     triangle is the transpose of their upper one, and both diagonals'
     imaginary parts are +0, so the mean is Hermitian and the standard
     errors symmetric, to the bit.  The standard errors are
-    sqrt(m2 / (n - 1) / n) of that float view, read as the complex stack
-    ``EnsembleResult.stderr``.
+    sqrt(m2 / (n - 1) / n) of that float view, taken in place over it and
+    read as the complex stack ``EnsembleResult.stderr``.
     ``n_workers`` threads (at least 1) compute the chunks, and they are the
     call's only parallelism: numpy's OpenBLAS thread count is held at 1
     during the call and restored afterwards
@@ -231,10 +303,14 @@ def run_ensemble(
 
     Allocated per call: W, and min(n_workers, chunks) workspaces (``_Workspace``),
     made before the chunks start and handed from chunk to chunk through a
-    queue.  Each holds a chunk's chi paths and the angles, phases, factors
-    B, conj(B) and states of the largest slab of the run, so the chunks and
-    slabs reuse them; per chunk only its mean and squared deviations are
-    new, held until they are folded in, and the fold allocates nothing.
+    queue, and the accumulated (T, d, d) mean and (T, d, 2d) squared
+    deviations, which become the result's mean and standard errors.  Each
+    workspace holds a chunk's chi paths and the angles, phases, factors B,
+    conj(B), states, mean and squared deviations of the largest slab of the
+    run, so the chunks and slabs reuse them.  No chunk allocates statistics
+    of the whole grid: the only other arrays are the copies of slabs formed
+    before their turn, each released once folded in, and the fold itself
+    allocates nothing.
 
     ``n_traj`` must be at least 2, the fewest that give standard errors
     (else ValueError).  The grid must be finite, hold two or more points,
@@ -263,49 +339,43 @@ def run_ensemble(
     chunk = _chunk_size(num_points, dim)
     starts = range(0, n_traj, chunk)
     counts = [min(chunk, n_traj - s) for s in starts]
-    # One workspace per worker, handed from chunk to chunk through a queue;
-    # sized for the first slab, the largest, of a whole or of the last chunk.
-    samples = max(c * _time_slabs(num_points, c * dim * dim)[0].stop for c in set(counts))
+    # One slab plan for every chunk, that of the first, the largest; a
+    # partial last chunk takes the same slabs with fewer samples.
+    slabs = _time_slabs(num_points, counts[0] * dim * dim)
+    acc = _SlabFold(num_points, dim, slabs, counts)
+    # One workspace per worker, handed from chunk to chunk through a queue.
     chi_shape = (counts[0], num_points, field.levels.size)
     free = queue.SimpleQueue()
     for _ in range(min(n_workers, len(counts))):
-        free.put(_Workspace(samples, dim, state_factor.shape[1], chi_shape))
+        free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], chi_shape))
 
-    def chunk_stats(start: int, count: int):
+    def chunk_stats(c: int) -> int:
+        count = counts[c]
         work = free.get()
         try:
-            chi = field.paths(seed, start, count, out=work.chi[:count])
-            mean = np.empty((num_points, dim, dim), dtype=complex)
-            # Squared deviations with real and imaginary parts interleaved.
-            m2 = np.empty((num_points, dim, 2 * dim))
-            for slab in _time_slabs(num_points, count * dim * dim):
+            chi = field.paths(seed, starts[c], count, out=work.chi[:count])
+            for s, slab in enumerate(slabs):
                 phases = _slab_phases(chi[:, slab], idx, work)
                 states = _sample_states(weights, phases, work)
-                states -= np.mean(states, axis=0, out=mean[slab])
+                # Chunk 0 forms its statistics in the accumulator itself.
+                if c:
+                    size = slab.stop - slab.start
+                    mean = _leading(work.mean, (size, dim, dim))
+                    m2 = _leading(work.m2, (size, dim, 2 * dim))
+                else:
+                    mean, m2 = acc.mean[slab], acc.m2[slab]
+                states -= np.mean(states, axis=0, out=mean)
                 flat = states.view(float)
                 np.square(flat, out=flat)
-                np.sum(flat, axis=0, out=m2[slab])
+                np.sum(flat, axis=0, out=m2)
+                acc.fold(s, c, mean, m2)
         finally:
             free.put(work)
-        return count, mean, m2
+        return count
 
-    # pool.map yields in chunk order; the fold order and the order of its
-    # operations are part of the determinism contract, so keep it a plain
-    # left fold: m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and
-    # mean = mean_a + delta n_b / n with delta = mean_b - mean_a.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        chunks = pool.map(chunk_stats, starts, counts)
-        n, mean, m2 = next(chunks)
-        for n_b, delta, square in chunks:
-            n_a, n = n, n + n_b
-            delta -= mean
-            m2 += square
-            # delta's float view interleaves re and im as m2 does.
-            np.square(delta.view(float), out=square)
-            square *= n_a * n_b / n
-            m2 += square
-            delta *= n_b / n
-            mean += delta
+        n = sum(pool.map(chunk_stats, range(len(counts))))
+    mean, m2 = acc.mean, acc.m2
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the
     # Hermitian part the other routes take, and the transpose of the squared
@@ -319,7 +389,9 @@ def run_ensemble(
         lower.real = upper.real
         np.subtract(0.0, upper.imag, out=lower.imag)
         squares[:, k + 1 :, k] = squares[:, k, k + 1 :]
-    stderr = np.sqrt(m2 / (n - 1) / n).view(complex)
+    m2 /= n - 1
+    m2 /= n
+    stderr = np.sqrt(m2, out=m2).view(complex)
     mean.setflags(write=False)
     stderr.setflags(write=False)
     return EnsembleResult(grid=field.grid, mean=mean, stderr=stderr, n_traj=n, seed=seed)
@@ -359,12 +431,13 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
     """z-test of the ensemble mean against a reference trajectory on its grid.
 
     Per entry and per real/imag component, z = |deviation| / stderr, taken
-    in one pass over the float views of mean - reference and of the
-    standard-error stack.  Deviations at or below 1e-12 count as z = 0
-    outright: entries that are deterministic under the model (frozen
-    populations, the t = 0 point) have rounding-level standard errors, and
-    dividing one rounding error by another would report huge z for perfect
-    agreement.  A deviation above the slack over zero standard error counts
+    over the float views of mean - reference and of the standard-error
+    stack one time slab at a time (``operators._time_slabs`` at d^2 entries
+    per point), so its temporaries stay slab-sized.  Deviations at or below
+    1e-12 count as z = 0 outright: entries that are deterministic under the
+    model (frozen populations, the t = 0 point) have rounding-level standard
+    errors, and dividing one rounding error by another would report huge z
+    for perfect agreement.  A deviation above the slack over zero standard error counts
     as infinite, and so does a NaN deviation, which is never agreement.
     PASS means max z <= 4 and at most 5% of components above z = 3.  A
     reference on another grid raises GridMismatch, one of another dimension
@@ -376,21 +449,28 @@ def compare_to_analytic(ensemble: EnsembleResult, analytic: EvolutionResult) -> 
         raise DimensionMismatch(
             f"analytic reference has dimension {analytic.dim}, the ensemble {ensemble.dim}"
         )
-    # Real and imaginary parts side by side, as in the standard errors' view.
-    dev = np.abs((ensemble.mean - analytic.states).view(float))
-    stderr = ensemble.stderr.view(float)
-    genuine = ~(dev <= ZERO_STDERR_SLACK)
-    scored = genuine & (stderr > 0) & ~np.isnan(dev)
-    z = np.zeros_like(dev)
-    np.divide(dev, stderr, out=z, where=scored)
-    z[genuine & ~scored] = np.inf
-    num_points = ensemble.grid.size
-    max_z = float(np.max(z))
-    frac = float(np.mean(z > Z_TAIL))
+    num_points, dim = ensemble.grid.size, ensemble.dim
+    max_abs_difference = np.empty(num_points)
+    max_z_per_time = np.empty(num_points)
+    above = 0
+    for slab in _time_slabs(num_points, dim * dim):
+        # Real and imaginary parts side by side, as in the standard errors' view.
+        dev = np.abs((ensemble.mean[slab] - analytic.states[slab]).view(float))
+        stderr = ensemble.stderr[slab].view(float)
+        genuine = ~(dev <= ZERO_STDERR_SLACK)
+        scored = genuine & (stderr > 0) & ~np.isnan(dev)
+        z = np.zeros_like(dev)
+        np.divide(dev, stderr, out=z, where=scored)
+        z[genuine & ~scored] = np.inf
+        max_abs_difference[slab] = dev.reshape(len(dev), -1).max(axis=1)
+        max_z_per_time[slab] = z.reshape(len(z), -1).max(axis=1)
+        above += np.count_nonzero(z > Z_TAIL)
+    max_z = float(np.max(max_z_per_time))
+    frac = float(above / (num_points * 2 * dim * dim))
     return ComparisonReport(
         grid=ensemble.grid,
-        max_abs_difference=dev.reshape(num_points, -1).max(axis=1),
-        max_z_per_time=z.reshape(num_points, -1).max(axis=1),
+        max_abs_difference=max_abs_difference,
+        max_z_per_time=max_z_per_time,
         max_z=max_z,
         frac_above_tail=frac,
         n_traj=ensemble.n_traj,

@@ -2,7 +2,8 @@ import dataclasses
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -117,7 +118,7 @@ class TestStateFactor:
             assert factor.shape == (dim, rank)
             assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
-            work = _Workspace(5, dim, rank, chi.shape)
+            work = _Workspace(1, dim, rank, (5, 1, dec.num_levels))
             phases = _slab_phases(chi, dec.level_index, work)
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
             states = _sample_states(_factor_map(dec.eigenvectors, factor), phases, work)
@@ -184,11 +185,12 @@ def _reference_sample_states(weights, phases):
 
 class TestWorkspace:
     # (dim, rank, grid points, n_traj): every case has two chunks, the last
-    # ending inside an RNG block.  d = 2: slabs of 16 points over 41, the
-    # last slab of each chunk partial; d = 8: slabs of one point in the
-    # whole chunk and one slab of every point in the last; d = 32 and 33 at
-    # full rank: slabs of one point.  Each slab forms its factors in one
-    # product, as wide as its sample count times the rank.
+    # ending inside an RNG block, and both take the whole chunk's slabs.
+    # d = 2: slabs of 16 points over 41, the last slab partial; d = 8:
+    # slabs of one point, though the last chunk's 76 trajectories alone
+    # would fit every point in one; d = 32 and 33 at full rank: slabs of
+    # one point.  Each slab forms its factors in one product, as wide as
+    # its sample count times the rank.
     CASES = [(2, 2, 41, 1124), (8, 3, 11, 1100), (32, 32, 5, 100), (33, 33, 4, 100)]
 
     @pytest.mark.parametrize("dim, rank, num_points, n_traj", CASES)
@@ -241,13 +243,15 @@ class TestWorkspace:
 
 
     def test_workers_never_share_a_workspace(self):
-        # 9 chunks on 8 workers, more than the cores, with a short switch
-        # interval: a workspace used by two chunks at once, or handed on
-        # before its chunk is done, would corrupt their statistics
+        # 9 chunks of 3 slabs on 8 workers, more than the cores, with a short
+        # switch interval: a workspace used by two chunks at once, or handed
+        # on before its chunk is done, would corrupt their statistics, and a
+        # slab folded out of chunk order would change their bits
         dec, rho0 = _random_case(np.random.default_rng(5), 3, 2, degenerate=False)
         grid = np.linspace(0, 1, 21)
         model = correlated_model(0.6, 0.7)
         assert -(-9000 // _chunk_size(grid.size, 3)) == 9
+        assert len(_time_slabs(grid.size, _chunk_size(grid.size, 3) * 3 * 3)) == 3
         serial = run_ensemble(dec, model, rho0, grid, n_traj=9000, seed=3, n_workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -496,23 +500,27 @@ def _mirror_lower(mean, m2_re, m2_im):
 
 
 class TestInPlaceFold:
-    """run_ensemble's in-place fold against reduce(_merge_stats) over the same chunks."""
+    """run_ensemble's in-place fold, slab by slab in chunk order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 8])
     def test_matches_reduce_reference(self, monkeypatch, dim, workers):
-        recorded = []
+        # against reduce(_merge_stats) over the same chunks' statistics
+        recorded = {}
+        folds = []
 
-        class RecordingPool(ThreadPoolExecutor):
-            """Keeps a copy of each chunk's statistics as the fold receives them."""
+        class Recording(montecarlo._SlabFold):
+            """Keeps a copy of each chunk's slab statistics as the fold receives them."""
 
-            def map(self, fn, *iterables):
-                for count, mean, m2 in super().map(fn, *iterables):
-                    m2_re, m2_im = m2[..., 0::2].copy(), m2[..., 1::2].copy()
-                    recorded.append((count, mean.copy(), m2_re, m2_im))
-                    yield count, mean, m2
+            def __init__(self, *args):
+                super().__init__(*args)
+                folds.append(self)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+            def fold(self, s, c, mean, m2):
+                recorded[s, c] = mean.copy(), m2.copy()
+                super().fold(s, c, mean, m2)
+
+        monkeypatch.setattr(montecarlo, "_SlabFold", Recording)
         monkeypatch.setattr(montecarlo, "MAX_CHUNK", 2 * RNG_BLOCK)
         dec, rho0 = _random_case(np.random.default_rng(40 + dim), dim, dim, degenerate=False)
         grid = np.linspace(0, 1.2, 9)
@@ -520,14 +528,104 @@ class TestInPlaceFold:
         out = run_ensemble(
             dec, correlated_model(0.6, 0.9), rho0, grid, n_traj=n_traj, seed=5, n_workers=workers
         )
-        # four chunks, the last one partial
-        assert [chunk[0] for chunk in recorded] == [2 * RNG_BLOCK] * 3 + [37]
-        n, mean, m2_re, m2_im = reduce(_merge_stats, recorded)
+        # four chunks, the last one partial; one slab at d = 2, two at d = 8
+        (fold,) = folds
+        counts = np.diff([0, *fold.totals]).tolist()
+        assert counts == [2 * RNG_BLOCK] * 3 + [37]
+        slabs = range(len(fold.slabs))
+        assert len(slabs) == (1 if dim == 2 else 2)
+        assert len(recorded) == len(counts) * len(slabs)
+        chunks = []
+        for c, count in enumerate(counts):
+            mean = np.concatenate([recorded[s, c][0] for s in slabs])
+            m2 = np.concatenate([recorded[s, c][1] for s in slabs])
+            chunks.append((count, mean, m2[..., 0::2].copy(), m2[..., 1::2].copy()))
+        n, mean, m2_re, m2_im = reduce(_merge_stats, chunks)
         assert n == out.n_traj == n_traj
         _mirror_lower(mean, m2_re, m2_im)
         assert out.mean.tobytes() == mean.tobytes()
         assert out.stderr.real.tobytes() == np.sqrt(m2_re / (n - 1) / n).tobytes()
         assert out.stderr.imag.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()
+
+    # (dim, rank, grid points, n_traj): d = 2 on 101 points, three chunks of
+    # seven slabs each, the last chunk partial; d = 32 on 5 points, four
+    # 64-trajectory chunks of one-point slabs, the last of 8 trajectories
+    OUT_OF_ORDER = [(2, 1, 101, 3000), (32, 32, 5, 200)]
+
+    @pytest.mark.parametrize("dim, rank, num_points, n_traj", OUT_OF_ORDER)
+    def test_slabs_formed_out_of_order_keep_the_bits(
+        self, dim, rank, num_points, n_traj, monkeypatch
+    ):
+        # chunk 0 sleeps before its paths, so later chunks form their slabs
+        # first and must wait in the pending store for their turn
+        dec, rho0 = _random_case(np.random.default_rng(dim), dim, rank, degenerate=False)
+        grid = np.linspace(0, 1.3, num_points)
+        model = correlated_model(0.6, 0.7)
+        chunk = _chunk_size(num_points, dim)
+        assert -(-n_traj // chunk) >= 3 and n_traj % chunk
+        assert len(_time_slabs(num_points, chunk * dim * dim)) == (7 if dim == 2 else num_points)
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=1)
+        paths = montecarlo._BrownianField.paths
+
+        def late_first_chunk(self, seed, start, count, out=None):
+            if start == 0:
+                time.sleep(0.3)
+            return paths(self, seed, start, count, out=out)
+
+        parked = []
+
+        class Spy(montecarlo._SlabFold):
+            def fold(self, s, c, mean, m2):
+                super().fold(s, c, mean, m2)
+                parked.append(len(self.pending))
+
+        monkeypatch.setattr(montecarlo._BrownianField, "paths", late_first_chunk)
+        monkeypatch.setattr(montecarlo, "_SlabFold", Spy)
+        for workers in (2, 3):
+            parked.clear()
+            threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=workers)
+            assert max(parked) > 0 and parked[-1] == 0
+            for name in ("mean", "stderr"):
+                assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+
+    def test_peak_holds_no_chunk_statistics(self, monkeypatch):
+        # d = 16 in eight pairs of equal levels on 401 points, a pure state:
+        # four 64-trajectory chunks of 101 four-point slabs, whose (T, d, d)
+        # mean and (T, d, 2d) squared deviations outweigh one workspace.  A
+        # run holds those once, two workspaces, the slab copies waiting in
+        # the pending store and little else.  How many copies wait depends
+        # on how far one worker runs ahead of the other, so their high-water
+        # mark is read from the store and added to the bound.
+        built = []
+        waiting = [0]
+
+        class Workspace(montecarlo._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        class Fold(montecarlo._SlabFold):
+            def fold(self, s, c, mean, m2):
+                super().fold(s, c, mean, m2)
+                with self.lock:
+                    held = sum(a.nbytes + b.nbytes for a, b in self.pending.values())
+                    waiting[0] = max(waiting[0], held)
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Workspace)
+        monkeypatch.setattr(montecarlo, "_SlabFold", Fold)
+        dec, rho0 = _random_case(np.random.default_rng(16), 16, 1, degenerate=True)
+        grid = np.linspace(0, 1, 401)
+        tracemalloc.start()
+        try:
+            out = run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=256, seed=6, n_workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 2
+        workspace = sum(array.nbytes for array in vars(built[0]).values())
+        statistics = out.mean.nbytes + out.stderr.nbytes
+        assert statistics > workspace
+        assert peak <= 1.25 * (statistics + 2 * workspace) + waiting[0]
 
 
 class TestCompare:
