@@ -303,6 +303,8 @@ def load_config(path) -> ScenarioConfig:
             data = yaml.load(handle, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError("", f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("", f"could not read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError("", f"could not parse {path}: {exc}") from exc
     return parse_config(data)

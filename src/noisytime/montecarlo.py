@@ -17,14 +17,13 @@ time points, and the per-entry mean and two-pass variance of a slab are
 taken in place.  Each worker owns one workspace, allocated once per run and
 sized from the run's chunk and slab shapes; the chi paths of a chunk and
 every temporary and statistic of a slab live in it.  The first chunk forms
-its statistics in the run's one accumulator; a later chunk folds each slab's
-into it in place as soon as every earlier chunk has folded that slab, and
-otherwise leaves a copy, folded in on its turn by the worker that folds the
-chunk before it.  So no chunk holds statistics of the whole grid, workers
-never wait on one another, and every entry is folded in chunk order.  The
-folded mean and squared deviations then take their lower triangle from the
-upper one and a diagonal with imaginary part +0, so the mean is Hermitian
-and the standard errors are symmetric, to the bit.  Chunk and slab
+its statistics in the run's totals; a later chunk forms each slab's in its
+workspace and folds them into the totals in place on its turn, once every
+earlier chunk has folded that slab.  So no chunk holds statistics of the
+whole grid, no slab is copied, and every entry is folded in chunk order.
+The folded mean and squared deviations then take their lower triangle from
+the upper one and a diagonal with imaginary part +0, so the mean is
+Hermitian and the standard errors are symmetric, to the bit.  Chunk and slab
 boundaries depend only on array shapes, and every chunk is a whole number
 of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one Philox
 stream keyed by (seed, block)), so the result is byte-identical whether
@@ -71,7 +70,7 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
 # What it bounds is a worker's chi workspace, chunk * grid * levels floats:
-# no chunk holds statistics of the whole grid (``_SlabFold``).
+# no chunk holds statistics of the whole grid (``run_ensemble``).
 # A slab of a chunk forms about SLAB_ELEMENT_BUDGET sample-state entries
 # (count * slab * dim * dim), and a chunk is kept within it at one time point
 # per slab.
@@ -130,60 +129,27 @@ class _Workspace:
         self.m2 = np.empty(points * dim * 2 * dim)
 
 
-class _SlabFold:
-    """A run's mean and squared deviations, folded slab by slab in chunk order.
+def _merge(
+    mean: np.ndarray, m2: np.ndarray, delta: np.ndarray, square: np.ndarray, n_a: int, n: int
+) -> None:
+    """Fold a chunk's slab statistics into the totals of the chunks before it, in place.
 
-    ``mean`` (T, d, d) and ``m2`` (T, d, 2d), the squares of the real and
-    imaginary parts side by side, are the accumulator; chunk 0 forms its
-    statistics in them directly.  ``fold(s, c, mean, m2)`` hands over chunk
-    c's statistics of slab s (for chunk 0, the accumulator's own slices).
-    If chunks 0 to c - 1 have folded slab s, chunk c's are folded in at
-    once, followed by any later chunks of that slab waiting in ``pending``;
-    otherwise a copy waits there, keyed by (s, c).  So workers never wait on
-    one another, and every entry sees the chunks in order 0, 1, 2, ...
-    whatever worker formed them and whenever.
+    ``mean`` and ``m2`` hold the totals over n_a trajectories; ``delta`` and
+    ``square`` arrive holding the chunk's own mean and squared deviations
+    over n - n_a and are overwritten.  The order of these operations is
+    part of the determinism contract, so keep it a plain pairwise update:
+    m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and mean = mean_a + delta n_b / n
+    with delta = mean_b - mean_a.
     """
-
-    def __init__(self, num_points: int, dim: int, slabs: list, counts: list):
-        self.mean = np.empty((num_points, dim, dim), dtype=complex)
-        self.m2 = np.empty((num_points, dim, 2 * dim))
-        self.slabs = slabs
-        # Trajectories in chunks 0 to c, as Python ints.
-        self.totals = list(itertools.accumulate(counts))
-        self.folded = [0] * len(slabs)
-        self.pending = {}
-        self.lock = threading.Lock()
-
-    def fold(self, s: int, c: int, mean: np.ndarray, m2: np.ndarray) -> None:
-        with self.lock:
-            if self.folded[s] < c:
-                self.pending[s, c] = mean.copy(), m2.copy()
-                return
-            while True:
-                if c:
-                    self._merge(self.slabs[s], c, mean, m2)
-                c += 1
-                self.folded[s] = c
-                if (s, c) not in self.pending:
-                    return
-                mean, m2 = self.pending.pop((s, c))
-
-    def _merge(self, slab: slice, c: int, delta: np.ndarray, square: np.ndarray) -> None:
-        # The order of these operations is part of the determinism contract,
-        # so keep it a plain pairwise update on chunk c's own arrays:
-        # m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and
-        # mean = mean_a + delta n_b / n with delta = mean_b - mean_a.
-        n_a, n = self.totals[c - 1], self.totals[c]
-        n_b = n - n_a
-        mean, m2 = self.mean[slab], self.m2[slab]
-        delta -= mean
-        m2 += square
-        # delta's float view interleaves re and im as m2 does.
-        np.square(delta.view(float), out=square)
-        square *= n_a * n_b / n
-        m2 += square
-        delta *= n_b / n
-        mean += delta
+    n_b = n - n_a
+    delta -= mean
+    m2 += square
+    # delta's float view interleaves re and im as m2 does.
+    np.square(delta.view(float), out=square)
+    square *= n_a * n_b / n
+    m2 += square
+    delta *= n_b / n
+    mean += delta
 
 
 def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -281,13 +247,15 @@ def run_ensemble(
     time points and takes its mean and sum of squared deviations in place,
     the squares of the real and imaginary parts side by side: the float
     view of a (T, d, d) complex stack.  The first chunk forms them in the
-    accumulator, a later one in its workspace and hands them to
-    ``_SlabFold``, which folds each slab in place in chunk order: the
-    pairwise mean and variance update, with the folded slab's own arrays
-    holding the mean difference and its squares.  A slab whose earlier
-    chunks have not all folded it waits as a copy, folded in by the worker
-    that completes its predecessor; no worker waits.  The folded mean's entry
-    (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
+    run's totals, a later one in its workspace, and folds each slab into
+    the totals in place on its turn (``_merge``: the pairwise mean and
+    variance update, with the chunk's own slab arrays holding the mean
+    difference and its squares).  Its turn at slab s comes once chunks 0
+    to c - 1 have folded slab s: until then the worker waits on one
+    condition, so a slab is never copied.  Workers take chunks in order, so
+    the chunks a worker waits on have started; a chunk that raises releases
+    the waiting ones, and the call re-raises its error.  The folded mean's
+    entry (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
     rule of ``operators._hermitian_part``, the squared deviations' lower
     triangle is the transpose of their upper one, and both diagonals'
     imaginary parts are +0, so the mean is Hermitian and the standard
@@ -308,9 +276,8 @@ def run_ensemble(
     workspace holds a chunk's chi paths and the angles, phases, factors B,
     conj(B), states, mean and squared deviations of the largest slab of the
     run, so the chunks and slabs reuse them.  No chunk allocates statistics
-    of the whole grid: the only other arrays are the copies of slabs formed
-    before their turn, each released once folded in, and the fold itself
-    allocates nothing.
+    of the whole grid, and the fold allocates nothing, whatever the workers'
+    timing.
 
     ``n_traj`` must be at least 2, the fewest that give standard errors
     (else ValueError).  The grid must be finite, hold two or more points,
@@ -342,7 +309,14 @@ def run_ensemble(
     # One slab plan for every chunk, that of the first, the largest; a
     # partial last chunk takes the same slabs with fewer samples.
     slabs = _time_slabs(num_points, counts[0] * dim * dim)
-    acc = _SlabFold(num_points, dim, slabs, counts)
+    mean = np.empty((num_points, dim, dim), dtype=complex)
+    m2 = np.empty((num_points, dim, 2 * dim))
+    # Trajectories in chunks 0 to c, as Python ints, and per slab the number
+    # of chunks that have folded it; ``turn`` guards ``folded`` and ``failed``.
+    totals = list(itertools.accumulate(counts))
+    folded = [0] * len(slabs)
+    failed = False
+    turn = threading.Condition()
     # One workspace per worker, handed from chunk to chunk through a queue.
     chi_shape = (counts[0], num_points, field.levels.size)
     free = queue.SimpleQueue()
@@ -350,6 +324,7 @@ def run_ensemble(
         free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], chi_shape))
 
     def chunk_stats(c: int) -> int:
+        nonlocal failed
         count = counts[c]
         work = free.get()
         try:
@@ -357,25 +332,39 @@ def run_ensemble(
             for s, slab in enumerate(slabs):
                 phases = _slab_phases(chi[:, slab], idx, work)
                 states = _sample_states(weights, phases, work)
-                # Chunk 0 forms its statistics in the accumulator itself.
+                # Chunk 0 forms its statistics in the totals themselves.
                 if c:
                     size = slab.stop - slab.start
-                    mean = _leading(work.mean, (size, dim, dim))
-                    m2 = _leading(work.m2, (size, dim, 2 * dim))
+                    slab_mean = _leading(work.mean, (size, dim, dim))
+                    slab_m2 = _leading(work.m2, (size, dim, 2 * dim))
                 else:
-                    mean, m2 = acc.mean[slab], acc.m2[slab]
-                states -= np.mean(states, axis=0, out=mean)
+                    slab_mean, slab_m2 = mean[slab], m2[slab]
+                states -= np.mean(states, axis=0, out=slab_mean)
                 flat = states.view(float)
                 np.square(flat, out=flat)
-                np.sum(flat, axis=0, out=m2)
-                acc.fold(s, c, mean, m2)
+                np.sum(flat, axis=0, out=slab_m2)
+                if c:
+                    with turn:
+                        turn.wait_for(lambda: failed or folded[s] == c)
+                        if failed:
+                            return count
+                    # Only chunk c may touch this slab of the totals now.
+                    _merge(mean[slab], m2[slab], slab_mean, slab_m2, totals[c - 1], totals[c])
+                with turn:
+                    folded[s] = c + 1
+                    turn.notify_all()
+        except BaseException:
+            # Release the chunks waiting on this one; pool.map re-raises.
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
         finally:
             free.put(work)
         return count
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         n = sum(pool.map(chunk_stats, range(len(counts))))
-    mean, m2 = acc.mean, acc.m2
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the
     # Hermitian part the other routes take, and the transpose of the squared

@@ -518,13 +518,10 @@ def _check_scenario_hermitian(scenario: ScenarioConfig) -> tuple[bool, str]:
     subsample = grid[:: max(1, grid.size // 8)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DissipativeTraceLoss)
-        states = [
-            averaged_state(decomposition, scenario.noise, scenario.initial_state, float(t))
-            for t in subsample
-        ]
-    worst_herm = max(
-        float(np.max(np.abs(s.matrix - s.matrix.conj().T))) for s in states
-    )
+        states = averaged_trajectory(
+            decomposition, scenario.noise, scenario.initial_state, subsample
+        ).states
+    worst_herm = float(np.max(np.abs(states - np.swapaxes(states.conj(), 1, 2))))
     return worst_herm < 1e-12, f"defect {worst_herm:.2e}"
 
 

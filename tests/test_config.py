@@ -345,6 +345,21 @@ class TestLoad:
             load_config(path)
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_file_exits_2(self, tmp_path, kind):
+        # a directory raises IsADirectoryError on open, a binary file
+        # UnicodeDecodeError on read: both are config errors, not tracebacks
+        path = tmp_path / "scenario.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"name: \xff\xfe\x00\x80")
+        with pytest.raises(ConfigError, match="could not read"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestYamlLoader:
     @staticmethod

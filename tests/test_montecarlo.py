@@ -500,46 +500,42 @@ def _mirror_lower(mean, m2_re, m2_im):
 
 
 class TestInPlaceFold:
-    """run_ensemble's in-place fold, slab by slab in chunk order."""
+    """run_ensemble's in-place fold, slab by slab on each chunk's turn."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 8])
     def test_matches_reduce_reference(self, monkeypatch, dim, workers):
-        # against reduce(_merge_stats) over the same chunks' statistics
+        # against reduce(_merge_stats) over the same chunks' statistics, as
+        # _merge receives them: chunk c's under the trajectory count of the
+        # chunks before it, and at chunk 1 the totals are still chunk 0's own
+        chunk = 2 * RNG_BLOCK
         recorded = {}
-        folds = []
+        merge = montecarlo._merge
 
-        class Recording(montecarlo._SlabFold):
-            """Keeps a copy of each chunk's slab statistics as the fold receives them."""
+        def recording(mean, m2, delta, square, n_a, n):
+            if n_a == chunk:
+                recorded.setdefault(0, []).append((n_a, mean.copy(), m2.copy()))
+            recorded.setdefault(n_a, []).append((n - n_a, delta.copy(), square.copy()))
+            merge(mean, m2, delta, square, n_a, n)
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                folds.append(self)
-
-            def fold(self, s, c, mean, m2):
-                recorded[s, c] = mean.copy(), m2.copy()
-                super().fold(s, c, mean, m2)
-
-        monkeypatch.setattr(montecarlo, "_SlabFold", Recording)
-        monkeypatch.setattr(montecarlo, "MAX_CHUNK", 2 * RNG_BLOCK)
+        monkeypatch.setattr(montecarlo, "_merge", recording)
+        monkeypatch.setattr(montecarlo, "MAX_CHUNK", chunk)
         dec, rho0 = _random_case(np.random.default_rng(40 + dim), dim, dim, degenerate=False)
         grid = np.linspace(0, 1.2, 9)
-        n_traj = 3 * 2 * RNG_BLOCK + 37
+        n_traj = 3 * chunk + 37
         out = run_ensemble(
             dec, correlated_model(0.6, 0.9), rho0, grid, n_traj=n_traj, seed=5, n_workers=workers
         )
         # four chunks, the last one partial; one slab at d = 2, two at d = 8
-        (fold,) = folds
-        counts = np.diff([0, *fold.totals]).tolist()
-        assert counts == [2 * RNG_BLOCK] * 3 + [37]
-        slabs = range(len(fold.slabs))
-        assert len(slabs) == (1 if dim == 2 else 2)
-        assert len(recorded) == len(counts) * len(slabs)
         chunks = []
-        for c, count in enumerate(counts):
-            mean = np.concatenate([recorded[s, c][0] for s in slabs])
-            m2 = np.concatenate([recorded[s, c][1] for s in slabs])
+        for key in sorted(recorded):
+            slabs = recorded[key]
+            assert len(slabs) == (1 if dim == 2 else 2)
+            (count,) = {n_b for n_b, _, _ in slabs}
+            mean = np.concatenate([slab_mean for _, slab_mean, _ in slabs])
+            m2 = np.concatenate([slab_m2 for _, _, slab_m2 in slabs])
             chunks.append((count, mean, m2[..., 0::2].copy(), m2[..., 1::2].copy()))
+        assert [count for count, *_ in chunks] == [chunk] * 3 + [37]
         n, mean, m2_re, m2_im = reduce(_merge_stats, chunks)
         assert n == out.n_traj == n_traj
         _mirror_lower(mean, m2_re, m2_im)
@@ -556,8 +552,8 @@ class TestInPlaceFold:
     def test_slabs_formed_out_of_order_keep_the_bits(
         self, dim, rank, num_points, n_traj, monkeypatch
     ):
-        # chunk 0 sleeps before its paths, so later chunks form their slabs
-        # first and must wait in the pending store for their turn
+        # chunk 0 sleeps before its paths, so a later chunk forms its first
+        # slab first and must wait for chunk 0 to fold that slab
         dec, rho0 = _random_case(np.random.default_rng(dim), dim, rank, degenerate=False)
         grid = np.linspace(0, 1.3, num_points)
         model = correlated_model(0.6, 0.7)
@@ -566,66 +562,109 @@ class TestInPlaceFold:
         assert len(_time_slabs(num_points, chunk * dim * dim)) == (7 if dim == 2 else num_points)
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=1)
         paths = montecarlo._BrownianField.paths
+        merge = montecarlo._merge
+        first_drawn = threading.Event()
+        ahead, merged_after = [], []
 
         def late_first_chunk(self, seed, start, count, out=None):
             if start == 0:
                 time.sleep(0.3)
-            return paths(self, seed, start, count, out=out)
+            chi = paths(self, seed, start, count, out=out)
+            if start == 0:
+                first_drawn.set()
+            else:
+                ahead.append(not first_drawn.is_set())
+            return chi
 
-        parked = []
-
-        class Spy(montecarlo._SlabFold):
-            def fold(self, s, c, mean, m2):
-                super().fold(s, c, mean, m2)
-                parked.append(len(self.pending))
+        def spy(*args):
+            merged_after.append(first_drawn.is_set())
+            merge(*args)
 
         monkeypatch.setattr(montecarlo._BrownianField, "paths", late_first_chunk)
-        monkeypatch.setattr(montecarlo, "_SlabFold", Spy)
+        monkeypatch.setattr(montecarlo, "_merge", spy)
         for workers in (2, 3):
-            parked.clear()
+            first_drawn.clear()
+            ahead.clear()
+            merged_after.clear()
             threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=workers)
-            assert max(parked) > 0 and parked[-1] == 0
+            assert any(ahead) and merged_after and all(merged_after)
             for name in ("mean", "stderr"):
                 assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_chunk_releases_the_waiting_ones(self, failing, workers, monkeypatch):
+        # d = 2 on 101 points, three chunks of seven slabs: the failing chunk
+        # sleeps and then raises while the chunks after it wait for its first
+        # slab.  Unless it releases them, the call never returns, so it runs
+        # in a daemon thread that the test stops waiting for after 60 s.
+        dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
+        grid = np.linspace(0, 1, 101)
+        chunk = _chunk_size(grid.size, 2)
+        paths = montecarlo._BrownianField.paths
+
+        def failing_chunk(self, seed, start, count, out=None):
+            if start == failing * chunk:
+                time.sleep(0.3)
+                raise RuntimeError("chunk failed")
+            return paths(self, seed, start, count, out=out)
+
+        monkeypatch.setattr(montecarlo._BrownianField, "paths", failing_chunk)
+        raised = []
+
+        def call():
+            try:
+                run_ensemble(
+                    dec, dephasing_model(0.5), rho0, grid, n_traj=3000, seed=4, n_workers=workers
+                )
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in raised] == ["chunk failed"]
 
     def test_peak_holds_no_chunk_statistics(self, monkeypatch):
         # d = 16 in eight pairs of equal levels on 401 points, a pure state:
         # four 64-trajectory chunks of 101 four-point slabs, whose (T, d, d)
         # mean and (T, d, 2d) squared deviations outweigh one workspace.  A
-        # run holds those once, two workspaces, the slab copies waiting in
-        # the pending store and little else.  How many copies wait depends
-        # on how far one worker runs ahead of the other, so their high-water
-        # mark is read from the store and added to the bound.
+        # run holds those once, two workspaces and little else, however the
+        # workers' timing falls: also when chunk 0 sleeps 0.3 s before its
+        # paths, so that the other worker forms slabs ahead of their turn.
         built = []
-        waiting = [0]
+        paths = montecarlo._BrownianField.paths
 
         class Workspace(montecarlo._Workspace):
             def __init__(self, *args):
                 super().__init__(*args)
                 built.append(self)
 
-        class Fold(montecarlo._SlabFold):
-            def fold(self, s, c, mean, m2):
-                super().fold(s, c, mean, m2)
-                with self.lock:
-                    held = sum(a.nbytes + b.nbytes for a, b in self.pending.values())
-                    waiting[0] = max(waiting[0], held)
+        def late_first_chunk(self, seed, start, count, out=None):
+            if late and start == 0:
+                time.sleep(0.3)
+            return paths(self, seed, start, count, out=out)
 
         monkeypatch.setattr(montecarlo, "_Workspace", Workspace)
-        monkeypatch.setattr(montecarlo, "_SlabFold", Fold)
+        monkeypatch.setattr(montecarlo._BrownianField, "paths", late_first_chunk)
         dec, rho0 = _random_case(np.random.default_rng(16), 16, 1, degenerate=True)
         grid = np.linspace(0, 1, 401)
-        tracemalloc.start()
-        try:
-            out = run_ensemble(dec, dephasing_model(0.5), rho0, grid, n_traj=256, seed=6, n_workers=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(built) == 2
-        workspace = sum(array.nbytes for array in vars(built[0]).values())
-        statistics = out.mean.nbytes + out.stderr.nbytes
-        assert statistics > workspace
-        assert peak <= 1.25 * (statistics + 2 * workspace) + waiting[0]
+        for late in (False, True):
+            built.clear()
+            tracemalloc.start()
+            try:
+                out = run_ensemble(
+                    dec, dephasing_model(0.5), rho0, grid, n_traj=256, seed=6, n_workers=2
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(built) == 2
+            workspace = sum(array.nbytes for array in vars(built[0]).values())
+            statistics = out.mean.nbytes + out.stderr.nbytes
+            assert statistics > workspace
+            assert peak <= 1.25 * (statistics + 2 * workspace), late
 
 
 class TestCompare:
