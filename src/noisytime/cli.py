@@ -425,7 +425,11 @@ def _run_verify(args) -> tuple[int, list[Path]]:
         for name in check_names():
             print(name)
         return 0, []
-    return cmd_verify(config=_load(args, required=False), quick=args.quick), []
+    config = _load(args, required=False)
+    # The scenario's ensemble check runs on a Brownian model only.
+    if config is not None and config.noise.direct_lambda is None:
+        _check_ensemble(config, "verify")
+    return cmd_verify(config=config, quick=args.quick), []
 
 
 def main(argv=None) -> int:

@@ -14,30 +14,30 @@ are the run's only parallelism.  A chunk of trajectories keeps only its chi
 paths; it is processed in time slabs sized to stay in cache, the same
 slabs in every chunk, each slab forming the phases exp(-i chi) of its own
 time points, and the per-entry mean and two-pass variance of a slab are
-taken in place.  Each worker owns one workspace, allocated once per run and
-sized from the run's chunk and slab shapes; the chi paths of a chunk and
-every temporary and statistic of a slab live in it.  The first chunk forms
-its statistics in the run's totals; a later chunk forms each slab's in its
-workspace and folds them into the totals in place on its turn, once every
-earlier chunk has folded that slab.  So no chunk holds statistics of the
-whole grid, no slab is copied, and every entry is folded in chunk order.
+taken in place.  The chunks run one after another, and the workers share
+the work inside each: first its RNG blocks' chi paths, drawn into the run's
+one chi array, then its time slabs, each formed in a slab workspace
+allocated once per run.  The first chunk forms its statistics in the run's
+totals; a later chunk forms each slab's in a workspace and folds them into
+the totals in place.  A chunk starts once every slab of the one before it
+has folded, so each slab of the totals has one writer at a time, no task
+waits on another, no chunk holds statistics of the whole grid, no slab is
+copied, and every entry is folded in chunk order.
 The folded mean and squared deviations then take their lower triangle from
 the upper one and a diagonal with imaginary part +0, so the mean is
 Hermitian and the standard errors are symmetric, to the bit.  Chunk and slab
 boundaries depend only on array shapes, and every chunk is a whole number
 of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one Philox
 stream keyed by (seed, block)), so the result is byte-identical whether
-chunks are processed by one worker or many.
+blocks and slabs are processed by one worker or many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,7 +69,7 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # shapes only, never of worker count, so that accumulation order (and
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
-# What it bounds is a worker's chi workspace, chunk * grid * levels floats:
+# What it bounds is the run's one chi array, chunk * grid * levels floats:
 # no chunk holds statistics of the whole grid (``run_ensemble``).
 # A slab of a chunk forms about SLAB_ELEMENT_BUDGET sample-state entries
 # (count * slab * dim * dim), and a chunk is kept within it at one time point
@@ -105,21 +105,19 @@ def _factor_map(vectors: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """The arrays one worker reuses for every chunk and slab of a run.
+    """The slab buffers one worker reuses for every slab of a run.
 
-    ``chi`` holds a chunk's chi paths, shape (chunk, T, m); the flat buffers
-    hold a slab of at most ``points`` time points of a whole chunk:
-    ``angles`` and ``phases`` (d entries per sample point) for
-    ``_slab_phases``, ``factors``, ``conj_factors`` (d r each) and ``states``
-    (d d) for ``_sample_states``, and the slab's ``mean`` (d d complex
-    entries per point) and squared deviations ``m2`` (2 d d floats).  A slab
-    takes the leading part of each buffer it needs (``_leading``), so a
-    partial slab or chunk reuses the same memory.
+    Each holds a slab of at most ``points`` time points of ``count``
+    trajectories, a whole chunk: ``angles`` and ``phases`` (d entries per
+    sample point) for ``_slab_phases``, ``factors``, ``conj_factors`` (d r
+    each) and ``states`` (d d) for ``_sample_states``, and the slab's
+    ``mean`` (d d complex entries per point) and squared deviations ``m2``
+    (2 d d floats).  A slab takes the leading part of each buffer it needs
+    (``_leading``), so a partial slab or chunk reuses the same memory.
     """
 
-    def __init__(self, points: int, dim: int, rank: int, chi_shape: tuple):
-        samples = chi_shape[0] * points
-        self.chi = np.empty(chi_shape)
+    def __init__(self, points: int, dim: int, rank: int, count: int):
+        samples = count * points
         self.angles = np.empty(samples * dim)
         self.phases = np.empty(samples * dim, dtype=complex)
         self.factors = np.empty(samples * dim * rank, dtype=complex)
@@ -239,22 +237,23 @@ def run_ensemble(
     once per call.  Trajectories are processed in chunks
     (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
-    ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks).  A chunk holds
-    only its chi paths and runs in the time slabs of every pass over a
-    trajectory (``operators._time_slabs`` at count d^2 entries per point
-    for the first chunk's count, the slabs of every chunk and those the
-    workspaces are sized from); each slab forms the phases and sample states of its own
-    time points and takes its mean and sum of squared deviations in place,
-    the squares of the real and imaginary parts side by side: the float
-    view of a (T, d, d) complex stack.  The first chunk forms them in the
-    run's totals, a later one in its workspace, and folds each slab into
-    the totals in place on its turn (``_merge``: the pairwise mean and
-    variance update, with the chunk's own slab arrays holding the mean
-    difference and its squares).  Its turn at slab s comes once chunks 0
-    to c - 1 have folded slab s: until then the worker waits on one
-    condition, so a slab is never copied.  Workers take chunks in order, so
-    the chunks a worker waits on have started; a chunk that raises releases
-    the waiting ones, and the call re-raises its error.  The folded mean's
+    ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks), one after
+    another.  A chunk holds only its chi paths, one task per RNG block
+    drawing that block's paths into the run's chi array, and then runs in
+    the time slabs of every pass over a trajectory (``operators._time_slabs``
+    at count d^2 entries per point for the first chunk's count, the slabs
+    of every chunk and those the workspaces are sized from), one task per
+    slab; each slab forms the phases and sample states of its own time
+    points and takes its mean and sum of squared deviations in place, the
+    squares of the real and imaginary parts side by side: the float view of
+    a (T, d, d) complex stack.  The first chunk forms them in the run's
+    totals, a later one in a workspace, and folds each slab into the totals
+    in place (``_merge``: the pairwise mean and variance update, with the
+    chunk's own slab arrays holding the mean difference and its squares).
+    The workers share each chunk's tasks, and a chunk's draw starts once
+    every slab of the chunk before it has folded, so each slab of the totals
+    has one writer at a time and is folded in chunk order, no task waits on
+    another, and a task that raises is the call's error.  The folded mean's
     entry (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
     rule of ``operators._hermitian_part``, the squared deviations' lower
     triangle is the transpose of their upper one, and both diagonals'
@@ -262,18 +261,19 @@ def run_ensemble(
     errors symmetric, to the bit.  The standard errors are
     sqrt(m2 / (n - 1) / n) of that float view, taken in place over it and
     read as the complex stack ``EnsembleResult.stderr``.
-    ``n_workers`` threads (at least 1) compute the chunks, and they are the
-    call's only parallelism: numpy's OpenBLAS thread count is held at 1
-    during the call and restored afterwards
+    ``n_workers`` threads (at least 1) compute the blocks and slabs, and
+    they are the call's only parallelism: numpy's OpenBLAS thread count is
+    held at 1 during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
     no OpenBLAS).  Its own pool would compete with the workers for the
     cores, and its threads keep spinning after a small threaded call.
 
-    Allocated per call: W, and min(n_workers, chunks) workspaces (``_Workspace``),
-    made before the chunks start and handed from chunk to chunk through a
-    queue, and the accumulated (T, d, d) mean and (T, d, 2d) squared
-    deviations, which become the result's mean and standard errors.  Each
-    workspace holds a chunk's chi paths and the angles, phases, factors B,
+    Allocated per call: W, one chi array of the first chunk's paths, which
+    every chunk refills, min(n_workers, slabs) slab workspaces
+    (``_Workspace``), made before the chunks start and handed from slab to
+    slab through a queue, and the accumulated (T, d, d) mean and
+    (T, d, 2d) squared deviations, which become the result's mean and
+    standard errors.  Each workspace holds the angles, phases, factors B,
     conj(B), states, mean and squared deviations of the largest slab of the
     run, so the chunks and slabs reuse them.  No chunk allocates statistics
     of the whole grid, and the fold allocates nothing, whatever the workers'
@@ -304,67 +304,52 @@ def run_ensemble(
     num_points, dim = field.grid.size, decomposition.dim
 
     chunk = _chunk_size(num_points, dim)
-    starts = range(0, n_traj, chunk)
-    counts = [min(chunk, n_traj - s) for s in starts]
     # One slab plan for every chunk, that of the first, the largest; a
     # partial last chunk takes the same slabs with fewer samples.
-    slabs = _time_slabs(num_points, counts[0] * dim * dim)
+    first = min(chunk, n_traj)
+    slabs = _time_slabs(num_points, first * dim * dim)
     mean = np.empty((num_points, dim, dim), dtype=complex)
     m2 = np.empty((num_points, dim, 2 * dim))
-    # Trajectories in chunks 0 to c, as Python ints, and per slab the number
-    # of chunks that have folded it; ``turn`` guards ``folded`` and ``failed``.
-    totals = list(itertools.accumulate(counts))
-    folded = [0] * len(slabs)
-    failed = False
-    turn = threading.Condition()
-    # One workspace per worker, handed from chunk to chunk through a queue.
-    chi_shape = (counts[0], num_points, field.levels.size)
+    chi = np.empty((first, num_points, field.levels.size))
+    # One workspace per worker that has a slab to take, handed on through a queue.
     free = queue.SimpleQueue()
-    for _ in range(min(n_workers, len(counts))):
-        free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], chi_shape))
+    for _ in range(min(n_workers, len(slabs))):
+        free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], first))
 
-    def chunk_stats(c: int) -> int:
-        nonlocal failed
-        count = counts[c]
+    # The tasks of the chunk of ``count`` trajectories from ``start``.
+    def draw(lo: int) -> None:
+        hi = min(lo + RNG_BLOCK, count)
+        field.paths(seed, start + lo, hi - lo, out=chi[lo:hi])
+
+    def fold(slab: slice) -> None:
         work = free.get()
         try:
-            chi = field.paths(seed, starts[c], count, out=work.chi[:count])
-            for s, slab in enumerate(slabs):
-                phases = _slab_phases(chi[:, slab], idx, work)
-                states = _sample_states(weights, phases, work)
-                # Chunk 0 forms its statistics in the totals themselves.
-                if c:
-                    size = slab.stop - slab.start
-                    slab_mean = _leading(work.mean, (size, dim, dim))
-                    slab_m2 = _leading(work.m2, (size, dim, 2 * dim))
-                else:
-                    slab_mean, slab_m2 = mean[slab], m2[slab]
-                states -= np.mean(states, axis=0, out=slab_mean)
-                flat = states.view(float)
-                np.square(flat, out=flat)
-                np.sum(flat, axis=0, out=slab_m2)
-                if c:
-                    with turn:
-                        turn.wait_for(lambda: failed or folded[s] == c)
-                        if failed:
-                            return count
-                    # Only chunk c may touch this slab of the totals now.
-                    _merge(mean[slab], m2[slab], slab_mean, slab_m2, totals[c - 1], totals[c])
-                with turn:
-                    folded[s] = c + 1
-                    turn.notify_all()
-        except BaseException:
-            # Release the chunks waiting on this one; pool.map re-raises.
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
+            phases = _slab_phases(chi[:count, slab], idx, work)
+            states = _sample_states(weights, phases, work)
+            # Chunk 0 forms its statistics in the totals themselves.
+            if start:
+                size = slab.stop - slab.start
+                slab_mean = _leading(work.mean, (size, dim, dim))
+                slab_m2 = _leading(work.m2, (size, dim, 2 * dim))
+            else:
+                slab_mean, slab_m2 = mean[slab], m2[slab]
+            states -= np.mean(states, axis=0, out=slab_mean)
+            flat = states.view(float)
+            np.square(flat, out=flat)
+            np.sum(flat, axis=0, out=slab_m2)
+            if start:
+                _merge(mean[slab], m2[slab], slab_mean, slab_m2, start, start + count)
         finally:
             free.put(work)
-        return count
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        n = sum(pool.map(chunk_stats, range(len(counts))))
+        # list() waits for every task of a map, so a chunk's draw starts once
+        # the chunk before it has folded every slab: the chi rows and each
+        # slab of the totals have one writer at a time.
+        for start in range(0, n_traj, chunk):
+            count = min(chunk, n_traj - start)
+            list(pool.map(draw, range(0, count, RNG_BLOCK)))
+            list(pool.map(fold, slabs))
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the
     # Hermitian part the other routes take, and the transpose of the squared
@@ -378,12 +363,12 @@ def run_ensemble(
         lower.real = upper.real
         np.subtract(0.0, upper.imag, out=lower.imag)
         squares[:, k + 1 :, k] = squares[:, k, k + 1 :]
-    m2 /= n - 1
-    m2 /= n
+    m2 /= n_traj - 1
+    m2 /= n_traj
     stderr = np.sqrt(m2, out=m2).view(complex)
     mean.setflags(write=False)
     stderr.setflags(write=False)
-    return EnsembleResult(grid=field.grid, mean=mean, stderr=stderr, n_traj=n, seed=seed)
+    return EnsembleResult(grid=field.grid, mean=mean, stderr=stderr, n_traj=n_traj, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -771,6 +771,24 @@ class TestVerifyCommand:
         ]
         assert all(re.search(r"  \(\d+\.\d\d s\)$", line) for line in scenario)
 
+    def test_single_trajectory_exits_2(self, scenario_yaml, tmp_path, capsys, monkeypatch):
+        # a Brownian scenario's ensemble check needs two trajectories, as
+        # sample and moments do; a direct table's scenario samples nothing,
+        # so its checks still run (the built-in ones are left out here)
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 1})
+        out = tmp_path / "run"
+        assert main(["verify", "--quick", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: montecarlo.n_traj:" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(noisytime.verify, "_CHECKS", [])
+        config = scenario_yaml("dissipative_direct", **{"montecarlo.n_traj": 1})
+        assert main(["verify", "--quick", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", "scenario-round-trip"],
+            ["PASS", "scenario-analytic-hermitian"],
+        ]
+
     def test_fault_injection_fails(self, capsys, monkeypatch):
         # one check made to fail: the suite reports it and exits 1
         checks = list(noisytime.verify._CHECKS)

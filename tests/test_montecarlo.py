@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -118,7 +119,7 @@ class TestStateFactor:
             assert factor.shape == (dim, rank)
             assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
-            work = _Workspace(1, dim, rank, (5, 1, dec.num_levels))
+            work = _Workspace(1, dim, rank, 5)
             phases = _slab_phases(chi, dec.level_index, work)
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
             states = _sample_states(_factor_map(dec.eigenvectors, factor), phases, work)
@@ -221,11 +222,11 @@ class TestWorkspace:
                 assert getattr(out, name).tobytes() == getattr(runs[0], name).tobytes()
 
     @pytest.mark.parametrize(
-        "n_workers, n_traj, expected", [(64, 1100, 2), (1, 3000, 1), (3, 5000, 3)]
+        "n_workers, n_traj, expected", [(64, 1100, 7), (1, 3000, 1), (3, 5000, 3)]
     )
     def test_one_workspace_per_worker(self, n_workers, n_traj, expected, monkeypatch):
         # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each; at most
-        # min(n_workers, chunks) workspaces, whatever the slab count
+        # min(n_workers, slabs) workspaces, whatever the chunk count
         built = []
 
         class Spy(montecarlo._Workspace):
@@ -244,8 +245,8 @@ class TestWorkspace:
 
     def test_workers_never_share_a_workspace(self):
         # 9 chunks of 3 slabs on 8 workers, more than the cores, with a short
-        # switch interval: a workspace used by two chunks at once, or handed
-        # on before its chunk is done, would corrupt their statistics, and a
+        # switch interval: a workspace used by two slabs at once, or handed
+        # on before its slab is done, would corrupt their statistics, and a
         # slab folded out of chunk order would change their bits
         dec, rho0 = _random_case(np.random.default_rng(5), 3, 2, degenerate=False)
         grid = np.linspace(0, 1, 21)
@@ -499,23 +500,32 @@ def _mirror_lower(mean, m2_re, m2_im):
     m2_im[:, l, k] = m2_im[:, k, l]
 
 
+def _slab_start(view):
+    """The first time point of a slab view of a run's (T, ...) totals."""
+    return (view.ctypes.data - view.base.ctypes.data) // view[0].nbytes
+
+
 class TestInPlaceFold:
-    """run_ensemble's in-place fold, slab by slab on each chunk's turn."""
+    """run_ensemble's in-place fold: chunk by chunk, the slabs of each shared
+    by the workers."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 8])
     def test_matches_reduce_reference(self, monkeypatch, dim, workers):
         # against reduce(_merge_stats) over the same chunks' statistics, as
         # _merge receives them: chunk c's under the trajectory count of the
-        # chunks before it, and at chunk 1 the totals are still chunk 0's own
+        # chunks before it, and at chunk 1 the totals are still chunk 0's
+        # own; each recorded by its slab's start, whatever order the
+        # workers merge the slabs of a chunk in
         chunk = 2 * RNG_BLOCK
         recorded = {}
         merge = montecarlo._merge
 
         def recording(mean, m2, delta, square, n_a, n):
+            start = _slab_start(mean)
             if n_a == chunk:
-                recorded.setdefault(0, []).append((n_a, mean.copy(), m2.copy()))
-            recorded.setdefault(n_a, []).append((n - n_a, delta.copy(), square.copy()))
+                recorded.setdefault(0, {})[start] = (n_a, mean.copy(), m2.copy())
+            recorded.setdefault(n_a, {})[start] = (n - n_a, delta.copy(), square.copy())
             merge(mean, m2, delta, square, n_a, n)
 
         monkeypatch.setattr(montecarlo, "_merge", recording)
@@ -529,11 +539,12 @@ class TestInPlaceFold:
         # four chunks, the last one partial; one slab at d = 2, two at d = 8
         chunks = []
         for key in sorted(recorded):
-            slabs = recorded[key]
+            slabs = [recorded[key][start] for start in sorted(recorded[key])]
             assert len(slabs) == (1 if dim == 2 else 2)
             (count,) = {n_b for n_b, _, _ in slabs}
             mean = np.concatenate([slab_mean for _, slab_mean, _ in slabs])
             m2 = np.concatenate([slab_m2 for _, _, slab_m2 in slabs])
+            assert len(mean) == grid.size
             chunks.append((count, mean, m2[..., 0::2].copy(), m2[..., 1::2].copy()))
         assert [count for count, *_ in chunks] == [chunk] * 3 + [37]
         n, mean, m2_re, m2_im = reduce(_merge_stats, chunks)
@@ -552,8 +563,10 @@ class TestInPlaceFold:
     def test_slabs_formed_out_of_order_keep_the_bits(
         self, dim, rank, num_points, n_traj, monkeypatch
     ):
-        # chunk 0 sleeps before its paths, so a later chunk forms its first
-        # slab first and must wait for chunk 0 to fold that slab
+        # the first slab of each chunk sleeps before its sample states, so
+        # the other workers merge that chunk's later slabs first.  The first
+        # slab is the one whose first point is t = 0, where every chi is 0
+        # and every phase exactly 1.
         dec, rho0 = _random_case(np.random.default_rng(dim), dim, rank, degenerate=False)
         grid = np.linspace(0, 1.3, num_points)
         model = correlated_model(0.6, 0.7)
@@ -561,56 +574,59 @@ class TestInPlaceFold:
         assert -(-n_traj // chunk) >= 3 and n_traj % chunk
         assert len(_time_slabs(num_points, chunk * dim * dim)) == (7 if dim == 2 else num_points)
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=1)
-        paths = montecarlo._BrownianField.paths
+        sample_states = montecarlo._sample_states
         merge = montecarlo._merge
-        first_drawn = threading.Event()
-        ahead, merged_after = [], []
+        merged = []
 
-        def late_first_chunk(self, seed, start, count, out=None):
-            if start == 0:
-                time.sleep(0.3)
-            chi = paths(self, seed, start, count, out=out)
-            if start == 0:
-                first_drawn.set()
-            else:
-                ahead.append(not first_drawn.is_set())
-            return chi
+        def late_first_slab(weights, phases, work):
+            if np.all(phases[:, 0] == 1):
+                time.sleep(0.2)
+            return sample_states(weights, phases, work)
 
-        def spy(*args):
-            merged_after.append(first_drawn.is_set())
-            merge(*args)
+        def spy(mean, m2, delta, square, n_a, n):
+            merged.append((n_a, _slab_start(mean)))
+            merge(mean, m2, delta, square, n_a, n)
 
-        monkeypatch.setattr(montecarlo._BrownianField, "paths", late_first_chunk)
+        monkeypatch.setattr(montecarlo, "_sample_states", late_first_slab)
         monkeypatch.setattr(montecarlo, "_merge", spy)
         for workers in (2, 3):
-            first_drawn.clear()
-            ahead.clear()
-            merged_after.clear()
+            merged.clear()
             threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=workers)
-            assert any(ahead) and merged_after and all(merged_after)
+            # every later chunk merged a later slab before its first one
+            for n_a in range(chunk, n_traj, chunk):
+                order = [start for key, start in merged if key == n_a]
+                assert sorted(order) == [s.start for s in _time_slabs(num_points, chunk * dim * dim)]
+                assert order[0] != 0, (workers, n_a, order)
             for name in ("mean", "stderr"):
                 assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failing_chunk_releases_the_waiting_ones(self, failing, workers, monkeypatch):
-        # d = 2 on 101 points, three chunks of seven slabs: the failing chunk
-        # sleeps and then raises while the chunks after it wait for its first
-        # slab.  Unless it releases them, the call never returns, so it runs
-        # in a daemon thread that the test stops waiting for after 60 s.
+        # d = 2 on 101 points, three chunks of seven slabs: in chunk
+        # ``failing``, one draw task and then, in a second call, one slab
+        # task sleeps and raises while the chunk's other tasks run.  The
+        # error must come back as the call's, and the call must end, so it
+        # runs in a daemon thread that the test stops waiting for after 60 s.
         dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
         grid = np.linspace(0, 1, 101)
         chunk = _chunk_size(grid.size, 2)
+        slabs = len(_time_slabs(grid.size, chunk * 2 * 2))
+        assert slabs == 7
         paths = montecarlo._BrownianField.paths
+        sample_states = montecarlo._sample_states
 
-        def failing_chunk(self, seed, start, count, out=None):
-            if start == failing * chunk:
-                time.sleep(0.3)
-                raise RuntimeError("chunk failed")
+        def failing_draw(self, seed, start, count, out=None):
+            if start == failing * chunk + RNG_BLOCK:
+                time.sleep(0.1)
+                raise RuntimeError("draw failed")
             return paths(self, seed, start, count, out=out)
 
-        monkeypatch.setattr(montecarlo._BrownianField, "paths", failing_chunk)
-        raised = []
+        def failing_slab(*args):
+            if next(calls) == failing * slabs + 3:
+                time.sleep(0.1)
+                raise RuntimeError("slab failed")
+            return sample_states(*args)
 
         def call():
             try:
@@ -618,22 +634,30 @@ class TestInPlaceFold:
                     dec, dephasing_model(0.5), rho0, grid, n_traj=3000, seed=4, n_workers=workers
                 )
             except RuntimeError as exc:
-                raised.append(exc)
+                raised.append(str(exc))
 
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert [str(exc) for exc in raised] == ["chunk failed"]
+        for target, name, spy, error in (
+            (montecarlo._BrownianField, "paths", failing_draw, "draw failed"),
+            (montecarlo, "_sample_states", failing_slab, "slab failed"),
+        ):
+            calls = itertools.count()
+            raised = []
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, spy)
+                thread = threading.Thread(target=call, daemon=True)
+                thread.start()
+                thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert raised == [error]
 
     def test_peak_holds_no_chunk_statistics(self, monkeypatch):
         # d = 16 in eight pairs of equal levels on 401 points, a pure state:
         # four 64-trajectory chunks of 101 four-point slabs, whose (T, d, d)
-        # mean and (T, d, 2d) squared deviations outweigh one workspace.  A
-        # run holds those once, two workspaces and little else, however the
-        # workers' timing falls: also when chunk 0 sleeps 0.3 s before its
-        # paths, so that the other worker forms slabs ahead of their turn.
-        built = []
+        # mean and (T, d, 2d) squared deviations outweigh the chi array and
+        # a workspace.  A run holds those once, its one chi array, two slab
+        # workspaces and little else, however the workers' timing falls:
+        # also when chunk 0's draw sleeps 0.3 s.
+        built, chis = [], {}
         paths = montecarlo._BrownianField.paths
 
         class Workspace(montecarlo._Workspace):
@@ -644,6 +668,7 @@ class TestInPlaceFold:
         def late_first_chunk(self, seed, start, count, out=None):
             if late and start == 0:
                 time.sleep(0.3)
+            chis[id(out.base)] = out.base.nbytes
             return paths(self, seed, start, count, out=out)
 
         monkeypatch.setattr(montecarlo, "_Workspace", Workspace)
@@ -652,6 +677,7 @@ class TestInPlaceFold:
         grid = np.linspace(0, 1, 401)
         for late in (False, True):
             built.clear()
+            chis.clear()
             tracemalloc.start()
             try:
                 out = run_ensemble(
@@ -660,11 +686,35 @@ class TestInPlaceFold:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(built) == 2
+            assert len(built) == 2 and len(chis) == 1
+            (chi,) = chis.values()
             workspace = sum(array.nbytes for array in vars(built[0]).values())
             statistics = out.mean.nbytes + out.stderr.nbytes
-            assert statistics > workspace
-            assert peak <= 1.25 * (statistics + 2 * workspace), late
+            assert statistics > chi + workspace
+            assert peak <= 1.25 * (statistics + chi + 2 * workspace), (late, peak)
+
+    def test_one_chunk_shares_its_slabs(self, monkeypatch):
+        # d = 2 on 101 points with 1000 trajectories: one chunk of seven
+        # slabs, which two workers form on two threads, byte for byte as one
+        dec, rho0 = _random_case(np.random.default_rng(3), 2, 2, degenerate=False)
+        grid = np.linspace(0, 1, 101)
+        chunk = _chunk_size(grid.size, 2)
+        assert 1000 <= chunk and len(_time_slabs(grid.size, 1000 * 2 * 2)) == 7
+        model = correlated_model(0.6, 0.7)
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=1000, seed=11, n_workers=1)
+        sample_states = montecarlo._sample_states
+        threads = []
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            time.sleep(0.01)
+            return sample_states(*args)
+
+        monkeypatch.setattr(montecarlo, "_sample_states", spy)
+        threaded = run_ensemble(dec, model, rho0, grid, n_traj=1000, seed=11, n_workers=2)
+        assert len(threads) == 7 and len(set(threads)) == 2
+        for name in ("mean", "stderr"):
+            assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
 
 
 class TestCompare:
