@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", parents=[parent], help="analytic averaged evolution")
-    p.set_defaults(handler=lambda args: cmd_evolve(_load(args)))
+    p.set_defaults(handler=lambda args: cmd_evolve(_load_writing(args)))
 
     p = sub.add_parser("integrate", parents=[parent], help="master-equation route")
     p.add_argument(
@@ -387,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="model family the scenario must match; every family runs the same builder",
     )
-    p.set_defaults(handler=lambda args: cmd_integrate(_load(args), args.generator))
+    p.set_defaults(handler=lambda args: cmd_integrate(_load_writing(args), args.generator))
 
     p = sub.add_parser("sample", parents=[parent], help="Monte Carlo ensemble")
-    p.set_defaults(handler=lambda args: cmd_sample(_load(args), threads=args.threads))
+    p.set_defaults(handler=lambda args: cmd_sample(_load_writing(args), threads=args.threads))
 
     p = sub.add_parser("moments", parents=[parent], help="phase-difference moment table")
     p.add_argument("--theta", type=float, required=True, help="first level")
@@ -400,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(
         handler=lambda args: cmd_moments(
-            _load(args), theta=args.theta, theta_prime=args.theta_prime, max_order=args.max_order
+            _load_writing(args),
+            theta=args.theta,
+            theta_prime=args.theta_prime,
+            max_order=args.max_order,
         )
     )
 
@@ -418,6 +421,26 @@ def _load(args, required: bool = True) -> Optional[ScenarioConfig]:
         return None
     config = load_config(args.config)
     return config.with_overrides(seed=args.seed, out_dir=args.out)
+
+
+def _load_writing(args) -> ScenarioConfig:
+    """The scenario of a command that writes files.
+
+    Its output directory must be one or be creatable as one: a path that is
+    a file or a dangling link, or lies under one, is refused here, before
+    any route runs, with a ConfigError naming ``--out`` or
+    ``outputs.directory``.
+    """
+    config = _load(args)
+    existing = Path(config.out_dir)
+    while not os.path.lexists(existing):
+        existing = existing.parent
+    if not existing.is_dir():
+        field = "--out" if args.out is not None else "outputs.directory"
+        raise ConfigError(
+            field, f"{config.out_dir} cannot be a directory: {existing} is not a directory"
+        )
+    return config
 
 
 def _run_verify(args) -> tuple[int, list[Path]]:

@@ -85,8 +85,8 @@ def _state_from_preset(preset: str, hamiltonian: HermitianOperator) -> DensityMa
         return DensityMatrix.maximally_mixed(dim)
     if preset == "ground":
         decomposition = eigendecompose(hamiltonian)
-        projector = decomposition.projectors[0]
-        return DensityMatrix(projector / decomposition.multiplicities[0])
+        ground = decomposition.eigenvectors[:, decomposition.level_index == 0]
+        return DensityMatrix(ground @ ground.conj().T / ground.shape[1])
     raise ConfigError("initial_state", f"unknown preset {preset!r}; known: {STATE_PRESETS}")
 
 

@@ -29,7 +29,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, KernelAsymmetric, KernelNotPSD
-from .operators import _rank_factor
+from .operators import _rank_factor, _time_slabs
 from .results import _sorted_unique, time_grid, time_point
 
 __all__ = [
@@ -556,8 +556,11 @@ class _BrownianField:
         Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order,
         from one Philox generator keyed by (seed, b), so ``start`` must be a
         multiple of ``RNG_BLOCK``; a partial block takes a prefix of its
-        block's draw.  The paths are written to ``out`` when it is given (a
-        C-contiguous float array of that shape), else to a new array.
+        block's draw.  The normals are drawn in pieces of whole trajectories,
+        about ``SLAB_ELEMENT_BUDGET`` values each (``_time_slabs``), which
+        read the stream in the same order as one draw.  The paths are
+        written to ``out`` when it is given (a C-contiguous float array of
+        that shape), else to a new array.
         """
         if start % RNG_BLOCK:
             raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
@@ -570,8 +573,10 @@ class _BrownianField:
             hi = min(lo + RNG_BLOCK, count)
             key = np.array([seed, (start + lo) // RNG_BLOCK], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
-            z = rng.standard_normal((hi - lo, num_steps, rank))
-            np.matmul(z, self.factor.T, out=steps[lo:hi])
+            block = steps[lo:hi]
+            for piece in _time_slabs(hi - lo, num_steps * rank):
+                z = rng.standard_normal((piece.stop - piece.start, num_steps, rank))
+                np.matmul(z, self.factor.T, out=block[piece])
         steps *= self.scale
         steps += self.drift
         np.cumsum(steps, axis=1, out=steps)

@@ -1,9 +1,10 @@
 """Hermitian operators, spectral decompositions, and density-matrix checks.
 
 Everything downstream works in the eigenbasis of a Hamiltonian-like operator,
-so the central object here is :class:`SpectralDecomposition`: distinct levels in
-ascending order, their multiplicities, orthogonal projectors, and a unitary
-whose columns are eigenvectors grouped by level.
+so the central object here is :class:`SpectralDecomposition`, three arrays:
+distinct levels in ascending order, a unitary whose columns are eigenvectors
+grouped by level, and the level of each column.  The projector onto a level
+is the sum of v v^dagger over its columns.
 """
 
 from __future__ import annotations
@@ -152,12 +153,10 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues of a Hermitian operator with their projectors.
+    """Distinct eigenvalues of a Hermitian operator with their eigenvectors.
 
     Attributes:
         levels: distinct eigenvalues, strictly ascending, shape (m,).
-        multiplicities: dimension of each eigenspace, shape (m,).
-        projectors: orthogonal projectors onto each eigenspace, shape (m, d, d).
         eigenvectors: unitary whose columns are eigenvectors ordered by level,
             shape (d, d).  Within a degenerate eigenspace the choice of basis
             is arbitrary but fixed.
@@ -166,8 +165,6 @@ class SpectralDecomposition:
     """
 
     levels: np.ndarray
-    multiplicities: np.ndarray
-    projectors: np.ndarray
     eigenvectors: np.ndarray
     level_index: np.ndarray
 
@@ -184,8 +181,9 @@ class SpectralDecomposition:
         return self.levels[self.level_index]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of level * projector; equals the original operator."""
-        return np.einsum("k,kij->ij", self.levels, self.projectors)
+        """V diag(column levels) V^dagger; equals the original operator."""
+        v = self.eigenvectors
+        return (v * self.column_levels()) @ v.conj().T
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
@@ -201,9 +199,9 @@ def eigendecompose(operator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
 
     Eigenvalues within ``DEGENERACY_TOL`` of their predecessor are merged
-    into one level (the mean over the group) with a rank-``g`` projector.  The
-    merge matters physically: a shared level must be driven by one noise
-    process, not several independent ones.
+    into one level, the mean over the group.  The merge matters physically:
+    a shared level must be driven by one noise process, not several
+    independent ones.
 
     Args:
         operator: HermitianOperator or raw matrix (validated here if raw).
@@ -215,38 +213,13 @@ def eigendecompose(operator) -> SpectralDecomposition:
         operator = HermitianOperator(operator)
     eigvals, eigvecs = np.linalg.eigh(operator.matrix)
     eigvecs = _fix_column_phases(eigvecs)
-
-    d = eigvals.shape[0]
-    # Group by gaps: eigh returns ascending eigenvalues.
-    groups: list[list[int]] = [[0]]
-    for i in range(1, d):
-        if eigvals[i] - eigvals[groups[-1][-1]] <= DEGENERACY_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    m = len(groups)
-    levels = np.empty(m)
-    multiplicities = np.empty(m, dtype=int)
-    projectors = np.empty((m, d, d), dtype=complex)
-    level_index = np.empty(d, dtype=int)
-    for k, group in enumerate(groups):
-        levels[k] = float(np.mean(eigvals[group]))
-        multiplicities[k] = len(group)
-        block = eigvecs[:, group]
-        projectors[k] = block @ block.conj().T
-        level_index[group] = k
-
-    for arr in (levels, multiplicities, projectors, level_index):
+    # eigh returns ascending eigenvalues; a gap above the tolerance starts a level.
+    gaps = np.diff(eigvals) > DEGENERACY_TOL
+    level_index = np.concatenate([[0], np.cumsum(gaps)])
+    levels = np.array([np.mean(group) for group in np.split(eigvals, np.flatnonzero(gaps) + 1)])
+    for arr in (levels, eigvecs, level_index):
         arr.setflags(write=False)
-    eigvecs.setflags(write=False)
-    return SpectralDecomposition(
-        levels=levels,
-        multiplicities=multiplicities,
-        projectors=projectors,
-        eigenvectors=eigvecs,
-        level_index=level_index,
-    )
+    return SpectralDecomposition(levels=levels, eigenvectors=eigvecs, level_index=level_index)
 
 
 def _rank_factor(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
@@ -371,7 +344,7 @@ def _time_slabs(num_points: int, per_point: int) -> list[slice]:
 
     ``per_point`` counts the entries a pass forms per point: d^2 for a
     state, count d^2 for a chunk of count Monte Carlo samples, the number of
-    columns for a CSV row.
+    columns for a CSV row, a trajectory's steps times rank for its normals.
     """
     step = max(1, SLAB_ELEMENT_BUDGET // per_point)
     return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]

@@ -128,7 +128,10 @@ def _check_spectral_invariants() -> tuple[bool, str]:
         HermitianOperator(np.diag([0.5, 0.5, 2.0])),  # degenerate pair
     ):
         dec = eigendecompose(operator)
-        projectors = dec.projectors
+        # P_k, the sum of v v^dagger over the eigenvector columns of level k
+        columns = dec.level_index == np.arange(dec.num_levels)[:, None]
+        v = dec.eigenvectors
+        projectors = (v * columns[:, None, :]) @ v.conj().T
         completeness = np.max(np.abs(projectors.sum(axis=0) - np.eye(operator.dim)))
         # products[j, k] = P_j P_k, expected delta_jk P_j
         products = projectors[:, None] @ projectors[None, :]

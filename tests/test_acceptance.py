@@ -11,7 +11,6 @@ import numpy as np
 from noisytime import (
     DensityMatrix,
     HermitianOperator,
-    Superoperator,
     averaged_trajectory,
     build_generator,
     compare_to_analytic,
@@ -23,6 +22,7 @@ from noisytime import (
     verify,
 )
 from noisytime.cli import main
+from noisytime.generator import Superoperator
 
 
 def report(number, ok, detail):

@@ -15,16 +15,16 @@ import pytest
 import noisytime.config
 import noisytime.verify
 from noisytime import (
-    EvolutionResult,
     averaged_trajectory,
     build_generator,
     eigendecompose,
     integrate,
-    load_config,
 )
 from noisytime import operators
 from noisytime.cli import _atomic_write, _trajectory_csv, main
+from noisytime.config import load_config
 from noisytime.operators import _time_slabs
+from noisytime.results import EvolutionResult
 
 
 def read_csv(path):
@@ -544,6 +544,69 @@ class TestThreads:
         assert main(args + extra) == 2
         assert "config error: --threads:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPathIsAFile:
+    """An output directory that is a file, or lies under one, exits 2 naming
+    where it came from, before any route runs and without writing."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("evolve", []),
+            ("integrate", ["--generator", "phase"]),
+            ("sample", []),
+            ("moments", ["--theta", "0.0", "--theta-prime", "1.0"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "field, below",
+        [
+            ("--out", ""),
+            ("--out", "run/tables"),
+            ("outputs.directory", ""),
+            ("outputs.directory", "run"),
+        ],
+    )
+    def test_exits_2(
+        self, command, extra, field, below, scenario_yaml, tmp_path, capsys, monkeypatch
+    ):
+        def route(*args, **kwargs):
+            pytest.fail("a route ran")
+
+        for name in ("averaged_trajectory", "integrate", "run_ensemble", "moment_report"):
+            monkeypatch.setattr(f"noisytime.cli.{name}", route)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        if field == "--out":
+            config = scenario_yaml("global_dephasing")
+            extra = extra + ["--out", str(out)]
+        else:
+            config = scenario_yaml("global_dephasing", **{"outputs.directory": str(out)})
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(config)] + extra) == 2
+        err = capsys.readouterr().err
+        message = f"{out} cannot be a directory: {blocker} is not a directory"
+        assert err.startswith(f"config error: {field}: {message}")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "sample"])
+    def test_dangling_link_exits_2(self, command, scenario_yaml, tmp_path, capsys):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")
+        config = scenario_yaml("global_dephasing", **{"montecarlo.n_traj": 10})
+        assert main([command, "--config", str(config), "--out", str(link)]) == 2
+        assert f"config error: --out: {link} cannot be a directory" in capsys.readouterr().err
+        assert link.is_symlink() and not (tmp_path / "nowhere").exists()
+
+    def test_verify_writes_nothing_and_ignores_it(self, scenario_yaml, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        config = scenario_yaml("dissipative_direct")
+        assert main(["verify", "--quick", "--config", str(config), "--out", str(blocker)]) == 0
+        assert blocker.read_text() == "kept\n"
 
 
 class TestTableThatIsNotCompletelyPositive:

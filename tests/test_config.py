@@ -7,19 +7,24 @@ from dataclasses import replace
 from noisytime import (
     ConfigError,
     CorrelationPreset,
+    DensityMatrix,
     DriftPreset,
     HermitianOperator,
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
-    config_to_dict,
     direct_damping_model,
-    load_config,
-    parse_config,
 )
 from noisytime import config as config_module
 from noisytime.cli import main
-from noisytime.config import matrix_from_config, matrix_to_config
+from noisytime.config import (
+    config_to_dict,
+    load_config,
+    matrix_from_config,
+    matrix_to_config,
+    parse_config,
+)
+from noisytime.operators import _fix_column_phases
 
 
 def minimal_config(**extra):
@@ -79,6 +84,22 @@ class TestParse:
         ):
             config = parse_config(minimal_config(initial_state=preset))
             assert np.allclose(np.diag(config.initial_state.matrix).real, diag)
+
+    @pytest.mark.parametrize("spread", [0.0, 0.4e-9])
+    def test_ground_preset_keeps_its_bytes_on_a_degenerate_level(self, spread):
+        # a three-fold ground level in a rotated basis, exact or spread
+        # within the degeneracy tolerance: the state is the level's
+        # projector, built from its eigenvector columns, over three
+        rng = np.random.default_rng(29)
+        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        q = np.linalg.qr(raw)[0]
+        levels = [-1.0, -1.0 + spread, -1.0 + 2 * spread, 0.5, 2.0]
+        hamiltonian = HermitianOperator(q @ np.diag(levels) @ q.conj().T)
+        state = config_module._state_from_preset("ground", hamiltonian)
+        eigvecs = _fix_column_phases(np.linalg.eigh(hamiltonian.matrix)[1])
+        block = eigvecs[:, [0, 1, 2]]
+        expected = DensityMatrix(block @ block.conj().T / np.int64(3))
+        assert state.matrix.tobytes() == expected.matrix.tobytes()
 
     def test_explicit_state_matrix(self):
         config = parse_config(

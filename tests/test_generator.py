@@ -14,7 +14,6 @@ from noisytime import (
     SigmaThetaPreset,
     SigmaTimePreset,
     StepTooLarge,
-    Superoperator,
     averaged_trajectory,
     build_generator,
     correlated_model,
@@ -22,12 +21,11 @@ from noisytime import (
     dephasing_model,
     direct_damping_model,
     eigendecompose,
-    from_energy_basis,
     integrate,
     noise,
-    to_energy_basis,
 )
-from noisytime.generator import CHOI_PSD_TOL, LOCAL_ERROR_LIMIT
+from noisytime.generator import CHOI_PSD_TOL, LOCAL_ERROR_LIMIT, Superoperator
+from noisytime.operators import from_energy_basis, to_energy_basis
 from noisytime.verify import _global_noise_state
 
 

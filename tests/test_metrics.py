@@ -5,12 +5,11 @@ from noisytime import (
     DensityMatrix,
     DimensionMismatch,
     HermitianOperator,
-    coherence_l1,
     eigendecompose,
     energy_expectation,
-    purity,
     trace_distance,
 )
+from noisytime.metrics import coherence_l1, purity
 
 
 def test_purity_limits():

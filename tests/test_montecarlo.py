@@ -14,8 +14,6 @@ from noisytime import (
     ConfigError,
     DensityMatrix,
     DimensionMismatch,
-    EnsembleResult,
-    EvolutionResult,
     GridMismatch,
     HermitianOperator,
     NotPositive,
@@ -26,14 +24,14 @@ from noisytime import (
     averaged_trajectory,
     eigendecompose,
     run_ensemble,
-    load_config,
     sample_chi_paths,
-    to_energy_basis,
 )
 from noisytime import montecarlo, operators
+from noisytime.config import load_config
 from noisytime.montecarlo import (
     MAX_CHUNK,
     SLAB_ELEMENT_BUDGET,
+    EnsembleResult,
     _Workspace,
     _chunk_size,
     _factor_map,
@@ -42,7 +40,8 @@ from noisytime.montecarlo import (
     _state_factor,
 )
 from noisytime.noise import RNG_BLOCK
-from noisytime.operators import _time_slabs
+from noisytime.operators import _time_slabs, to_energy_basis
+from noisytime.results import EvolutionResult
 
 
 def _random_case(rng, dim, rank, degenerate):
@@ -60,7 +59,8 @@ def _random_case(rng, dim, rank, degenerate):
 
 def unitary_from_phases(dec, chi):
     """sum_k exp(-i chi[k]) P_k for one phase per distinct level."""
-    return np.einsum("k,kij->ij", np.exp(-1j * np.asarray(chi, dtype=float)), dec.projectors)
+    phases = np.exp(-1j * np.asarray(chi, dtype=float))[dec.level_index]
+    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
 def _per_sample_reference(dec, rho0, paths):
@@ -140,7 +140,8 @@ class TestStateFactor:
 
     def test_mixed_presets_keep_their_rank(self):
         dec = eigendecompose(HermitianOperator(np.diag([0.0, 0.0, 1.0, 2.0])))
-        ground = DensityMatrix(dec.projectors[0] / 2)
+        pair = dec.eigenvectors[:, dec.level_index == 0]
+        ground = DensityMatrix(pair @ pair.conj().T / 2)
         assert _state_factor(to_energy_basis(ground.matrix, dec)).shape == (4, 2)
         mixed = DensityMatrix.maximally_mixed(4)
         assert _state_factor(to_energy_basis(mixed.matrix, dec)).shape == (4, 4)

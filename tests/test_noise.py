@@ -15,23 +15,20 @@ from noisytime import (
     GridMismatch,
     KernelAsymmetric,
     KernelNotPSD,
-    LambdaKernel,
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
     correlated_model,
-    correlation_matrix,
     dephasing_model,
     direct_damping_model,
     lambda_pair,
     moment_report,
-    predicted_moment,
-    psd_sqrt,
     run_ensemble,
     sample_chi_paths,
     sample_phase_differences,
 )
-from noisytime import montecarlo
+from noisytime.noise import LambdaKernel, correlation_matrix, predicted_moment, psd_sqrt
+from noisytime import montecarlo, operators
 from noisytime import noise as noise_module
 
 
@@ -477,6 +474,44 @@ class TestSampling:
         levels = [0.0, 0.37, 1.1, 2.03]
         sample_chi_paths(correlated_model(0.8, 1.0), levels, grid, seed=3, n_traj=70)
         assert drawn == [(64, 10, 4), (6, 10, 4)]
+
+    @pytest.mark.parametrize("budget", [1, 215])
+    @pytest.mark.parametrize(
+        "sigma_time",
+        [
+            SigmaTimePreset.constant(1.0),
+            # breakpoints between grid points: the field steps on a refined grid
+            SigmaTimePreset.piecewise_constant((0.35, 0.72), (1.0, 0.4, 1.7)),
+        ],
+        ids=["grid", "refined"],
+    )
+    def test_normals_in_pieces_keep_the_bytes(self, monkeypatch, budget, sigma_time):
+        # a budget of 1 draws one trajectory at a time; 215 draws 7 (30
+        # normals each) on the grid and 5 (36 each) on the refined one, so a
+        # block's last piece is short.  100 trajectories end inside the
+        # second RNG block.
+        model = dataclasses.replace(correlated_model(0.8, 1.0), sigma_time=sigma_time)
+        field = noise_module._BrownianField(model, [-1.0, 0.0, 1.0], np.linspace(0, 1, 11))
+        num_steps, rank = field.scale.shape[0], field.factor.shape[1]
+        drawn = []
+
+        class Spy(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                drawn.append(size)
+                return super().standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", 1 << 40)
+        whole = [field.paths(4, 0, 100), field.paths(4, noise_module.RNG_BLOCK, 50)]
+        assert drawn == [(64, num_steps, rank), (36, num_steps, rank), (50, num_steps, rank)]
+        drawn.clear()
+        monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", budget)
+        pieces = [field.paths(4, 0, 100), field.paths(4, noise_module.RNG_BLOCK, 50)]
+        per_piece = max(1, budget // (num_steps * rank))
+        assert len(drawn) == sum(-(-n // per_piece) for n in (64, 36, 50))
+        assert all(size[0] <= per_piece for size in drawn)
+        for one_call, in_pieces in zip(whole, pieces):
+            assert one_call.tobytes() == in_pieces.tobytes()
 
     def test_uniform_correlation_drives_every_level_alike(self):
         # one shared Brownian motion B: with h = theta and sigma = c theta,

@@ -9,12 +9,16 @@ from noisytime import (
     NotPositive,
     TraceNotOne,
     eigendecompose,
+)
+from noisytime import operators
+from noisytime.operators import (
+    DEGENERACY_TOL,
+    _fix_column_phases,
+    _single_threaded_blas,
     from_energy_basis,
     to_energy_basis,
     validate_density,
 )
-from noisytime import operators
-from noisytime.operators import DEGENERACY_TOL, _fix_column_phases, _single_threaded_blas
 
 
 def random_hermitian(dim, seed):
@@ -56,35 +60,90 @@ class TestHermitianOperator:
                 DensityMatrix(matrix)
 
 
+def _projectors(dec):
+    """P_k, the sum of v v^dagger over the eigenvector columns of level k."""
+    columns = [dec.eigenvectors[:, dec.level_index == k] for k in range(dec.num_levels)]
+    return [v @ v.conj().T for v in columns]
+
+
+def _eigendecompose_loop(matrix):
+    """Levels, level index and eigenvectors by a Python loop over the gaps."""
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    eigvecs = _fix_column_phases(eigvecs)
+    groups = [[0]]
+    for i in range(1, eigvals.shape[0]):
+        if eigvals[i] - eigvals[groups[-1][-1]] <= DEGENERACY_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    levels = np.empty(len(groups))
+    level_index = np.empty(eigvals.shape[0], dtype=int)
+    for k, group in enumerate(groups):
+        levels[k] = float(np.mean(eigvals[group]))
+        level_index[group] = k
+    return levels, level_index, eigvecs
+
+
+def _rotated(eigvals, seed):
+    """Q diag(eigvals) Q^dagger for a random unitary Q."""
+    q = np.linalg.qr(random_hermitian(len(eigvals), seed) + 1j * np.eye(len(eigvals)))[0]
+    return q @ np.diag(eigvals) @ q.conj().T
+
+
+SPECTRA = {
+    **{f"random-d{dim}": random_hermitian(dim, 100 + dim) for dim in (1, 2, 3, 5, 17, 64)},
+    "identity-9": np.eye(9),
+    "rotated-triple": _rotated([-1.0, -1.0, -1.0, 0.5, 2.0, 2.0], 5),
+    "consecutive-gap-chain": np.diag([0.0, 0.6e-9, 1.2e-9, 1.0]),
+    "signed-zero-pair": np.diag([-0.0, 0.0, 1.0]),
+}
+
+
 class TestEigendecompose:
     def test_levels_ascending_and_complete(self):
         op = HermitianOperator(random_hermitian(5, 11))
         dec = eigendecompose(op)
         assert np.all(np.diff(dec.levels) > 0)
-        assert np.allclose(dec.projectors.sum(axis=0), np.eye(5), atol=1e-12)
+        assert np.allclose(sum(_projectors(dec)), np.eye(5), atol=1e-12)
         assert np.allclose(dec.reconstruct(), op.matrix, atol=1e-12)
 
     def test_projector_orthogonality(self):
-        dec = eigendecompose(HermitianOperator(random_hermitian(4, 3)))
-        for j in range(dec.num_levels):
-            for k in range(dec.num_levels):
-                product = dec.projectors[j] @ dec.projectors[k]
-                target = dec.projectors[j] if j == k else 0.0
-                assert np.allclose(product, target, atol=1e-12)
+        projectors = _projectors(eigendecompose(HermitianOperator(random_hermitian(4, 3))))
+        for j, pj in enumerate(projectors):
+            for k, pk in enumerate(projectors):
+                assert np.allclose(pj @ pk, pj if j == k else 0.0, atol=1e-12)
 
     def test_degenerate_levels_merge(self):
         op = HermitianOperator(np.diag([1.0, 1.0 + 1e-12, 4.0]))
         dec = eigendecompose(op)
         assert dec.num_levels == 2
-        assert tuple(dec.multiplicities) == (2, 1)
-        assert np.trace(dec.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
+        assert tuple(np.bincount(dec.level_index)) == (2, 1)
+        assert np.trace(_projectors(dec)[0]).real == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(dec.reconstruct(), op.matrix, atol=1e-12)
 
     def test_degeneracy_tol_merges_close_levels(self):
         close = HermitianOperator(np.diag([1.0, 1.0 + 0.5 * DEGENERACY_TOL, 4.0]))
-        assert tuple(eigendecompose(close).multiplicities) == (2, 1)
+        assert tuple(np.bincount(eigendecompose(close).level_index)) == (2, 1)
         apart = HermitianOperator(np.diag([1.0, 1.0 + 2.0 * DEGENERACY_TOL, 4.0]))
         assert eigendecompose(apart).num_levels == 3
         assert eigendecompose(HermitianOperator(np.diag([1.0, 1.5, 4.0]))).num_levels == 3
+
+    def test_consecutive_gaps_chain_into_one_level(self):
+        # 0 and 1.2e-9 are further apart than the tolerance, but each gap is not
+        dec = eigendecompose(HermitianOperator(SPECTRA["consecutive-gap-chain"]))
+        assert list(dec.level_index) == [0, 0, 0, 1]
+        assert dec.levels[0] == np.mean([0.0, 0.6e-9, 1.2e-9])
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_keeps_the_bytes_of_the_loop(self, name):
+        op = HermitianOperator(SPECTRA[name])
+        dec = eigendecompose(op)
+        levels, level_index, eigvecs = _eigendecompose_loop(op.matrix)
+        assert dec.levels.dtype == levels.dtype and dec.levels.tobytes() == levels.tobytes()
+        assert dec.level_index.dtype == level_index.dtype
+        assert dec.level_index.tobytes() == level_index.tobytes()
+        assert dec.eigenvectors.tobytes() == eigvecs.tobytes()
+        assert not any(a.flags.writeable for a in (dec.levels, dec.eigenvectors, dec.level_index))
 
     def test_column_levels_and_index(self):
         dec = eigendecompose(HermitianOperator(np.diag([2.0, 2.0, 5.0])))

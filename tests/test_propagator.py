@@ -9,7 +9,6 @@ from noisytime import (
     DensityMatrix,
     DriftPreset,
     DissipativeTraceLoss,
-    EvolutionResult,
     GridMismatch,
     HermitianOperator,
     NoiseModel,
@@ -20,7 +19,6 @@ from noisytime import (
     averaged_state,
     averaged_trajectory,
     build_generator,
-    coherence_l1,
     correlated_model,
     dephasing_model,
     direct_damping_model,
@@ -28,15 +26,15 @@ from noisytime import (
     energy_expectation,
     integrate,
     lambda_pair,
-    purity,
     semigroup_defect,
     time_averaged_state,
-    to_energy_basis,
 )
 from noisytime import operators
+from noisytime.metrics import coherence_l1, purity
 from noisytime.noise import LambdaKernel
-from noisytime.operators import _hermitian_part, _time_slabs, from_energy_basis
+from noisytime.operators import _hermitian_part, _time_slabs, from_energy_basis, to_energy_basis
 from noisytime.propagator import _element_factors
+from noisytime.results import EvolutionResult
 from noisytime.verify import _global_noise_state
 
 

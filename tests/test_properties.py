@@ -25,16 +25,15 @@ from noisytime import (  # noqa: E402
     NoiseModel,
     SigmaThetaPreset,
     SigmaTimePreset,
-    Superoperator,
     averaged_trajectory,
     build_generator,
-    config_to_dict,
     cp_report,
     direct_damping_model,
     eigendecompose,
     integrate,
-    parse_config,
 )
+from noisytime.config import config_to_dict, parse_config  # noqa: E402
+from noisytime.generator import Superoperator  # noqa: E402
 from noisytime.noise import PRESETS  # noqa: E402
 
 

@@ -1,5 +1,6 @@
-"""Every exported name resolves, in the package and in each of its modules,
-and every package export is listed by the module that defines it."""
+"""The package exports a fixed list of names; every exported name resolves,
+in the package and in each of its modules, and every package export is
+listed by the module that defines it."""
 
 import importlib
 import pkgutil
@@ -10,6 +11,59 @@ import pytest
 import noisytime
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(noisytime.__path__))
+
+
+# What README.md, docs/config.md, the demos and perfbench import from the
+# package, the exceptions and the noise presets.  Everything else is
+# imported from its module.
+EXPORTS = [
+    "NoisytimeError",
+    "NotHermitian",
+    "TraceNotOne",
+    "NotPositive",
+    "DimensionMismatch",
+    "KernelNotPSD",
+    "KernelAsymmetric",
+    "WeightsNotNormalized",
+    "StepTooLarge",
+    "GridMismatch",
+    "ConfigError",
+    "DissipativeTraceLoss",
+    "HermitianOperator",
+    "DensityMatrix",
+    "eigendecompose",
+    "NoiseModel",
+    "DriftPreset",
+    "SigmaThetaPreset",
+    "SigmaTimePreset",
+    "CorrelationPreset",
+    "DirectDampingPreset",
+    "dephasing_model",
+    "correlated_model",
+    "direct_damping_model",
+    "lambda_pair",
+    "sample_chi_paths",
+    "sample_phase_differences",
+    "moment_report",
+    "averaged_state",
+    "averaged_trajectory",
+    "time_averaged_state",
+    "semigroup_defect",
+    "build_generator",
+    "integrate",
+    "cp_report",
+    "run_ensemble",
+    "compare_to_analytic",
+    "energy_expectation",
+    "trace_distance",
+    "BUNDLED_SCENARIOS",
+    "bundled_scenario_text",
+]
+
+
+def test_package_exports_the_pinned_names():
+    assert sorted(noisytime.__all__) == sorted(EXPORTS)
+    assert len(noisytime.__all__) == len(set(noisytime.__all__)) == 41
 
 
 def test_package_all_resolves():
