@@ -47,7 +47,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import NoiseModel, moment_report
+from .noise import NoiseModel, lambda_pair, moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
@@ -318,6 +318,20 @@ def cmd_moments(
     for flag, level in (("--theta", theta), ("--theta-prime", theta_prime)):
         if not math.isfinite(level):
             raise ConfigError(flag, f"expected a finite number, got {level}")
+    # The phase difference has variance lambda(t) of the pair: where it
+    # overflows, every draw and moment is inf or NaN whatever the order, so
+    # the level of larger sigma_theta is refused before sampling.  A direct
+    # table has no draws, and the sampler refuses it.
+    model = config.noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.direct_lambda is None and not math.isfinite(
+            lambda_pair(model, config.t_end, theta, theta_prime)
+        ):
+            larger = abs(model.sigma_theta(theta)) > abs(model.sigma_theta(theta_prime))
+            raise ConfigError(
+                "--theta" if larger else "--theta-prime",
+                "the phase-difference variance lambda(t) of this level pair overflows a float",
+            )
     try:
         rows = moment_report(
             config.noise,

@@ -188,6 +188,10 @@ def integrate(
     # The cumulative product runs on from the previous slab's last row,
     # prepended to this slab's powers.  The first slab prepends nothing:
     # (1 + 0j) x is not x to the bit, it can flip the sign of a zero part.
+    # The slabs count d^2 entries per interval, not every array the pass
+    # holds: the states' bits depend on this plan, since numpy's complex
+    # loops round ``_amplification`` differently in their SIMD body and
+    # their scalar tail, which fall on other entries when the slabs move.
     for slab in _time_slabs(spans.size, y.size):
         with np.errstate(over="ignore", invalid="ignore"):
             full = _amplification(h[slab] * rates)

@@ -15,9 +15,11 @@ paths; it is processed in time slabs sized to stay in cache, the same
 slabs in every chunk, each slab forming the phases exp(-i chi) of its own
 time points, and the per-entry mean and two-pass variance of a slab are
 taken in place.  The chunks run one after another, and the workers share
-the work inside each: first its RNG blocks' chi paths, drawn into the run's
-one chi array, then its time slabs, each formed in a slab workspace
-allocated once per run.  The first chunk forms its statistics in the run's
+the work inside each: first its chi paths, drawn into the run's one chi
+array in at most one task per worker, each a contiguous run of whole RNG
+blocks, then its time slabs, each formed in a slab workspace allocated once
+per run, three buffers whose largest also holds the slab's phases before
+its sample states.  The first chunk forms its statistics in the run's
 totals; a later chunk forms each slab's in a workspace and folds them into
 the totals in place.  A chunk starts once every slab of the one before it
 has folded, so each slab of the totals has one writer at a time, no task
@@ -108,9 +110,13 @@ class _Workspace:
     """The slab buffers one worker reuses for every slab of a run.
 
     Each holds a slab of at most ``points`` time points of ``count``
-    trajectories, a whole chunk: ``angles`` and ``phases`` (d entries per
-    sample point) for ``_slab_phases``, ``factors``, ``conj_factors`` (d r
-    each) and ``states`` (d d) for ``_sample_states``, and the slab's
+    trajectories, a whole chunk.  Three buffers serve ``_slab_phases`` and
+    ``_sample_states``: ``factors`` and ``conj_factors`` (d r complex
+    entries per sample point) and ``states`` (max(d d, 2 d)).  The
+    ``phases`` (d complex entries per sample point) and ``angles`` (d
+    floats) are views into the first and second d entries per sample point
+    of ``states``: both are dead before the Gram product writes the states,
+    and 2 d entries per sample also fit d = 1.  Two more hold the slab's
     ``mean`` (d d complex entries per point) and squared deviations ``m2``
     (2 d d floats).  A slab takes the leading part of each buffer it needs
     (``_leading``), so a partial slab or chunk reuses the same memory.
@@ -118,11 +124,11 @@ class _Workspace:
 
     def __init__(self, points: int, dim: int, rank: int, count: int):
         samples = count * points
-        self.angles = np.empty(samples * dim)
-        self.phases = np.empty(samples * dim, dtype=complex)
         self.factors = np.empty(samples * dim * rank, dtype=complex)
         self.conj_factors = np.empty_like(self.factors)
-        self.states = np.empty(samples * dim * dim, dtype=complex)
+        self.states = np.empty(samples * max(dim * dim, 2 * dim), dtype=complex)
+        self.phases = self.states[: samples * dim]
+        self.angles = self.states[samples * dim : 2 * samples * dim].view(float)[: samples * dim]
         self.mean = np.empty(points * dim * dim, dtype=complex)
         self.m2 = np.empty(points * dim * 2 * dim)
 
@@ -180,7 +186,9 @@ def _sample_states(weights: np.ndarray, phases: np.ndarray, work: _Workspace) ->
     rows of one (N, d) x (d, d r) product, sample n's B_n being row n read
     as a (d, r) matrix; the Gram product B B^dagger is taken one sample at a
     time.  Every array is a view into ``work``, so the result is
-    overwritten by the next call on it.
+    overwritten by the next call on it, and the states overwrite
+    ``phases`` when they are ``work``'s own (``_slab_phases``): read them
+    before the call, or pass a copy.
     """
     dim = phases.shape[-1]
     rank = weights.shape[1] // dim
@@ -238,8 +246,10 @@ def run_ensemble(
     (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks), one after
-    another.  A chunk holds only its chi paths, one task per RNG block
-    drawing that block's paths into the run's chi array, and then runs in
+    another.  A chunk holds only its chi paths, drawn into the run's chi
+    array by min(n_workers, its RNG blocks) tasks, each one ``field.paths``
+    call over a contiguous run of whole blocks, so that its scale, drift and
+    cumsum run on arrays large enough to release the GIL, and then runs in
     the time slabs of every pass over a trajectory (``operators._time_slabs``
     at count d^2 entries per point for the first chunk's count, the slabs
     of every chunk and those the workspaces are sized from), one task per
@@ -261,7 +271,7 @@ def run_ensemble(
     errors symmetric, to the bit.  The standard errors are
     sqrt(m2 / (n - 1) / n) of that float view, taken in place over it and
     read as the complex stack ``EnsembleResult.stderr``.
-    ``n_workers`` threads (at least 1) compute the blocks and slabs, and
+    ``n_workers`` threads (at least 1) draw the paths and form the slabs, and
     they are the call's only parallelism: numpy's OpenBLAS thread count is
     held at 1 during the call and restored afterwards
     (``operators._single_threaded_blas``; nothing happens where numpy has
@@ -273,11 +283,12 @@ def run_ensemble(
     (``_Workspace``), made before the chunks start and handed from slab to
     slab through a queue, and the accumulated (T, d, d) mean and
     (T, d, 2d) squared deviations, which become the result's mean and
-    standard errors.  Each workspace holds the angles, phases, factors B,
-    conj(B), states, mean and squared deviations of the largest slab of the
-    run, so the chunks and slabs reuse them.  No chunk allocates statistics
-    of the whole grid, and the fold allocates nothing, whatever the workers'
-    timing.
+    standard errors.  Each workspace holds three buffers of the largest
+    slab of the run, the factors B, conj(B) and the states, the phases and
+    their angles being views into the states buffer, and that slab's mean
+    and squared deviations, so the chunks and slabs reuse them.  No chunk
+    allocates statistics of the whole grid, and the fold allocates nothing,
+    whatever the workers' timing.
 
     ``n_traj`` must be at least 2, the fewest that give standard errors
     (else ValueError).  The grid must be finite, hold two or more points,
@@ -287,7 +298,8 @@ def run_ensemble(
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
     (seed, b), a partial last block takes a prefix of its block's draw, and
-    chunks (whole blocks) and slabs depend on shapes only, so ``n_workers``
+    chunks (whole blocks) and slabs depend on shapes only, and neither the
+    draw tasks nor the slabs change a bit, so ``n_workers``
     changes the wall time but not a single output bit.  The chi paths are
     those of ``sample_chi_paths`` with the same seed.
     """
@@ -317,8 +329,7 @@ def run_ensemble(
         free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], first))
 
     # The tasks of the chunk of ``count`` trajectories from ``start``.
-    def draw(lo: int) -> None:
-        hi = min(lo + RNG_BLOCK, count)
+    def draw(lo: int, hi: int) -> None:
         field.paths(seed, start + lo, hi - lo, out=chi[lo:hi])
 
     def fold(slab: slice) -> None:
@@ -348,7 +359,13 @@ def run_ensemble(
         # slab of the totals have one writer at a time.
         for start in range(0, n_traj, chunk):
             count = min(chunk, n_traj - start)
-            list(pool.map(draw, range(0, count, RNG_BLOCK)))
+            # One draw task per worker at most, each a contiguous run of
+            # whole blocks, so that its scale, drift and cumsum run on arrays
+            # large enough to release the GIL.
+            blocks = -(-count // RNG_BLOCK)
+            tasks = min(n_workers, blocks)
+            bounds = [min(count, blocks * k // tasks * RNG_BLOCK) for k in range(tasks + 1)]
+            list(pool.map(draw, bounds[:-1], bounds[1:]))
             list(pool.map(fold, slabs))
     # The lower triangle from the upper one, a row at a time: conj(mean),
     # with the imaginary part as 0 - im so that a zero stays +0 as in the

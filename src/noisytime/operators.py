@@ -35,10 +35,12 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 DENSITY_TOL = 1e-10
-# Entries a pass over a (T, d, d) stack forms at once, one slab of time
-# points at a time (``_time_slabs``; a Monte Carlo slab counts every
-# sample, a CSV block every value): 2**16 complex entries is 1 MiB, so a
-# slab's temporaries stay in cache and a trajectory's stay states-sized.
+# Entries a pass over a (T, d, d) stack holds at once, one slab of time
+# points at a time (``_time_slabs``), counting every array the pass holds
+# per point: the analytic pass its six (slab, d, d) arrays, a Monte Carlo
+# slab the sample states of every sample, a CSV block every value.  2**16
+# complex entries is 1 MiB, so a slab's temporaries stay in cache and a
+# trajectory's stay states-sized.
 SLAB_ELEMENT_BUDGET = 1 << 16
 
 
@@ -342,9 +344,13 @@ def from_energy_basis(rho_energy: np.ndarray, decomposition: SpectralDecompositi
 def _time_slabs(num_points: int, per_point: int) -> list[slice]:
     """Slices of ``num_points`` points, about ``SLAB_ELEMENT_BUDGET`` entries each, one point at least.
 
-    ``per_point`` counts the entries a pass forms per point: d^2 for a
-    state, count d^2 for a chunk of count Monte Carlo samples, the number of
-    columns for a CSV row, a trajectory's steps times rank for its normals.
+    ``per_point`` counts the entries of every array a pass holds per point,
+    not only of its result: about 6 d^2 for the analytic states, the number
+    of columns for a CSV row, a trajectory's steps times rank for its
+    normals.  A chunk of count Monte Carlo samples counts its sample states,
+    count d^2, the plan its chunk rule was set against; the two factor
+    buffers of its workspace add 2 d r entries per sample
+    (``montecarlo._Workspace``).
     """
     step = max(1, SLAB_ELEMENT_BUDGET // per_point)
     return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]

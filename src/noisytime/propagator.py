@@ -53,7 +53,9 @@ def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) ->
 
     Evaluated one time slab at a time (``operators._time_slabs``) into the
     result, each slab replaced by its Hermitian part, so the temporaries
-    stay slab-sized and every state is Hermitian to the bit.
+    stay within one slab budget and every state is Hermitian to the bit.
+    Each state is formed from its own time point alone, so the slab plan
+    changes no output bit.
     """
     rho = state_matrix(rho0, decomposition.dim)
     if model.is_dissipative:
@@ -70,7 +72,10 @@ def _evolve(decomposition: SpectralDecomposition, model: NoiseModel, rho0, t) ->
     times = t.reshape(-1)
     dim = decomposition.dim
     states = np.empty(times.shape + (dim, dim), dtype=complex)
-    for slab in _time_slabs(times.size, dim * dim):
+    # A slab's pass forms six (slab, d, d) complex arrays: the level factors,
+    # their gathered form, its product with rho_E, the two basis products
+    # and the Hermitian part's conjugate.
+    for slab in _time_slabs(times.size, 6 * dim * dim):
         factors = _element_factors(decomposition, kernel, drift, times[slab])
         states[slab] = from_energy_basis(factors * rho_e, decomposition)
         _hermitian_part(states[slab])

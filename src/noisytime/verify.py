@@ -478,8 +478,8 @@ def _check_ensemble_matches_analytic(quick: bool) -> tuple[bool, str]:
 def _check_ensemble_determinism() -> tuple[bool, str]:
     # Three chunks (1024, 1024 and 52 trajectories) of three time slabs
     # each (16, 16 and 1 points), run in order, the workers sharing each
-    # chunk's RNG blocks and then its slabs, so every slab folds in chunk
-    # order.
+    # chunk's draw, one run of whole RNG blocks each, and then its slabs, so
+    # every slab folds in chunk order.
     _, decomposition, rho0 = _qubit()
     model = dephasing_model(0.5)
     grid = np.linspace(0.0, 1.0, 33)

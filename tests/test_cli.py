@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -773,6 +774,26 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "config error: --max-order:" in err
         assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "theta, theta_prime, flag", [("0", "1e200", "--theta-prime"), ("1e200", "0", "--theta")]
+    )
+    def test_overflowing_level_exits_2(
+        self, theta, theta_prime, flag, scenario_yaml, tmp_path, capsys
+    ):
+        # lambda(t) of the pair overflows a float, so every draw and moment
+        # would be inf or NaN, at order 2 too: the level that overflows is
+        # named before any sampling, and numpy warns of nothing
+        config = scenario_yaml("global_dephasing")
+        out = tmp_path / "run"
+        args = ["moments", "--config", str(config), "--out", str(out), "--max-order", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--theta", theta, "--theta-prime", theta_prime])
+        assert code == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
+        assert not caught
         assert not out.exists()
 
     def test_dissipative_rejected(self, scenario_yaml, tmp_path, capsys):

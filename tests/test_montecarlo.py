@@ -120,7 +120,8 @@ class TestStateFactor:
             assert np.max(np.abs(factor @ factor.conj().T - rho_e)) < 1e-14
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
             work = _Workspace(1, dim, rank, 5)
-            phases = _slab_phases(chi, dec.level_index, work)
+            # a copy: the sample states overwrite the workspace's phases
+            phases = _slab_phases(chi, dec.level_index, work).copy()
             assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
             states = _sample_states(_factor_map(dec.eigenvectors, factor), phases, work)
             for c, state, levels_chi in zip(phases, states, chi):
@@ -222,6 +223,24 @@ class TestWorkspace:
             for name in ("mean", "stderr"):
                 assert getattr(out, name).tobytes() == getattr(runs[0], name).tobytes()
 
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
+    def test_three_buffers(self, dim, rank):
+        # the phases and their angles are dead before the Gram product
+        # writes the states, so they live in the states buffer, apart
+        work = _Workspace(5, dim, rank, 64)
+        assert np.shares_memory(work.phases, work.states)
+        assert np.shares_memory(work.angles, work.states)
+        assert not np.shares_memory(work.angles, work.phases)
+        assert work.phases.size == work.angles.size == 5 * 64 * dim
+        owners = [a for a in vars(work).values() if a.base is None]
+        assert [a.size for a in owners] == [
+            5 * 64 * dim * rank,
+            5 * 64 * dim * rank,
+            5 * 64 * max(dim * dim, 2 * dim),
+            5 * dim * dim,
+            5 * dim * 2 * dim,
+        ]
+
     @pytest.mark.parametrize(
         "n_workers, n_traj, expected", [(64, 1100, 7), (1, 3000, 1), (3, 5000, 3)]
     )
@@ -263,6 +282,69 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         for name in ("mean", "stderr"):
             assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+
+
+class TestSlabPlan:
+    """Only the chunks set the output bits: not the slabs they are formed in,
+    nor the draw tasks their paths come from."""
+
+    # (dim, rank, grid points, n_traj), three chunks each, the last ending
+    # inside an RNG block.  d = 2 on 101 points takes slabs of 16 points,
+    # of 4 at a budget of 2**14 and of 64 at 2**18; d = 32 at full rank on
+    # 9 points takes slabs of one point, of four at 2**18.
+    CASES = [(2, 1, 101, 2100), (32, 32, 9, 150)]
+
+    @pytest.mark.parametrize("dim, rank, num_points, n_traj", CASES)
+    def test_ensemble_bytes_do_not_depend_on_the_slab_budget(
+        self, dim, rank, num_points, n_traj, monkeypatch
+    ):
+        dec, rho0 = _random_case(np.random.default_rng(dim), dim, rank, degenerate=False)
+        grid = np.linspace(0, 1.3, num_points)
+        model = correlated_model(0.6, 0.7)
+        chunk = _chunk_size(num_points, dim)
+        assert -(-n_traj // chunk) == 3 and n_traj % RNG_BLOCK
+        default = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=1)
+        plans = {len(_time_slabs(num_points, chunk * dim * dim))}
+        for budget in (1 << 14, 1 << 18):
+            monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", budget)
+            plans.add(len(_time_slabs(num_points, chunk * dim * dim)))
+            for workers in (1, 2, 3):
+                out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=workers)
+                for name in ("mean", "stderr"):
+                    assert getattr(out, name).tobytes() == getattr(default, name).tobytes()
+        assert len(plans) >= 2
+
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    def test_one_draw_task_per_worker(self, workers, monkeypatch):
+        # d = 2 on 101 points, two 1024-trajectory chunks of 16 RNG blocks
+        # and one of 52 trajectories: each chunk's chi paths are drawn in at
+        # most min(workers, blocks) contiguous runs of whole blocks, the
+        # paths of the one-task draw
+        dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
+        grid = np.linspace(0, 1, 101)
+        model = dephasing_model(0.5)
+        assert _chunk_size(grid.size, 2) == 1024
+        serial = run_ensemble(dec, model, rho0, grid, n_traj=2100, seed=4, n_workers=1)
+        paths = montecarlo._BrownianField.paths
+        calls = []
+
+        def spy(self, seed, start, count, out=None):
+            calls.append((start, count))
+            return paths(self, seed, start, count, out=out)
+
+        monkeypatch.setattr(montecarlo._BrownianField, "paths", spy)
+        out = run_ensemble(dec, model, rho0, grid, n_traj=2100, seed=4, n_workers=workers)
+        for name in ("mean", "stderr"):
+            assert getattr(out, name).tobytes() == getattr(serial, name).tobytes()
+        calls.sort()
+        tasks = min(workers, 16)
+        assert len(calls) == 2 * tasks + 1
+        assert [start for start, _ in calls[:tasks]] == [
+            16 * k // tasks * RNG_BLOCK for k in range(tasks)
+        ]
+        assert calls[-1] == (2048, 52)
+        for (start, count), (following, _) in zip(calls, calls[1:]):
+            assert start % RNG_BLOCK == 0 and start + count == following
 
 
 class TestBlasPin:
@@ -605,8 +687,8 @@ class TestInPlaceFold:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failing_chunk_releases_the_waiting_ones(self, failing, workers, monkeypatch):
         # d = 2 on 101 points, three chunks of seven slabs: in chunk
-        # ``failing``, one draw task and then, in a second call, one slab
-        # task sleeps and raises while the chunk's other tasks run.  The
+        # ``failing``, the second draw task and then, in a second call, one
+        # slab task sleeps and raises while the chunk's other tasks run.  The
         # error must come back as the call's, and the call must end, so it
         # runs in a daemon thread that the test stops waiting for after 60 s.
         dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
@@ -614,11 +696,13 @@ class TestInPlaceFold:
         chunk = _chunk_size(grid.size, 2)
         slabs = len(_time_slabs(grid.size, chunk * 2 * 2))
         assert slabs == 7
+        # one draw task per worker, each a contiguous run of whole blocks
+        second = failing * chunk + chunk // RNG_BLOCK // workers * RNG_BLOCK
         paths = montecarlo._BrownianField.paths
         sample_states = montecarlo._sample_states
 
         def failing_draw(self, seed, start, count, out=None):
-            if start == failing * chunk + RNG_BLOCK:
+            if start == second:
                 time.sleep(0.1)
                 raise RuntimeError("draw failed")
             return paths(self, seed, start, count, out=out)
@@ -689,7 +773,8 @@ class TestInPlaceFold:
                 tracemalloc.stop()
             assert len(built) == 2 and len(chis) == 1
             (chi,) = chis.values()
-            workspace = sum(array.nbytes for array in vars(built[0]).values())
+            # each buffer once: the phases and angles are views into the states
+            workspace = sum(a.nbytes for a in vars(built[0]).values() if a.base is None)
             statistics = out.mean.nbytes + out.stderr.nbytes
             assert statistics > chi + workspace
             assert peak <= 1.25 * (statistics + chi + 2 * workspace), (late, peak)

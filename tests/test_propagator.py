@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,7 +221,9 @@ class TestTimeSlabs:
 
     @staticmethod
     def _case():
-        # d = 32 takes slabs of 64 points: three slabs, the last partial
+        # d = 32: the analytic route takes slabs of 10 points, counting its
+        # six (slab, d, d) arrays, fifteen slabs; the metrics table slabs of
+        # 64 points, three, the last partial
         rng = np.random.default_rng(32)
         raw = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         hamiltonian = HermitianOperator(0.5 * (raw + raw.conj().T))
@@ -228,6 +231,7 @@ class TestTimeSlabs:
         rho = w @ w.conj().T
         state = DensityMatrix(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
         grid = np.linspace(0.0, 3.0, 150)
+        assert len(_time_slabs(grid.size, 6 * 32 * 32)) == 15
         assert len(_time_slabs(grid.size, 32 * 32)) == 3
         return hamiltonian, eigendecompose(hamiltonian), state, grid
 
@@ -240,6 +244,39 @@ class TestTimeSlabs:
         whole = from_energy_basis(factors * to_energy_basis(state.matrix, dec), dec)
         result = averaged_trajectory(dec, model, state, grid)
         assert result.states.tobytes() == _hermitian_part(whole).tobytes()
+
+    @pytest.mark.parametrize("budget", [1 << 10, 1 << 20])
+    def test_analytic_bytes_do_not_depend_on_the_slab_budget(self, budget, qubit, monkeypatch):
+        # every state is formed from its own time point alone: d = 32 on
+        # 150 points and a qubit on 16001, in one slab or in many
+        _, dec, state, grid = self._case()
+        _, qubit_dec, plus = qubit
+        cases = [
+            (dec, correlated_model(0.5, 1.0), state, grid),
+            (qubit_dec, dephasing_model(0.5), plus, np.linspace(0.0, 5.0, 16001)),
+        ]
+        default = [averaged_trajectory(*case).states for case in cases]
+        monkeypatch.setattr(operators, "SLAB_ELEMENT_BUDGET", budget)
+        for case, states in zip(cases, default):
+            assert averaged_trajectory(*case).states.tobytes() == states.tobytes()
+
+    def test_analytic_peak_is_one_budget_over_the_states(self, qubit):
+        # a qubit on 16001 points: the temporaries of one slab, counted over
+        # every array the pass holds, stay within one budget of complex
+        # entries beside the 1 MB of states; one slab of 16001 points held
+        # four states-sized temporaries, 5 MB in all
+        _, dec, rho0 = qubit
+        model = dephasing_model(0.5)
+        grid = np.linspace(0.0, 5.0, 16001)
+        averaged_trajectory(dec, model, rho0, grid[:3])
+        tracemalloc.start()
+        try:
+            states = averaged_trajectory(dec, model, rho0, grid).states
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = operators.SLAB_ELEMENT_BUDGET * np.dtype(complex).itemsize
+        assert peak <= states.nbytes + grid.nbytes + budget, peak
 
     def test_metrics_table(self):
         hamiltonian, dec, state, grid = self._case()
