@@ -263,8 +263,8 @@ class TestTimeSlabs:
     def test_analytic_peak_is_one_budget_over_the_states(self, qubit):
         # a qubit on 16001 points: the temporaries of one slab, counted over
         # every array the pass holds, stay within one budget of complex
-        # entries beside the 1 MB of states; one slab of 16001 points held
-        # four states-sized temporaries, 5 MB in all
+        # entries beside the 1 MB of states; one slab of all 16001 points
+        # would hold four states-sized temporaries, 5 MB in all
         _, dec, rho0 = qubit
         model = dephasing_model(0.5)
         grid = np.linspace(0.0, 5.0, 16001)
