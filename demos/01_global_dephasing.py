@@ -11,7 +11,7 @@ by side.
 The bundled scenario file gives the same numbers through the CLI:
 
     noisytime evolve    --config src/noisytime/scenarios/global_dephasing.yaml --out out/demo1
-    noisytime integrate --config src/noisytime/scenarios/global_dephasing.yaml --generator phase --out out/demo1
+    noisytime integrate --config src/noisytime/scenarios/global_dephasing.yaml --out out/demo1
     noisytime sample    --config src/noisytime/scenarios/global_dephasing.yaml --out out/demo1
 """
 

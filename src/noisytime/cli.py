@@ -47,7 +47,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import NoiseModel, lambda_pair, moment_report
+from .noise import lambda_pair, moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
@@ -63,11 +63,6 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = ".17g"
-
-# sigma_theta = linear(c) matches a family of strength gamma when c^2 equals
-# gamma to this relative tolerance; sqrt(gamma) written out in decimal
-# squares back to gamma only up to rounding.
-FAMILY_GAMMA_RTOL = 1e-12
 
 
 def _fmt(value: float) -> str:
@@ -215,42 +210,12 @@ def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     return 0, written
 
 
-def _check_family(noise: NoiseModel, kind: str) -> None:
-    """Refuse a model that the phase or correlated generator does not represent."""
-    correlation = "uniform" if kind == "phase" else "gaussian"
-    sigma_theta = noise.sigma_theta
-    coefficient = sigma_theta.params[0] if sigma_theta.kind == "linear" else math.nan
-    if noise.direct_lambda is not None:
-        field = "direct_lambda"
-    elif noise.correlation_g.kind != correlation:
-        field = "correlation_g"
-    elif kind == "phase" and noise.drift_h.kind != "identity":
-        field = "drift_h"
-    elif noise.sigma_time.pieces != ((), (1.0,)):
-        field = "sigma_time"
-    elif not math.isclose(coefficient**2, noise.gamma, rel_tol=FAMILY_GAMMA_RTOL):
-        field = "sigma_theta"
-    else:
-        return
-    drift = ", the identity drift" if kind == "phase" else ""
-    raise ConfigError(
-        f"noise.{field}",
-        f"the {kind} generator represents only sigma_time constant 1, sigma_theta "
-        f"linear(sqrt(gamma)), a {correlation} correlation{drift} and no direct_lambda; "
-        "--generator general takes any time-independent model",
-    )
-
-
-def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, list[Path]]:
+def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
     """Integrate the scenario's master equation and certify the map.
 
-    Every family runs the one builder; ``generator_kind`` only guards which
-    models a family accepts.
+    One builder takes every time-independent model; a time-dependent
+    sigma_time raises ConfigError naming noise.sigma_time.
     """
-    if generator_kind in ("phase", "correlated"):
-        _check_family(config.noise, generator_kind)
-    elif generator_kind != "general":
-        raise ConfigError("--generator", f"unknown generator kind {generator_kind!r}")
     decomposition = config.decomposition()
     generator = build_generator(decomposition, config.noise)
     grid = config.times()
@@ -263,7 +228,6 @@ def cmd_integrate(config: ScenarioConfig, generator_kind: str) -> tuple[int, lis
     checkpoint_times = [float(grid[i]) for i in checkpoint_indices if grid[i] > 0.0]
     report = cp_report(generator, checkpoint_times)
     payload = report.to_dict()
-    payload["generator"] = generator_kind
     payload["scenario"] = config.name
     if "json" in config.formats:
         written.append(_atomic_write(_out_dir(config) / "cp_report.json", _json_text(payload)))
@@ -398,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--generator",
         choices=("phase", "correlated", "general"),
-        required=True,
-        help="model family the scenario must match; every family runs the same builder",
+        help="accepted and ignored: one builder takes every time-independent model",
     )
-    p.set_defaults(handler=lambda args: cmd_integrate(_load_writing(args), args.generator))
+    p.set_defaults(handler=lambda args: cmd_integrate(_load_writing(args)))
 
     p = sub.add_parser("sample", parents=[parent], help="Monte Carlo ensemble")
     p.set_defaults(handler=lambda args: cmd_sample(_load_writing(args), threads=args.threads))

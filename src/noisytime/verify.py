@@ -7,7 +7,9 @@ generator-versus-analytic agreement, complete positivity, the Markovianity
 boundary, energy conservation versus dissipation, and byte-level determinism.
 A check evaluates its kernels and trajectories once, as arrays, and tests
 each invariant over the whole stack: over every level pair, projector pair
-and state at once.
+and state at once.  The qubit, four-level and dissipative systems on which
+checks run the routes have a non-diagonal, complex Hamiltonian, so a fault
+in the rotation into the energy basis moves their states.
 
 The failure path of the ensemble z-test is itself a check:
 ``comparison-detector`` compares an ensemble with a doubled-gamma analytic
@@ -85,19 +87,27 @@ class CheckResult:
     seconds: float  # wall time of the check
 
 
+def _rotated(spectrum):
+    """H = U diag(spectrum) U^dagger and the state U|+>, for one fixed complex
+    unitary U of each dimension, the Q factor of a seeded complex Gaussian.
+
+    H is non-diagonal and complex, so a route that rotates into the wrong
+    energy basis moves its states; U|+> has the energy-basis entries of |+>.
+    """
+    dim = len(spectrum)
+    rng = np.random.default_rng(2002)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    hamiltonian = HermitianOperator((u * spectrum) @ u.conj().T)
+    rho0 = DensityMatrix.pure(u @ np.ones(dim))
+    return hamiltonian, eigendecompose(hamiltonian), rho0
+
+
 def _qubit():
-    hamiltonian = HermitianOperator(np.diag([0.0, 1.0]))
-    decomposition = eigendecompose(hamiltonian)
-    rho0 = DensityMatrix.pure([1.0, 1.0])
-    return hamiltonian, decomposition, rho0
+    return _rotated([0.0, 1.0])
 
 
 def _four_level():
-    spectrum = [0.0, 0.37, 1.1, 2.03]
-    hamiltonian = HermitianOperator(np.diag(spectrum))
-    decomposition = eigendecompose(hamiltonian)
-    rho0 = DensityMatrix.pure(np.ones(4))
-    return hamiltonian, decomposition, rho0
+    return _rotated([0.0, 0.37, 1.1, 2.03])
 
 
 def _piecewise_model() -> NoiseModel:
@@ -109,10 +119,8 @@ def _piecewise_model() -> NoiseModel:
 
 
 def _dissipative_fixture():
-    hamiltonian = HermitianOperator(np.diag([1.0, 2.0]))
-    decomposition = eigendecompose(hamiltonian)
+    hamiltonian, decomposition, rho0 = _rotated([1.0, 2.0])
     model = direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
-    rho0 = DensityMatrix.pure([1.0, 1.0])
     return hamiltonian, decomposition, model, rho0
 
 

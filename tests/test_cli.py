@@ -277,7 +277,6 @@ class TestIntegrate:
                 assert float(row_a[key]) == pytest.approx(float(row_b[key]), abs=1e-8)
         report = json.loads((out / "cp_report.json").read_text())
         assert report["cp_ok"] is True
-        assert report["generator"] == "phase"
 
     def test_trajectories_are_in_the_computational_basis(self, scenario_yaml, tmp_path):
         # a non-diagonal Hamiltonian separates the computational basis from
@@ -314,11 +313,9 @@ class TestIntegrate:
             assert abs(float(rows[0]["rho_re_0_1"]) - 1.0 / 3.0) < 1e-15  # plus state
 
     def test_huge_rate_exits_2(self, scenario_yaml, tmp_path, capsys):
-        # sigma_theta carries the strength, so it must match gamma for the
-        # phase generator to represent the model
+        # sigma_theta carries the strength: a rate of 1e9 needs too many substeps
         config = scenario_yaml(
-            "global_dephasing",
-            **{"noise.gamma": 1e9, "noise.sigma_theta.coefficient": math.sqrt(1e9)},
+            "global_dephasing", **{"noise.sigma_theta.coefficient": math.sqrt(1e9)}
         )
         out = tmp_path / "run"
         args = ["integrate", "--config", str(config), "--out", str(out), "--generator", "phase"]
@@ -338,53 +335,61 @@ class TestIntegrate:
             for key in row_a:
                 assert float(row_a[key]) == pytest.approx(float(row_b[key]), abs=1e-8)
 
-    def test_correlated_needs_gaussian_kernel(self, scenario_yaml, tmp_path):
-        config = scenario_yaml("global_dephasing")  # uniform correlation
-        code = main(
-            ["integrate", "--config", str(config), "--out", str(tmp_path), "--generator", "correlated"]
-        )
-        assert code == 2
-
-    # Models that the phase or correlated family does not represent; built
-    # anyway, the family would integrate a different model, with
-    # max|analytic - me| of order 1.
-    MISMATCHED = [
-        (
+    # Models that the phase or correlated family once refused: the one
+    # builder reads each from its presets, whatever --generator says.
+    OUTSIDE_THE_FAMILIES = [
+        pytest.param(
             "correlated_tau",
             "correlated",
             {"noise.sigma_time": {"kind": "constant", "value": 2.0}},
-            "noise.sigma_time",
+            id="correlated_tau-sigma_time",
         ),
-        (
+        pytest.param(
             "correlated_tau",
             "correlated",
             {"noise.sigma_theta.coefficient": 0.3},
-            "noise.sigma_theta",
+            id="correlated_tau-sigma_theta",
         ),
-        (
+        pytest.param(
             "global_dephasing",
             "phase",
             {"noise.correlation_g": {"kind": "gaussian", "tau": 1.0}},
-            "noise.correlation_g",
+            id="global_dephasing-correlation_g",
         ),
-        (
+        pytest.param(
             "global_dephasing",
             "phase",
             {"noise.drift_h": {"kind": "affine", "a": 2.0, "b": 0.0}},
-            "noise.drift_h",
+            id="global_dephasing-drift_h",
         ),
+        pytest.param("global_dephasing", "correlated", {}, id="global_dephasing-uniform"),
     ]
 
-    @pytest.mark.parametrize("name, generator, patch, field", MISMATCHED)
-    def test_family_refuses_other_models(
-        self, name, generator, patch, field, scenario_yaml, tmp_path, capsys
-    ):
-        config = scenario_yaml(name, **patch)
+    @pytest.mark.parametrize("name, family, patch", OUTSIDE_THE_FAMILIES)
+    def test_other_model_matches_analytic(self, name, family, patch, scenario_yaml, tmp_path):
+        config = scenario_yaml(name, **{"grid.n_steps": 20, **patch})
         out = tmp_path / "run"
-        args = ["integrate", "--config", str(config), "--out", str(out), "--generator", generator]
-        assert main(args) == 2
-        assert f"config error: {field}:" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+        args = ["integrate", "--config", str(config), "--out", str(out), "--generator", family]
+        assert main(args) == 0
+        analytic = read_csv(out / "analytic.csv")
+        ode = read_csv(out / "me.csv")
+        assert len(ode) == len(analytic) == 21
+        for row_a, row_b in zip(analytic, ode):
+            for key in row_a:
+                assert float(row_a[key]) == pytest.approx(float(row_b[key]), abs=1e-8)
+
+    @pytest.mark.parametrize("name", ["global_dephasing", "correlated_tau", "dissipative_direct"])
+    def test_generator_flag_changes_no_byte(self, name, scenario_yaml, tmp_path):
+        config = scenario_yaml(name, **{"grid.n_steps": 20})
+        written = {}
+        for family in (None, "phase", "correlated", "general"):
+            out = tmp_path / str(family)
+            flag = [] if family is None else ["--generator", family]
+            assert main(["integrate", "--config", str(config), "--out", str(out)] + flag) == 0
+            written[family] = [(out / file).read_bytes() for file in ("me.csv", "cp_report.json")]
+        for family in ("phase", "correlated", "general"):
+            assert written[family] == written[None], family
 
     def test_general_generator_on_direct_table(self, scenario_yaml, tmp_path):
         config = scenario_yaml("dissipative_direct", **{"grid.n_steps": 20})
@@ -400,11 +405,8 @@ class TestIntegrate:
 
     def test_one_piece_profile_is_the_constant_one(self, scenario_yaml, tmp_path):
         # a profile whose pieces all have the same value is time-independent,
-        # and the phase family takes it at value 1 however it is written
-        for scenario, generator, value in (
-            ("correlated_tau", "general", 0.7),
-            ("global_dephasing", "phase", 1.0),
-        ):
+        # and integrate takes it however it is written
+        for scenario, value in (("correlated_tau", 0.7), ("global_dephasing", 1.0)):
             written = []
             for name, profile in {
                 "constant": {"kind": "constant", "value": value},
@@ -417,17 +419,17 @@ class TestIntegrate:
             }.items():
                 config = scenario_yaml(scenario, **{"noise.sigma_time": profile})
                 out = tmp_path / scenario / name
-                args = ["integrate", "--config", str(config), "--out", str(out)]
-                assert main(args + ["--generator", generator]) == 0
+                assert main(["integrate", "--config", str(config), "--out", str(out)]) == 0
                 written.append((out / "me.csv").read_bytes())
             assert written[1] == written[0] and written[2] == written[0]
 
-    def test_general_rejects_time_dependent_profile(self, scenario_yaml, tmp_path):
+    def test_general_rejects_time_dependent_profile(self, scenario_yaml, tmp_path, capsys):
         config = scenario_yaml("nonmarkovian_piecewise")
-        code = main(
-            ["integrate", "--config", str(config), "--out", str(tmp_path), "--generator", "general"]
-        )
-        assert code == 2
+        out = tmp_path / "run"
+        for flag in ([], ["--generator", "general"]):
+            assert main(["integrate", "--config", str(config), "--out", str(out)] + flag) == 2
+            assert "config error: noise.sigma_time:" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSample:

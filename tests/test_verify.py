@@ -9,17 +9,19 @@ import dataclasses
 
 import numpy as np
 
+import noisytime
 from noisytime import verify
 from noisytime.noise import LambdaKernel
 
 
 def _shift_energy(stack, size):
-    """Move ``size`` of population from level 0 to level 3 of the four-level
-    system in every state after the first: trace and Hermiticity are kept,
-    the energy rises by 2.03 * size."""
+    """Move ``size`` of population from energy level 0 to level 3 of the
+    four-level system in every state after the first: trace and Hermiticity
+    are kept, the energy rises by 2.03 * size."""
+    _, decomposition, _ = verify._four_level()
+    v = decomposition.eigenvectors
     shifted = stack.copy()
-    shifted[1:, 3, 3] += size
-    shifted[1:, 0, 0] -= size
+    shifted[1:] += size * (np.outer(v[:, 3], v[:, 3].conj()) - np.outer(v[:, 0], v[:, 0].conj()))
     return shifted
 
 
@@ -91,3 +93,36 @@ def test_energy_modes_flag_a_drifting_ensemble_mean(monkeypatch):
     ok, detail = verify._check_energy_modes()
     assert not ok
     assert detail.startswith("conserved drift 2.03e-09;")
+
+
+def _conjugate_to_energy_basis(rho, decomposition):
+    """V^T rho conj(V): the energy basis of the conjugate eigenvectors."""
+    v = decomposition.eigenvectors
+    return v.T @ np.asarray(rho, dtype=complex) @ v.conj()
+
+
+def _conjugate_from_energy_basis(rho_energy, decomposition):
+    """conj(V) X V^T, the inverse of ``_conjugate_to_energy_basis``."""
+    v = decomposition.eigenvectors
+    return v.conj() @ np.asarray(rho_energy, dtype=complex) @ v.T
+
+
+def test_suite_flags_a_conjugated_energy_basis(monkeypatch):
+    # Rotating by conj(V) instead of V is exact on a real eigenbasis, and
+    # the two maps are still each other's inverse; only a complex H shows it.
+    # Every module that binds the names gets the mutant.
+    for name in ("operators", "propagator", "generator", "montecarlo", "metrics", "verify"):
+        module = getattr(noisytime, name)
+        for function, mutant in (
+            ("to_energy_basis", _conjugate_to_energy_basis),
+            ("from_energy_basis", _conjugate_from_energy_basis),
+        ):
+            if hasattr(module, function):
+                monkeypatch.setattr(module, function, mutant)
+    failed = {result.name for result in verify.run_suite(quick=True) if not result.passed}
+    assert failed >= {
+        "analytic-state-invariants",
+        "energy-conservation-and-dissipation",
+        "time-average-quadrature",
+        "ensemble-matches-analytic",
+    }
