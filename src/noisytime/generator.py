@@ -189,9 +189,12 @@ def integrate(
     # prepended to this slab's powers.  The first slab prepends nothing:
     # (1 + 0j) x is not x to the bit, it can flip the sign of a zero part.
     # The slabs count d^2 entries per interval, not every array the pass
-    # holds: the states' bits depend on this plan, since numpy's complex
-    # loops round ``_amplification`` differently in their SIMD body and
-    # their scalar tail, which fall on other entries when the slabs move.
+    # holds: the states' bits depend on this plan.  From 16384 complex
+    # entries (256 KiB) on, numpy elides the temporaries of
+    # ``_amplification``, evaluating ``z * (tmp)`` as ``tmp *= z``, and its
+    # complex array multiply is not bitwise commutative (z w and w z differ
+    # in about a third of random pairs), so a slab below that size rounds
+    # its entries otherwise than one above it.
     for slab in _time_slabs(spans.size, y.size):
         with np.errstate(over="ignore", invalid="ignore"):
             full = _amplification(h[slab] * rates)

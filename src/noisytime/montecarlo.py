@@ -14,24 +14,30 @@ are the run's only parallelism.  A chunk of trajectories keeps only its chi
 paths; it is processed in time slabs sized to stay in cache, the same
 slabs in every chunk, each slab forming the phases exp(-i chi) of its own
 time points, and the per-entry mean and two-pass variance of a slab are
-taken in place.  The chunks run one after another, and the workers share
+taken in place.  The slab workspaces of a run share one cache budget, so
+more workers take smaller slabs and the run's slab memory does not grow
+with them.  The chunks run one after another, and the workers share
 the work inside each: first its chi paths, drawn into the run's one chi
 array in at most one task per worker, each a contiguous run of whole RNG
-blocks, then its time slabs, each formed in a slab workspace allocated once
-per run, three buffers whose largest also holds the slab's phases before
-its sample states.  The first chunk forms its statistics in the run's
-totals; a later chunk forms each slab's in a workspace and folds them into
-the totals in place.  A chunk starts once every slab of the one before it
-has folded, so each slab of the totals has one writer at a time, no task
-waits on another, no chunk holds statistics of the whole grid, no slab is
-copied, and every entry is folded in chunk order.
+blocks, then its time slabs, each formed in one of the run's slab
+workspaces, allocated once per run: three buffers whose largest also holds
+the slab's phases before its sample states.  The first chunk forms its
+statistics in the run's totals; a later chunk forms each slab's in a
+workspace and folds them into the totals in place.  A chunk starts once
+every slab of the one before it has folded, so each slab of the totals has
+one writer at a time, no task waits on another, no chunk holds statistics
+of the whole grid, no slab is copied, and every entry is folded in chunk
+order.
 The folded mean and squared deviations then take their lower triangle from
 the upper one and a diagonal with imaginary part +0, so the mean is
-Hermitian and the standard errors are symmetric, to the bit.  Chunk and slab
+Hermitian and the standard errors are symmetric, to the bit.  Chunk
 boundaries depend only on array shapes, and every chunk is a whole number
 of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one Philox
-stream keyed by (seed, block)), so the result is byte-identical whether
-blocks and slabs are processed by one worker or many.
+stream keyed by (seed, block)).  Slab boundaries depend on the worker count
+too, but every statistic of a time point is summed over the chunk's samples
+in the same order whatever slab holds the point, so the result is
+byte-identical whether blocks and slabs are processed by one worker or
+many.
 The chi paths come from the run's one Brownian field, set up once before the
 chunks, so a trajectory's phases depend only on the seed and its index.
 """
@@ -73,9 +79,9 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
 # What it bounds is the run's one chi array, chunk * grid * levels floats:
 # no chunk holds statistics of the whole grid (``run_ensemble``).
-# A slab of a chunk forms about SLAB_ELEMENT_BUDGET sample-state entries
-# (count * slab * dim * dim), and a chunk is kept within it at one time point
-# per slab.
+# The slabs that a run's workers form at once together hold about
+# SLAB_ELEMENT_BUDGET sample-state entries (count * slab * dim * dim each),
+# and a chunk is kept within it at one time point per slab.
 CHUNK_ELEMENT_BUDGET = 4_000_000
 
 Z_MAX = 4.0
@@ -110,13 +116,15 @@ class _Workspace:
     """The slab buffers one worker reuses for every slab of a run.
 
     Each holds a slab of at most ``points`` time points of ``count``
-    trajectories, a whole chunk.  Three buffers serve ``_slab_phases`` and
-    ``_sample_states``: ``factors`` and ``conj_factors`` (d r complex
-    entries per sample point) and ``states`` (max(d d, 2 d)).  The
-    ``phases`` (d complex entries per sample point) and ``angles`` (d
-    floats) are views into the first and second d entries per sample point
-    of ``states``: both are dead before the Gram product writes the states,
-    and 2 d entries per sample also fit d = 1.  Two more hold the slab's
+    trajectories, a whole chunk; a run's workspaces share one
+    ``SLAB_ELEMENT_BUDGET`` of sample-state entries (``run_ensemble``).
+    Three buffers serve ``_slab_phases`` and ``_sample_states``:
+    ``factors`` and ``conj_factors`` (d r complex entries per sample point)
+    and ``states`` (max(d d, 2 d)).  The ``phases`` (d complex entries per
+    sample point) and ``angles`` (d floats) are views into the first and
+    second d entries per sample point of ``states``: both are dead before
+    the Gram product writes the states, and 2 d entries per sample also fit
+    d = 1.  Two more hold the slab's
     ``mean`` (d d complex entries per point) and squared deviations ``m2``
     (2 d d floats).  A slab takes the leading part of each buffer it needs
     (``_leading``), so a partial slab or chunk reuses the same memory.
@@ -161,16 +169,22 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _slab_phases(chi: np.ndarray, level_index: np.ndarray, work: _Workspace) -> np.ndarray:
+def _slab_phases(
+    chi: np.ndarray, level_index: np.ndarray | None, work: _Workspace
+) -> np.ndarray:
     """exp(-i chi) per basis vector for level phases chi of shape (..., m).
 
-    The angles are gathered by ``level_index`` and written as cos and -sin
-    into one complex array of shape (..., d), both in ``work``.
+    The angles are gathered by ``level_index`` into ``work`` and written as
+    cos and -sin into one complex array of shape (..., d), also in ``work``.
+    A ``level_index`` of None stands for one basis vector per level, in
+    order (m = d): the angles are then ``chi`` itself, read in place.
     """
-    shape = chi.shape[:-1] + level_index.shape
-    angles = _leading(work.angles, shape)
-    np.take(chi, level_index, axis=-1, out=angles, mode="clip")
-    phases = _leading(work.phases, shape)
+    if level_index is None:
+        angles = chi
+    else:
+        angles = _leading(work.angles, chi.shape[:-1] + level_index.shape)
+        np.take(chi, level_index, axis=-1, out=angles, mode="clip")
+    phases = _leading(work.phases, angles.shape)
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
@@ -250,16 +264,23 @@ def run_ensemble(
     array by min(n_workers, its RNG blocks) tasks, each one ``field.paths``
     call over a contiguous run of whole blocks, so that its scale, drift and
     cumsum run on arrays large enough to release the GIL, and then runs in
-    the time slabs of every pass over a trajectory (``operators._time_slabs``
-    at count d^2 entries per point for the first chunk's count, the slabs
-    of every chunk and those the workspaces are sized from), one task per
-    slab; each slab forms the phases and sample states of its own time
-    points and takes its mean and sum of squared deviations in place, the
-    squares of the real and imaginary parts side by side: the float view of
-    a (T, d, d) complex stack.  The first chunk forms them in the run's
-    totals, a later one in a workspace, and folds each slab into the totals
-    in place (``_merge``: the pairwise mean and variance update, with the
-    chunk's own slab arrays holding the mean difference and its squares).
+    time slabs, one task per slab.  The slabs are those of every chunk and
+    those the workspaces are sized from.  With count the first chunk's
+    trajectory count, the one-budget plan (``operators._time_slabs`` at
+    count d^2 entries per point) has s slabs, and the run keeps
+    k = min(n_workers, s) workspaces, one per worker that has a slab of
+    that plan to take; the slabs are then those of ``_time_slabs`` at
+    k count d^2 entries per point, so that the k workspaces together hold
+    one ``SLAB_ELEMENT_BUDGET`` of sample-state entries, not one each (at
+    least one time point per slab: at d >= 32 slabs are one point already
+    and do not shrink).  Each slab forms the phases and sample states of
+    its own time points and takes its mean and sum of squared deviations in
+    place, the squares of the real and imaginary parts side by side: the
+    float view of a (T, d, d) complex stack.  The first chunk forms them in
+    the run's totals, a later one in a workspace, and folds each slab into
+    the totals in place (``_merge``: the pairwise mean and variance update,
+    with the chunk's own slab arrays holding the mean difference and its
+    squares).
     The workers share each chunk's tasks, and a chunk's draw starts once
     every slab of the chunk before it has folded, so each slab of the totals
     has one writer at a time and is folded in chunk order, no task waits on
@@ -279,16 +300,18 @@ def run_ensemble(
     cores, and its threads keep spinning after a small threaded call.
 
     Allocated per call: W, one chi array of the first chunk's paths, which
-    every chunk refills, min(n_workers, slabs) slab workspaces
-    (``_Workspace``), made before the chunks start and handed from slab to
-    slab through a queue, and the accumulated (T, d, d) mean and
-    (T, d, 2d) squared deviations, which become the result's mean and
-    standard errors.  Each workspace holds three buffers of the largest
-    slab of the run, the factors B, conj(B) and the states, the phases and
-    their angles being views into the states buffer, and that slab's mean
-    and squared deviations, so the chunks and slabs reuse them.  No chunk
-    allocates statistics of the whole grid, and the fold allocates nothing,
-    whatever the workers' timing.
+    every chunk refills, the k slab workspaces (``_Workspace``), made
+    before the chunks start and handed from slab to slab through a queue,
+    and the accumulated (T, d, d) mean and (T, d, 2d) squared deviations,
+    which become the result's mean and standard errors.  Each workspace
+    holds three buffers of the largest slab of the run, the factors B,
+    conj(B) and the states, the phases and the angles gathered for them
+    being views into the states buffer, and that slab's mean and squared
+    deviations, so the chunks and slabs reuse them.  Where every level has
+    one basis vector, in order, the angles are the chi slab itself and
+    nothing is gathered (``_slab_phases``).  No chunk allocates statistics
+    of the whole grid, and the fold allocates nothing, whatever the
+    workers' timing.
 
     ``n_traj`` must be at least 2, the fewest that give standard errors
     (else ValueError).  The grid must be finite, hold two or more points,
@@ -298,9 +321,11 @@ def run_ensemble(
     Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
     trajectories draws from one counter-based Philox stream keyed by
     (seed, b), a partial last block takes a prefix of its block's draw, and
-    chunks (whole blocks) and slabs depend on shapes only, and neither the
-    draw tasks nor the slabs change a bit, so ``n_workers``
-    changes the wall time but not a single output bit.  The chi paths are
+    chunks (whole blocks) depend on shapes only.  The slabs depend on
+    ``n_workers`` too, but a time point's statistics are summed over the
+    same samples in the same order in any slab, and neither the draw tasks
+    nor the slabs change a bit, so ``n_workers`` changes the wall time and
+    the slab plan but not a single output bit.  The chi paths are
     those of ``sample_chi_paths`` with the same seed.
     """
     if n_traj < 2:
@@ -312,20 +337,26 @@ def run_ensemble(
 
     state_factor = _state_factor(to_energy_basis(rho, decomposition))
     weights = _factor_map(decomposition.eigenvectors, state_factor)
+    # One basis vector per level, in order: the phases' angles are chi itself.
     idx = decomposition.level_index
+    if np.array_equal(idx, np.arange(decomposition.dim)):
+        idx = None
     num_points, dim = field.grid.size, decomposition.dim
 
     chunk = _chunk_size(num_points, dim)
     # One slab plan for every chunk, that of the first, the largest; a
-    # partial last chunk takes the same slabs with fewer samples.
+    # partial last chunk takes the same slabs with fewer samples.  The
+    # workspaces, one per worker that has a slab of the one-budget plan to
+    # take, share that plan's budget: its slabs, split ``spaces`` ways.
     first = min(chunk, n_traj)
-    slabs = _time_slabs(num_points, first * dim * dim)
+    per_point = first * dim * dim
+    spaces = min(n_workers, len(_time_slabs(num_points, per_point)))
+    slabs = _time_slabs(num_points, per_point * spaces)
     mean = np.empty((num_points, dim, dim), dtype=complex)
     m2 = np.empty((num_points, dim, 2 * dim))
     chi = np.empty((first, num_points, field.levels.size))
-    # One workspace per worker that has a slab to take, handed on through a queue.
     free = queue.SimpleQueue()
-    for _ in range(min(n_workers, len(slabs))):
+    for _ in range(spaces):
         free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], first))
 
     # The tasks of the chunk of ``count`` trajectories from ``start``.

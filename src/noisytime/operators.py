@@ -350,7 +350,9 @@ def _time_slabs(num_points: int, per_point: int) -> list[slice]:
     normals.  A chunk of count Monte Carlo samples counts its sample states,
     count d^2, the plan its chunk rule was set against; the two factor
     buffers of its workspace add 2 d r entries per sample
-    (``montecarlo._Workspace``).
+    (``montecarlo._Workspace``).  Its k workers' workspaces share one
+    budget, so its slabs count k count d^2 entries per point, k being the
+    workers that have a slab of the count d^2 plan to take.
     """
     step = max(1, SLAB_ELEMENT_BUDGET // per_point)
     return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]

@@ -129,6 +129,18 @@ class TestStateFactor:
                 u = unitary_from_phases(dec, levels_chi)
                 assert np.max(np.abs(state - u @ rho.matrix @ u.conj().T)) < 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_phases_read_in_place_keep_the_bits(self, dim):
+        # one basis vector per level: the phases of a time slab of a chi
+        # array, its angles read in place, are those of the gathered angles
+        chi = np.random.default_rng(dim).normal(scale=3.0, size=(70, 9, dim))
+        slab = chi[:64, 3:7]
+        work = _Workspace(4, dim, 1, 64)
+        gathered = _slab_phases(slab, np.arange(dim), work).copy()
+        in_place = _slab_phases(slab, None, work)
+        assert in_place.shape == gathered.shape == (64, 4, dim)
+        assert in_place.tobytes() == gathered.tobytes()
+
     @pytest.mark.parametrize(
         "name", ["correlated_tau", "global_dephasing", "nonmarkovian_piecewise"]
     )
@@ -245,8 +257,9 @@ class TestWorkspace:
         "n_workers, n_traj, expected", [(64, 1100, 7), (1, 3000, 1), (3, 5000, 3)]
     )
     def test_one_workspace_per_worker(self, n_workers, n_traj, expected, monkeypatch):
-        # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each; at most
-        # min(n_workers, slabs) workspaces, whatever the chunk count
+        # d = 2 on 101 points: 1024-trajectory chunks of 7 slabs each at one
+        # worker; at most min(n_workers, 7) workspaces, whatever the chunk
+        # count, however finely they split those slabs' budget
         built = []
 
         class Spy(montecarlo._Workspace):
@@ -262,9 +275,34 @@ class TestWorkspace:
         run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=4, n_workers=n_workers)
         assert len(built) == expected
 
+    @pytest.mark.parametrize("dim, num_points", [(2, 101), (4, 61)])
+    def test_workers_share_one_budget(self, dim, num_points, monkeypatch):
+        # rank 1, 1100 trajectories: 1024-trajectory slabs of 16 points at
+        # d = 2 and of 4 at d = 4, at one worker.  Two and four workers build
+        # two and four workspaces, which together hold no more bytes than the
+        # one worker's one: the run's slab memory does not grow with workers.
+        built = []
+
+        class Spy(montecarlo._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(sum(a.nbytes for a in vars(self).values() if a.base is None))
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Spy)
+        dec, rho0 = _random_case(np.random.default_rng(dim), dim, 1, degenerate=False)
+        grid = np.linspace(0, 1, num_points)
+        model = correlated_model(0.6, 0.7)
+        totals = {}
+        for workers in (1, 2, 4):
+            built.clear()
+            run_ensemble(dec, model, rho0, grid, n_traj=1100, seed=4, n_workers=workers)
+            assert len(built) == workers
+            totals[workers] = sum(built)
+        assert totals[2] <= totals[1] and totals[4] <= totals[1], totals
 
     def test_workers_never_share_a_workspace(self):
-        # 9 chunks of 3 slabs on 8 workers, more than the cores, with a short
+        # 9 chunks on 8 workers, more than the cores, of 3 slabs at one
+        # worker and of 11 in the 3 workspaces that share them, with a short
         # switch interval: a workspace used by two slabs at once, or handed
         # on before its slab is done, would corrupt their statistics, and a
         # slab folded out of chunk order would change their bits
@@ -619,11 +657,13 @@ class TestInPlaceFold:
         out = run_ensemble(
             dec, correlated_model(0.6, 0.9), rho0, grid, n_traj=n_traj, seed=5, n_workers=workers
         )
-        # four chunks, the last one partial; one slab at d = 2, two at d = 8
+        # four chunks, the last one partial; one slab at d = 2; at d = 8 two
+        # (8 + 1 points) for one worker, and three (4 + 4 + 1) for two or
+        # three, whose two workspaces share the one-worker budget
         chunks = []
         for key in sorted(recorded):
             slabs = [recorded[key][start] for start in sorted(recorded[key])]
-            assert len(slabs) == (1 if dim == 2 else 2)
+            assert len(slabs) == (1 if dim == 2 else 2 if workers == 1 else 3)
             (count,) = {n_b for n_b, _, _ in slabs}
             mean = np.concatenate([slab_mean for _, slab_mean, _ in slabs])
             m2 = np.concatenate([slab_m2 for _, _, slab_m2 in slabs])
@@ -638,7 +678,9 @@ class TestInPlaceFold:
         assert out.stderr.imag.tobytes() == np.sqrt(m2_im / (n - 1) / n).tobytes()
 
     # (dim, rank, grid points, n_traj): d = 2 on 101 points, three chunks of
-    # seven slabs each, the last chunk partial; d = 32 on 5 points, four
+    # seven 16-point slabs each at one worker, the last chunk partial, the
+    # slabs' budget shared by the workers' workspaces: 13 slabs of 8 points
+    # at two workers, 21 of 5 at three; d = 32 on 5 points, four
     # 64-trajectory chunks of one-point slabs, the last of 8 trajectories
     OUT_OF_ORDER = [(2, 1, 101, 3000), (32, 32, 5, 200)]
 
@@ -676,9 +718,10 @@ class TestInPlaceFold:
             merged.clear()
             threaded = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=8, n_workers=workers)
             # every later chunk merged a later slab before its first one
+            step = 16 // workers if dim == 2 else 1
             for n_a in range(chunk, n_traj, chunk):
                 order = [start for key, start in merged if key == n_a]
-                assert sorted(order) == [s.start for s in _time_slabs(num_points, chunk * dim * dim)]
+                assert sorted(order) == list(range(0, num_points, step))
                 assert order[0] != 0, (workers, n_a, order)
             for name in ("mean", "stderr"):
                 assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
@@ -686,16 +729,18 @@ class TestInPlaceFold:
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failing_chunk_releases_the_waiting_ones(self, failing, workers, monkeypatch):
-        # d = 2 on 101 points, three chunks of seven slabs: in chunk
-        # ``failing``, the second draw task and then, in a second call, one
-        # slab task sleeps and raises while the chunk's other tasks run.  The
-        # error must come back as the call's, and the call must end, so it
-        # runs in a daemon thread that the test stops waiting for after 60 s.
+        # d = 2 on 101 points, three chunks of seven slabs at one worker,
+        # which the workers' workspaces split into 13 at two workers and 21
+        # at three: in chunk ``failing``, the second draw task and then, in a
+        # second call, one slab task sleeps and raises while the chunk's other
+        # tasks run.  The error must come back as the call's, and the call
+        # must end, so it runs in a daemon thread that the test stops waiting
+        # for after 60 s.
         dec, rho0 = _random_case(np.random.default_rng(2), 2, 1, degenerate=False)
         grid = np.linspace(0, 1, 101)
         chunk = _chunk_size(grid.size, 2)
-        slabs = len(_time_slabs(grid.size, chunk * 2 * 2))
-        assert slabs == 7
+        assert len(_time_slabs(grid.size, chunk * 2 * 2)) == 7
+        slabs = len(range(0, grid.size, 16 // workers))
         # one draw task per worker, each a contiguous run of whole blocks
         second = failing * chunk + chunk // RNG_BLOCK // workers * RNG_BLOCK
         paths = montecarlo._BrownianField.paths
@@ -737,11 +782,12 @@ class TestInPlaceFold:
 
     def test_peak_holds_no_chunk_statistics(self, monkeypatch):
         # d = 16 in eight pairs of equal levels on 401 points, a pure state:
-        # four 64-trajectory chunks of 101 four-point slabs, whose (T, d, d)
-        # mean and (T, d, 2d) squared deviations outweigh the chi array and
-        # a workspace.  A run holds those once, its one chi array, two slab
-        # workspaces and little else, however the workers' timing falls:
-        # also when chunk 0's draw sleeps 0.3 s.
+        # four 64-trajectory chunks of 201 two-point slabs (101 four-point
+        # slabs at one worker, whose budget the two workspaces share), whose
+        # (T, d, d) mean and (T, d, 2d) squared deviations outweigh the chi
+        # array and a workspace.  A run holds those once, its one chi array,
+        # two slab workspaces and little else, however the workers' timing
+        # falls: also when chunk 0's draw sleeps 0.3 s.
         built, chis = [], {}
         paths = montecarlo._BrownianField.paths
 
@@ -781,7 +827,9 @@ class TestInPlaceFold:
 
     def test_one_chunk_shares_its_slabs(self, monkeypatch):
         # d = 2 on 101 points with 1000 trajectories: one chunk of seven
-        # slabs, which two workers form on two threads, byte for byte as one
+        # 16-point slabs at one worker, which two workers, sharing its
+        # budget, take as thirteen slabs of 8 points on two threads, byte
+        # for byte as one
         dec, rho0 = _random_case(np.random.default_rng(3), 2, 2, degenerate=False)
         grid = np.linspace(0, 1, 101)
         chunk = _chunk_size(grid.size, 2)
@@ -798,7 +846,7 @@ class TestInPlaceFold:
 
         monkeypatch.setattr(montecarlo, "_sample_states", spy)
         threaded = run_ensemble(dec, model, rho0, grid, n_traj=1000, seed=11, n_workers=2)
-        assert len(threads) == 7 and len(set(threads)) == 2
+        assert len(threads) == 13 and len(set(threads)) == 2
         for name in ("mean", "stderr"):
             assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
 

@@ -2,10 +2,12 @@
 
 Every check passes on correct code (``TestVerifyCommand`` in test_cli.py
 runs the whole suite), so these tests feed a check one broken input through
-a monkeypatched dependency and require that the check rejects it.
+a monkeypatched dependency and require that the check rejects it.  The
+last test bounds what one check holds in memory.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
@@ -126,3 +128,18 @@ def test_suite_flags_a_conjugated_energy_basis(monkeypatch):
         "time-average-quadrature",
         "ensemble-matches-analytic",
     }
+
+
+def test_chi_path_check_keeps_only_the_end_values():
+    # the check draws the trajectories of sample_chi_paths in batches and
+    # keeps their 4000 x 2 end values, never the whole 4000 x 51 x 2 path
+    # array (3.3 MB); the statistics are those of the whole array's ends
+    tracemalloc.start()
+    try:
+        ok, detail = verify._check_chi_paths()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert detail == "mean dev 1.86e-02 (3se 4.75e-02), var 1.002 vs 1.000"
+    assert peak < 4000 * 51 * 2 * np.dtype(float).itemsize, peak
