@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, NoisytimeError
-from .noise import PRESETS, DirectDampingPreset, NoiseModel, SigmaThetaPreset
+from .noise import PRESETS, ROWS, NoiseModel, SigmaThetaPreset
 from .operators import DensityMatrix, HermitianOperator, eigendecompose
 
 __all__ = [
@@ -47,7 +47,7 @@ DEFAULT_SEED = 2024
 SEED_LIMIT = 2**64
 
 SECTIONS = ("name", "hamiltonian", "initial_state", "noise", "grid", "montecarlo", "outputs")
-NOISE_FIELDS = (*PRESETS, "gamma", "direct_lambda")
+NOISE_FIELDS = (*PRESETS, "gamma")
 
 _REQUIRED = object()
 
@@ -200,6 +200,8 @@ def _param(data: dict, path: str, field: str, spec):
     """One preset field, read as its family's table specifies (see noise._Preset)."""
     if spec is tuple:
         return _read(data, path, field, _numbers)
+    if spec is ROWS:
+        return _read(data, path, field, _table)
     return _read(data, path, field, _number, _REQUIRED if spec is float else spec)
 
 
@@ -218,24 +220,21 @@ def _noise(data: dict) -> NoiseModel:
     for name, cls in PRESETS.items():
         if name in data:
             path = f"noise.{name}"
-            kind = _kind(data[name], path, cls.KINDS)
+            only = next(iter(cls.KINDS)) if len(cls.KINDS) == 1 else _REQUIRED
+            kind = _kind(data[name], path, cls.KINDS, only)
             fields = cls.KINDS[kind]
             params = tuple(_param(data[name], path, f, spec) for f, spec in fields.items())
-            parts[name] = cls(kind, params)
-    if "direct_lambda" in data:
-        path = "noise.direct_lambda"
-        direct = data["direct_lambda"]
-        kind = DirectDampingPreset.KIND
-        _kind(direct, path, {kind: ("levels", "table")}, kind)
-        levels = _read(direct, path, "levels", _numbers)
-        table = _read(direct, path, "table", _table)
-        parts["direct_lambda"] = _built(f"{path}.table", DirectDampingPreset, levels, table)
+            # A family's own model errors (a table's shape or symmetry) concern
+            # its last field.
+            last = f"{path}.{[*fields][-1]}" if fields else path
+            parts[name] = _built(last, cls, kind, params)
+    # Strength shorthand: gamma, when sigma_theta is left out, means
+    # sigma_theta = linear(sqrt(gamma)).
     gamma = _read(data, "noise", "gamma", _number, 1.0)
-    model = NoiseModel(gamma=gamma, **parts)
-    if "sigma_theta" not in data:
-        # Strength shorthand: omitting sigma_theta means linear(sqrt(gamma)).
-        model = replace(model, sigma_theta=SigmaThetaPreset.linear(math.sqrt(gamma)))
-    return model
+    if gamma < 0:
+        raise ConfigError("noise.gamma", f"must be >= 0, got {gamma!r}")
+    parts.setdefault("sigma_theta", SigmaThetaPreset.linear(math.sqrt(gamma)))
+    return NoiseModel(**parts)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -310,23 +309,13 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(data)
 
 
-def _preset_to_dict(preset) -> dict:
-    out = {"kind": preset.kind}
-    for field, value in preset.fields.items():
-        out[field] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def _noise_to_dict(noise: NoiseModel) -> dict:
-    out = {name: _preset_to_dict(getattr(noise, name)) for name in PRESETS}
-    out["gamma"] = noise.gamma
-    if noise.direct_lambda is not None:
-        out["direct_lambda"] = {
-            "kind": DirectDampingPreset.KIND,
-            "levels": list(noise.direct_lambda.levels),
-            "table": [[float(v) for v in row] for row in noise.direct_lambda.table],
-        }
-    return out
+    presets = {name: getattr(noise, name) for name in PRESETS}
+    return {
+        name: {"kind": preset.kind, **{f: np.asarray(v).tolist() for f, v in preset.fields.items()}}
+        for name, preset in presets.items()
+        if preset is not None
+    }
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

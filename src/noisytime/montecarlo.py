@@ -77,8 +77,11 @@ MAX_CHUNK = 16 * RNG_BLOCK
 # shapes only, never of worker count, so that accumulation order (and
 # therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
 # (MAX_CHUNK is one), at least one block even where the budget asks for less.
-# What it bounds is the run's one chi array, chunk * grid * levels floats:
-# no chunk holds statistics of the whole grid (``run_ensemble``).
+# chunk * grid * dim * dim counts a chunk's sample states over the whole
+# grid, which no array holds: slabs fold as they are formed (``run_ensemble``).
+# The one chunk-sized array is the run's chi array, chunk * grid * levels
+# floats, and levels <= dim, so the budget keeps it within
+# CHUNK_ELEMENT_BUDGET / dim floats.
 # The slabs that a run's workers form at once together hold about
 # SLAB_ELEMENT_BUDGET sample-state entries (count * slab * dim * dim each),
 # and a chunk is kept within it at one time point per slab.

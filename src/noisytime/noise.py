@@ -69,16 +69,22 @@ def _poly_eval(coeffs: tuple[float, ...], x):
     return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
 
+# The ``KINDS`` spec of a field that is a square table of numbers, row by row.
+ROWS = "rows"
+
+
 @dataclass(frozen=True)
 class _Preset:
     """A closed preset family: a ``kind`` and the numbers of its fields.
 
     ``KINDS`` is the one table of a family: it maps each kind to its fields,
     in the order the kind's classmethod takes them, and each field to
-    ``float`` (one number), ``tuple`` (a list of numbers) or a float default
-    (one number that may be left out).  ``params`` holds one entry per field,
-    in that order.  The config reader and writer work from this table alone.
-    Every number must be finite, else ConfigError naming the field.
+    ``float`` (one number), ``tuple`` (a list of numbers), ``ROWS`` (a square
+    table of numbers) or a float default (one number that may be left out).
+    ``params`` holds one entry per field, in that order, lists and rows as
+    tuples.  The config reader and writer work from this table alone; a
+    family with one kind lets a config file leave ``kind`` out.  Every number
+    must be finite, else ConfigError naming the field.
     """
 
     SECTION: ClassVar[str]
@@ -98,11 +104,13 @@ class _Preset:
                 path, f"{self.kind} takes {len(fields)} fields {tuple(fields)}, got {len(self.params)}"
             )
         params = tuple(
-            tuple(map(float, value)) if spec is tuple else float(value)
+            tuple(map(float, value)) if spec is tuple
+            else tuple(tuple(map(float, row)) for row in value) if spec is ROWS
+            else float(value)
             for spec, value in zip(fields.values(), self.params)
         )
         for name, value in zip(fields, params):
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            if not np.all(np.isfinite(value)):
                 raise ConfigError(f"{path}.{name}", f"expected finite numbers, got {value!r}")
         object.__setattr__(self, "params", params)
 
@@ -213,6 +221,8 @@ class SigmaTimePreset(_Preset):
             raise ConfigError(where, "piecewise_constant needs len(values) == len(breakpoints) + 1")
         if any(v < 0 for v in values):
             raise ConfigError(where, "must be >= 0")
+        if not all(math.isfinite(v * v) for v in values):
+            raise ConfigError(where, "the square of each value must be a finite float")
         if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ConfigError("noise.sigma_time.breakpoints", "must be strictly increasing")
 
@@ -271,6 +281,8 @@ class CorrelationPreset(_Preset):
         super().__post_init__()
         if self.kind == "gaussian" and self.params[0] < 0:
             raise ConfigError("noise.correlation_g.tau", "must be >= 0")
+        if self.kind == "gaussian" and not math.isfinite(self.params[0] * self.params[0]):
+            raise ConfigError("noise.correlation_g.tau", "its square must be a finite float")
         if self.kind == "exponential" and self.params[0] <= 0:
             raise ConfigError("noise.correlation_g.length", "must be > 0")
 
@@ -297,62 +309,59 @@ class CorrelationPreset(_Preset):
         return np.exp(-np.abs(diff) / self.params[0])
 
 
-# The preset sections of a NoiseModel, each to its family.
-PRESETS = {
-    cls.SECTION: cls for cls in (DriftPreset, SigmaThetaPreset, SigmaTimePreset, CorrelationPreset)
-}
-
-
-@dataclass(frozen=True)
-class DirectDampingPreset:
+class DirectDampingPreset(_Preset):
     """Explicit damping-rate table, bypassing the Brownian construction.
 
-    ``separable_linear`` means lambda(t; theta_i, theta_j) = t * table[i, j]
-    over the tabulated distinct levels.  A nonzero diagonal makes populations
-    decay (dissipative branch).  Models carrying this preset are propagated
-    and integrated; the Brownian samplers refuse them.  Levels and rates must
-    be finite.  The table D must be conditionally negative semidefinite:
-    exp(-t D / 2) entrywise is PSD for every t >= 0 exactly when -J D J / 2
-    is PSD, J = I - 1 1^T / m (Horn & Johnson, Topics in Matrix Analysis,
-    Thm 6.3.6), so any other table gives a map that is not completely
-    positive at small t.  A squared-distance table plus (a_k + a_l) / 2 with
-    a >= 0 passes; so do its sub-tables and degenerate-level expansions.
+    One kind, ``separable_linear``: lambda(t; theta_i, theta_j) = t *
+    table[i, j] over the tabulated levels, and ``params`` holds the levels
+    and the symmetrized table.  A nonzero diagonal makes populations decay
+    (dissipative branch).  The Brownian samplers refuse this preset.  The
+    table D must be conditionally negative semidefinite: exp(-t D / 2)
+    entrywise is PSD for every t >= 0 exactly when -J D J / 2 is PSD, J = I -
+    1 1^T / m (Horn & Johnson, Topics in Matrix Analysis, Thm 6.3.6).  A
+    squared-distance table plus (a_k + a_l) / 2 with a >= 0 passes; so do its
+    sub-tables and degenerate-level expansions.
     """
 
-    # The one kind, which a config file may leave out.
-    KIND = "separable_linear"
+    SECTION = "direct_lambda"
+    KINDS = {"separable_linear": {"levels": tuple, "table": ROWS}}
 
-    levels: tuple[float, ...]
-    table: np.ndarray
-
-    def __init__(self, levels, table):
-        levels = tuple(map(float, levels))
-        if not all(map(math.isfinite, levels)):
-            raise ConfigError("noise.direct_lambda.levels", "levels must be finite")
-        arr = np.asarray(table, dtype=float)
+    def __post_init__(self):
+        super().__post_init__()
+        levels, rows = self.params
+        arr = np.array(rows)
         m = len(levels)
         if arr.shape != (m, m):
-            raise DimensionMismatch(
-                f"direct damping table shape {arr.shape} does not match {m} levels"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("noise.direct_lambda.table", "rates must be finite")
-        asym = float(np.max(np.abs(arr - arr.T))) if m else 0.0
+            raise DimensionMismatch(f"damping table shape {arr.shape} does not match {m} levels")
+        asym = float(np.max(np.abs(arr - arr.T)))
         if asym > 1e-12:
             raise KernelAsymmetric(f"damping table asymmetric by {asym:.3e}")
         arr = 0.5 * (arr + arr.T)
-        if m and float(np.min(np.diag(arr))) < 0:
+        if float(np.min(np.diag(arr))) < 0:
             raise ConfigError("noise.direct_lambda.table", "diagonal rates must be >= 0")
-        centering = np.eye(m) - 1.0 / max(m, 1)
+        centering = np.eye(m) - 1.0 / m
         gram = np.linalg.eigvalsh(-0.5 * centering @ arr @ centering)
-        if m and gram[0] < PSD_EIG_FLOOR * np.max(np.abs(arr)):
+        if gram[0] < PSD_EIG_FLOOR * np.max(np.abs(arr)):
             raise ConfigError(
                 "noise.direct_lambda.table",
                 f"not completely positive at small t: -J D J / 2 has eigenvalue {gram[0]:.3e}",
             )
+        object.__setattr__(self, "params", (levels, tuple(map(tuple, arr.tolist()))))
+
+    @classmethod
+    def separable_linear(cls, levels, table) -> "DirectDampingPreset":
+        return cls("separable_linear", (levels, table))
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        return self.params[0]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The symmetrized table, as a read-only array."""
+        arr = np.array(self.params[1])
         arr.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "table", arr)
+        return arr
 
     def __call__(self, levels) -> np.ndarray:
         """The table over the given levels, each looked up by value to 1e-9;
@@ -367,26 +376,25 @@ class DirectDampingPreset:
         return self.table[np.ix_(idx, idx)]
 
 
+# The sections of a NoiseModel, each to its family.
+_FAMILIES = (DriftPreset, SigmaThetaPreset, SigmaTimePreset, CorrelationPreset, DirectDampingPreset)
+PRESETS = {cls.SECTION: cls for cls in _FAMILIES}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Full stochastic model: drift, diffusion amplitude, correlation, strength.
+    """Full stochastic model: drift, diffusion amplitude, correlation, or a
+    direct damping table in their place.
 
-    ``gamma`` records the declared noise strength; the sigma presets carry it
-    numerically (a dephasing model of strength gamma uses sigma_theta =
-    linear(sqrt(gamma))).  Neither the kernel nor the generator builder reads
-    gamma again.  It must be finite and >= 0.
+    The sigma presets carry the noise strength numerically: a dephasing
+    model of strength gamma uses sigma_theta = linear(sqrt(gamma)).
     """
 
     drift_h: DriftPreset = field(default_factory=DriftPreset.identity)
     sigma_theta: SigmaThetaPreset = field(default_factory=lambda: SigmaThetaPreset.linear(1.0))
     sigma_time: SigmaTimePreset = field(default_factory=SigmaTimePreset.constant)
     correlation_g: CorrelationPreset = field(default_factory=CorrelationPreset.uniform)
-    gamma: float = 1.0
     direct_lambda: Optional[DirectDampingPreset] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError("noise.gamma", f"must be finite and >= 0, got {self.gamma!r}")
 
     @property
     def is_dissipative(self) -> bool:
@@ -400,7 +408,6 @@ def dephasing_model(gamma: float) -> NoiseModel:
     return NoiseModel(
         sigma_theta=SigmaThetaPreset.linear(math.sqrt(gamma)),
         correlation_g=CorrelationPreset.uniform(),
-        gamma=gamma,
     )
 
 
@@ -409,7 +416,6 @@ def correlated_model(gamma: float, tau: float) -> NoiseModel:
     return NoiseModel(
         sigma_theta=SigmaThetaPreset.linear(math.sqrt(gamma)),
         correlation_g=CorrelationPreset.gaussian(tau),
-        gamma=gamma,
     )
 
 
@@ -418,8 +424,7 @@ def direct_damping_model(levels, table, drift: Optional[DriftPreset] = None) -> 
     return NoiseModel(
         drift_h=drift if drift is not None else DriftPreset.identity(),
         sigma_theta=SigmaThetaPreset.constant(0.0),
-        gamma=0.0,
-        direct_lambda=DirectDampingPreset(levels, table),
+        direct_lambda=DirectDampingPreset.separable_linear(levels, table),
     )
 
 

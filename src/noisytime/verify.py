@@ -116,7 +116,6 @@ def _piecewise_model() -> NoiseModel:
     return NoiseModel(
         sigma_theta=SigmaThetaPreset.linear(1.0),
         sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
-        gamma=1.0,
     )
 
 
@@ -414,13 +413,8 @@ def _check_map_defects() -> tuple[bool, str]:
 def _check_markovianity_boundary() -> tuple[bool, str]:
     _, decomposition, rho0 = _qubit()
     markovian = semigroup_defect(decomposition, dephasing_model(0.5), rho0, 0.8, 0.8)
-    zero_noise = semigroup_defect(
-        decomposition,
-        NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0),
-        rho0,
-        0.8,
-        0.8,
-    )
+    silent = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0))
+    zero_noise = semigroup_defect(decomposition, silent, rho0, 0.8, 0.8)
     nonmarkovian = semigroup_defect(decomposition, _piecewise_model(), rho0, 0.8, 0.8)
     ok = markovian < 1e-12 and zero_noise < 1e-12 and nonmarkovian > 1e-3
     return ok, (
@@ -465,7 +459,7 @@ def _check_time_average() -> tuple[bool, str]:
     _, decomposition, rho0 = _qubit()
     center, spread = 1.0, 0.15
     grid = np.linspace(0.0, 2.0, 16001)
-    zero_noise = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)
+    zero_noise = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0))
     trajectory = averaged_trajectory(decomposition, zero_noise, rho0, grid)
     weights = np.exp(-0.5 * ((grid - center) / spread) ** 2) / (spread * math.sqrt(2 * math.pi))
     averaged = time_averaged_state(grid, trajectory.states, weights)

@@ -268,8 +268,39 @@ class TestMalformed:
         # YAML 1.1 loads 1e-3 (no decimal point) as a string
         data = yaml.safe_load("gamma: 1e-3\nsigma_time: {kind: constant, value: 2}")
         config = parse_config(minimal_config(noise=data))
-        assert config.noise.gamma == 0.001
+        assert config.noise.sigma_theta == SigmaThetaPreset.linear(0.001**0.5)
         assert config.noise.sigma_time == SigmaTimePreset.constant(2.0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "given",
+        [{}, {"sigma_theta": {"kind": "linear", "coefficient": 1.0}}],
+        ids=["shorthand", "given"],
+    )
+    def test_gamma_refused_unless_finite_and_nonnegative(self, gamma, given):
+        # gamma is read only as the sigma_theta shorthand, and refused even
+        # where sigma_theta is given
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config(noise={"gamma": gamma, **given}))
+        assert info.value.path == "noise.gamma"
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ({"correlation_g": {"kind": "gaussian", "tau": 1e200}}, "noise.correlation_g.tau"),
+            ({"sigma_time": {"kind": "constant", "value": 1e200}}, "noise.sigma_time.value"),
+        ],
+        ids=["tau", "value"],
+    )
+    @pytest.mark.parametrize("command", ["evolve", "integrate", "sample", "moments"])
+    def test_number_whose_square_overflows_exits_2(self, section, path, command, tmp_path, capsys):
+        config = tmp_path / "big.yaml"
+        config.write_text(yaml.safe_dump(minimal_config(noise={"gamma": 0.5, **section})))
+        out = tmp_path / "run"
+        extra = ["--theta", "0", "--theta-prime", "1"] if command == "moments" else []
+        assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNoiseSection:
@@ -310,7 +341,6 @@ class TestNoiseSection:
             sigma_theta=SigmaThetaPreset.polynomial([0.0, 1.0]),
             sigma_time=SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6]),
             correlation_g=CorrelationPreset.gaussian(1.3),
-            gamma=0.5,
         )
         assert config_to_dict(replace(config, noise=noise))["noise"] == {
             "drift_h": {"kind": "affine", "a": 2.0, "b": 0.5},
@@ -321,7 +351,6 @@ class TestNoiseSection:
                 "values": [0.4, 1.6],
             },
             "correlation_g": {"kind": "gaussian", "tau": 1.3},
-            "gamma": 0.5,
         }
 
     def test_gamma_shorthand_sets_sigma_theta(self):

@@ -98,6 +98,27 @@ class TestPresets:
         with pytest.raises(ConfigError):
             SigmaTimePreset.piecewise_constant([1.0], [1.0, -0.5])
 
+    @pytest.mark.parametrize(
+        "build, path",
+        [
+            (lambda: CorrelationPreset.gaussian(1e200), "noise.correlation_g.tau"),
+            (lambda: SigmaTimePreset.constant(1e200), "noise.sigma_time.value"),
+            (
+                lambda: SigmaTimePreset.piecewise_constant([1.0], [0.4, 1e200]),
+                "noise.sigma_time.values",
+            ),
+        ],
+        ids=["tau", "value", "values"],
+    )
+    def test_number_whose_square_overflows_rejected(self, build, path):
+        # The kernel squares these: tau**2 raised OverflowError, and an
+        # infinite sigma_time**2 made every lambda(t) NaN.
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert info.value.path == path
+        CorrelationPreset.gaussian(1e154)
+        SigmaTimePreset.constant(1e154)
+
     def test_correlation_bounds(self):
         thetas = np.linspace(-2, 2, 7)
         for preset in (
@@ -123,6 +144,7 @@ class TestPresets:
             (SigmaThetaPreset, "sigma_theta"),
             (SigmaTimePreset, "sigma_time"),
             (CorrelationPreset, "correlation_g"),
+            (DirectDampingPreset, "direct_lambda"),
         ],
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
@@ -166,22 +188,22 @@ class TestPresets:
 class TestDirectDamping:
     def test_asymmetric_table_rejected(self):
         with pytest.raises(KernelAsymmetric):
-            DirectDampingPreset([1.0, 2.0], [[0.0, 0.1], [0.3, 0.0]])
+            DirectDampingPreset.separable_linear([1.0, 2.0], [[0.0, 0.1], [0.3, 0.0]])
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(ConfigError):
-            DirectDampingPreset([1.0, 2.0], [[-0.1, 0.0], [0.0, 0.0]])
+            DirectDampingPreset.separable_linear([1.0, 2.0], [[-0.1, 0.0], [0.0, 0.0]])
 
     def test_table_that_is_not_completely_positive_rejected(self):
         # sqrt(5) > 1 + 1: not a squared-distance table, and exp(-t D / 2)
         # entrywise has eigenvalue -0.0016 at t = 0.01
         with pytest.raises(ConfigError, match="eigenvalue -1.667e-01") as info:
-            DirectDampingPreset([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]])
+            DirectDampingPreset.separable_linear([0.0, 1.0, 2.5], [[0, 1, 1], [1, 0, 5], [1, 5, 0]])
         assert info.value.path == "noise.direct_lambda.table"
         with pytest.raises(ConfigError, match="noise.direct_lambda.table"):
-            DirectDampingPreset([0.0, 1.0], [[0.0, -1.0], [-1.0, 0.0]])
+            DirectDampingPreset.separable_linear([0.0, 1.0], [[0.0, -1.0], [-1.0, 0.0]])
         # dissipative_direct's table sits on the boundary and is accepted
-        DirectDampingPreset([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
+        DirectDampingPreset.separable_linear([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]])
 
     @pytest.mark.parametrize(
         "table",
@@ -200,7 +222,7 @@ class TestDirectDamping:
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_rejected(self, level):
         with pytest.raises(ConfigError) as info:
-            DirectDampingPreset([level, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+            DirectDampingPreset.separable_linear([level, 1.0], [[0.0, 1.0], [1.0, 0.0]])
         assert info.value.path == "noise.direct_lambda.levels"
 
     def test_unknown_level_rejected(self):
@@ -211,17 +233,26 @@ class TestDirectDamping:
     def test_lookup_takes_the_first_match(self):
         # 1 + 4e-10 lies within 1e-9 of both 1 and 1 + 8e-10
         table = [[0.2, 1.3, 1.4], [1.3, 0.4, 1.5], [1.4, 1.5, 0.6]]
-        preset = DirectDampingPreset([1.0, 1.0 + 8e-10, 2.0], table)
+        preset = DirectDampingPreset.separable_linear([1.0, 1.0 + 8e-10, 2.0], table)
         assert np.array_equal(preset([2.0, 1.0 + 4e-10]), [[0.6, 1.4], [1.4, 0.2]])
         with pytest.raises(DimensionMismatch, match="level 1.5 "):
             preset([1.0, 1.5, 3.0])
+
+    def test_equal_tables_compare_equal_and_hash(self):
+        table = [[0.6, 0.7], [0.7, 0.8]]
+        a = direct_damping_model([1.0, 2.0], table)
+        b = direct_damping_model(np.array([1.0, 2.0]), np.array(table))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != direct_damping_model([1.0, 2.0], [[0.6, 0.8], [0.8, 0.8]])
+        assert not a.direct_lambda.table.flags.writeable
 
     def test_lookup_matches_per_level_loop(self):
         rng = np.random.default_rng(5)
         tabulated = np.repeat(rng.normal(size=4), 2) + rng.uniform(-6e-10, 6e-10, size=8)
         points, diagonal = rng.normal(size=8), rng.uniform(size=8)
         table = (points[:, None] - points) ** 2 + 0.5 * (diagonal[:, None] + diagonal)
-        preset = DirectDampingPreset(tabulated, table)
+        preset = DirectDampingPreset.separable_linear(tabulated, table)
         wanted = rng.choice(tabulated, size=12) + rng.uniform(-5e-10, 5e-10, size=12)
         idx = [int(np.flatnonzero(np.abs(tabulated - theta) <= 1e-9)[0]) for theta in wanted]
         assert np.array_equal(preset(wanted), preset.table[np.ix_(idx, idx)])
@@ -229,21 +260,10 @@ class TestDirectDamping:
 
 class TestNoiseModel:
     def test_gamma_is_declared_strength(self):
-        # The presets carry the strength numerically; gamma itself never
-        # multiplies a kernel.
+        # The presets carry the strength numerically.
         model = dephasing_model(0.49)
         assert model.sigma_theta(1.0) == pytest.approx(0.7)
         assert lambda_pair(model, 1.0, 0.0, 1.0) == pytest.approx(0.49)
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ConfigError):
-            NoiseModel(gamma=-1.0)
-
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
-    def test_non_finite_gamma_rejected(self, gamma):
-        with pytest.raises(ConfigError) as info:
-            NoiseModel(gamma=gamma)
-        assert info.value.path == "noise.gamma"
 
     def test_dissipative_flag(self):
         assert direct_damping_model([1.0, 2.0], [[0.6, 0.7], [0.7, 0.8]]).is_dissipative
@@ -565,7 +585,7 @@ class TestSampling:
             sample_chi_paths(model, [0.0, 1.0], [1.0, 2.0], seed=1, n_traj=1)
 
     def test_chi_paths_zero_noise_is_drift(self):
-        model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)
+        model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0))
         grid = np.linspace(0.0, 2.0, 9)
         paths = sample_chi_paths(model, [0.5, 1.5], grid, seed=3, n_traj=4)
         for k, theta in enumerate([0.5, 1.5]):

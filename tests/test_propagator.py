@@ -187,7 +187,7 @@ class TestTimeAverage:
         _, dec, rho0 = qubit
         center, spread = 1.0, 0.1
         grid = np.linspace(0.0, 2.0, 8001)
-        zero_noise = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)
+        zero_noise = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0))
         states = averaged_trajectory(dec, zero_noise, rho0, grid).states
         weights = np.exp(-0.5 * ((grid - center) / spread) ** 2)
         weights /= spread * math.sqrt(2 * math.pi)
@@ -203,7 +203,7 @@ class TestSemigroupDefect:
 
     def test_defect_zero_for_unitary(self, qubit):
         _, dec, rho0 = qubit
-        model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0), gamma=0.0)
+        model = NoiseModel(sigma_theta=SigmaThetaPreset.constant(0.0))
         assert semigroup_defect(dec, model, rho0, 0.9, 0.3) < 1e-12
 
 

@@ -121,7 +121,8 @@ def test_rk4_matches_analytic_and_stays_a_state(system, grid, data):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-NONNEGATIVE = st.floats(0.0, 1e300)
+# Nonnegative numbers whose square is a finite float.
+NONNEGATIVE = st.floats(0.0, 1e154)
 # Draws of each preset field, within the range its family accepts.
 FIELD_DRAWS = {
     "a": FINITE,
@@ -143,6 +144,13 @@ def presets(draw, cls):
         size = len(breakpoints) + 1
         values = draw(st.lists(NONNEGATIVE, min_size=size, max_size=size))
         return cls.piecewise_constant(breakpoints, values)
+    if kind == "separable_linear":
+        # squared distances between the levels plus (a_k + a_l) / 2, a >= 0
+        levels = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4)))
+        m = len(levels)
+        a = np.asarray(draw(st.lists(st.floats(0.0, 1e3), min_size=m, max_size=m)))
+        table = (levels[:, None] - levels) ** 2 + 0.5 * (a[:, None] + a)
+        return cls.separable_linear(levels, table)
     return getattr(cls, kind)(*(draw(FIELD_DRAWS[field]) for field in cls.KINDS[kind]))
 
 
@@ -193,7 +201,7 @@ def test_direct_table_accepted_exactly_when_completely_positive_for_every_t(draw
     m = len(table)
     levels = np.linspace(0.0, 1.0, m)
     try:
-        DirectDampingPreset(levels, table)
+        DirectDampingPreset.separable_linear(levels, table)
         accepted = True
     except ConfigError:
         accepted = False
