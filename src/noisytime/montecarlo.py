@@ -5,12 +5,13 @@ at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
 initial state is factored once, rho = V G G^dagger V^dagger in the energy
 basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
 with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
-rotations.  B is linear in the phases c = exp(-i chi),
-B_ia = sum_k c_k W[k, (i, a)] with the fixed map W[k, (i, a)] = V_ik G_ka
-built once per run, so the factors of all N samples of a slab are the rows
-of one product of their (N, d) phases with W; numpy's OpenBLAS is held at
-one thread meanwhile (``operators._single_threaded_blas``), so the workers
-are the run's only parallelism.  A chunk of trajectories keeps only its chi
+rotations.  B is linear in the level phases c = exp(-i chi),
+B_ia = sum_l c_l W[l, i, a] with the fixed map W[l, i, a] the sum of
+V_ik G_ka over the basis vectors k of level l, built once per run, so the
+factors of all N samples of a slab are the rows of one product of their
+(N, m) level phases with W; numpy's OpenBLAS is held at one thread
+meanwhile (``operators._single_threaded_blas``), so the workers are the
+run's only parallelism.  A chunk of trajectories keeps only its chi
 paths; it is processed in time slabs sized to stay in cache, the same
 slabs in every chunk, each slab forming the phases exp(-i chi) of its own
 time points, and the per-entry mean and two-pass variance of a slab are
@@ -21,13 +22,12 @@ the work inside each: first its chi paths, drawn into the run's one chi
 array in at most one task per worker, each a contiguous run of whole RNG
 blocks, then its time slabs, each formed in one of the run's slab
 workspaces, allocated once per run: three buffers whose largest also holds
-the slab's phases before its sample states.  The first chunk forms its
-statistics in the run's totals; a later chunk forms each slab's in a
-workspace and folds them into the totals in place.  A chunk starts once
-every slab of the one before it has folded, so each slab of the totals has
-one writer at a time, no task waits on another, no chunk holds statistics
-of the whole grid, no slab is copied, and every entry is folded in chunk
-order.
+the slab's phases before its sample states.  Every chunk forms each slab's
+statistics in a workspace and folds them in place into the totals, which
+start at zero.  A chunk starts once every slab of the one before it has
+folded, so each slab of the totals has one writer at a time, no task waits
+on another, no chunk holds statistics of the whole grid, no slab is copied,
+and every entry is folded in chunk order.
 The folded mean and squared deviations then take their lower triangle from
 the upper one and a diagonal with imaginary part +0, so the mean is
 Hermitian and the standard errors are symmetric, to the bit.  Chunk
@@ -109,10 +109,17 @@ def _state_factor(rho_e: np.ndarray) -> np.ndarray:
     return _rank_factor(*np.linalg.eigh(rho_e))
 
 
-def _factor_map(vectors: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """The (d, d r) map W[k, (i, a)] = V_ik G_ka: phases c give B = V (c o G) as c W."""
-    dim, rank = factor.shape
-    return (vectors.T[:, :, None] * factor[:, None, :]).reshape(dim, dim * rank)
+def _factor_map(decomposition: SpectralDecomposition, factor: np.ndarray) -> np.ndarray:
+    """The (m, d, r) map W[l, i, a], the sum of V_ik G_ka over the basis
+    vectors k of level l: level phases c give B = V (c[level_index] o G) as c W.
+
+    A level's basis vectors are contiguous (``eigendecompose``), so W is a
+    ``reduceat`` over the per-vector map; a level of one vector copies its
+    row, so with one vector per level W is the per-vector map, bit for bit.
+    """
+    per_vector = decomposition.eigenvectors.T[:, :, None] * factor[:, None, :]
+    starts = np.searchsorted(decomposition.level_index, np.arange(decomposition.num_levels))
+    return np.add.reduceat(per_vector, starts, axis=0)
 
 
 class _Workspace:
@@ -123,11 +130,9 @@ class _Workspace:
     ``SLAB_ELEMENT_BUDGET`` of sample-state entries (``run_ensemble``).
     Three buffers serve ``_slab_phases`` and ``_sample_states``:
     ``factors`` and ``conj_factors`` (d r complex entries per sample point)
-    and ``states`` (max(d d, 2 d)).  The ``phases`` (d complex entries per
-    sample point) and ``angles`` (d floats) are views into the first and
-    second d entries per sample point of ``states``: both are dead before
-    the Gram product writes the states, and 2 d entries per sample also fit
-    d = 1.  Two more hold the slab's
+    and ``states`` (d d), whose leading entries also hold the slab's phases
+    (m <= d per sample point): they are dead before the Gram product writes
+    the states.  Two more hold the slab's
     ``mean`` (d d complex entries per point) and squared deviations ``m2``
     (2 d d floats).  A slab takes the leading part of each buffer it needs
     (``_leading``), so a partial slab or chunk reuses the same memory.
@@ -137,9 +142,7 @@ class _Workspace:
         samples = count * points
         self.factors = np.empty(samples * dim * rank, dtype=complex)
         self.conj_factors = np.empty_like(self.factors)
-        self.states = np.empty(samples * max(dim * dim, 2 * dim), dtype=complex)
-        self.phases = self.states[: samples * dim]
-        self.angles = self.states[samples * dim : 2 * samples * dim].view(float)[: samples * dim]
+        self.states = np.empty(samples * dim * dim, dtype=complex)
         self.mean = np.empty(points * dim * dim, dtype=complex)
         self.m2 = np.empty(points * dim * 2 * dim)
 
@@ -149,10 +152,11 @@ def _merge(
 ) -> None:
     """Fold a chunk's slab statistics into the totals of the chunks before it, in place.
 
-    ``mean`` and ``m2`` hold the totals over n_a trajectories; ``delta`` and
-    ``square`` arrive holding the chunk's own mean and squared deviations
-    over n - n_a and are overwritten.  The order of these operations is
-    part of the determinism contract, so keep it a plain pairwise update:
+    ``mean`` and ``m2`` hold the totals over n_a trajectories, zero before
+    the first chunk (n_a = 0); ``delta`` and ``square`` arrive holding the
+    chunk's own mean and squared deviations over n - n_a and are
+    overwritten.  The order of these operations is part of the determinism
+    contract, so keep it a plain pairwise update:
     m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and mean = mean_a + delta n_b / n
     with delta = mean_b - mean_a.
     """
@@ -172,46 +176,38 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _slab_phases(
-    chi: np.ndarray, level_index: np.ndarray | None, work: _Workspace
-) -> np.ndarray:
-    """exp(-i chi) per basis vector for level phases chi of shape (..., m).
+def _slab_phases(chi: np.ndarray, work: _Workspace) -> np.ndarray:
+    """exp(-i chi) for level phases chi of shape (..., m), read in place.
 
-    The angles are gathered by ``level_index`` into ``work`` and written as
-    cos and -sin into one complex array of shape (..., d), also in ``work``.
-    A ``level_index`` of None stands for one basis vector per level, in
-    order (m = d): the angles are then ``chi`` itself, read in place.
+    Written as cos and -sin into the leading entries of ``work.states``.
     """
-    if level_index is None:
-        angles = chi
-    else:
-        angles = _leading(work.angles, chi.shape[:-1] + level_index.shape)
-        np.take(chi, level_index, axis=-1, out=angles, mode="clip")
-    phases = _leading(work.phases, angles.shape)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
+    phases = _leading(work.states, chi.shape)
+    np.cos(chi, out=phases.real)
+    np.sin(chi, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
     return phases
 
 
 def _sample_states(weights: np.ndarray, phases: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Sample states B B^dagger with B = V (phases o G), for phases of shape (..., d).
+    """Sample states B B^dagger with B = V (phases[level_index] o G), for
+    level phases of shape (..., m).
 
-    This is V ((c c^dagger) o rho_e) V^dagger with c = phases and
-    rho_e = G G^dagger, computed from the d x r factor instead.  ``weights``
-    is W = ``_factor_map(V, G)``, so the factors of all N samples are the
-    rows of one (N, d) x (d, d r) product, sample n's B_n being row n read
-    as a (d, r) matrix; the Gram product B B^dagger is taken one sample at a
-    time.  Every array is a view into ``work``, so the result is
-    overwritten by the next call on it, and the states overwrite
-    ``phases`` when they are ``work``'s own (``_slab_phases``): read them
-    before the call, or pass a copy.
+    This is V ((c c^dagger) o rho_e) V^dagger with c the phases of the
+    basis vectors and rho_e = G G^dagger, computed from the d x r factor
+    instead.  ``weights`` is the (m, d, r) W = ``_factor_map``, so the
+    factors of all N samples are the rows of one (N, m) x (m, d r) product,
+    sample n's B_n being row n read as a (d, r) matrix; the Gram product
+    B B^dagger is taken one sample at a time.  Every array is a view into
+    ``work``, so the result is overwritten by the next call on it, and the
+    states overwrite ``phases`` when they are ``work``'s own
+    (``_slab_phases``): read them before the call, or pass a copy.
     """
-    dim = phases.shape[-1]
-    rank = weights.shape[1] // dim
+    levels, dim, rank = weights.shape
     samples = math.prod(phases.shape[:-1])
     b = _leading(work.factors, (samples, dim, rank))
-    np.matmul(phases.reshape(samples, dim), weights, out=b.reshape(samples, -1))
+    np.matmul(
+        phases.reshape(samples, levels), weights.reshape(levels, -1), out=b.reshape(samples, -1)
+    )
     b_conj = _leading(work.conj_factors, (samples, dim, rank))
     np.conjugate(b, out=b_conj)
     states = _leading(work.states, (samples, dim, dim))
@@ -257,10 +253,10 @@ def run_ensemble(
 
     The energy-basis state is factored once as G G^dagger (G is d x r, r the
     numerical rank), and every sample state U rho U^dagger is formed as
-    B B^dagger with B = V (exp(-i chi) o G); the B of a slab's samples are
-    the rows of one product of its phases with ``_factor_map(V, G)``, built
-    once per call.  Trajectories are processed in chunks
-    (``_chunk_size``: at most ``MAX_CHUNK``, within
+    B B^dagger with B = V (exp(-i chi)[level_index] o G); the B of a slab's
+    samples are the rows of one product of its level phases with
+    ``_factor_map``, built once per call.  Trajectories are processed in
+    chunks (``_chunk_size``: at most ``MAX_CHUNK``, within
     ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
     ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks), one after
     another.  A chunk holds only its chi paths, drawn into the run's chi
@@ -279,11 +275,11 @@ def run_ensemble(
     and do not shrink).  Each slab forms the phases and sample states of
     its own time points and takes its mean and sum of squared deviations in
     place, the squares of the real and imaginary parts side by side: the
-    float view of a (T, d, d) complex stack.  The first chunk forms them in
-    the run's totals, a later one in a workspace, and folds each slab into
-    the totals in place (``_merge``: the pairwise mean and variance update,
-    with the chunk's own slab arrays holding the mean difference and its
-    squares).
+    float view of a (T, d, d) complex stack.  Every chunk forms them in a
+    workspace and folds each slab in place into the totals, which start at
+    zero (``_merge``: the pairwise mean and variance update, with the
+    chunk's own slab arrays holding the mean difference and its squares;
+    at the first chunk it adds to zero, scales by 1 and adds a zero term).
     The workers share each chunk's tasks, and a chunk's draw starts once
     every slab of the chunk before it has folded, so each slab of the totals
     has one writer at a time and is folded in chunk order, no task waits on
@@ -308,13 +304,11 @@ def run_ensemble(
     and the accumulated (T, d, d) mean and (T, d, 2d) squared deviations,
     which become the result's mean and standard errors.  Each workspace
     holds three buffers of the largest slab of the run, the factors B,
-    conj(B) and the states, the phases and the angles gathered for them
-    being views into the states buffer, and that slab's mean and squared
-    deviations, so the chunks and slabs reuse them.  Where every level has
-    one basis vector, in order, the angles are the chi slab itself and
-    nothing is gathered (``_slab_phases``).  No chunk allocates statistics
-    of the whole grid, and the fold allocates nothing, whatever the
-    workers' timing.
+    conj(B) and the states, whose leading entries hold the phases that
+    ``_slab_phases`` forms from the chi slab in place, and that slab's mean
+    and squared deviations, so the chunks and slabs reuse them.  No chunk
+    allocates statistics of the whole grid, and the fold allocates nothing,
+    whatever the workers' timing.
 
     ``n_traj`` must be at least 2, the fewest that give standard errors
     (else ValueError).  The grid must be finite, hold two or more points,
@@ -339,11 +333,7 @@ def run_ensemble(
     rho = state_matrix(rho0, decomposition.dim)
 
     state_factor = _state_factor(to_energy_basis(rho, decomposition))
-    weights = _factor_map(decomposition.eigenvectors, state_factor)
-    # One basis vector per level, in order: the phases' angles are chi itself.
-    idx = decomposition.level_index
-    if np.array_equal(idx, np.arange(decomposition.dim)):
-        idx = None
+    weights = _factor_map(decomposition, state_factor)
     num_points, dim = field.grid.size, decomposition.dim
 
     chunk = _chunk_size(num_points, dim)
@@ -355,8 +345,8 @@ def run_ensemble(
     per_point = first * dim * dim
     spaces = min(n_workers, len(_time_slabs(num_points, per_point)))
     slabs = _time_slabs(num_points, per_point * spaces)
-    mean = np.empty((num_points, dim, dim), dtype=complex)
-    m2 = np.empty((num_points, dim, 2 * dim))
+    mean = np.zeros((num_points, dim, dim), dtype=complex)
+    m2 = np.zeros((num_points, dim, 2 * dim))
     chi = np.empty((first, num_points, field.levels.size))
     free = queue.SimpleQueue()
     for _ in range(spaces):
@@ -369,21 +359,15 @@ def run_ensemble(
     def fold(slab: slice) -> None:
         work = free.get()
         try:
-            phases = _slab_phases(chi[:count, slab], idx, work)
-            states = _sample_states(weights, phases, work)
-            # Chunk 0 forms its statistics in the totals themselves.
-            if start:
-                size = slab.stop - slab.start
-                slab_mean = _leading(work.mean, (size, dim, dim))
-                slab_m2 = _leading(work.m2, (size, dim, 2 * dim))
-            else:
-                slab_mean, slab_m2 = mean[slab], m2[slab]
+            states = _sample_states(weights, _slab_phases(chi[:count, slab], work), work)
+            size = slab.stop - slab.start
+            slab_mean = _leading(work.mean, (size, dim, dim))
+            slab_m2 = _leading(work.m2, (size, dim, 2 * dim))
             states -= np.mean(states, axis=0, out=slab_mean)
             flat = states.view(float)
             np.square(flat, out=flat)
             np.sum(flat, axis=0, out=slab_m2)
-            if start:
-                _merge(mean[slab], m2[slab], slab_mean, slab_m2, start, start + count)
+            _merge(mean[slab], m2[slab], slab_mean, slab_m2, start, start + count)
         finally:
             free.put(work)
 

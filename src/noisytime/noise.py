@@ -336,12 +336,16 @@ class DirectDampingPreset(_Preset):
         asym = float(np.max(np.abs(arr - arr.T)))
         if asym > 1e-12:
             raise KernelAsymmetric(f"damping table asymmetric by {asym:.3e}")
-        arr = 0.5 * (arr + arr.T)
+        with np.errstate(over="ignore"):
+            arr = 0.5 * (arr + arr.T)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError("noise.direct_lambda.table", "entries overflow when symmetrized")
         if float(np.min(np.diag(arr))) < 0:
             raise ConfigError("noise.direct_lambda.table", "diagonal rates must be >= 0")
         centering = np.eye(m) - 1.0 / m
         gram = np.linalg.eigvalsh(-0.5 * centering @ arr @ centering)
-        if gram[0] < PSD_EIG_FLOOR * np.max(np.abs(arr)):
+        # A NaN eigenvalue fails too.
+        if not gram[0] >= PSD_EIG_FLOOR * np.max(np.abs(arr)):
             raise ConfigError(
                 "noise.direct_lambda.table",
                 f"not completely positive at small t: -J D J / 2 has eigenvalue {gram[0]:.3e}",

@@ -643,6 +643,20 @@ class TestTableThatIsNotCompletelyPositive:
         assert not out.exists()
 
 
+class TestTableThatOverflowsWhenSymmetrized:
+    def test_evolve_exits_2(self, scenario_yaml, tmp_path, capsys):
+        # each entry is finite, but 0.5 (D + D^T) overflows, and the run
+        # would write non-finite states
+        config = scenario_yaml(
+            "dissipative_direct", **{"noise.direct_lambda.table": [[0.0, 1e308], [1e308, 0.0]]}
+        )
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: noise.direct_lambda.table: entries overflow" in err
+        assert not out.exists()
+
+
 class TestBlasPin:
     """cli.main runs each handler with numpy's OpenBLAS on one thread."""
 

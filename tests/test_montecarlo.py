@@ -42,6 +42,7 @@ from noisytime.montecarlo import (
 from noisytime.noise import RNG_BLOCK
 from noisytime.operators import _time_slabs, to_energy_basis
 from noisytime.results import EvolutionResult
+from noisytime.verify import _rotated
 
 
 def _random_case(rng, dim, rank, degenerate):
@@ -121,25 +122,29 @@ class TestStateFactor:
             chi = rng.normal(scale=3.0, size=(5, dec.num_levels))
             work = _Workspace(1, dim, rank, 5)
             # a copy: the sample states overwrite the workspace's phases
-            phases = _slab_phases(chi, dec.level_index, work).copy()
-            assert np.max(np.abs(phases - np.exp(-1j * chi)[:, dec.level_index])) < 1e-15
-            states = _sample_states(_factor_map(dec.eigenvectors, factor), phases, work)
+            phases = _slab_phases(chi, work).copy()
+            assert np.max(np.abs(phases - np.exp(-1j * chi))) < 1e-15
+            states = _sample_states(_factor_map(dec, factor), phases, work)
             for c, state, levels_chi in zip(phases, states, chi):
-                assert np.max(np.abs(state - _dense_sample(dec, rho_e, c))) < 1e-13
+                dense = _dense_sample(dec, rho_e, c[dec.level_index])
+                assert np.max(np.abs(state - dense)) < 1e-13
                 u = unitary_from_phases(dec, levels_chi)
                 assert np.max(np.abs(state - u @ rho.matrix @ u.conj().T)) < 1e-13
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_phases_read_in_place_keep_the_bits(self, dim):
-        # one basis vector per level: the phases of a time slab of a chi
-        # array, its angles read in place, are those of the gathered angles
-        chi = np.random.default_rng(dim).normal(scale=3.0, size=(70, 9, dim))
-        slab = chi[:64, 3:7]
-        work = _Workspace(4, dim, 1, 64)
-        gathered = _slab_phases(slab, np.arange(dim), work).copy()
-        in_place = _slab_phases(slab, None, work)
-        assert in_place.shape == gathered.shape == (64, 4, dim)
-        assert in_place.tobytes() == gathered.tobytes()
+        # one basis vector per level: the level map is the per-vector map
+        # W[k, i, a] = V_ik G_ka bit for bit, so the level phases, read from
+        # the chi slab in place, meet the products per-vector phases met
+        rng = np.random.default_rng(dim)
+        for rank in sorted({1, dim}):
+            dec, rho = _random_case(rng, dim, rank, degenerate=False)
+            assert dec.num_levels == dim
+            factor = _state_factor(to_energy_basis(rho.matrix, dec))
+            per_vector = dec.eigenvectors.T[:, :, None] * factor[:, None, :]
+            level_map = _factor_map(dec, factor)
+            assert level_map.shape == per_vector.shape == (dim, dim, rank)
+            assert level_map.tobytes() == per_vector.tobytes()
 
     @pytest.mark.parametrize(
         "name", ["correlated_tau", "global_dephasing", "nonmarkovian_piecewise"]
@@ -173,13 +178,11 @@ class TestGroupedProduct:
         grid = np.linspace(0, 1.2, 5)
         model = correlated_model(0.7, 0.8)
         n_traj = 130
-        out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=2)
         serial = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=1)
-        for got, want in (
-            (out.mean, serial.mean),
-            (out.stderr, serial.stderr),
-        ):
-            assert got.tobytes() == want.tobytes()
+        for workers in (2, 3):
+            out = run_ensemble(dec, model, rho0, grid, n_traj=n_traj, seed=5, n_workers=workers)
+            for name in ("mean", "stderr"):
+                assert getattr(out, name).tobytes() == getattr(serial, name).tobytes()
         paths = sample_chi_paths(model, dec.levels, grid, seed=5, n_traj=n_traj).paths
         states = _per_sample_reference(dec, rho0, paths)
         assert np.max(np.abs(out.mean - states.mean(axis=0))) < 1e-14
@@ -187,14 +190,37 @@ class TestGroupedProduct:
             expected = part.std(axis=0, ddof=1) / np.sqrt(n_traj)
             assert np.allclose(stderr, expected, rtol=1e-10, atol=1e-15)
 
+    def test_every_vector_of_a_level_counts(self, monkeypatch):
+        # levels in equal pairs under a fixed complex rotation: a map that
+        # keeps only the first basis vector of each level drops half of
+        # every sample state, and the z-test must see it
+        _, dec, rho0 = _rotated([0.0, 0.0, 1.1, 1.1])
+        assert dec.num_levels == 2
+        grid = np.linspace(0, 2, 11)
+        model = dephasing_model(0.5)
+        analytic = averaged_trajectory(dec, model, rho0, grid)
+
+        def first_vector_only(decomposition, factor):
+            starts = np.searchsorted(decomposition.level_index, range(decomposition.num_levels))
+            return (decomposition.eigenvectors.T[:, :, None] * factor[:, None, :])[starts]
+
+        def z_test():
+            ensemble = run_ensemble(dec, model, rho0, grid, n_traj=2000, seed=17, n_workers=2)
+            return compare_to_analytic(ensemble, analytic).passed
+
+        assert z_test()
+        monkeypatch.setattr(montecarlo, "_factor_map", first_vector_only)
+        assert not z_test()
+
 
 def _reference_sample_states(weights, phases):
     """``_sample_states`` without the workspace: fresh temporaries for every
     call, the same products in the same layouts.  Row n of the product of
-    the (N, d) phases with W = ``_factor_map(V, G)`` is B_n = V (c_n o G),
-    read as a (d, r) matrix."""
-    dim = phases.shape[-1]
-    b = (phases.reshape(-1, dim) @ weights).reshape(phases.shape[:-1] + (dim, -1))
+    the (N, m) level phases with the (m, d r) W = ``_factor_map`` is
+    B_n = V (c_n[level_index] o G), read as a (d, r) matrix."""
+    levels, dim, rank = weights.shape
+    b = phases.reshape(-1, levels) @ weights.reshape(levels, -1)
+    b = b.reshape(phases.shape[:-1] + (dim, rank))
     return b @ np.swapaxes(b.conj(), -1, -2)
 
 
@@ -237,18 +263,17 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (3, 2), (8, 8)])
     def test_three_buffers(self, dim, rank):
-        # the phases and their angles are dead before the Gram product
-        # writes the states, so they live in the states buffer, apart
+        # the phases, at most d per sample, are dead before the Gram product
+        # writes the states, so they live in the states buffer
         work = _Workspace(5, dim, rank, 64)
-        assert np.shares_memory(work.phases, work.states)
-        assert np.shares_memory(work.angles, work.states)
-        assert not np.shares_memory(work.angles, work.phases)
-        assert work.phases.size == work.angles.size == 5 * 64 * dim
-        owners = [a for a in vars(work).values() if a.base is None]
-        assert [a.size for a in owners] == [
+        phases = _slab_phases(np.zeros((64, 5, dim)), work)
+        assert np.shares_memory(phases, work.states)
+        buffers = list(vars(work).values())
+        assert all(a.base is None for a in buffers)
+        assert [a.size for a in buffers] == [
             5 * 64 * dim * rank,
             5 * 64 * dim * rank,
-            5 * 64 * max(dim * dim, 2 * dim),
+            5 * 64 * dim * dim,
             5 * dim * dim,
             5 * dim * 2 * dim,
         ]
@@ -633,19 +658,17 @@ class TestInPlaceFold:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 8])
     def test_matches_reduce_reference(self, monkeypatch, dim, workers):
-        # against reduce(_merge_stats) over the same chunks' statistics, as
-        # _merge receives them: chunk c's under the trajectory count of the
-        # chunks before it, and at chunk 1 the totals are still chunk 0's
-        # own; each recorded by its slab's start, whatever order the
-        # workers merge the slabs of a chunk in
+        # against reduce(_merge_stats) from zero totals over the same
+        # chunks' statistics, as _merge receives them: chunk c's under the
+        # trajectory count of the chunks before it, chunk 0's under 0; each
+        # recorded by its slab's start, whatever order the workers merge the
+        # slabs of a chunk in
         chunk = 2 * RNG_BLOCK
         recorded = {}
         merge = montecarlo._merge
 
         def recording(mean, m2, delta, square, n_a, n):
             start = _slab_start(mean)
-            if n_a == chunk:
-                recorded.setdefault(0, {})[start] = (n_a, mean.copy(), m2.copy())
             recorded.setdefault(n_a, {})[start] = (n - n_a, delta.copy(), square.copy())
             merge(mean, m2, delta, square, n_a, n)
 
@@ -670,7 +693,9 @@ class TestInPlaceFold:
             assert len(mean) == grid.size
             chunks.append((count, mean, m2[..., 0::2].copy(), m2[..., 1::2].copy()))
         assert [count for count, *_ in chunks] == [chunk] * 3 + [37]
-        n, mean, m2_re, m2_im = reduce(_merge_stats, chunks)
+        zero = np.zeros_like(chunks[0][2])
+        totals = (0, np.zeros_like(chunks[0][1]), zero, zero)
+        n, mean, m2_re, m2_im = reduce(_merge_stats, chunks, totals)
         assert n == out.n_traj == n_traj
         _mirror_lower(mean, m2_re, m2_im)
         assert out.mean.tobytes() == mean.tobytes()
@@ -819,7 +844,7 @@ class TestInPlaceFold:
                 tracemalloc.stop()
             assert len(built) == 2 and len(chis) == 1
             (chi,) = chis.values()
-            # each buffer once: the phases and angles are views into the states
+            # each buffer once: the phases live in the states buffer
             workspace = sum(a.nbytes for a in vars(built[0]).values() if a.base is None)
             statistics = out.mean.nbytes + out.stderr.nbytes
             assert statistics > chi + workspace

@@ -211,11 +211,15 @@ class TestDirectDamping:
             [[0.0, np.nan], [np.nan, 0.0]],
             [[np.inf, 0.5], [0.5, 0.0]],
             [[0.0, np.inf], [np.inf, 0.0]],
+            [[0.0, 1e308], [1e308, 0.0]],
+            [[1e308, 1.5e308], [1.5e308, 1e308]],
         ],
-        ids=["nan", "inf-diagonal", "inf-pair"],
+        ids=["nan", "inf-diagonal", "inf-pair", "overflow-pair", "overflow-every-entry"],
     )
     def test_non_finite_table_rejected(self, table):
-        # NaN - NaN and inf - inf pass a `> tol` symmetry test as NaN
+        # NaN - NaN and inf - inf pass a `> tol` symmetry test as NaN, and
+        # finite entries whose sum overflows are inf once symmetrized, which
+        # makes -J D J / 2 NaN
         with pytest.raises(ConfigError, match="noise.direct_lambda.table"):
             direct_damping_model([0.0, 1.0], table)
 
