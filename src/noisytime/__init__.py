@@ -24,7 +24,6 @@ from .errors import (
     NotPositive,
     StepTooLarge,
     TraceNotOne,
-    WeightsNotNormalized,
 )
 from .operators import DensityMatrix, HermitianOperator, eigendecompose
 from .noise import (
@@ -42,15 +41,10 @@ from .noise import (
     sample_chi_paths,
     sample_phase_differences,
 )
-from .propagator import (
-    averaged_state,
-    averaged_trajectory,
-    semigroup_defect,
-    time_averaged_state,
-)
+from .propagator import averaged_state, averaged_trajectory, semigroup_defect
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .metrics import energy_expectation, trace_distance
+from .metrics import energy_expectation
 from .verify import BUNDLED_SCENARIOS, bundled_scenario_text
 
 __version__ = "0.1.0"
@@ -64,7 +58,6 @@ __all__ = [
     "DimensionMismatch",
     "KernelNotPSD",
     "KernelAsymmetric",
-    "WeightsNotNormalized",
     "StepTooLarge",
     "GridMismatch",
     "ConfigError",
@@ -90,7 +83,6 @@ __all__ = [
     # propagator
     "averaged_state",
     "averaged_trajectory",
-    "time_averaged_state",
     "semigroup_defect",
     # generator
     "build_generator",
@@ -101,7 +93,6 @@ __all__ = [
     "compare_to_analytic",
     # metrics
     "energy_expectation",
-    "trace_distance",
     # verify
     "BUNDLED_SCENARIOS",
     "bundled_scenario_text",

@@ -13,21 +13,9 @@ Exit codes: 0 success, 1 a verification or statistical comparison failed,
 
 Trajectory tables are CSV, reports are strict JSON (a number that is not
 finite is written as null); the ``outputs.formats`` list in the scenario
-selects which of the two families is written.  Every file is
-written to ``<name>.tmp`` and renamed into place, so a crash never leaves a
-half-written table behind; a write that fails removes its temporary file.
-The four trajectory tables (analytic.csv, me.csv, mc_mean.csv, and
-mc_stderr.csv from the ensemble's complex standard-error stack) have one
-writer.  They are formatted and written one row at a time from blocks of
-rows, each block's float table built from a slice of the (T, d, d) stack, so
-neither a whole table nor a block is ever held as text; the blocks are the
-time slabs of every pass over a trajectory (``operators._time_slabs``),
-about ``operators.SLAB_ELEMENT_BUDGET`` values each.  A row whose lower
-triangle mirrors its upper one by the routes' own rule (entry (l, k) is
-(Re S_kl, 0 - Im S_kl), a standard error its mirror's) formats its diagonal
-and upper triangle and copies the mirrors' texts; any other row formats
-every value.  The bytes are those of formatting every value of the whole
-table at once.
+selects which of the two families is written.  Every file is written to
+``<name>.tmp`` and renamed into place, so a crash never leaves a
+half-written table behind.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import lambda_pair, moment_report
+from .noise import LambdaKernel, lambda_pair, moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
@@ -125,20 +113,20 @@ def _trajectory_csv(
 
     A row holds t, the real and imaginary parts of each entry (k, l) of the
     (T, d, d) complex ``stack`` at t and, given ``metrics``, the row's
-    ``METRIC_COLUMNS``.  The header line comes first, then one line per
-    row, each block of rows put in a float table of its own, the blocks
-    being ``operators._time_slabs`` at one value per column.  A row mirrors
-    when every lower-triangle value is its mirror's (``_mirror_columns``),
-    or 0 - x of its mirror's x for the imaginary parts where
-    ``flip_imaginary``, sign of zero included: the rule by which every route
-    writes its lower triangle, a state's with the flip and a standard
-    error's without.  Such a row formats its other
-    columns and copies the mirrors' texts, a negated one as ``-`` toggled
-    and ``0`` and ``-0`` as ``0``; any other row formats every value.
-    Formatting is the cost of writing, and a Hermitian table formats only
-    its diagonal and upper triangle; the bytes are those of formatting every
-    value.
+    ``METRIC_COLUMNS``; the header line comes first.  ``flip_imaginary``
+    says how a Hermitian row's lower triangle mirrors its upper one: a
+    state's imaginary parts negated, a standard error's not.  The bytes are
+    those of formatting every value of the whole table at once.
     """
+    # Neither a whole table nor a block of rows is held as text: each block
+    # of rows (``_time_slabs`` at one value per column) is put in a float
+    # table of its own and written a row at a time.  Formatting is the cost
+    # of writing, so a row whose every lower-triangle value is its mirror's,
+    # or 0 - x of its mirror's x where flipped, sign of zero included (the
+    # rule by which every route writes its lower triangle), formats its
+    # other columns and copies the mirrors' texts, a negated one as ``-``
+    # toggled and ``0`` and ``-0`` as ``0``.  Any other row formats every
+    # value.
     num_rows, dim = stack.shape[:2]
     keys = METRIC_COLUMNS if metrics is not None else ()
     columns = ["t"] + _entry_columns(dim) + list(keys)
@@ -197,9 +185,32 @@ def _out_dir(config: ScenarioConfig) -> Path:
     return Path(config.out_dir)
 
 
+def _decomposition(config: ScenarioConfig):
+    """The scenario's spectral decomposition, once lambda(t_end) is finite on its levels.
+
+    lambda(t) = S(t) E grows with t, so a model that overflows anywhere on
+    the grid overflows at t_end, and the run would write NaN or fail there.
+    Such a model raises ConfigError naming the table, sigma_theta where the
+    level form E overflows, or else sigma_time.
+    """
+    decomposition = config.decomposition()
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = LambdaKernel(config.noise, decomposition.levels)
+        finite = np.all(np.isfinite(kernel.lambda_matrix(config.t_end)))
+    if not finite:
+        if config.noise.direct_lambda is not None:
+            field = "noise.direct_lambda.table"
+        elif np.all(np.isfinite(kernel.form)):
+            field = "noise.sigma_time"
+        else:
+            field = "noise.sigma_theta"
+        raise ConfigError(field, "lambda(t) overflows a float on the scenario's levels and grid")
+    return decomposition
+
+
 def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     """Exact elementwise evolution on the scenario grid."""
-    decomposition = config.decomposition()
+    decomposition = _decomposition(config)
     result = averaged_trajectory(
         decomposition, config.noise, config.initial_state, config.times()
     )
@@ -216,7 +227,7 @@ def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
     One builder takes every time-independent model; a time-dependent
     sigma_time raises ConfigError naming noise.sigma_time.
     """
-    decomposition = config.decomposition()
+    decomposition = _decomposition(config)
     generator = build_generator(decomposition, config.noise)
     grid = config.times()
     result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
@@ -246,7 +257,7 @@ def _check_ensemble(config: ScenarioConfig, command: str) -> None:
 def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path]]:
     """Monte Carlo ensemble, cross-checked against the analytic route."""
     _check_ensemble(config, "sample")
-    decomposition = config.decomposition()
+    decomposition = _decomposition(config)
     grid = config.times()
     ensemble = run_ensemble(
         decomposition,

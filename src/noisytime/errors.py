@@ -56,10 +56,6 @@ class KernelAsymmetric(NoisytimeError):
     """Damping-rate table is not symmetric."""
 
 
-class WeightsNotNormalized(NoisytimeError):
-    """Time-average weights do not integrate to one within tolerance."""
-
-
 class StepTooLarge(NoisytimeError):
     """ODE step produced a local error estimate above the allowed bound, or the
     grid would need more substeps than the integrator allows."""

@@ -140,27 +140,24 @@ def integrate(
 ) -> EvolutionResult:
     """Runge-Kutta integration of the elementwise master equation.
 
-    The equation is exactly solvable entry by entry; RK4 is kept so the
-    integrator can be validated against that exact solution.  Each grid
-    interval is subdivided to n substeps of at most 0.01 / max|rates| (or
-    ``max_step`` if given; +inf means one per interval).  On y' = r * y one
-    RK4 step of size h is exactly y <- P(h r) * y, P the RK4 amplification
-    polynomial, so an interval advances by P(h r / 2)^(2 n): two half steps
-    per substep, the halved result kept.  The step-doubling estimate
-    max |P(h r) - P(h r / 2)^2| |y| of every substep is checked in closed
-    form.  A grid that would need more than ``MAX_SUBSTEPS`` substeps in
-    total raises StepTooLarge before the first step.  The factors, their
-    cumulative products, the states and the estimates are formed one slab of
-    intervals at a time (``operators._time_slabs``), written into the
-    returned array, so no other (T, d, d) array is built; the first slab
-    whose estimate fails raises StepTooLarge.
-
-    The grid must be finite, hold two or more points, start at 0 and increase
-    strictly (else GridMismatch); a raw ``rho0`` must be a valid state.
-    ``decomposition`` rotates in and out of the energy basis, where the
-    equation is elementwise.  Every returned state S is replaced by
-    its Hermitian part (S + S^dagger) / 2, so it is Hermitian to the bit.
+    Each grid interval is subdivided into substeps of at most
+    0.01 / max|rates|, or ``max_step`` if given (+inf means one per
+    interval), and the step-doubling error estimate of every substep must
+    stay within ``LOCAL_ERROR_LIMIT`` (else StepTooLarge).  A grid that would
+    need more than ``MAX_SUBSTEPS`` substeps in total raises StepTooLarge
+    before the first step.  The grid must be finite, hold two or more
+    points, start at 0 and increase strictly (else GridMismatch); a raw
+    ``rho0`` must be a valid state.  ``decomposition`` rotates in and out of
+    the energy basis, where the equation is elementwise.  Every returned
+    state is Hermitian to the bit, and no (T, d, d) array is built besides
+    the result.
     """
+    # The equation is exactly solvable entry by entry; RK4 is kept so the
+    # integrator can be checked against that exact solution.  On y' = r y
+    # one RK4 step of size h is exactly y <- P(h r) y, P the amplification
+    # polynomial, so an interval of n substeps advances by P(h r / 2)^(2 n):
+    # two half steps per substep, the halved result kept, and the estimate
+    # max |P(h r) - P(h r / 2)^2| |y| is checked in closed form.
     grid_arr = time_grid(grid)
     if max_step is not None and not (isinstance(max_step, numbers.Real) and max_step > 0):
         raise ValueError(f"max_step must be None or a number > 0, got {max_step!r}")

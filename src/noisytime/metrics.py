@@ -1,4 +1,4 @@
-"""State diagnostics: purity, coherence, energy, trace distance.
+"""State diagnostics: purity, coherence, energy.
 
 ``purity``, ``coherence_l1`` and ``energy_expectation`` also take a stack of
 states of shape (..., d, d) and then return an array of shape (...).
@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, to_energy_basis
 
-__all__ = ["purity", "coherence_l1", "energy_expectation", "trace_distance"]
+__all__ = ["purity", "coherence_l1", "energy_expectation"]
 
 
 def _matrix(state) -> np.ndarray:
@@ -53,12 +53,3 @@ def energy_expectation(state, hamiltonian):
         )
     return _scalar_or_array(np.trace(rho @ h, axis1=-2, axis2=-1).real)
 
-
-def trace_distance(state_a, state_b) -> float:
-    """Half the sum of absolute eigenvalues of the difference; in [0, 1]."""
-    a = _matrix(state_a)
-    b = _matrix(state_b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    eigvals = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.sum(np.abs(eigvals)))

@@ -1,45 +1,9 @@
 """Random-unitary ensemble sampling and statistical comparison.
 
-Each trajectory draws correlated phase paths chi_t(theta); its sample state
-at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.  The
-initial state is factored once, rho = V G G^dagger V^dagger in the energy
-basis (G is d x r, r the numerical rank), so a sample state is B B^dagger
-with B = V (exp(-i chi) o G): O(r d^2) per sample instead of two d x d basis
-rotations.  B is linear in the level phases c = exp(-i chi),
-B_ia = sum_l c_l W[l, i, a] with the fixed map W[l, i, a] the sum of
-V_ik G_ka over the basis vectors k of level l, built once per run, so the
-factors of all N samples of a slab are the rows of one product of their
-(N, m) level phases with W; numpy's OpenBLAS is held at one thread
-meanwhile (``operators._single_threaded_blas``), so the workers are the
-run's only parallelism.  A chunk of trajectories keeps only its chi
-paths; it is processed in time slabs sized to stay in cache, the same
-slabs in every chunk, each slab forming the phases exp(-i chi) of its own
-time points, and the per-entry mean and two-pass variance of a slab are
-taken in place.  The slab workspaces of a run share one cache budget, so
-more workers take smaller slabs and the run's slab memory does not grow
-with them.  The chunks run one after another, and the workers share
-the work inside each: first its chi paths, drawn into the run's one chi
-array in at most one task per worker, each a contiguous run of whole RNG
-blocks, then its time slabs, each formed in one of the run's slab
-workspaces, allocated once per run: three buffers whose largest also holds
-the slab's phases before its sample states.  Every chunk forms each slab's
-statistics in a workspace and folds them in place into the totals, which
-start at zero.  A chunk starts once every slab of the one before it has
-folded, so each slab of the totals has one writer at a time, no task waits
-on another, no chunk holds statistics of the whole grid, no slab is copied,
-and every entry is folded in chunk order.
-The folded mean and squared deviations then take their lower triangle from
-the upper one and a diagonal with imaginary part +0, so the mean is
-Hermitian and the standard errors are symmetric, to the bit.  Chunk
-boundaries depend only on array shapes, and every chunk is a whole number
-of RNG blocks (``noise.RNG_BLOCK`` trajectories that share one Philox
-stream keyed by (seed, block)).  Slab boundaries depend on the worker count
-too, but every statistic of a time point is summed over the chunk's samples
-in the same order whatever slab holds the point, so the result is
-byte-identical whether blocks and slabs are processed by one worker or
-many.
-The chi paths come from the run's one Brownian field, set up once before the
-chunks, so a trajectory's phases depend only on the seed and its index.
+Each trajectory draws correlated phase paths chi_t(theta), and its sample
+state at time t is U rho U^dagger with U = sum_k exp(-i chi_t(theta_k)) P_k.
+``run_ensemble`` accumulates the mean and standard errors of those states,
+and ``compare_to_analytic`` z-tests the mean against a reference trajectory.
 """
 
 from __future__ import annotations
@@ -73,18 +37,13 @@ __all__ = [
 
 # Most trajectories one chunk draws and folds at once: a whole number of blocks.
 MAX_CHUNK = 16 * RNG_BLOCK
-# Target for chunk * grid * dim * dim; the chunk size must be a function of
-# shapes only, never of worker count, so that accumulation order (and
-# therefore float output) is reproducible.  It is a multiple of RNG_BLOCK
-# (MAX_CHUNK is one), at least one block even where the budget asks for less.
-# chunk * grid * dim * dim counts a chunk's sample states over the whole
-# grid, which no array holds: slabs fold as they are formed (``run_ensemble``).
-# The one chunk-sized array is the run's chi array, chunk * grid * levels
-# floats, and levels <= dim, so the budget keeps it within
-# CHUNK_ELEMENT_BUDGET / dim floats.
-# The slabs that a run's workers form at once together hold about
-# SLAB_ELEMENT_BUDGET sample-state entries (count * slab * dim * dim each),
-# and a chunk is kept within it at one time point per slab.
+# Target for chunk * grid * dim * dim.  The chunk size is a function of
+# shapes only, never of the worker count, because the fold order, and so
+# every output bit, follows the chunks; it is a whole number of RNG blocks,
+# at least one.  No array holds a chunk's states over the whole grid, as
+# slabs fold as they are formed: the one chunk-sized array is the chi array,
+# chunk * grid * levels floats.  At one time point per slab a chunk also
+# stays within the SLAB_ELEMENT_BUDGET that a run's slab workspaces share.
 CHUNK_ELEMENT_BUDGET = 4_000_000
 
 Z_MAX = 4.0
@@ -101,48 +60,39 @@ def _chunk_size(num_points: int, dim: int) -> int:
 
 
 def _state_factor(rho_e: np.ndarray) -> np.ndarray:
-    """Factor G, shape (d, r), with G G^dagger = rho_e.
-
-    Keeps the eigenvalues above d * eps * lambda_max (``_rank_factor``), so
-    a pure state gives r = 1 and a full-rank state r = d.
-    """
+    """Factor G, shape (d, r), with G G^dagger = rho_e and r the numerical rank."""
     return _rank_factor(*np.linalg.eigh(rho_e))
 
 
 def _factor_map(decomposition: SpectralDecomposition, factor: np.ndarray) -> np.ndarray:
     """The (m, d, r) map W[l, i, a], the sum of V_ik G_ka over the basis
-    vectors k of level l: level phases c give B = V (c[level_index] o G) as c W.
-
-    A level's basis vectors are contiguous (``eigendecompose``), so W is a
-    ``reduceat`` over the per-vector map; a level of one vector copies its
-    row, so with one vector per level W is the per-vector map, bit for bit.
-    """
-    per_vector = decomposition.eigenvectors.T[:, :, None] * factor[:, None, :]
+    vectors k of level l: level phases c give B = V (c[level_index] o G) as c W."""
+    v, dim = decomposition.eigenvectors, decomposition.dim
+    weights = np.empty((decomposition.num_levels, dim, factor.shape[1]), dtype=complex)
+    # A level's basis vectors are contiguous (``eigendecompose``), and each
+    # level is reduced on its own terms: a (d, d, r) array of all of them
+    # would be a large block freed at once, which raises glibc's mmap
+    # threshold and, with it, the process peak of the rest of the run.
     starts = np.searchsorted(decomposition.level_index, np.arange(decomposition.num_levels))
-    return np.add.reduceat(per_vector, starts, axis=0)
+    for level, (start, stop) in enumerate(zip(starts, [*starts[1:], dim])):
+        terms = v.T[start:stop, :, None] * factor[start:stop, None, :]
+        np.add.reduceat(terms, [0], axis=0, out=weights[level : level + 1])
+    return weights
 
 
 class _Workspace:
-    """The slab buffers one worker reuses for every slab of a run.
-
-    Each holds a slab of at most ``points`` time points of ``count``
-    trajectories, a whole chunk; a run's workspaces share one
-    ``SLAB_ELEMENT_BUDGET`` of sample-state entries (``run_ensemble``).
-    Three buffers serve ``_slab_phases`` and ``_sample_states``:
-    ``factors`` and ``conj_factors`` (d r complex entries per sample point)
-    and ``states`` (d d), whose leading entries also hold the slab's phases
-    (m <= d per sample point): they are dead before the Gram product writes
-    the states.  Two more hold the slab's
-    ``mean`` (d d complex entries per point) and squared deviations ``m2``
-    (2 d d floats).  A slab takes the leading part of each buffer it needs
-    (``_leading``), so a partial slab or chunk reuses the same memory.
-    """
+    """The slab buffers one worker reuses for every slab of a run, each slab
+    taking the leading part of each buffer (``_leading``)."""
 
     def __init__(self, points: int, dim: int, rank: int, count: int):
         samples = count * points
+        # B and conj(B) of every sample of a slab.
         self.factors = np.empty(samples * dim * rank, dtype=complex)
         self.conj_factors = np.empty_like(self.factors)
+        # The sample states; their leading entries hold the slab's m <= d
+        # level phases first, which are dead before the Gram product.
         self.states = np.empty(samples * dim * dim, dtype=complex)
+        # The slab's mean and its squared deviations, re and im side by side.
         self.mean = np.empty(points * dim * dim, dtype=complex)
         self.m2 = np.empty(points * dim * 2 * dim)
 
@@ -152,14 +102,13 @@ def _merge(
 ) -> None:
     """Fold a chunk's slab statistics into the totals of the chunks before it, in place.
 
-    ``mean`` and ``m2`` hold the totals over n_a trajectories, zero before
-    the first chunk (n_a = 0); ``delta`` and ``square`` arrive holding the
-    chunk's own mean and squared deviations over n - n_a and are
-    overwritten.  The order of these operations is part of the determinism
-    contract, so keep it a plain pairwise update:
-    m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and mean = mean_a + delta n_b / n
-    with delta = mean_b - mean_a.
+    ``mean`` and ``m2`` hold the totals over n_a trajectories, zero when
+    n_a = 0; ``delta`` and ``square`` arrive holding the chunk's own mean and
+    squared deviations over n - n_a and are overwritten.
     """
+    # A plain pairwise update, in this order, which the output bits follow:
+    # m2 = (m2_a + m2_b) + delta^2 n_a n_b / n and mean = mean_a + delta n_b / n
+    # with delta = mean_b - mean_a.
     n_b = n - n_a
     delta -= mean
     m2 += square
@@ -177,10 +126,7 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _slab_phases(chi: np.ndarray, work: _Workspace) -> np.ndarray:
-    """exp(-i chi) for level phases chi of shape (..., m), read in place.
-
-    Written as cos and -sin into the leading entries of ``work.states``.
-    """
+    """exp(-i chi) for level phases chi of shape (..., m), in ``work.states``."""
     phases = _leading(work.states, chi.shape)
     np.cos(chi, out=phases.real)
     np.sin(chi, out=phases.imag)
@@ -189,19 +135,15 @@ def _slab_phases(chi: np.ndarray, work: _Workspace) -> np.ndarray:
 
 
 def _sample_states(weights: np.ndarray, phases: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Sample states B B^dagger with B = V (phases[level_index] o G), for
-    level phases of shape (..., m).
+    """Sample states B B^dagger for level phases of shape (..., m), with B
+    the phases times the (m, d, r) ``weights`` of ``_factor_map``.
 
-    This is V ((c c^dagger) o rho_e) V^dagger with c the phases of the
-    basis vectors and rho_e = G G^dagger, computed from the d x r factor
-    instead.  ``weights`` is the (m, d, r) W = ``_factor_map``, so the
-    factors of all N samples are the rows of one (N, m) x (m, d r) product,
-    sample n's B_n being row n read as a (d, r) matrix; the Gram product
-    B B^dagger is taken one sample at a time.  Every array is a view into
-    ``work``, so the result is overwritten by the next call on it, and the
-    states overwrite ``phases`` when they are ``work``'s own
-    (``_slab_phases``): read them before the call, or pass a copy.
+    The result is a view into ``work``, overwritten by its next use, and it
+    overwrites ``phases`` when they are ``work``'s own.
     """
+    # B B^dagger is V ((c c^dagger) o rho_e) V^dagger from the d x r factor:
+    # O(r d^2) per sample instead of two d x d basis rotations.  The B of all
+    # N samples are the rows of one (N, m) x (m, d r) product.
     levels, dim, rank = weights.shape
     samples = math.prod(phases.shape[:-1])
     b = _leading(work.factors, (samples, dim, rank))
@@ -239,6 +181,8 @@ class EnsembleResult:
         return EvolutionResult(self.grid, self.mean)
 
 
+# OpenBLAS's own pool would compete with the workers for the cores, and its
+# threads keep spinning after a small threaded call.
 @_single_threaded_blas()
 def run_ensemble(
     decomposition: SpectralDecomposition,
@@ -251,87 +195,36 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Sample the random-unitary ensemble and accumulate mean and variance.
 
-    The energy-basis state is factored once as G G^dagger (G is d x r, r the
-    numerical rank), and every sample state U rho U^dagger is formed as
-    B B^dagger with B = V (exp(-i chi)[level_index] o G); the B of a slab's
-    samples are the rows of one product of its level phases with
-    ``_factor_map``, built once per call.  Trajectories are processed in
-    chunks (``_chunk_size``: at most ``MAX_CHUNK``, within
-    ``CHUNK_ELEMENT_BUDGET`` and, at one time point, within
-    ``SLAB_ELEMENT_BUDGET``; a whole number of RNG blocks), one after
-    another.  A chunk holds only its chi paths, drawn into the run's chi
-    array by min(n_workers, its RNG blocks) tasks, each one ``field.paths``
-    call over a contiguous run of whole blocks, so that its scale, drift and
-    cumsum run on arrays large enough to release the GIL, and then runs in
-    time slabs, one task per slab.  The slabs are those of every chunk and
-    those the workspaces are sized from.  With count the first chunk's
-    trajectory count, the one-budget plan (``operators._time_slabs`` at
-    count d^2 entries per point) has s slabs, and the run keeps
-    k = min(n_workers, s) workspaces, one per worker that has a slab of
-    that plan to take; the slabs are then those of ``_time_slabs`` at
-    k count d^2 entries per point, so that the k workspaces together hold
-    one ``SLAB_ELEMENT_BUDGET`` of sample-state entries, not one each (at
-    least one time point per slab: at d >= 32 slabs are one point already
-    and do not shrink).  Each slab forms the phases and sample states of
-    its own time points and takes its mean and sum of squared deviations in
-    place, the squares of the real and imaginary parts side by side: the
-    float view of a (T, d, d) complex stack.  Every chunk forms them in a
-    workspace and folds each slab in place into the totals, which start at
-    zero (``_merge``: the pairwise mean and variance update, with the
-    chunk's own slab arrays holding the mean difference and its squares;
-    at the first chunk it adds to zero, scales by 1 and adds a zero term).
-    The workers share each chunk's tasks, and a chunk's draw starts once
-    every slab of the chunk before it has folded, so each slab of the totals
-    has one writer at a time and is folded in chunk order, no task waits on
-    another, and a task that raises is the call's error.  The folded mean's
-    entry (l, k) is then (Re m_kl, 0 - Im m_kl) of its upper entry (k, l), the
-    rule of ``operators._hermitian_part``, the squared deviations' lower
-    triangle is the transpose of their upper one, and both diagonals'
-    imaginary parts are +0, so the mean is Hermitian and the standard
-    errors symmetric, to the bit.  The standard errors are
-    sqrt(m2 / (n - 1) / n) of that float view, taken in place over it and
-    read as the complex stack ``EnsembleResult.stderr``.
-    ``n_workers`` threads (at least 1) draw the paths and form the slabs, and
-    they are the call's only parallelism: numpy's OpenBLAS thread count is
-    held at 1 during the call and restored afterwards
-    (``operators._single_threaded_blas``; nothing happens where numpy has
-    no OpenBLAS).  Its own pool would compete with the workers for the
-    cores, and its threads keep spinning after a small threaded call.
+    Returns the per-entry mean of the ``n_traj`` sample states at each grid
+    point, Hermitian to the bit, and the standard errors of its real and
+    imaginary parts, sqrt(m2 / (n - 1) / n) from the squared deviations m2
+    (``EnsembleResult``).  The chi paths are those of ``sample_chi_paths``
+    with the same seed.
 
-    Allocated per call: W, one chi array of the first chunk's paths, which
-    every chunk refills, the k slab workspaces (``_Workspace``), made
-    before the chunks start and handed from slab to slab through a queue,
-    and the accumulated (T, d, d) mean and (T, d, 2d) squared deviations,
-    which become the result's mean and standard errors.  Each workspace
-    holds three buffers of the largest slab of the run, the factors B,
-    conj(B) and the states, whose leading entries hold the phases that
-    ``_slab_phases`` forms from the chi slab in place, and that slab's mean
-    and squared deviations, so the chunks and slabs reuse them.  No chunk
-    allocates statistics of the whole grid, and the fold allocates nothing,
-    whatever the workers' timing.
+    ``n_traj`` must be at least 2, the fewest that give standard errors, and
+    ``n_workers`` at least 1 (else ValueError).  The grid must be finite,
+    hold two or more points, start at 0 and increase strictly (else
+    GridMismatch); a raw ``rho0`` must be a valid state; a direct damping
+    table raises ConfigError.
 
-    ``n_traj`` must be at least 2, the fewest that give standard errors
-    (else ValueError).  The grid must be finite, hold two or more points,
-    start at 0 and increase strictly (else GridMismatch); a raw ``rho0``
-    must be a valid state; a direct damping table raises ConfigError.
-
-    Deterministic for fixed (seed, n_traj, grid): block b of ``RNG_BLOCK``
-    trajectories draws from one counter-based Philox stream keyed by
-    (seed, b), a partial last block takes a prefix of its block's draw, and
-    chunks (whole blocks) depend on shapes only.  The slabs depend on
-    ``n_workers`` too, but a time point's statistics are summed over the
-    same samples in the same order in any slab, and neither the draw tasks
-    nor the slabs change a bit, so ``n_workers`` changes the wall time and
-    the slab plan but not a single output bit.  The chi paths are
-    those of ``sample_chi_paths`` with the same seed.
+    Deterministic for fixed (seed, n_traj, grid): ``n_workers`` changes the
+    wall time, never an output bit.  Besides the (T, d, d) mean and (T, d, 2d)
+    squared deviations that become the result, a call holds one chunk's chi
+    paths and slab workspaces that together hold about
+    ``SLAB_ELEMENT_BUDGET`` sample-state entries, whatever ``n_workers``.
+    The ``n_workers`` threads are the call's only parallelism: numpy's
+    OpenBLAS is held at one thread during the call and restored after it.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2 for standard errors")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    # Set up once before the chunks: a trajectory's phases depend only on
+    # the seed and its index.
     field = _BrownianField(model, decomposition.levels, grid)
     rho = state_matrix(rho0, decomposition.dim)
 
+    # rho_e = G G^dagger, and W, once per run.
     state_factor = _state_factor(to_energy_basis(rho, decomposition))
     weights = _factor_map(decomposition, state_factor)
     num_points, dim = field.grid.size, decomposition.dim
@@ -340,7 +233,10 @@ def run_ensemble(
     # One slab plan for every chunk, that of the first, the largest; a
     # partial last chunk takes the same slabs with fewer samples.  The
     # workspaces, one per worker that has a slab of the one-budget plan to
-    # take, share that plan's budget: its slabs, split ``spaces`` ways.
+    # take, share that plan's budget: its slabs, split ``spaces`` ways.  The
+    # plan depends on the worker count, but a time point's statistics are
+    # summed over a chunk's samples in the same order in any slab, so it
+    # moves no bit.
     first = min(chunk, n_traj)
     per_point = first * dim * dim
     spaces = min(n_workers, len(_time_slabs(num_points, per_point)))
@@ -348,6 +244,8 @@ def run_ensemble(
     mean = np.zeros((num_points, dim, dim), dtype=complex)
     m2 = np.zeros((num_points, dim, 2 * dim))
     chi = np.empty((first, num_points, field.levels.size))
+    # The workspaces are made before the chunks and handed from slab to slab,
+    # so the fold allocates nothing whatever the workers' timing.
     free = queue.SimpleQueue()
     for _ in range(spaces):
         free.put(_Workspace(slabs[0].stop, dim, state_factor.shape[1], first))
@@ -360,6 +258,7 @@ def run_ensemble(
         work = free.get()
         try:
             states = _sample_states(weights, _slab_phases(chi[:count, slab], work), work)
+            # The slab's mean and squared deviations, in place over its states.
             size = slab.stop - slab.start
             slab_mean = _leading(work.mean, (size, dim, dim))
             slab_m2 = _leading(work.m2, (size, dim, 2 * dim))

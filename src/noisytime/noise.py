@@ -562,14 +562,9 @@ class _BrownianField:
     ) -> np.ndarray:
         """Chi paths of trajectories [start, start+count), shape (count, T, m).
 
-        Block b of ``RNG_BLOCK`` trajectories draws its normals, in C order,
-        from one Philox generator keyed by (seed, b), so ``start`` must be a
-        multiple of ``RNG_BLOCK``; a partial block takes a prefix of its
-        block's draw.  The normals are drawn in pieces of whole trajectories,
-        about ``SLAB_ELEMENT_BUDGET`` values each (``_time_slabs``), which
-        read the stream in the same order as one draw.  The paths are
-        written to ``out`` when it is given (a C-contiguous float array of
-        that shape), else to a new array.
+        ``start`` must be a multiple of ``RNG_BLOCK`` (else ValueError).  The
+        paths are written to ``out`` when it is given (a C-contiguous float
+        array of that shape), else to a new array.
         """
         if start % RNG_BLOCK:
             raise ValueError(f"chunk start {start} is not a multiple of RNG_BLOCK ({RNG_BLOCK})")
@@ -583,6 +578,8 @@ class _BrownianField:
             key = np.array([seed, (start + lo) // RNG_BLOCK], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             block = steps[lo:hi]
+            # Pieces of whole trajectories, about SLAB_ELEMENT_BUDGET normals
+            # each, read the block's stream in the order of one draw.
             for piece in _time_slabs(hi - lo, num_steps * rank):
                 z = rng.standard_normal((piece.stop - piece.start, num_steps, rank))
                 np.matmul(z, self.factor.T, out=block[piece])
@@ -601,13 +598,12 @@ def sample_chi_paths(
 
     The presets make drift and diffusion independent of chi, so each step adds
     an exactly Gaussian increment; stepping through the sigma_time breakpoints
-    leaves no discretization bias on any grid.  Trajectories are drawn in
-    blocks of ``RNG_BLOCK``: block b reads one counter-based Philox stream
-    keyed by (seed, b), and fewer than ``RNG_BLOCK`` trajectories of a block
-    take a prefix of its draw.  So a trajectory depends only on the seed, its
-    index and the step/level shape, never on how many others are drawn.  The
-    grid must be finite, hold two or more points, start at 0 and increase
-    strictly (else GridMismatch); a direct damping table raises ConfigError.
+    leaves no discretization bias on any grid.  Block b of ``RNG_BLOCK``
+    trajectories reads one Philox stream keyed by (seed, b), so a trajectory
+    depends only on the seed, its index and the step/level shape, never on
+    how many others are drawn.  The grid must be finite, hold two or more
+    points, start at 0 and increase strictly (else GridMismatch); a direct
+    damping table raises ConfigError.
     """
     field = _BrownianField(model, levels, grid)
     paths = field.paths(seed, 0, n_traj)

@@ -345,14 +345,7 @@ def _time_slabs(num_points: int, per_point: int) -> list[slice]:
     """Slices of ``num_points`` points, about ``SLAB_ELEMENT_BUDGET`` entries each, one point at least.
 
     ``per_point`` counts the entries of every array a pass holds per point,
-    not only of its result: about 6 d^2 for the analytic states, the number
-    of columns for a CSV row, a trajectory's steps times rank for its
-    normals.  A chunk of count Monte Carlo samples counts its sample states,
-    count d^2, the plan its chunk rule was set against; the two factor
-    buffers of its workspace add 2 d r entries per sample
-    (``montecarlo._Workspace``).  Its k workers' workspaces share one
-    budget, so its slabs count k count d^2 entries per point, k being the
-    workers that have a slab of the count d^2 plan to take.
+    not only of its result.
     """
     step = max(1, SLAB_ELEMENT_BUDGET // per_point)
     return [slice(lo, min(lo + step, num_points)) for lo in range(0, num_points, step)]

@@ -3,7 +3,7 @@
 Averaging the random unitary over noise realizations acts entry by entry in
 the energy basis: entry (k, l) picks up the deterministic phase of the level
 gap and the damping factor exp(-lambda(t; theta_k, theta_l) / 2).  This module
-evaluates that map directly, plus the generic weighted time average.
+evaluates that map directly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, DissipativeTraceLoss, GridMismatch, WeightsNotNormalized
+from .errors import DissipativeTraceLoss
 from .noise import LambdaKernel, NoiseModel
 from .operators import (
     DensityMatrix,
@@ -28,7 +28,6 @@ from .results import EvolutionResult, time_grid, time_point
 __all__ = [
     "averaged_state",
     "averaged_trajectory",
-    "time_averaged_state",
     "semigroup_defect",
 ]
 
@@ -111,46 +110,6 @@ def averaged_trajectory(
     """
     grid_arr = time_grid(grid)
     return EvolutionResult(grid_arr, _evolve(decomposition, model, rho0, grid_arr))
-
-
-def time_averaged_state(grid, states, weights) -> DensityMatrix:
-    """Weighted time average of a state trajectory.
-
-    ``states`` is an array of shape (T, d, d) or a sequence of T matrices;
-    ``weights`` are probability-density values on the grid; they must be
-    nonnegative and integrate to one (trapezoid rule) within 1e-8, else
-    WeightsNotNormalized, and the grid must increase strictly, else
-    GridMismatch; a NaN weight or grid point fails these tests.  The grid
-    is a quadrature grid, so it may start after 0, and a single grid point
-    gets quadrature weight one: a point mass is the one-point grid with
-    weight 1.
-    """
-    grid_arr = np.asarray(grid, dtype=float).reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    stack = np.asarray(states, dtype=complex)
-    if stack.ndim != 3 or stack.shape[0] != grid_arr.size or w.size != grid_arr.size:
-        raise DimensionMismatch(
-            f"grid ({grid_arr.size}), states ({stack.shape}), weights ({w.size}) disagree"
-        )
-    if not np.all(w >= 0):
-        raise WeightsNotNormalized(f"weights must be >= 0, min is {float(np.min(w)):.3e}")
-    if grid_arr.size == 1:
-        quadrature = np.ones(1)
-    else:
-        if not np.all(np.diff(grid_arr) > 0):
-            raise GridMismatch("grid must be strictly increasing")
-        dt = np.diff(grid_arr)
-        quadrature = np.zeros_like(grid_arr)
-        quadrature[:-1] += 0.5 * dt
-        quadrature[1:] += 0.5 * dt
-    mass = quadrature * w
-    total = float(np.sum(mass))
-    if not abs(total - 1.0) <= 1e-8:
-        raise WeightsNotNormalized(f"weights integrate to {total!r}, expected 1 within 1e-8")
-    # Renormalize the discrete masses: keeps the result an exact convex
-    # combination despite the 1e-8 slack.
-    averaged = np.einsum("k,kij->ij", mass / total, stack)
-    return DensityMatrix(averaged)
 
 
 def semigroup_defect(

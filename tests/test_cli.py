@@ -657,6 +657,40 @@ class TestTableThatOverflowsWhenSymmetrized:
         assert not out.exists()
 
 
+class TestKernelThatOverflowsOnTheGrid:
+    """Numbers that parse, whose lambda(t) overflows on the scenario's own
+    levels before t_end: the runs wrote NaN rows or failed with a
+    traceback, and now exit 2 naming the field."""
+
+    CASES = {
+        "sigma_theta": (
+            "global_dephasing", "noise.sigma_theta", {"kind": "linear", "coefficient": 1e200}
+        ),
+        "sigma_time": ("global_dephasing", "noise.sigma_time", {"kind": "constant", "value": 1e154}),
+        "table": ("dissipative_direct", "noise.direct_lambda.table", [[0.0, 8e307], [8e307, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("command", ["evolve", "integrate", "sample"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_naming_the_field(self, case, command, scenario_yaml, tmp_path, capsys):
+        scenario, field, value = self.CASES[case]
+        config = scenario_yaml(scenario, **{field: value})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_kernel_at_the_float_limit_runs(self, scenario_yaml, tmp_path):
+        # lambda(t_end) = 4 * 4e307 is finite, however close to overflow.
+        table = [[0.0, 4e307], [4e307, 0.0]]
+        config = scenario_yaml("dissipative_direct", **{"noise.direct_lambda.table": table})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
 class TestBlasPin:
     """cli.main runs each handler with numpy's OpenBLAS on one thread."""
 

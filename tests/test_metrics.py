@@ -7,7 +7,6 @@ from noisytime import (
     HermitianOperator,
     eigendecompose,
     energy_expectation,
-    trace_distance,
 )
 from noisytime.metrics import coherence_l1, purity
 
@@ -44,19 +43,6 @@ def test_energy_dimension_mismatch(qubit):
     with pytest.raises(DimensionMismatch):
         energy_expectation(DensityMatrix.maximally_mixed(3), hamiltonian)
 
-
-def test_trace_distance():
-    a = DensityMatrix.pure([1.0, 0.0])
-    b = DensityMatrix.pure([0.0, 1.0])
-    assert trace_distance(a, b) == pytest.approx(1.0)
-    assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-15)
-    assert trace_distance(a, b) == pytest.approx(trace_distance(b, a))
-
-
-def test_trace_distance_mixed():
-    a = DensityMatrix.maximally_mixed(2)
-    b = DensityMatrix(np.diag([0.75, 0.25]))
-    assert trace_distance(a, b) == pytest.approx(0.25)
 
 
 def test_stack_gives_the_per_state_values():

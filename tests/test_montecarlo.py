@@ -146,6 +146,36 @@ class TestStateFactor:
             assert level_map.shape == per_vector.shape == (dim, dim, rank)
             assert level_map.tobytes() == per_vector.tobytes()
 
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 5, 1), (6,)])
+    def test_degenerate_levels_sum_as_a_reduceat(self, sizes):
+        # each level reduced on its own terms gives the bits of one reduceat
+        # over the whole per-vector map
+        dim = sum(sizes)
+        rng = np.random.default_rng(dim)
+        spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        dec = eigendecompose(HermitianOperator((u * spectrum) @ u.conj().T))
+        factor = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        per_vector = dec.eigenvectors.T[:, :, None] * factor[:, None, :]
+        starts = np.searchsorted(dec.level_index, np.arange(dec.num_levels))
+        expected = np.add.reduceat(per_vector, starts, axis=0)
+        assert _factor_map(dec, factor).tobytes() == expected.tobytes()
+
+    def test_map_holds_no_temporary_of_its_size(self):
+        # a freed (d, d, r) temporary, 4 MB at d = r = 64, raised glibc's
+        # mmap threshold and the rest of a d = 64 run's process peak with it
+        dim = 64
+        dec, rho = _random_case(np.random.default_rng(64), dim, dim, degenerate=False)
+        factor = _state_factor(to_energy_basis(rho.matrix, dec))
+        tracemalloc.start()
+        try:
+            weights = _factor_map(dec, factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights.shape == (dim, dim, dim)
+        assert peak <= 1.25 * weights.nbytes, (peak, weights.nbytes)
+
     @pytest.mark.parametrize(
         "name", ["correlated_tau", "global_dephasing", "nonmarkovian_piecewise"]
     )

@@ -16,7 +16,6 @@ from noisytime import (
     SigmaThetaPreset,
     SigmaTimePreset,
     StepTooLarge,
-    WeightsNotNormalized,
     averaged_state,
     averaged_trajectory,
     build_generator,
@@ -28,7 +27,6 @@ from noisytime import (
     integrate,
     lambda_pair,
     semigroup_defect,
-    time_averaged_state,
 )
 from noisytime import operators
 from noisytime.metrics import coherence_l1, purity
@@ -36,7 +34,7 @@ from noisytime.noise import LambdaKernel
 from noisytime.operators import _hermitian_part, _time_slabs, from_energy_basis, to_energy_basis
 from noisytime.propagator import _element_factors
 from noisytime.results import EvolutionResult
-from noisytime.verify import _global_noise_state
+from noisytime.verify import _global_noise_state, _time_average
 
 
 def manual_averaged(decomposition, model, rho0, t):
@@ -150,37 +148,6 @@ class TestGlobalPropagator:
 
 
 class TestTimeAverage:
-    def test_single_point(self, qubit):
-        _, dec, rho0 = qubit
-        out = time_averaged_state([0.0], [rho0.matrix], [1.0])
-        assert np.allclose(out.matrix, rho0.matrix, atol=1e-15)
-
-    def test_rejects_negative_weights(self, qubit):
-        _, dec, rho0 = qubit
-        with pytest.raises(WeightsNotNormalized):
-            time_averaged_state([0.0, 1.0], [rho0.matrix] * 2, [2.0, -1.0])
-
-    def test_rejects_unnormalized(self, qubit):
-        _, dec, rho0 = qubit
-        with pytest.raises(WeightsNotNormalized):
-            time_averaged_state([0.0, 1.0], [rho0.matrix] * 2, [3.0, 3.0])
-
-    @pytest.mark.parametrize(
-        "weights", [[math.nan] * 5, [0.25, math.nan, 0.25, 0.25, 0.25], [math.inf] * 5]
-    )
-    def test_rejects_non_finite_weights(self, qubit, weights):
-        _, dec, rho0 = qubit
-        with pytest.raises(WeightsNotNormalized):
-            time_averaged_state([0.0, 1.0, 2.0, 3.0, 4.0], [rho0.matrix] * 5, weights)
-
-    @pytest.mark.parametrize(
-        "grid", [[0.0, math.nan, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, math.nan]]
-    )
-    def test_rejects_nan_grid(self, qubit, grid):
-        _, dec, rho0 = qubit
-        with pytest.raises(GridMismatch):
-            time_averaged_state(grid, [rho0.matrix] * 5, [0.25] * 5)
-
     def test_gaussian_weight_characteristic_function(self, qubit):
         # Averaging pure phase evolution over a normal time density damps the
         # coherence by exp(-var/2), the gaussian characteristic function.
@@ -191,7 +158,7 @@ class TestTimeAverage:
         states = averaged_trajectory(dec, zero_noise, rho0, grid).states
         weights = np.exp(-0.5 * ((grid - center) / spread) ** 2)
         weights /= spread * math.sqrt(2 * math.pi)
-        out = time_averaged_state(grid, states, weights)
+        out = _time_average(grid, states, weights)
         expected = 0.5 * math.exp(-0.5 * spread**2)
         assert abs(out.matrix[0, 1]) == pytest.approx(expected, abs=1e-6)
 
