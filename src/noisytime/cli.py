@@ -35,7 +35,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NoisytimeError
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import LambdaKernel, lambda_pair, moment_report
+from .noise import LambdaKernel, moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
@@ -174,37 +174,72 @@ def _json_text(data: dict) -> str:
     return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_trajectory(
-    path: Path, config: ScenarioConfig, decomposition, result: EvolutionResult
-) -> Path:
+def _write(config: ScenarioConfig, files: dict) -> list[Path]:
+    """Write the files whose family, the suffix of the name, ``outputs.formats`` selects.
+
+    ``files`` maps each name to its text, to its lines (an iterable, so a
+    generator forms a table only when the file is written) or to a report, a
+    dict written as strict JSON with the scenario's name under ``scenario``.
+    Returns the paths written, in the order of ``files``.
+    """
+    written = []
+    for name, content in files.items():
+        if Path(name).suffix[1:] in config.formats:
+            if isinstance(content, dict):
+                content = _json_text({**content, "scenario": config.name})
+            written.append(_atomic_write(Path(config.out_dir) / name, content))
+    return written
+
+
+def _states_csv(config: ScenarioConfig, decomposition, result: EvolutionResult):
+    """The lines of a trajectory table with its metrics, formed when first read."""
     metrics = result.metrics_table(decomposition, config.hamiltonian)
-    return _atomic_write(path, _trajectory_csv(result.grid, result.states, True, metrics))
+    yield from _trajectory_csv(result.grid, result.states, True, metrics)
 
 
-def _out_dir(config: ScenarioConfig) -> Path:
-    return Path(config.out_dir)
+def _refuse_overflow(model, levels, t: float, level_field: str, message: str) -> None:
+    """Raise ConfigError(field, message) when lambda(t) on ``levels`` is not finite.
+
+    lambda(t) = S(t) E never decreases in t, so a model that overflows
+    anywhere on [0, t] overflows at t.  The field is the direct table if the
+    model has one, else ``noise.sigma_time`` where the level form E is
+    finite, else ``level_field``, the source of the levels' sigma_theta.
+    numpy warns of nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = LambdaKernel(model, levels)
+        if np.all(np.isfinite(kernel.lambda_matrix(t))):
+            return
+        finite_form = np.all(np.isfinite(kernel.form))
+    if model.direct_lambda is not None:
+        raise ConfigError("noise.direct_lambda.table", message)
+    raise ConfigError("noise.sigma_time" if finite_form else level_field, message)
 
 
 def _decomposition(config: ScenarioConfig):
-    """The scenario's spectral decomposition, once lambda(t_end) is finite on its levels.
+    """The scenario's spectral decomposition, once its model passes the gate
+    of every route on the scenario's levels and grid.
 
-    lambda(t) = S(t) E grows with t, so a model that overflows anywhere on
-    the grid overflows at t_end, and the run would write NaN or fail there.
-    Such a model raises ConfigError naming the table, sigma_theta where the
-    level form E overflows, or else sigma_time.
+    lambda(t_end) must be finite (``_refuse_overflow``, with
+    ``noise.sigma_theta`` as the level source), else the run would write NaN
+    or fail.  And t_end max|h(theta_k) - h(theta_l)| must be below 2^52:
+    floats that large are whole radians apart, so the phases t (h_k - h_l)
+    would carry no significant digit.  Else ConfigError naming
+    ``noise.drift_h``.
     """
     decomposition = config.decomposition()
+    levels, noise = decomposition.levels, config.noise
+    _refuse_overflow(
+        noise, levels, config.t_end, "noise.sigma_theta",
+        "lambda(t) overflows a float on the scenario's levels and grid",
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = LambdaKernel(config.noise, decomposition.levels)
-        finite = np.all(np.isfinite(kernel.lambda_matrix(config.t_end)))
-    if not finite:
-        if config.noise.direct_lambda is not None:
-            field = "noise.direct_lambda.table"
-        elif np.all(np.isfinite(kernel.form)):
-            field = "noise.sigma_time"
-        else:
-            field = "noise.sigma_theta"
-        raise ConfigError(field, "lambda(t) overflows a float on the scenario's levels and grid")
+        drift = noise.drift_h(levels)
+        # A NaN or infinite drift gap fails the test too.
+        if not config.t_end * (np.max(drift) - np.min(drift)) < 2.0**52:
+            raise ConfigError(
+                "noise.drift_h", "t_end times the largest drift gap between levels reaches 2^52"
+            )
     return decomposition
 
 
@@ -214,11 +249,7 @@ def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     result = averaged_trajectory(
         decomposition, config.noise, config.initial_state, config.times()
     )
-    written = []
-    if "csv" in config.formats:
-        path = _out_dir(config) / "analytic.csv"
-        written.append(_write_trajectory(path, config, decomposition, result))
-    return 0, written
+    return 0, _write(config, {"analytic.csv": _states_csv(config, decomposition, result)})
 
 
 def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
@@ -231,18 +262,14 @@ def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
     generator = build_generator(decomposition, config.noise)
     grid = config.times()
     result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
-    written = []
-    if "csv" in config.formats:
-        path = _out_dir(config) / "me.csv"
-        written.append(_write_trajectory(path, config, decomposition, result))
     checkpoint_indices = _sorted_unique(np.linspace(0, grid.size - 1, 9).astype(int))
     checkpoint_times = [float(grid[i]) for i in checkpoint_indices if grid[i] > 0.0]
     report = cp_report(generator, checkpoint_times)
-    payload = report.to_dict()
-    payload["scenario"] = config.name
-    if "json" in config.formats:
-        written.append(_atomic_write(_out_dir(config) / "cp_report.json", _json_text(payload)))
-    return (0 if report.cp_ok else 1), written
+    files = {
+        "me.csv": _states_csv(config, decomposition, result),
+        "cp_report.json": report.to_dict(),
+    }
+    return (0 if report.cp_ok else 1), _write(config, files)
 
 
 def _check_ensemble(config: ScenarioConfig, command: str) -> None:
@@ -270,17 +297,12 @@ def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path
     )
     analytic = averaged_trajectory(decomposition, config.noise, config.initial_state, grid)
     report = compare_to_analytic(ensemble, analytic)
-    written = []
-    if "csv" in config.formats:
-        path = _out_dir(config) / "mc_mean.csv"
-        written.append(_write_trajectory(path, config, decomposition, ensemble.as_result()))
-        path = _out_dir(config) / "mc_stderr.csv"
-        written.append(_atomic_write(path, _trajectory_csv(grid, ensemble.stderr, False)))
-    payload = report.to_dict()
-    payload["scenario"] = config.name
-    if "json" in config.formats:
-        written.append(_atomic_write(_out_dir(config) / "comparison.json", _json_text(payload)))
-    return (0 if report.passed else 1), written
+    files = {
+        "mc_mean.csv": _states_csv(config, decomposition, ensemble.as_result()),
+        "mc_stderr.csv": _trajectory_csv(grid, ensemble.stderr, False),
+        "comparison.json": report.to_dict(),
+    }
+    return (0 if report.passed else 1), _write(config, files)
 
 
 def cmd_moments(
@@ -295,18 +317,17 @@ def cmd_moments(
             raise ConfigError(flag, f"expected a finite number, got {level}")
     # The phase difference has variance lambda(t) of the pair: where it
     # overflows, every draw and moment is inf or NaN whatever the order, so
-    # the level of larger sigma_theta is refused before sampling.  A direct
-    # table has no draws, and the sampler refuses it.
+    # the pair is refused before sampling, its level of larger sigma_theta
+    # named where sigma_theta overflows.  A direct table has no draws, and
+    # the sampler refuses it.
     model = config.noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        if model.direct_lambda is None and not math.isfinite(
-            lambda_pair(model, config.t_end, theta, theta_prime)
-        ):
+    if model.direct_lambda is None:
+        with np.errstate(over="ignore", invalid="ignore"):
             larger = abs(model.sigma_theta(theta)) > abs(model.sigma_theta(theta_prime))
-            raise ConfigError(
-                "--theta" if larger else "--theta-prime",
-                "the phase-difference variance lambda(t) of this level pair overflows a float",
-            )
+        _refuse_overflow(
+            model, [theta, theta_prime], config.t_end, "--theta" if larger else "--theta-prime",
+            "the phase-difference variance lambda(t) of this level pair overflows a float",
+        )
     try:
         rows = moment_report(
             config.noise,
@@ -321,15 +342,8 @@ def cmd_moments(
         raise ConfigError(
             "--max-order", f"moments up to order {max_order} overflow a float; lower it"
         ) from None
-    lines = ["order,empirical,predicted,stderr"]
-    for row in rows:
-        lines.append(
-            ",".join([str(row.order), _fmt(row.empirical), _fmt(row.predicted), _fmt(row.stderr)])
-        )
-    written = []
-    if "csv" in config.formats:
-        written.append(_atomic_write(_out_dir(config) / "moments.csv", "\n".join(lines) + "\n"))
-    return 0, written
+    lines = [f"{r.order},{_fmt(r.empirical)},{_fmt(r.predicted)},{_fmt(r.stderr)}\n" for r in rows]
+    return 0, _write(config, {"moments.csv": ["order,empirical,predicted,stderr\n", *lines]})
 
 
 def cmd_verify(config: Optional[ScenarioConfig] = None, quick: bool = False) -> int:
@@ -437,9 +451,12 @@ def _run_verify(args) -> tuple[int, list[Path]]:
             print(name)
         return 0, []
     config = _load(args, required=False)
-    # The scenario's ensemble check runs on a Brownian model only.
-    if config is not None and config.noise.direct_lambda is None:
-        _check_ensemble(config, "verify")
+    if config is not None:
+        # The scenario's ensemble check runs on a Brownian model only.
+        if config.noise.direct_lambda is None:
+            _check_ensemble(config, "verify")
+        # The routes' refusals, before any check runs.
+        _decomposition(config)
     return cmd_verify(config=config, quick=args.quick), []
 
 
@@ -458,10 +475,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoisytimeError as exc:
+    except (FileNotFoundError, NoisytimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

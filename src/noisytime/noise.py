@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -62,11 +62,6 @@ PSD_EIG_FLOOR = -1e-8
 # [RNG_BLOCK * b, RNG_BLOCK * (b + 1)).  Every chunk of trajectories starts on
 # a block boundary.
 RNG_BLOCK = 64
-
-
-def _poly_eval(coeffs: tuple[float, ...], x):
-    # Ascending-order coefficients: coeffs[k] multiplies x**k.
-    return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
 
 # The ``KINDS`` spec of a field that is a square table of numbers, row by row.
@@ -120,7 +115,38 @@ class _Preset:
         return dict(zip(self.KINDS[self.kind], self.params))
 
 
-class DriftPreset(_Preset):
+class _LevelPolynomial(_Preset):
+    """A family whose every kind is a polynomial in the level theta.
+
+    ``COEFFICIENTS`` maps each kind to a function of its fields that returns
+    its ascending coefficients: c[k] multiplies theta**k.  The value is
+    Horner's rule in the operations of numpy's ``polyval``, in its order:
+    c[-1] + theta*0, then c[-i] + value*theta.  An empty coefficient list
+    raises ConfigError naming ``coeffs``.
+    """
+
+    COEFFICIENTS: ClassVar[dict[str, Callable[..., tuple]]]
+    EMPTY: ClassVar[str]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.COEFFICIENTS[self.kind](*self.params):
+            raise ConfigError(f"noise.{self.SECTION}.coeffs", self.EMPTY)
+
+    @classmethod
+    def polynomial(cls, coeffs):
+        return cls("polynomial", (coeffs,))
+
+    def __call__(self, theta):
+        *rest, last = self.COEFFICIENTS[self.kind](*self.params)
+        theta = np.asarray(theta, dtype=float)
+        value = last + theta * 0
+        for coefficient in reversed(rest):
+            value = coefficient + value * theta
+        return value
+
+
+class DriftPreset(_LevelPolynomial):
     """Deterministic drift h(theta) of the phase SDE.
 
     Kinds: ``identity`` (h = theta), ``affine`` (a*theta + b),
@@ -129,11 +155,12 @@ class DriftPreset(_Preset):
 
     SECTION = "drift_h"
     KINDS = {"identity": {}, "affine": {"a": float, "b": float}, "polynomial": {"coeffs": tuple}}
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kind == "polynomial" and not self.params[0]:
-            raise ConfigError("noise.drift_h.coeffs", "polynomial drift needs coefficients")
+    COEFFICIENTS = {
+        "identity": lambda: (0.0, 1.0),
+        "affine": lambda a, b: (b, a),
+        "polynomial": lambda coeffs: coeffs,
+    }
+    EMPTY = "polynomial drift needs coefficients"
 
     @classmethod
     def identity(cls) -> "DriftPreset":
@@ -143,21 +170,8 @@ class DriftPreset(_Preset):
     def affine(cls, a: float, b: float) -> "DriftPreset":
         return cls("affine", (a, b))
 
-    @classmethod
-    def polynomial(cls, coeffs) -> "DriftPreset":
-        return cls("polynomial", (coeffs,))
 
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "identity":
-            return theta + 0.0
-        if self.kind == "affine":
-            a, b = self.params
-            return a * theta + b
-        return _poly_eval(self.params[0], theta)
-
-
-class SigmaThetaPreset(_Preset):
+class SigmaThetaPreset(_LevelPolynomial):
     """Level part of the diffusion amplitude.
 
     Kinds: ``constant`` (c), ``linear`` (c*theta), ``polynomial``.  Noise
@@ -171,11 +185,12 @@ class SigmaThetaPreset(_Preset):
         "linear": {"coefficient": float},
         "polynomial": {"coeffs": tuple},
     }
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kind == "polynomial" and not self.params[0]:
-            raise ConfigError("noise.sigma_theta.coeffs", "polynomial needs coefficients")
+    COEFFICIENTS = {
+        "constant": lambda c: (c,),
+        "linear": lambda c: (0.0, c),
+        "polynomial": lambda coeffs: coeffs,
+    }
+    EMPTY = "polynomial needs coefficients"
 
     @classmethod
     def constant(cls, c: float) -> "SigmaThetaPreset":
@@ -184,18 +199,6 @@ class SigmaThetaPreset(_Preset):
     @classmethod
     def linear(cls, c: float) -> "SigmaThetaPreset":
         return cls("linear", (c,))
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "SigmaThetaPreset":
-        return cls("polynomial", (coeffs,))
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(theta, self.params[0])
-        if self.kind == "linear":
-            return self.params[0] * theta
-        return _poly_eval(self.params[0], theta)
 
 
 class SigmaTimePreset(_Preset):

@@ -2,7 +2,8 @@
 
 Each check is a small self-contained experiment with fixed seeds; together
 they cover the documented invariants of every module: spectral decomposition
-algebra, kernel properties, sampled-path statistics, the resummation identity,
+algebra, the noise presets' values against the documented formulas, kernel
+properties, sampled-path statistics, the resummation identity,
 generator-versus-analytic agreement, complete positivity, the Markovianity
 boundary, energy conservation versus dissipation, and byte-level determinism.
 A check evaluates its kernels and trajectories once, as arrays, and tests
@@ -37,6 +38,7 @@ from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import (
     RNG_BLOCK,
     CorrelationPreset,
+    DirectDampingPreset,
     DriftPreset,
     LambdaKernel,
     NoiseModel,
@@ -192,6 +194,65 @@ def _check_kernel_properties() -> tuple[bool, str]:
     return ok, (
         f"asym {worst_asym:.2e}, diag {worst_diag:.2e}, piecewise closed form {closed_err:.2e}"
     )
+
+
+def _relative_gap(got, expected) -> float:
+    """Largest |got - expected| / |expected| over the entries; an expected
+    zero must be met exactly, and a NaN gap is infinite."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.where(got == expected, 0.0, np.abs(got - expected) / np.abs(expected))
+    return float(np.max(np.nan_to_num(gaps, nan=np.inf)))
+
+
+def _check_preset_reference_values() -> tuple[bool, str]:
+    # Every kind of the five preset families at fixed levels, times (on both
+    # sides of each breakpoint) and level pairs, against values computed
+    # with math from the formulas of docs/config.md, never by preset code.
+    thetas = [-1.3, 0.0, 0.4, 2.1]
+    pairs = [(x, y) for x in thetas for y in thetas]
+    coeffs = (0.5, -0.25, 0.125, 0.75)
+    polynomial = [math.fsum(c * x**k for k, c in enumerate(coeffs)) for x in thetas]
+    times = [0.0, 0.3, 0.999, 1.0, 1.001, 2.4, 2.5, 2.6, 3.7]
+    breakpoints, values = (1.0, 2.5), (0.4, 1.6, 0.7)
+    profile = SigmaTimePreset.piecewise_constant(breakpoints, values)
+    pieces = list(zip(values, (0.0, *breakpoints), (*breakpoints, math.inf)))
+    # Squared distances plus (a_k + a_l) / 2, a >= 0: a completely positive table.
+    levels, rates, order = (1.0, 2.0, 3.5), (0.0, 0.3, 0.5), (2, 0, 1)
+    table = [
+        [(x - y) ** 2 + (p + q) / 2 for y, q in zip(levels, rates)] for x, p in zip(levels, rates)
+    ]
+    cases = [
+        (DriftPreset.identity()(thetas), thetas),
+        (DriftPreset.affine(0.8, -0.35)(thetas), [0.8 * x - 0.35 for x in thetas]),
+        (DriftPreset.polynomial(coeffs)(thetas), polynomial),
+        (SigmaThetaPreset.constant(0.6)(thetas), [0.6 for _ in thetas]),
+        (SigmaThetaPreset.linear(0.6)(thetas), [0.6 * x for x in thetas]),
+        (SigmaThetaPreset.polynomial(coeffs)(thetas), polynomial),
+        (SigmaTimePreset.constant(0.9)(times), [0.9 for _ in times]),
+        (SigmaTimePreset.constant(0.9).integrated_square(times), [0.9**2 * t for t in times]),
+        (profile(times), [values[sum(t >= b for b in breakpoints)] for t in times]),
+        (
+            profile.integrated_square(times),
+            [math.fsum(v**2 * max(0.0, min(t, hi) - lo) for v, lo, hi in pieces) for t in times],
+        ),
+        (CorrelationPreset.uniform()(*zip(*pairs)), [1.0 for _ in pairs]),
+        (
+            CorrelationPreset.gaussian(1.2)(*zip(*pairs)),
+            [math.exp(-(1.2**2) * (x - y) ** 2) for x, y in pairs],
+        ),
+        (
+            CorrelationPreset.exponential(0.7)(*zip(*pairs)),
+            [math.exp(-abs(x - y) / 0.7) for x, y in pairs],
+        ),
+        (
+            DirectDampingPreset.separable_linear(levels, table)([levels[i] for i in order]),
+            [[table[i][j] for j in order] for i in order],
+        ),
+    ]
+    gap = max(_relative_gap(got, expected) for got, expected in cases)
+    count = sum(np.size(expected) for _, expected in cases)
+    return gap <= 1e-13, f"max relative gap {gap:.2e} over {count} values"
 
 
 def _check_characteristic_function() -> tuple[bool, str]:
@@ -564,6 +625,7 @@ _CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
     ("spectral-invariants", lambda ctx: _check_spectral_invariants()),
     ("basis-round-trip", lambda ctx: _check_basis_round_trip()),
     ("kernel-properties", lambda ctx: _check_kernel_properties()),
+    ("preset-reference-values", lambda ctx: _check_preset_reference_values()),
     ("characteristic-function", lambda ctx: _check_characteristic_function()),
     ("brownian-field-statistics", lambda ctx: _check_brownian_field()),
     ("chi-path-statistics", lambda ctx: _check_chi_paths()),

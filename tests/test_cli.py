@@ -252,7 +252,12 @@ class TestEvolve:
         main(["evolve", "--config", str(config), "--out", str(out)])
         assert not list(out.glob("*.tmp"))
 
-    def test_formats_filter(self, scenario_yaml, tmp_path):
+    def test_formats_filter(self, scenario_yaml, tmp_path, monkeypatch):
+        # a table that is not written is never formed
+        def unwanted(*args):
+            raise AssertionError("metrics_table called for a table that is not written")
+
+        monkeypatch.setattr(EvolutionResult, "metrics_table", unwanted)
         config = scenario_yaml(
             "global_dephasing", **{"grid.n_steps": 4, "outputs.formats": ["json"]}
         )
@@ -668,9 +673,12 @@ class TestKernelThatOverflowsOnTheGrid:
         ),
         "sigma_time": ("global_dephasing", "noise.sigma_time", {"kind": "constant", "value": 1e154}),
         "table": ("dissipative_direct", "noise.direct_lambda.table", [[0.0, 8e307], [8e307, 0.0]]),
+        # nothing overflows, but t_end (h(1) - h(0)) = 5e300 leaves the
+        # phases no significant digit
+        "drift_h": ("global_dephasing", "noise.drift_h", {"kind": "affine", "a": 1e300, "b": 0.0}),
     }
 
-    @pytest.mark.parametrize("command", ["evolve", "integrate", "sample"])
+    @pytest.mark.parametrize("command", ["evolve", "integrate", "sample", "verify"])
     @pytest.mark.parametrize("case", CASES)
     def test_exits_2_naming_the_field(self, case, command, scenario_yaml, tmp_path, capsys):
         scenario, field, value = self.CASES[case]
@@ -835,14 +843,23 @@ class TestMoments:
         # lambda(t) of the pair overflows a float, so every draw and moment
         # would be inf or NaN, at order 2 too: the level that overflows is
         # named before any sampling, and numpy warns of nothing
-        config = scenario_yaml("global_dephasing")
+        self._refused(scenario_yaml("global_dephasing"), theta, theta_prime, flag, tmp_path, capsys)
+
+    def test_overflowing_time_profile_exits_2(self, scenario_yaml, tmp_path, capsys):
+        # S(t_end) overflows, so lambda(t) does for every level pair
+        profile = {"kind": "constant", "value": 1e154}
+        config = scenario_yaml("global_dephasing", **{"noise.sigma_time": profile})
+        self._refused(config, "0", "1", "noise.sigma_time", tmp_path, capsys)
+
+    @staticmethod
+    def _refused(config, theta, theta_prime, field, tmp_path, capsys):
         out = tmp_path / "run"
         args = ["moments", "--config", str(config), "--out", str(out), "--max-order", "2"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(args + ["--theta", theta, "--theta-prime", theta_prime])
         assert code == 2
-        assert f"config error: {flag}: " in capsys.readouterr().err
+        assert f"config error: {field}: " in capsys.readouterr().err
         assert not caught
         assert not out.exists()
 
@@ -943,7 +960,9 @@ class TestVerifyCommand:
 
 
 class TestNoMaskedArrays:
-    """No subcommand imports numpy.ma, whose import costs 12-17 ms per process."""
+    """No subcommand imports numpy.ma, whose import costs 12-17 ms per
+    process, or numpy.polynomial, whose first polyval costs 3-4.5 ms and
+    about 1 MB of peak memory."""
 
     @pytest.mark.parametrize(
         "scenario, argv",
@@ -957,7 +976,33 @@ class TestNoMaskedArrays:
         ],
     )
     def test_subcommand_leaves_numpy_ma_unimported(self, scenario, argv, scenario_yaml, tmp_path):
-        argv = argv + ["--config", str(scenario_yaml(scenario))]
+        imports = self._exit_and_imports(argv, scenario_yaml(scenario), tmp_path)
+        assert imports == ["0", "False", "False"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve"], ["integrate"], ["sample"], ["moments", "--theta", "0", "--theta-prime", "1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_polynomial_levels_leave_numpy_polynomial_unimported(
+        self, argv, scenario_yaml, tmp_path
+    ):
+        # drift_h and sigma_theta of the polynomial kind, on levels 0 and 1
+        config = scenario_yaml(
+            "global_dephasing",
+            **{
+                "noise.drift_h": {"kind": "polynomial", "coeffs": [0.0, 1.0, 0.25]},
+                "noise.sigma_theta": {"kind": "polynomial", "coeffs": [0.0, 0.5, 0.25]},
+                "montecarlo.n_traj": 500,
+            },
+        )
+        assert self._exit_and_imports(argv, config, tmp_path) == ["0", "False", "False"]
+
+    @staticmethod
+    def _exit_and_imports(argv, config, tmp_path):
+        """The exit code of the subcommand in a fresh interpreter, and
+        whether numpy.ma and numpy.polynomial were imported."""
+        argv = argv + ["--config", str(config)]
         if argv[0] != "verify":
             argv += ["--out", str(tmp_path / "out")]
         script = (
@@ -965,7 +1010,7 @@ class TestNoMaskedArrays:
             "from noisytime.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "print(code, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
         )
         src = Path(noisytime.config.__file__).resolve().parent.parent
         path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
@@ -977,4 +1022,4 @@ class TestNoMaskedArrays:
             timeout=600,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False"]
+        return done.stdout.split()

@@ -81,6 +81,44 @@ class TestPresets:
         assert SigmaThetaPreset.constant(0.3)(7.0) == 0.3
         assert SigmaThetaPreset.linear(2.0)(3.0) == 6.0
 
+    def test_polynomial_is_polyval_to_the_bit(self):
+        # The level families evaluate every kind by Horner's rule in the
+        # operations of numpy's polyval, which the package never imports.
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(20020411)
+        levels = np.concatenate([[0.0, -0.0], rng.normal(scale=3.0, size=40)])
+        for _ in range(200):
+            size = int(rng.integers(1, 7))
+            coeffs = tuple(rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size))
+            for cls in (DriftPreset, SigmaThetaPreset):
+                preset = cls.polynomial(coeffs)
+                assert preset(levels).tobytes() == polyval(levels, coeffs).tobytes()
+                for theta in (0.0, -0.0):
+                    assert np.asarray(preset(theta)).tobytes() == polyval(theta, coeffs).tobytes()
+
+    def test_other_level_kinds_are_their_formulas(self):
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([[0.0, -0.0], rng.normal(scale=3.0, size=40)])
+        for a, b in [(0.0, 0.0), (-0.0, -0.0), (2.0, -1.5), (-0.3, 0.0), (1e-3, 7.0)]:
+            assert np.array_equal(DriftPreset.identity()(theta), theta + 0.0)
+            assert np.array_equal(DriftPreset.affine(a, b)(theta), a * theta + b)
+            assert np.array_equal(SigmaThetaPreset.constant(a)(theta), np.full_like(theta, a))
+            assert np.array_equal(SigmaThetaPreset.linear(b)(theta), b * theta)
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            (DriftPreset, "polynomial drift needs coefficients"),
+            (SigmaThetaPreset, "polynomial needs coefficients"),
+        ],
+    )
+    def test_empty_polynomial_rejected(self, cls, message):
+        with pytest.raises(ConfigError) as info:
+            cls.polynomial([])
+        assert info.value.path == f"noise.{cls.SECTION}.coeffs"
+        assert str(info.value).endswith(message)
+
     def test_sigma_time_piecewise(self):
         profile = SigmaTimePreset.piecewise_constant([1.0, 2.0], [0.4, 1.6, 0.2])
         assert profile(0.5) == 0.4

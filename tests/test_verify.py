@@ -7,13 +7,15 @@ last test bounds what one check holds in memory.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import noisytime
 from noisytime import verify
-from noisytime.noise import LambdaKernel
+from noisytime.noise import CorrelationPreset, LambdaKernel, SigmaThetaPreset, SigmaTimePreset
 
 
 def _shift_energy(stack, size):
@@ -128,6 +130,53 @@ def test_suite_flags_a_conjugated_energy_basis(monkeypatch):
         "time-average-quadrature",
         "ensemble-matches-analytic",
     }
+
+
+def _correlation_mutant(monkeypatch, kind, build):
+    """Evaluate every correlation of ``kind`` as the preset ``build(param)``."""
+    exact = CorrelationPreset.__call__
+
+    def mutant(self, theta, theta_prime):
+        preset = build(self.params[0]) if self.kind == kind else self
+        return exact(preset, theta, theta_prime)
+
+    monkeypatch.setattr(CorrelationPreset, "__call__", mutant)
+
+
+def _integrated_square_mutant(monkeypatch):
+    exact = SigmaTimePreset.integrated_square
+    monkeypatch.setattr(SigmaTimePreset, "integrated_square", lambda self, t: 1.1 * exact(self, t))
+
+
+# Faults in the presets that all three routes read, so the routes still
+# agree under each; the first two pass every other check of the suite.
+PRESET_MUTANTS = {
+    "gaussian-tau-squared-x1.3": lambda mp: _correlation_mutant(
+        mp, "gaussian", lambda tau: CorrelationPreset.gaussian(tau * math.sqrt(1.3))
+    ),
+    "exponential-length-div-1.3": lambda mp: _correlation_mutant(
+        mp, "exponential", lambda length: CorrelationPreset.exponential(length / 1.3)
+    ),
+    "polynomial-coefficient-x1.05": lambda mp: mp.setitem(
+        SigmaThetaPreset.COEFFICIENTS, "polynomial", lambda c: c[:-1] + (1.05 * c[-1],)
+    ),
+    "integrated-square-x1.1": _integrated_square_mutant,
+}
+
+
+@pytest.mark.parametrize("mutant", PRESET_MUTANTS)
+def test_preset_reference_values_flag_a_preset_fault(mutant, monkeypatch):
+    assert verify._check_preset_reference_values()[0]
+    PRESET_MUTANTS[mutant](monkeypatch)
+    ok, detail = verify._check_preset_reference_values()
+    assert not ok
+    assert float(detail.split()[3]) > 1e-3, detail
+
+
+def test_suite_flags_a_gaussian_correlation_fault(monkeypatch):
+    PRESET_MUTANTS["gaussian-tau-squared-x1.3"](monkeypatch)
+    failed = [result.name for result in verify.run_suite(quick=True) if not result.passed]
+    assert failed == ["preset-reference-values"]
 
 
 def test_chi_path_check_keeps_only_the_end_values():
