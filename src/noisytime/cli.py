@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, NoisytimeError
+from .errors import ConfigError, DimensionMismatch, NoisytimeError, StepTooLarge
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
 from .noise import LambdaKernel, moment_report
@@ -201,38 +201,39 @@ def _refuse_overflow(model, levels, t: float, level_field: str, message: str) ->
     """Raise ConfigError(field, message) when lambda(t) on ``levels`` is not finite.
 
     lambda(t) = S(t) E never decreases in t, so a model that overflows
-    anywhere on [0, t] overflows at t.  The field is the direct table if the
-    model has one, else ``noise.sigma_time`` where the level form E is
-    finite, else ``level_field``, the source of the levels' sigma_theta.
-    numpy warns of nothing.
+    anywhere on [0, t] overflows at t.  The field is ``noise.sigma_time``
+    where S(t) itself is not finite, else ``level_field``, the source of the
+    level part E.  numpy warns of nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = LambdaKernel(model, levels)
-        if np.all(np.isfinite(kernel.lambda_matrix(t))):
+        if np.all(np.isfinite(LambdaKernel(model, levels).lambda_matrix(t))):
             return
-        finite_form = np.all(np.isfinite(kernel.form))
-    if model.direct_lambda is not None:
-        raise ConfigError("noise.direct_lambda.table", message)
-    raise ConfigError("noise.sigma_time" if finite_form else level_field, message)
+        finite_time = np.isfinite(model.sigma_time.integrated_square(t))
+    raise ConfigError(level_field if finite_time else "noise.sigma_time", message)
 
 
 def _decomposition(config: ScenarioConfig):
     """The scenario's spectral decomposition, once its model passes the gate
     of every route on the scenario's levels and grid.
 
-    lambda(t_end) must be finite (``_refuse_overflow``, with
-    ``noise.sigma_theta`` as the level source), else the run would write NaN
-    or fail.  And t_end max|h(theta_k) - h(theta_l)| must be below 2^52:
-    floats that large are whole radians apart, so the phases t (h_k - h_l)
-    would carry no significant digit.  Else ConfigError naming
-    ``noise.drift_h``.
+    A direct table must tabulate every level, else ConfigError naming
+    ``noise.direct_lambda.levels``.  lambda(t_end) must be finite
+    (``_refuse_overflow``, with the direct table or ``noise.sigma_theta`` as
+    the level source), else the run would write NaN or fail.  And t_end
+    max|h(theta_k) - h(theta_l)| must be below 2^52: floats that large are
+    whole radians apart, so the phases t (h_k - h_l) would carry no
+    significant digit.  Else ConfigError naming ``noise.drift_h``.
     """
     decomposition = config.decomposition()
     levels, noise = decomposition.levels, config.noise
-    _refuse_overflow(
-        noise, levels, config.t_end, "noise.sigma_theta",
-        "lambda(t) overflows a float on the scenario's levels and grid",
-    )
+    try:
+        _refuse_overflow(
+            noise, levels, config.t_end,
+            "noise.sigma_theta" if noise.direct_lambda is None else "noise.direct_lambda.table",
+            "lambda(t) overflows a float on the scenario's levels and grid",
+        )
+    except DimensionMismatch as exc:  # a level the direct table lacks
+        raise ConfigError("noise.direct_lambda.levels", str(exc)) from None
     with np.errstate(over="ignore", invalid="ignore"):
         drift = noise.drift_h(levels)
         # A NaN or infinite drift gap fails the test too.
@@ -256,12 +257,21 @@ def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
     """Integrate the scenario's master equation and certify the map.
 
     One builder takes every time-independent model; a time-dependent
-    sigma_time raises ConfigError naming noise.sigma_time.
+    sigma_time raises ConfigError naming noise.sigma_time.  A grid that
+    needs too many RK4 substeps raises ConfigError with the integrator's
+    message, naming ``noise.drift_h`` where the drift gap is the larger
+    part of the largest rate, else ``grid.t_end``: the substep count
+    scales with t_end max|r|.
     """
     decomposition = _decomposition(config)
     generator = build_generator(decomposition, config.noise)
     grid = config.times()
-    result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
+    try:
+        result = integrate(generator, config.initial_state, grid, decomposition=decomposition)
+    except StepTooLarge as exc:
+        largest = generator.rates.flat[np.argmax(np.abs(generator.rates))]
+        field = "noise.drift_h" if abs(largest.imag) >= abs(largest.real) else "grid.t_end"
+        raise ConfigError(field, str(exc)) from None
     checkpoint_indices = _sorted_unique(np.linspace(0, grid.size - 1, 9).astype(int))
     checkpoint_times = [float(grid[i]) for i in checkpoint_indices if grid[i] > 0.0]
     report = cp_report(generator, checkpoint_times)
@@ -318,7 +328,7 @@ def cmd_moments(
     # The phase difference has variance lambda(t) of the pair: where it
     # overflows, every draw and moment is inf or NaN whatever the order, so
     # the pair is refused before sampling, its level of larger sigma_theta
-    # named where sigma_theta overflows.  A direct table has no draws, and
+    # named unless S(t) itself overflows.  A direct table has no draws, and
     # the sampler refuses it.
     model = config.noise
     if model.direct_lambda is None:

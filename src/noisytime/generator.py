@@ -17,8 +17,9 @@ closed form.  It never calls exp on the rates, which keeps route 2
 independent of the analytic route.
 
 Rate convention: a damping-rate table lam_dot enters as r = -i dh - lam_dot/2,
-so lam_dot is always the accumulated variance per unit time and the factor
-one half lives here, matching the exp(-lambda/2) of the analytic route.
+so lam_dot is always the accumulated variance per unit time, sigma_time^2 E
+for a constant sigma_time, and the factor one half lives here, matching the
+exp(-lambda/2) of the analytic route.
 """
 
 from __future__ import annotations
@@ -97,29 +98,28 @@ class Superoperator:
 def build_generator(decomposition: SpectralDecomposition, noise: NoiseModel) -> Superoperator:
     """Generator of a time-independent noise model, read from its presets.
 
-    Route 2 writes its damping-rate table in its own gap form over the
-    distinct levels, table_kl = sigma_time^2 ((s_k - s_l)^2
-    + 2 s_k s_l (1 - g_kl)) with s = sigma_theta and g = correlation_g, so a
-    zero gap or g = 1 gives the dephasing table exactly.  A direct damping
-    table is taken as it is, looked up by level.  The drift gaps come from
-    drift_h.  A sigma_time whose pieces differ has no time-independent table
-    and raises ConfigError naming noise.sigma_time.
+    The damping-rate table over the distinct levels is sigma_time^2 E, for
+    every model.  A sigma_time whose pieces differ has no time-independent
+    table and raises ConfigError naming noise.sigma_time.  E is the direct
+    damping table, looked up by level, if the model has one; else route 2
+    writes it in its own gap form, E_kl = (s_k - s_l)^2 + 2 s_k s_l (1 -
+    g_kl) with s = sigma_theta and g = correlation_g, so a zero gap or g = 1
+    gives the dephasing table exactly.  The drift gaps come from drift_h.
     """
-    levels = decomposition.levels
-    if noise.direct_lambda is not None:
-        table = noise.direct_lambda(levels)
-    elif not noise.sigma_time.is_constant:
+    if not noise.sigma_time.is_constant:
         raise ConfigError(
             "noise.sigma_time",
             "the master-equation generator needs a time-independent rate table; "
             "use evolve for time-dependent profiles",
         )
+    levels = decomposition.levels
+    if noise.direct_lambda is not None:
+        form = noise.direct_lambda(levels)
     else:
         s = noise.sigma_theta(levels)
         g = correlation_matrix(noise, levels)
-        table = noise.sigma_time.pieces[1][0] ** 2 * (
-            (s[:, None] - s[None, :]) ** 2 + 2.0 * s[:, None] * s[None, :] * (1.0 - g)
-        )
+        form = (s[:, None] - s[None, :]) ** 2 + 2.0 * s[:, None] * s[None, :] * (1.0 - g)
+    table = noise.sigma_time.pieces[1][0] ** 2 * form
     h = noise.drift_h(levels)
     rates = -1j * (h[:, None] - h[None, :]) - 0.5 * table
     idx = decomposition.level_index

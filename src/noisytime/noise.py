@@ -15,9 +15,12 @@ all draw from it, on the same (seed, block) Philox streams, and it alone
 refuses a direct damping table, which no Brownian field realizes.
 
 Presets are deliberately closed families (no arbitrary callables): configs stay
-serializable and every lambda has a closed form.  Because the amplitude
-factorizes, lambda(t; a, b) = S(t) E(a, b), with S(t) the integral of
-sigma_time^2 over [0, t] and E(a, b) the variance rate at unit sigma_time.
+serializable and every lambda has a closed form.  Every model obeys one time
+law, lambda(t; a, b) = S(t) E(a, b), with S(t) the integral of sigma_time^2
+over [0, t] and E(a, b) the variance rate at unit sigma_time: the Brownian
+form of sigma_theta and correlation_g, or a direct damping table in their
+place.  A constant sigma_time gives the Markovian regime, a piecewise one the
+non-Markovian; a table with a nonzero diagonal is dissipative in either.
 """
 
 from __future__ import annotations
@@ -315,15 +318,17 @@ class CorrelationPreset(_Preset):
 class DirectDampingPreset(_Preset):
     """Explicit damping-rate table, bypassing the Brownian construction.
 
-    One kind, ``separable_linear``: lambda(t; theta_i, theta_j) = t *
-    table[i, j] over the tabulated levels, and ``params`` holds the levels
-    and the symmetrized table.  A nonzero diagonal makes populations decay
-    (dissipative branch).  The Brownian samplers refuse this preset.  The
-    table D must be conditionally negative semidefinite: exp(-t D / 2)
-    entrywise is PSD for every t >= 0 exactly when -J D J / 2 is PSD, J = I -
-    1 1^T / m (Horn & Johnson, Topics in Matrix Analysis, Thm 6.3.6).  A
-    squared-distance table plus (a_k + a_l) / 2 with a >= 0 passes; so do its
-    sub-tables and degenerate-level expansions.
+    One kind, ``separable_linear``: the table is the level part E of the
+    kernel, lambda(t; theta_i, theta_j) = S(t) * table[i, j] over the
+    tabulated levels (t * table[i, j] under the default unit sigma_time), and
+    ``params`` holds the levels and the symmetrized table.  A nonzero
+    diagonal makes populations decay (dissipative branch).  The Brownian
+    samplers refuse this preset.  The table D must be conditionally negative
+    semidefinite: exp(-S D / 2) entrywise is PSD for every S >= 0 exactly
+    when -J D J / 2 is PSD, J = I - 1 1^T / m (Horn & Johnson, Topics in
+    Matrix Analysis, Thm 6.3.6).  A squared-distance table plus (a_k + a_l)
+    / 2 with a >= 0 passes; so do its sub-tables and degenerate-level
+    expansions.
     """
 
     SECTION = "direct_lambda"
@@ -390,8 +395,11 @@ PRESETS = {cls.SECTION: cls for cls in _FAMILIES}
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Full stochastic model: drift, diffusion amplitude, correlation, or a
-    direct damping table in their place.
+    """Full stochastic model: drift, diffusion amplitude and correlation.
+
+    A direct damping table, when given, stands in place of sigma_theta and
+    correlation_g as the level part E of the kernel; sigma_time still sets
+    its time part S(t), and drift_h its phases.
 
     The sigma presets carry the noise strength numerically: a dephasing
     model of strength gamma uses sigma_theta = linear(sqrt(gamma)).
@@ -444,14 +452,15 @@ def lambda_pair(model: NoiseModel, t: float, theta: float, theta_prime: float) -
 class LambdaKernel:
     """Damping kernel bound to a set of distinct levels.
 
-    The kernel separates as lambda(t) = S(t) E with the time-independent
-    (m, m) matrix E(a, b) = max(0, s(a)^2 g(a,a) + s(b)^2 g(b,b)
-    - 2 s(a) s(b) g(a,b)), s = sigma_theta, clamped at zero against roundoff.
-    A direct damping table is the case S(t) = t, E = table, looked up by
-    level value.  ``lambda_matrix(t)`` accepts a scalar or an array of times
-    and returns an array of shape t.shape + (m, m); the diagonal vanishes for
-    any Brownian-constructed model and is t times the tabulated
-    population-decay rates for a direct table.
+    The kernel separates as lambda(t) = S(t) E, S = sigma_time's integrated
+    square, with the time-independent (m, m) matrix ``form`` E: the direct
+    damping table looked up by level value if the model has one, else E(a, b)
+    = max(0, s(a)^2 g(a,a) + s(b)^2 g(b,b) - 2 s(a) s(b) g(a,b)), s =
+    sigma_theta, clamped at zero against roundoff.  ``lambda_matrix(t)``
+    accepts a scalar or an array of times and returns an array of shape
+    t.shape + (m, m); the diagonal vanishes for any Brownian-constructed
+    model and is S(t) times the tabulated population-decay rates for a
+    direct table.
     """
 
     model: NoiseModel
@@ -478,11 +487,7 @@ class LambdaKernel:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t) & (t >= 0.0)):
             raise ValueError("times must be finite and >= 0")
-        if self.model.direct_lambda is not None:
-            accumulated = t
-        else:
-            accumulated = self.model.sigma_time.integrated_square(t)
-        return accumulated[..., None, None] * self.form
+        return self.model.sigma_time.integrated_square(t)[..., None, None] * self.form
 
 
 def correlation_matrix(model: NoiseModel, levels) -> np.ndarray:

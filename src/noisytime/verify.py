@@ -5,7 +5,8 @@ they cover the documented invariants of every module: spectral decomposition
 algebra, the noise presets' values against the documented formulas, kernel
 properties, sampled-path statistics, the resummation identity,
 generator-versus-analytic agreement, complete positivity, the Markovianity
-boundary, energy conservation versus dissipation, and byte-level determinism.
+boundary, energy conservation versus dissipation, dissipation under a
+time-dependent sigma_time, and byte-level determinism.
 A check evaluates its kernels and trajectories once, as arrays, and tests
 each invariant over the whole stack: over every level pair, projector pair
 and state at once.  The qubit, four-level and dissipative systems on which
@@ -23,7 +24,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Optional
 
@@ -31,7 +32,7 @@ import numpy as np
 import yaml
 
 from .config import _YAML_LOADER, ScenarioConfig, config_to_dict, parse_config
-from .errors import DissipativeTraceLoss
+from .errors import ConfigError, DissipativeTraceLoss
 from .generator import Superoperator, build_generator, cp_report, integrate
 from .metrics import energy_expectation, purity
 from .montecarlo import compare_to_analytic, run_ensemble
@@ -511,6 +512,35 @@ def _check_energy_modes() -> tuple[bool, str]:
     )
 
 
+def _check_dissipative_time_profile() -> tuple[bool, str]:
+    # The dissipative fixture under sigma_time 0.4 up to t = 1 and 1.6 after:
+    # lambda = S(t) D, dissipative and non-Markovian at once.
+    _, decomposition, unit, rho0 = _dissipative_fixture()
+    model = replace(unit, sigma_time=_piecewise_model().sigma_time)
+    times = np.array([0.0, 0.5, 1.0, 1.7, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DissipativeTraceLoss)
+        states = averaged_trajectory(decomposition, model, rho0, times).states
+        defects = [semigroup_defect(decomposition, m, rho0, 0.8, 0.8) for m in (model, unit)]
+    # S(t) by the formula of docs/config.md, in math, never by preset code.
+    accumulated = [0.4**2 * min(t, 1.0) + 1.6**2 * max(0.0, t - 1.0) for t in times.tolist()]
+    theta = decomposition.column_levels()
+    exponent = 1j * np.subtract.outer(theta, theta) * times[:, None, None]
+    exponent += 0.5 * np.multiply.outer(accumulated, unit.direct_lambda.table)
+    expected = np.exp(-exponent) * to_energy_basis(rho0.matrix, decomposition)
+    gap = float(np.max(np.abs(to_energy_basis(states, decomposition) - expected)))
+    try:
+        build_generator(decomposition, model)
+        refused = "nothing"
+    except ConfigError as exc:
+        refused = exc.path
+    ok = gap < 1e-12 and defects[0] > 1e-3 and defects[1] < 1e-12 and refused == "noise.sigma_time"
+    return ok, (
+        f"closed-form gap {gap:.2e}; semigroup defect {defects[0]:.3f} "
+        f"(unit profile {defects[1]:.2e}); integrate refuses {refused}"
+    )
+
+
 def _time_average(grid: np.ndarray, states: np.ndarray, weights: np.ndarray) -> DensityMatrix:
     """Trapezoid average of a (T, d, d) trajectory over a time density on its grid."""
     dt = np.diff(grid)
@@ -639,6 +669,7 @@ _CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
     ("map-defects", lambda ctx: _check_map_defects()),
     ("markovianity-boundary", lambda ctx: _check_markovianity_boundary()),
     ("energy-conservation-and-dissipation", lambda ctx: _check_energy_modes()),
+    ("dissipative-time-profile", lambda ctx: _check_dissipative_time_profile()),
     ("time-average-quadrature", lambda ctx: _check_time_average()),
     ("ensemble-matches-analytic", lambda ctx: _check_ensemble_matches_analytic(ctx["quick"])),
     ("ensemble-determinism", lambda ctx: _check_ensemble_determinism()),

@@ -16,6 +16,7 @@ import pytest
 import noisytime.config
 import noisytime.verify
 from noisytime import (
+    DimensionMismatch,
     averaged_trajectory,
     build_generator,
     eigendecompose,
@@ -318,15 +319,29 @@ class TestIntegrate:
             assert abs(float(rows[0]["rho_re_0_1"]) - 1.0 / 3.0) < 1e-15  # plus state
 
     def test_huge_rate_exits_2(self, scenario_yaml, tmp_path, capsys):
-        # sigma_theta carries the strength: a rate of 1e9 needs too many substeps
+        # sigma_theta carries the strength: a rate of 1e9 needs too many
+        # substeps; the damping is the larger part of the largest rate, and
+        # the substep count scales with t_end
         config = scenario_yaml(
             "global_dephasing", **{"noise.sigma_theta.coefficient": math.sqrt(1e9)}
         )
         out = tmp_path / "run"
         args = ["integrate", "--config", str(config), "--out", str(out), "--generator", "phase"]
         assert main(args) == 2
-        assert "RK4 substeps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: grid.t_end: grid needs" in err and "RK4 substeps" in err
         assert not (out / "me.csv").exists()
+
+    def test_huge_drift_gap_exits_2(self, scenario_yaml, tmp_path, capsys):
+        # a drift gap of 1e6 to t_end = 5 needs 5e8 substeps; the phase is
+        # the larger part of the largest rate
+        drift = {"kind": "affine", "a": 1e6, "b": 0.0}
+        config = scenario_yaml("global_dephasing", **{"noise.drift_h": drift})
+        out = tmp_path / "run"
+        assert main(["integrate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: noise.drift_h: grid needs 5e+08 RK4 substeps" in err
+        assert not out.exists()
 
     def test_correlated_generator(self, scenario_yaml, tmp_path):
         config = scenario_yaml("correlated_tau", **{"grid.n_steps": 15})
@@ -408,6 +423,27 @@ class TestIntegrate:
         assert float(rows[-1]["trace"]) < 0.5
         assert float(rows[0]["trace"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::noisytime.DissipativeTraceLoss")
+    def test_direct_table_follows_sigma_time(self, scenario_yaml, tmp_path):
+        # lambda = S(t) table on both routes: a constant sigma_time of 1.7
+        # scales the table by 1.7^2, and the states leave the unit run's
+        written = {}
+        for value in (1.0, 1.7):
+            profile = {"kind": "constant", "value": value}
+            config = scenario_yaml(
+                "dissipative_direct", **{"grid.n_steps": 20, "noise.sigma_time": profile}
+            )
+            out = tmp_path / str(value)
+            assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["integrate", "--config", str(config), "--out", str(out)]) == 0
+            written[value] = [read_csv(out / name) for name in ("analytic.csv", "me.csv")]
+        analytic, ode = written[1.7]
+        for row_a, row_b in zip(analytic, ode):
+            for key in row_a:
+                assert float(row_a[key]) == pytest.approx(float(row_b[key]), abs=1e-8)
+        unit = written[1.0][0]
+        assert abs(float(analytic[-1]["trace"]) - float(unit[-1]["trace"])) > 0.1
+
     def test_one_piece_profile_is_the_constant_one(self, scenario_yaml, tmp_path):
         # a profile whose pieces all have the same value is time-independent,
         # and integrate takes it however it is written
@@ -429,12 +465,15 @@ class TestIntegrate:
             assert written[1] == written[0] and written[2] == written[0]
 
     def test_general_rejects_time_dependent_profile(self, scenario_yaml, tmp_path, capsys):
-        config = scenario_yaml("nonmarkovian_piecewise")
+        # a direct table is refused as every other model: lambda = S(t) table
+        profile = {"kind": "piecewise_constant", "breakpoints": [1.0], "values": [0.4, 1.6]}
         out = tmp_path / "run"
-        for flag in ([], ["--generator", "general"]):
-            assert main(["integrate", "--config", str(config), "--out", str(out)] + flag) == 2
-            assert "config error: noise.sigma_time:" in capsys.readouterr().err
-            assert not out.exists()
+        for scenario in ("nonmarkovian_piecewise", "dissipative_direct"):
+            config = scenario_yaml(scenario, **{"noise.sigma_time": profile})
+            for flag in ([], ["--generator", "general"]):
+                assert main(["integrate", "--config", str(config), "--out", str(out)] + flag) == 2
+                assert "config error: noise.sigma_time:" in capsys.readouterr().err
+                assert not out.exists()
 
 
 class TestSample:
@@ -667,22 +706,46 @@ class TestKernelThatOverflowsOnTheGrid:
     levels before t_end: the runs wrote NaN rows or failed with a
     traceback, and now exit 2 naming the field."""
 
+    HUGE_TIME = {"noise.sigma_time": {"kind": "constant", "value": 1e154}}
+    # (scenario, field named, overrides); the field is sigma_time where S(t)
+    # itself overflows, else the source of the level part E
     CASES = {
         "sigma_theta": (
-            "global_dephasing", "noise.sigma_theta", {"kind": "linear", "coefficient": 1e200}
+            "global_dephasing",
+            "noise.sigma_theta",
+            {"noise.sigma_theta": {"kind": "linear", "coefficient": 1e200}},
         ),
-        "sigma_time": ("global_dephasing", "noise.sigma_time", {"kind": "constant", "value": 1e154}),
-        "table": ("dissipative_direct", "noise.direct_lambda.table", [[0.0, 8e307], [8e307, 0.0]]),
+        "sigma_time": ("global_dephasing", "noise.sigma_time", HUGE_TIME),
+        "table": (
+            "dissipative_direct",
+            "noise.direct_lambda.table",
+            {"noise.direct_lambda.table": [[0.0, 8e307], [8e307, 0.0]]},
+        ),
+        # a direct table follows sigma_time as every model does
+        "table_sigma_time": ("dissipative_direct", "noise.sigma_time", HUGE_TIME),
+        # S(5) = 5e200 and E(0, 1) = 1e200 are finite, their product is not
+        "sigma_theta_times_sigma_time": (
+            "global_dephasing",
+            "noise.sigma_theta",
+            {
+                "noise.sigma_theta": {"kind": "linear", "coefficient": 1e100},
+                "noise.sigma_time": {"kind": "constant", "value": 1e100},
+            },
+        ),
         # nothing overflows, but t_end (h(1) - h(0)) = 5e300 leaves the
         # phases no significant digit
-        "drift_h": ("global_dephasing", "noise.drift_h", {"kind": "affine", "a": 1e300, "b": 0.0}),
+        "drift_h": (
+            "global_dephasing",
+            "noise.drift_h",
+            {"noise.drift_h": {"kind": "affine", "a": 1e300, "b": 0.0}},
+        ),
     }
 
     @pytest.mark.parametrize("command", ["evolve", "integrate", "sample", "verify"])
     @pytest.mark.parametrize("case", CASES)
     def test_exits_2_naming_the_field(self, case, command, scenario_yaml, tmp_path, capsys):
-        scenario, field, value = self.CASES[case]
-        config = scenario_yaml(scenario, **{field: value})
+        scenario, field, overrides = self.CASES[case]
+        config = scenario_yaml(scenario, **overrides)
         out = tmp_path / "run"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -697,6 +760,26 @@ class TestKernelThatOverflowsOnTheGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["evolve", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
+class TestTableThatLacksALevel:
+    """A direct table that does not tabulate a level of the Hamiltonian."""
+
+    @pytest.mark.parametrize("command", ["evolve", "integrate", "sample", "verify"])
+    def test_exits_2_naming_the_levels(self, command, scenario_yaml, tmp_path, capsys):
+        # the Hamiltonian's levels are 1 and 2
+        config = scenario_yaml("dissipative_direct", **{"noise.direct_lambda.levels": [1.0, 3.0]})
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: noise.direct_lambda.levels: level 2.0 is not tabulated" in err
+        assert not out.exists()
+
+    def test_library_raises_dimension_mismatch(self, scenario_yaml):
+        path = scenario_yaml("dissipative_direct", **{"noise.direct_lambda.levels": [1.0, 3.0]})
+        config = load_config(path)
+        with pytest.raises(DimensionMismatch):
+            build_generator(config.decomposition(), config.noise)
 
 
 class TestBlasPin:

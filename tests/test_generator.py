@@ -216,10 +216,12 @@ class TestBuilders:
         with pytest.raises(ConfigError) as info:
             build_generator(dec, NoiseModel(sigma_time=piecewise))
         assert info.value.path == "noise.sigma_time"
-        # a direct table is a rate per unit time: the profile does not enter
+        # a direct table is the level part E of lambda = S(t) E, so its
+        # profile is refused as every other model's
         direct = direct_damping_model([0.0, 1.0], [[0.0, 0.5], [0.5, 0.0]])
-        gen = build_generator(dec, replace(direct, sigma_time=piecewise))
-        assert gen.rates[0, 1] == pytest.approx(1j - 0.25)
+        with pytest.raises(ConfigError) as info:
+            build_generator(dec, replace(direct, sigma_time=piecewise))
+        assert info.value.path == "noise.sigma_time"
 
     def test_never_evaluates_the_analytic_kernel(self, four_level, monkeypatch):
         def refuse(*args, **kwargs):

@@ -446,6 +446,22 @@ class TestKernelMatrices:
         with pytest.raises(DimensionMismatch):
             LambdaKernel(model, [1.0, 1.5])
 
+    def test_direct_table_follows_sigma_time(self):
+        # lambda = S(t) table: a direct table is the level part E of the kernel
+        table = [[0.6, 0.7], [0.7, 0.8]]
+        direct = direct_damping_model([1.0, 2.0], table)
+        times = np.array([0.0, 0.5, 1.0, 1.7, 3.0])
+        constant = dataclasses.replace(direct, sigma_time=SigmaTimePreset.constant(1.7))
+        lam = LambdaKernel(constant, [1.0, 2.0]).lambda_matrix(times)
+        expected = 1.7**2 * times[:, None, None] * np.asarray(table)
+        assert np.allclose(lam, expected, rtol=1e-15, atol=0.0)
+        profile = SigmaTimePreset.piecewise_constant([1.0], [0.4, 1.6])
+        piecewise = dataclasses.replace(direct, sigma_time=profile)
+        lam = LambdaKernel(piecewise, [1.0, 2.0]).lambda_matrix(times)
+        for got, t in zip(lam, times.tolist()):
+            accumulated = 0.4**2 * min(t, 1.0) + 1.6**2 * max(0.0, t - 1.0)
+            assert np.allclose(got, accumulated * np.asarray(table), rtol=1e-14, atol=0.0)
+
     def test_lambda_matrix_symmetric_zero_diag(self):
         kernel = LambdaKernel(correlated_model(0.8, 1.0), [0.0, 0.37, 1.1])
         lam = kernel.lambda_matrix(1.3)

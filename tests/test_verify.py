@@ -99,6 +99,22 @@ def test_energy_modes_flag_a_drifting_ensemble_mean(monkeypatch):
     assert detail.startswith("conserved drift 2.03e-09;")
 
 
+def test_dissipative_time_profile_flags_a_table_that_ignores_sigma_time(monkeypatch):
+    # a direct table's kernel back at S(t) = t, whatever sigma_time says
+    exact = LambdaKernel.lambda_matrix
+
+    def unit_time(self, t):
+        if self.model.direct_lambda is None:
+            return exact(self, t)
+        return np.asarray(t, dtype=float)[..., None, None] * self.form
+
+    assert verify._check_dissipative_time_profile()[0]
+    monkeypatch.setattr(LambdaKernel, "lambda_matrix", unit_time)
+    ok, detail = verify._check_dissipative_time_profile()
+    assert not ok
+    assert float(detail.split()[2].rstrip(";")) > 1e-3, detail
+
+
 def _conjugate_to_energy_basis(rho, decomposition):
     """V^T rho conj(V): the energy basis of the conjugate eigenvectors."""
     v = decomposition.eigenvectors
