@@ -45,7 +45,7 @@ from .propagator import averaged_state, averaged_trajectory, semigroup_defect
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
 from .metrics import energy_expectation
-from .verify import BUNDLED_SCENARIOS, bundled_scenario_text
+from .config import BUNDLED_SCENARIOS, bundled_scenario_text
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,7 @@ __all__ = [
     "compare_to_analytic",
     # metrics
     "energy_expectation",
-    # verify
+    # config
     "BUNDLED_SCENARIOS",
     "bundled_scenario_text",
 ]

@@ -31,11 +31,11 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config
-from .errors import ConfigError, DimensionMismatch, NoisytimeError, StepTooLarge
+from .config import ScenarioConfig, _refuse_overflow, load_config
+from .errors import ConfigError, NoisytimeError, StepTooLarge
 from .generator import build_generator, cp_report, integrate
 from .montecarlo import compare_to_analytic, run_ensemble
-from .noise import LambdaKernel, moment_report
+from .noise import moment_report
 from .operators import _single_threaded_blas, _time_slabs
 from .propagator import averaged_trajectory
 from .results import METRIC_COLUMNS, EvolutionResult, _sorted_unique
@@ -197,56 +197,9 @@ def _states_csv(config: ScenarioConfig, decomposition, result: EvolutionResult):
     yield from _trajectory_csv(result.grid, result.states, True, metrics)
 
 
-def _refuse_overflow(model, levels, t: float, level_field: str, message: str) -> None:
-    """Raise ConfigError(field, message) when lambda(t) on ``levels`` is not finite.
-
-    lambda(t) = S(t) E never decreases in t, so a model that overflows
-    anywhere on [0, t] overflows at t.  The field is ``noise.sigma_time``
-    where S(t) itself is not finite, else ``level_field``, the source of the
-    level part E.  numpy warns of nothing.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.all(np.isfinite(LambdaKernel(model, levels).lambda_matrix(t))):
-            return
-        finite_time = np.isfinite(model.sigma_time.integrated_square(t))
-    raise ConfigError(level_field if finite_time else "noise.sigma_time", message)
-
-
-def _decomposition(config: ScenarioConfig):
-    """The scenario's spectral decomposition, once its model passes the gate
-    of every route on the scenario's levels and grid.
-
-    A direct table must tabulate every level, else ConfigError naming
-    ``noise.direct_lambda.levels``.  lambda(t_end) must be finite
-    (``_refuse_overflow``, with the direct table or ``noise.sigma_theta`` as
-    the level source), else the run would write NaN or fail.  And t_end
-    max|h(theta_k) - h(theta_l)| must be below 2^52: floats that large are
-    whole radians apart, so the phases t (h_k - h_l) would carry no
-    significant digit.  Else ConfigError naming ``noise.drift_h``.
-    """
-    decomposition = config.decomposition()
-    levels, noise = decomposition.levels, config.noise
-    try:
-        _refuse_overflow(
-            noise, levels, config.t_end,
-            "noise.sigma_theta" if noise.direct_lambda is None else "noise.direct_lambda.table",
-            "lambda(t) overflows a float on the scenario's levels and grid",
-        )
-    except DimensionMismatch as exc:  # a level the direct table lacks
-        raise ConfigError("noise.direct_lambda.levels", str(exc)) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = noise.drift_h(levels)
-        # A NaN or infinite drift gap fails the test too.
-        if not config.t_end * (np.max(drift) - np.min(drift)) < 2.0**52:
-            raise ConfigError(
-                "noise.drift_h", "t_end times the largest drift gap between levels reaches 2^52"
-            )
-    return decomposition
-
-
 def cmd_evolve(config: ScenarioConfig) -> tuple[int, list[Path]]:
     """Exact elementwise evolution on the scenario grid."""
-    decomposition = _decomposition(config)
+    decomposition = config.decomposition()
     result = averaged_trajectory(
         decomposition, config.noise, config.initial_state, config.times()
     )
@@ -263,7 +216,7 @@ def cmd_integrate(config: ScenarioConfig) -> tuple[int, list[Path]]:
     part of the largest rate, else ``grid.t_end``: the substep count
     scales with t_end max|r|.
     """
-    decomposition = _decomposition(config)
+    decomposition = config.decomposition()
     generator = build_generator(decomposition, config.noise)
     grid = config.times()
     try:
@@ -294,7 +247,7 @@ def _check_ensemble(config: ScenarioConfig, command: str) -> None:
 def cmd_sample(config: ScenarioConfig, threads: int = 1) -> tuple[int, list[Path]]:
     """Monte Carlo ensemble, cross-checked against the analytic route."""
     _check_ensemble(config, "sample")
-    decomposition = _decomposition(config)
+    decomposition = config.decomposition()
     grid = config.times()
     ensemble = run_ensemble(
         decomposition,
@@ -466,7 +419,7 @@ def _run_verify(args) -> tuple[int, list[Path]]:
         if config.noise.direct_lambda is None:
             _check_ensemble(config, "verify")
         # The routes' refusals, before any check runs.
-        _decomposition(config)
+        config.decomposition()
     return cmd_verify(config=config, quick=args.quick), []
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from importlib import resources
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, NoisytimeError
-from .noise import PRESETS, ROWS, NoiseModel, SigmaThetaPreset
+from .errors import ConfigError, DimensionMismatch, NoisytimeError
+from .noise import PRESETS, ROWS, LambdaKernel, NoiseModel, SigmaThetaPreset
 from .operators import DensityMatrix, HermitianOperator, eigendecompose
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "config_to_dict",
     "matrix_from_config",
     "matrix_to_config",
+    "BUNDLED_SCENARIOS",
+    "bundled_scenario_text",
 ]
 
 STATE_PRESETS = ("plus_state", "maximally_mixed", "ground")
@@ -90,6 +93,21 @@ def _state_from_preset(preset: str, hamiltonian: HermitianOperator) -> DensityMa
     raise ConfigError("initial_state", f"unknown preset {preset!r}; known: {STATE_PRESETS}")
 
 
+def _refuse_overflow(model, levels, t: float, level_field: str, message: str) -> None:
+    """Raise ConfigError(field, message) when lambda(t) on ``levels`` is not finite.
+
+    lambda(t) = S(t) E never decreases in t, so a model that overflows
+    anywhere on [0, t] overflows at t.  The field is ``noise.sigma_time``
+    where S(t) itself is not finite, else ``level_field``, the source of the
+    level part E.  numpy warns of nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(np.isfinite(LambdaKernel(model, levels).lambda_matrix(t))):
+            return
+        finite_time = np.isfinite(model.sigma_time.integrated_square(t))
+    raise ConfigError(level_field if finite_time else "noise.sigma_time", message)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully validated simulation scenario."""
@@ -110,7 +128,35 @@ class ScenarioConfig:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
     def decomposition(self):
-        return eigendecompose(self.hamiltonian)
+        """The Hamiltonian's spectral decomposition, once the noise model
+        passes the gate of every route on the scenario's levels and grid.
+
+        A direct table must tabulate every level, else ConfigError naming
+        ``noise.direct_lambda.levels``.  lambda(t_end) must be finite
+        (``_refuse_overflow``, with the direct table or ``noise.sigma_theta``
+        as the level source), else a route would write NaN or fail.  And
+        t_end max|h(theta_k) - h(theta_l)| must be below 2^52: floats that
+        large are whole radians apart, so the phases t (h_k - h_l) would
+        carry no significant digit.  Else ConfigError naming ``noise.drift_h``.
+        """
+        decomposition = eigendecompose(self.hamiltonian)
+        levels, noise = decomposition.levels, self.noise
+        try:
+            _refuse_overflow(
+                noise, levels, self.t_end,
+                "noise.sigma_theta" if noise.direct_lambda is None else "noise.direct_lambda.table",
+                "lambda(t) overflows a float on the scenario's levels and grid",
+            )
+        except DimensionMismatch as exc:  # a level the direct table lacks
+            raise ConfigError("noise.direct_lambda.levels", str(exc)) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = noise.drift_h(levels)
+            # A NaN or infinite drift gap fails the test too.
+            if not self.t_end * (np.max(drift) - np.min(drift)) < 2.0**52:
+                raise ConfigError(
+                    "noise.drift_h", "t_end times the largest drift gap between levels reaches 2^52"
+                )
+        return decomposition
 
     def with_overrides(
         self, seed: Optional[int] = None, out_dir: Optional[str] = None
@@ -307,6 +353,17 @@ def load_config(path) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ConfigError("", f"could not parse {path}: {exc}") from exc
     return parse_config(data)
+
+
+BUNDLED_SCENARIOS = (
+    "global_dephasing", "correlated_tau", "nonmarkovian_piecewise", "dissipative_direct"
+)
+
+
+def bundled_scenario_text(name: str) -> str:
+    if name not in BUNDLED_SCENARIOS:
+        raise ValueError(f"unknown bundled scenario {name!r}; known: {BUNDLED_SCENARIOS}")
+    return (resources.files("noisytime") / "scenarios" / f"{name}.yaml").read_text()
 
 
 def _noise_to_dict(noise: NoiseModel) -> dict:

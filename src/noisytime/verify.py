@@ -25,13 +25,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
 import yaml
 
-from .config import _YAML_LOADER, ScenarioConfig, config_to_dict, parse_config
+from .config import (
+    BUNDLED_SCENARIOS, ScenarioConfig, bundled_scenario_text, config_to_dict, parse_config
+)
 from .errors import ConfigError, DissipativeTraceLoss
 from .generator import Superoperator, build_generator, cp_report, integrate
 from .metrics import energy_expectation, purity
@@ -63,20 +64,7 @@ from .operators import (
 )
 from .propagator import averaged_state, averaged_trajectory, semigroup_defect
 
-__all__ = ["CheckResult", "run_suite", "check_names", "BUNDLED_SCENARIOS", "bundled_scenario_text"]
-
-BUNDLED_SCENARIOS = (
-    "global_dephasing",
-    "correlated_tau",
-    "nonmarkovian_piecewise",
-    "dissipative_direct",
-)
-
-
-def bundled_scenario_text(name: str) -> str:
-    if name not in BUNDLED_SCENARIOS:
-        raise ValueError(f"unknown bundled scenario {name!r}; known: {BUNDLED_SCENARIOS}")
-    return (resources.files("noisytime") / "scenarios" / f"{name}.yaml").read_text()
+__all__ = ["CheckResult", "run_suite", "check_names"]
 
 
 @dataclass(frozen=True)
@@ -612,7 +600,7 @@ def _check_comparison_detector() -> tuple[bool, str]:
 
 def _check_bundled_round_trip() -> tuple[bool, str]:
     for name in BUNDLED_SCENARIOS:
-        data = yaml.load(bundled_scenario_text(name), Loader=_YAML_LOADER)
+        data = yaml.safe_load(bundled_scenario_text(name))
         first = config_to_dict(parse_config(data))
         second = config_to_dict(parse_config(first))
         if first != second:

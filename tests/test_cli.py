@@ -778,8 +778,9 @@ class TestTableThatLacksALevel:
     def test_library_raises_dimension_mismatch(self, scenario_yaml):
         path = scenario_yaml("dissipative_direct", **{"noise.direct_lambda.levels": [1.0, 3.0]})
         config = load_config(path)
+        # the scenario's own decomposition refuses the table (tests/test_config.py)
         with pytest.raises(DimensionMismatch):
-            build_generator(config.decomposition(), config.noise)
+            build_generator(eigendecompose(config.hamiltonian), config.noise)
 
 
 class TestBlasPin:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -439,3 +441,47 @@ class TestYamlLoader:
         broken.write_text("a: [unclosed")
         with pytest.raises(ConfigError):
             load_config(broken)
+
+
+class TestDecompositionGate:
+    """``ScenarioConfig.decomposition`` refuses, naming the field, a model
+    that no route can run on the scenario's own levels and grid, so the
+    commands, verify's scenario checks and library callers get one refusal."""
+
+    # (scenario, field named, overrides)
+    CASES = {
+        # S(t_end) = 1e308 t_end overflows for every level pair
+        "sigma_time": (
+            "global_dephasing",
+            "noise.sigma_time",
+            {"noise.sigma_time": {"kind": "constant", "value": 1e154}},
+        ),
+        # S(t_end) is finite, the level part E is not
+        "sigma_theta": (
+            "global_dephasing",
+            "noise.sigma_theta",
+            {"noise.sigma_theta": {"kind": "linear", "coefficient": 1e200}},
+        ),
+        # the Hamiltonian's levels are 1 and 2
+        "untabulated_level": (
+            "dissipative_direct",
+            "noise.direct_lambda.levels",
+            {"noise.direct_lambda.levels": [1.0, 3.0]},
+        ),
+        # nothing overflows, but t_end (h(1) - h(0)) = 5e300 is past 2^52
+        "drift_h": (
+            "global_dephasing",
+            "noise.drift_h",
+            {"noise.drift_h": {"kind": "affine", "a": 1e300, "b": 0.0}},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refuses_naming_the_field(self, case, scenario_yaml):
+        scenario, field, overrides = self.CASES[case]
+        config = load_config(scenario_yaml(scenario, **overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as refused:
+                config.decomposition()
+        assert refused.value.path == field

@@ -3,7 +3,9 @@ in the package and in each of its modules, and every package export is
 listed by the module that defines it."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -84,3 +86,25 @@ def test_package_exports_are_listed_by_their_module():
         if module is not None and hasattr(module, "__all__") and name not in module.__all__:
             unlisted.append(f"{home}.{name}")
     assert unlisted == []
+
+
+def test_import_loads_no_check():
+    """``import noisytime`` leaves the check suite unloaded; the bundled
+    scenarios still come from the package."""
+    script = (
+        "import sys\n"
+        "import noisytime\n"
+        "from noisytime import BUNDLED_SCENARIOS, bundled_scenario_text\n"
+        "text = bundled_scenario_text(BUNDLED_SCENARIOS[0])\n"
+        "print('noisytime.verify' in sys.modules, text.count('hamiltonian:'))\n"
+    )
+    # the child finds the package where this interpreter found it
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "1"]

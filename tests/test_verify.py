@@ -9,12 +9,14 @@ last test bounds what one check holds in memory.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import noisytime
 from noisytime import verify
+from noisytime.config import load_config
 from noisytime.noise import CorrelationPreset, LambdaKernel, SigmaThetaPreset, SigmaTimePreset
 
 
@@ -193,6 +195,25 @@ def test_suite_flags_a_gaussian_correlation_fault(monkeypatch):
     PRESET_MUTANTS["gaussian-tau-squared-x1.3"](monkeypatch)
     failed = [result.name for result in verify.run_suite(quick=True) if not result.passed]
     assert failed == ["preset-reference-values"]
+
+
+def test_scenario_checks_report_the_gate(scenario_yaml, monkeypatch):
+    # S(t_end) = 1e308 t_end overflows: every scenario check that runs a
+    # route reports the gate's ConfigError, with no numpy warning, where the
+    # analytic check read "defect nan" and the ensemble check passed
+    config = load_config(
+        scenario_yaml("global_dephasing", **{"noise.sigma_time": {"kind": "constant", "value": 1e154}})
+    )
+    monkeypatch.setattr(verify, "_CHECKS", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = verify.run_suite(scenario=config, quick=True)
+    refused = "raised ConfigError: noise.sigma_time: lambda(t) overflows a float"
+    assert [(r.name, r.passed, r.detail.startswith(refused)) for r in results] == [
+        ("scenario-round-trip", True, False),
+        ("scenario-analytic-hermitian", False, True),
+        ("scenario-ensemble-z-test", False, True),
+    ]
 
 
 def test_chi_path_check_keeps_only_the_end_values():
